@@ -351,18 +351,23 @@ def verify_certificate(
             not recorded_w.is_zero() and recorded_w == singular_w(ell, chi),
             f"{len(recorded_w.terms)} terms",
         )
-        nmax = int(cert.data.get("annihilation_range", max(4, ell + 2)))
+        # the verifier, not the certificate, sets the range it checks
+        nmax = max(4, ell + 2)
+        recorded_range = cert.data.get("annihilation_range")
         failures = _annihilation_failures(recorded_w, chi, nmax)
         add(
             "witness_annihilated",
             not failures,
-            f"modes n=1..{nmax}" + (f"; failing: {failures}" if failures else ""),
+            f"modes n=1..{nmax}"
+            + (f"; failing: {failures}" if failures else "")
+            + ("" if recorded_range == nmax else f"; recorded range {recorded_range!r} ignored"),
         )
         basis = closure([omega_vec(ell)], a_module_ops(chi, cfg), cfg, FOCK_SPACE)
         excluded = not basis.contains(vacuum_vec())
+        # an empty closure never admitted Omega_ell, so it excludes nothing
         add(
             "vacuum_excluded",
-            excluded and cert.data.get("vacuum_excluded") is True,
+            basis.dimension() > 0 and excluded and cert.data.get("vacuum_excluded") is True,
             f"closure dimension {basis.dimension()}",
         )
         return Report(tuple(checks))

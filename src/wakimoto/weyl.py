@@ -17,9 +17,13 @@ The current modes twisted by a series chi act through
            - sum_j chi_j a*(n-j),
 
 with normal ordering putting annihilators on the right.  On any fixed
-monomial only finitely many summands act nonzero, and the candidate windows
-below enumerate exactly those, so every action is computed exactly.  The
-resulting bracket relations hold with central scalar -2:
+monomial only finitely many summands act nonzero.  The chi-free part of each
+mode (a(n), the quadratic of h, the cubic of f plus 2n a*(n)) is a *core*:
+a closed-form enumeration of exactly those summands on one monomial, split
+by which factors annihilate, with plain int coefficients.  ``WeylAction``
+caches the cores per action and adds the twist as a linear correction, so
+every action is computed exactly.  The resulting bracket relations hold with
+central scalar -2:
 
     [h(m), e(n)] = 2 e(m+n),         [h(m), f(n)] = -2 f(m+n),
     [e(m), f(n)] = h(m+n) - 2m delta_{m+n,0},
@@ -33,6 +37,7 @@ graded piece.  ``evidence_agrees`` compares it with the classifier verdict.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -135,24 +140,41 @@ class WeylVec:
     def coeff(self, state: WeylState) -> Fraction:
         return self.terms.get(state, Fraction(0))
 
-    def __add__(self, other: "WeylVec") -> "WeylVec":
+    @classmethod
+    def _of(cls, terms: dict[WeylState, Fraction]) -> "WeylVec":
+        """Wrap a dict whose values are already nonzero Fractions."""
+        v = object.__new__(cls)
+        v.terms = terms
+        return v
+
+    def _combined(self, other: "WeylVec", sign: int) -> "WeylVec":
         data = dict(self.terms)
         for st, c in other.terms.items():
-            data[st] = data.get(st, Fraction(0)) + c
-        return WeylVec(data)
+            prev = data.get(st)
+            if prev is None:
+                data[st] = c if sign > 0 else -c
+            else:
+                total = prev + c if sign > 0 else prev - c
+                if total:
+                    data[st] = total
+                else:
+                    del data[st]
+        return WeylVec._of(data)
+
+    def __add__(self, other: "WeylVec") -> "WeylVec":
+        return self._combined(other, 1)
 
     def __sub__(self, other: "WeylVec") -> "WeylVec":
-        data = dict(self.terms)
-        for st, c in other.terms.items():
-            data[st] = data.get(st, Fraction(0)) - c
-        return WeylVec(data)
+        return self._combined(other, -1)
 
     def __neg__(self) -> "WeylVec":
-        return WeylVec({st: -c for st, c in self.terms.items()})
+        return WeylVec._of({st: -c for st, c in self.terms.items()})
 
     def _scaled(self, scalar) -> "WeylVec":
         s = Fraction(scalar)
-        return WeylVec({st: s * c for st, c in self.terms.items()})
+        if not s:
+            return WeylVec()
+        return WeylVec._of({st: s * c for st, c in self.terms.items()})
 
     def __mul__(self, scalar) -> "WeylVec":
         return self._scaled(scalar)
@@ -188,149 +210,217 @@ def weyl_vacuum_vec() -> WeylVec:
 
 
 # ---------------------------------------------------------------------------
+# chi-free cores on one monomial
+#
+# A core maps one monomial to a tuple of (WeylState, int) pairs.  It works on
+# the sorted mode tuples directly; every term of a normal-ordered product is
+# applied to one (a_modes, astar_modes, coefficient) triple, annihilators
+# first, so no intermediate vector is built and every coefficient stays an
+# int.
+# ---------------------------------------------------------------------------
+
+_new_object = object.__new__
+_set_field = object.__setattr__
+
+
+def _state(a_modes: tuple[int, ...], astar_modes: tuple[int, ...]) -> WeylState:
+    """A WeylState from mode tuples that are canonical by construction."""
+    st = _new_object(WeylState)
+    _set_field(st, "a_modes", a_modes)
+    _set_field(st, "astar_modes", astar_modes)
+    return st
+
+
+def _without(modes: tuple[int, ...], value: int) -> tuple[int, ...]:
+    i = modes.index(value)
+    return modes[:i] + modes[i + 1 :]
+
+
+def _with(modes: tuple[int, ...], value: int) -> tuple[int, ...]:
+    i = bisect_right(modes, value)
+    return modes[:i] + (value,) + modes[i:]
+
+
+def _items(acc: dict[tuple, int]) -> tuple[tuple[WeylState, int], ...]:
+    return tuple((_state(a, s), c) for (a, s), c in acc.items() if c)
+
+
+def _a_core(n: int, st: WeylState) -> tuple[tuple[WeylState, int], ...]:
+    """a(n): contraction against a*(-n) for n >= 0, creation below."""
+    a, s = st.a_modes, st.astar_modes
+    if n < 0:
+        return ((_state(_with(a, -n), s), 1),)
+    mult = s.count(n)
+    return ((_state(a, _without(s, n)), mult),) if mult else ()
+
+
+def _astar_core(n: int, st: WeylState) -> tuple[tuple[WeylState, int], ...]:
+    """a*(n): contraction against a(-n) for n >= 1, creation below."""
+    a, s = st.a_modes, st.astar_modes
+    if n <= 0:
+        return ((_state(a, _with(s, -n)), 1),)
+    mult = a.count(n)
+    return ((_state(_without(a, n), s), -mult),) if mult else ()
+
+
+def _h_core(n: int, st: WeylState) -> tuple[tuple[WeylState, int], ...]:
+    """-2 sum_{m+k=n} :a*(m) a(k):, split by which factors annihilate."""
+    a, s = st.a_modes, st.astar_modes
+    acc: dict[tuple, int] = {}
+    # both create: n < m <= 0
+    for m in range(n + 1, 1):
+        key = (_with(a, m - n), _with(s, -m))
+        acc[key] = acc.get(key, 0) - 2
+    # a(k) annihilates a*(-k); a*(m) creates (m <= 0) or annihilates a(-m)
+    for k in dict.fromkeys(s):
+        cs = s.count(k)
+        s1 = _without(s, k)
+        m = n - k
+        if m <= 0:
+            key = (a, _with(s1, -m))
+            acc[key] = acc.get(key, 0) - 2 * cs
+        elif m in a:
+            key = (_without(a, m), s1)
+            acc[key] = acc.get(key, 0) + 2 * a.count(m) * cs
+    # a*(m) annihilates a(-m), a(k) creates: k = n - m < 0
+    for m in dict.fromkeys(a):
+        if m > n:
+            key = (_with(_without(a, m), m - n), s)
+            acc[key] = acc.get(key, 0) + 2 * a.count(m)
+    return _items(acc)
+
+
+def _cubic_term(a, s, m1: int, m2: int, k: int, acc: dict[tuple, int]) -> None:
+    """Add -:a*(m1) a*(m2) a(k): on the monomial (a, s) into acc."""
+    c = -1
+    for m in (m1, m2):
+        if m >= 1:
+            mult = a.count(m)
+            if not mult:
+                return
+            c *= -mult
+            a = _without(a, m)
+    if k >= 0:
+        c *= s.count(k)
+        s = _without(s, k)
+    for m in (m1, m2):
+        if m <= 0:
+            s = _with(s, -m)
+    if k < 0:
+        a = _with(a, -k)
+    key = (a, s)
+    acc[key] = acc.get(key, 0) + c
+
+
+def _f_core(n: int, st: WeylState) -> tuple[tuple[WeylState, int], ...]:
+    """-sum_{m1+m2+k=n} :a*(m1) a*(m2) a(k): + 2n a*(n).
+
+    An a*(m) with m >= 1 must hit some a(-m) of the monomial and an a(k)
+    with k >= 0 some a*(-k), so m1 runs over the a modes and the range
+    [n - max a - max a*, 0]; for each m1 the remaining m2 + k = n - m1 is
+    split over the a* modes (a(k) annihilates) or over k < 0 (a(k) creates).
+    """
+    a, s = st.a_modes, st.astar_modes
+    a_set = dict.fromkeys(a)
+    s_set = dict.fromkeys(s)
+    low = n - (a[-1] if a else 0) - (s[-1] if s else 0)
+    acc: dict[tuple, int] = {}
+    for m1 in (*range(min(low, 1), 1), *a_set):
+        r = n - m1
+        for k in s_set:
+            m2 = r - k
+            if m2 <= 0 or m2 in a_set:
+                _cubic_term(a, s, m1, m2, k, acc)
+        for m2 in a_set:
+            if m2 > r:
+                _cubic_term(a, s, m1, m2, r - m2, acc)
+        for m2 in range(r + 1, 1):
+            _cubic_term(a, s, m1, m2, r - m2, acc)
+    if n:
+        for out, c in _astar_core(n, st):
+            key = (out.a_modes, out.astar_modes)
+            acc[key] = acc.get(key, 0) + 2 * n * c
+    return _items(acc)
+
+
+# ---------------------------------------------------------------------------
 # single-mode actions
 # ---------------------------------------------------------------------------
 
 
-def _remove_one(modes: tuple[int, ...], value: int) -> tuple[int, ...]:
-    out = list(modes)
-    out.remove(value)
-    return tuple(out)
-
-
-def _insert_one(modes: tuple[int, ...], value: int) -> tuple[int, ...]:
-    return tuple(sorted(modes + (value,)))
+def _linear(core, n: int, v: WeylVec) -> WeylVec:
+    """Extend a single-monomial core linearly over v."""
+    acc: dict[WeylState, Fraction] = {}
+    for st, c in v.terms.items():
+        for out, k in core(n, st):
+            prev = acc.get(out)
+            acc[out] = c * k if prev is None else prev + c * k
+    return WeylVec._of({st: c for st, c in acc.items() if c})
 
 
 def apply_a(n: int, v: WeylVec) -> WeylVec:
     """Mode a(n): contraction against a*(-n) for n >= 0, creation below."""
-    data: dict[WeylState, Fraction] = {}
-    for st, c in v.terms.items():
-        if n >= 0:
-            mult = st.astar_modes.count(n)
-            if not mult:
-                continue
-            new = WeylState(st.a_modes, _remove_one(st.astar_modes, n))
-            coeff = c * mult
-        else:
-            new = WeylState(_insert_one(st.a_modes, -n), st.astar_modes)
-            coeff = c
-        data[new] = data.get(new, Fraction(0)) + coeff
-    return WeylVec(data)
+    return _linear(_a_core, n, v)
 
 
 def apply_astar(n: int, v: WeylVec) -> WeylVec:
     """Mode a*(n): contraction against a(-n) for n >= 1, creation below."""
-    data: dict[WeylState, Fraction] = {}
-    for st, c in v.terms.items():
-        if n >= 1:
-            mult = st.a_modes.count(n)
-            if not mult:
-                continue
-            new = WeylState(_remove_one(st.a_modes, n), st.astar_modes)
-            coeff = -c * mult
-        else:
-            new = WeylState(st.a_modes, _insert_one(st.astar_modes, -n))
-            coeff = c
-        data[new] = data.get(new, Fraction(0)) + coeff
-    return WeylVec(data)
-
-
-def _apply_normal_ordered(factors: list[tuple[str, int]], v: WeylVec) -> WeylVec:
-    """Apply a normal-ordered product: all annihilators act first.
-
-    Valid because annihilators commute among themselves, as do creators, so
-    the only reordering a normal-ordered product suppresses is the
-    annihilator/creator contraction.
-    """
-    ann: list[tuple[str, int]] = []
-    cre: list[tuple[str, int]] = []
-    for kind, m in factors:
-        if (kind == "a" and m >= 0) or (kind == "a*" and m >= 1):
-            ann.append((kind, m))
-        else:
-            cre.append((kind, m))
-    for kind, m in ann + cre:
-        if v.is_zero():
-            break
-        v = apply_a(m, v) if kind == "a" else apply_astar(m, v)
-    return v
-
-
-def apply_e(n: int, v: WeylVec, chi: Optional[ChiSeries] = None) -> WeylVec:
-    return apply_a(n, v)
-
-
-def apply_h(n: int, v: WeylVec, chi: ChiSeries) -> WeylVec:
-    """h(n) = -2 sum_{m+k=n} :a*(m) a(k): - chi_n."""
-    out = WeylVec.zero()
-    for st, c in v.terms.items():
-        a_set = set(st.a_modes)
-        s_set = set(st.astar_modes)
-        cands = set(a_set)
-        cands.update(n - k for k in s_set if n - k <= 0)
-        cands.update(range(n + 1, 1))
-        acc = WeylVec.zero()
-        base = WeylVec({st: c})
-        for m in sorted(cands):
-            k = n - m
-            if k >= 0 and k not in s_set:
-                continue
-            acc = acc + _apply_normal_ordered([("a*", m), ("a", k)], base)
-        out = out + acc
-    return -2 * out - chi.coeff(n) * v
-
-
-def apply_f(n: int, v: WeylVec, chi: ChiSeries) -> WeylVec:
-    """f(n) = -sum :a*a*a: + 2n a*(n) - sum_j chi_j a*(n-j)."""
-    cubic = WeylVec.zero()
-    for st, c in v.terms.items():
-        a_set = set(st.a_modes)
-        s_set = set(st.astar_modes)
-        low = n - max(a_set, default=0) - max(s_set, default=0)
-        cands = sorted(a_set | set(range(min(low, 1), 1)))
-        base = WeylVec({st: c})
-        acc = WeylVec.zero()
-        for m1 in cands:
-            for m2 in cands:
-                k = n - m1 - m2
-                if k >= 0 and k not in s_set:
-                    continue
-                acc = acc + _apply_normal_ordered(
-                    [("a*", m1), ("a*", m2), ("a", k)], base
-                )
-        cubic = cubic + acc
-    out = -cubic + 2 * n * apply_astar(n, v)
-    for j in chi.support:
-        out = out - chi.coeff(j) * apply_astar(n - j, v)
-    return out
+    return _linear(_astar_core, n, v)
 
 
 class WeylAction:
-    """Mode operators for a fixed twist, memoized per basis monomial.
+    """Mode operators for a fixed twist.
 
-    Relation suites and closure probes revisit the same monomials many
-    times; caching the single-monomial images keeps those exact runs fast.
+    The chi-free part of each mode (e, the normal-ordered quadratic of h, the
+    cubic of f plus 2n a*(n)) is computed once per monomial with int
+    coefficients and cached on this action, keyed ``(kind, n, state)``;
+    relation suites and closure probes revisit the same monomials many
+    times.  ``apply`` adds the twist as a linear correction: -chi_n on the
+    same monomial for h, and -sum_j chi_j a*(n-j) for f from cached a*
+    images.  Coefficients are accumulated as ints over one common
+    denominator, so each output coefficient is a single Fraction.  The cache
+    lives and dies with the action; it is not shared across twists.
     """
 
-    _RAW = {"e": apply_e, "h": apply_h, "f": apply_f}
+    _RAW = {"e": _a_core, "h": _h_core, "f": _f_core}
 
     def __init__(self, chi: ChiSeries):
         self.chi = chi
         self._cache: dict[tuple[str, int, WeylState], tuple] = {}
+        # chi_j = _chi_num[j] / _chi_den, all over one denominator
+        self._chi_den = math.lcm(*(x.denominator for _, x in chi.items()))
+        self._chi_num = {j: x.numerator * (self._chi_den // x.denominator) for j, x in chi.items()}
 
     def apply(self, kind: str, n: int, v: WeylVec) -> WeylVec:
-        raw = self._RAW[kind]
-        data: dict[WeylState, Fraction] = {}
-        for st, c in v.terms.items():
-            key = (kind, n, st)
-            items = self._cache.get(key)
+        terms = v.terms
+        if not terms:
+            return WeylVec()
+        # the twist: -chi_n on the same monomial for h, -chi_j a*(n-j) for f
+        shift = self._chi_num.get(n) if kind == "h" else None
+        astar_shifts = [(n - j, x) for j, x in self._chi_num.items()] if kind == "f" else ()
+        scale = self._chi_den if shift or astar_shifts else 1
+        den = math.lcm(*(c.denominator for c in terms.values()))
+        cache = self._cache
+        acc: dict[WeylState, int] = {}
+        get = acc.get
+        for st, c in terms.items():
+            p = c.numerator * (den // c.denominator)
+            items = cache.get((kind, n, st))
             if items is None:
-                items = tuple(raw(n, WeylVec.basis(st), self.chi).sorted_items())
-                self._cache[key] = items
-            for out_state, coeff in items:
-                data[out_state] = data.get(out_state, Fraction(0)) + c * coeff
-        return WeylVec(data)
+                items = cache[kind, n, st] = self._RAW[kind](n, st)
+            ps = p * scale
+            for out, k in items:
+                acc[out] = get(out, 0) + ps * k
+            if shift:
+                acc[st] = get(st, 0) - p * shift
+            for m, x in astar_shifts:
+                items = cache.get(("a*", m, st))
+                if items is None:
+                    items = cache["a*", m, st] = _astar_core(m, st)
+                for out, k in items:
+                    acc[out] = get(out, 0) - p * x * k
+        den *= scale
+        return WeylVec._of({st: Fraction(num, den) for st, num in acc.items() if num})
 
     def e(self, n: int, v: WeylVec) -> WeylVec:
         return self.apply("e", n, v)
@@ -340,6 +430,21 @@ class WeylAction:
 
     def f(self, n: int, v: WeylVec) -> WeylVec:
         return self.apply("f", n, v)
+
+
+def apply_e(n: int, v: WeylVec, chi: Optional[ChiSeries] = None) -> WeylVec:
+    """e(n) = a(n); the twist does not enter."""
+    return WeylAction(chi if chi is not None else ChiSeries()).apply("e", n, v)
+
+
+def apply_h(n: int, v: WeylVec, chi: ChiSeries) -> WeylVec:
+    """h(n) = -2 sum_{m+k=n} :a*(m) a(k): - chi_n."""
+    return WeylAction(chi).apply("h", n, v)
+
+
+def apply_f(n: int, v: WeylVec, chi: ChiSeries) -> WeylVec:
+    """f(n) = -sum :a*a*a: + 2n a*(n) - sum_j chi_j a*(n-j)."""
+    return WeylAction(chi).apply("f", n, v)
 
 
 # ---------------------------------------------------------------------------

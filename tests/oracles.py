@@ -4,10 +4,14 @@ Everything here is deliberately implemented by a different route than the
 package: operator words are rewritten generator-by-generator with adjacent
 transpositions (Wick-style), dimensions come from generating functions, and
 Schur values from the truncated series exponential.  Tests compare package
-output against these.
+output against these.  The one exception is ``wick_apply``, the generic
+normal-ordered enumerator for the boson currents, which builds on the
+package's single-mode actions.
 """
 
 from fractions import Fraction
+
+from wakimoto.weyl import WeylVec, apply_a, apply_astar
 
 # ---------------------------------------------------------------------------
 # fermion side: rewrite a word of (species, doubled mode) generators on |0>
@@ -160,6 +164,68 @@ def oracle_f(n, state, chi):
         for key, c in normal_order_boson((("a*", n - j),) + tail, -chi.coeff(j)).items():
             acc[key] = acc.get(key, Fraction(0)) + c
     return {k: c for k, c in acc.items() if c}
+
+
+def _apply_normal_ordered(factors, v):
+    """Apply a normal-ordered product: all annihilators act first.
+
+    Valid because annihilators commute among themselves, as do creators, so
+    the only reordering a normal-ordered product suppresses is the
+    annihilator/creator contraction.
+    """
+    ann, cre = [], []
+    for kind, m in factors:
+        if (kind == "a" and m >= 0) or (kind == "a*" and m >= 1):
+            ann.append((kind, m))
+        else:
+            cre.append((kind, m))
+    for kind, m in ann + cre:
+        if v.is_zero():
+            break
+        v = apply_a(m, v) if kind == "a" else apply_astar(m, v)
+    return v
+
+
+def wick_apply(kind, n, v, chi):
+    """e(n), h(n) or f(n) on a vector by the generic Wick enumerator.
+
+    Sums every normal-ordered summand that can act on each monomial as a
+    whole vector, through the package's single-mode ``apply_a`` and
+    ``apply_astar`` (which the rewriting oracle above pins down).  This was
+    the engine's own route before it computed closed-form per-monomial
+    cores, and stays here as their reference.
+    """
+    if kind == "e":
+        return apply_a(n, v)
+    out = WeylVec.zero()
+    for st, c in v.terms.items():
+        a_set = set(st.a_modes)
+        s_set = set(st.astar_modes)
+        base = WeylVec({st: c})
+        if kind == "h":
+            cands = set(a_set)
+            cands.update(n - k for k in s_set if n - k <= 0)
+            cands.update(range(n + 1, 1))
+            for m in sorted(cands):
+                k = n - m
+                if k >= 0 and k not in s_set:
+                    continue
+                out = out - 2 * _apply_normal_ordered([("a*", m), ("a", k)], base)
+            continue
+        low = n - max(a_set, default=0) - max(s_set, default=0)
+        cands = sorted(a_set | set(range(min(low, 1), 1)))
+        for m1 in cands:
+            for m2 in cands:
+                k = n - m1 - m2
+                if k >= 0 and k not in s_set:
+                    continue
+                out = out - _apply_normal_ordered([("a*", m1), ("a*", m2), ("a", k)], base)
+    if kind == "h":
+        return out - chi.coeff(n) * v
+    out = out + 2 * n * apply_astar(n, v)
+    for j in chi.support:
+        out = out - chi.coeff(j) * apply_astar(n - j, v)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -133,6 +133,11 @@ def _failed_names(report):
     return [c.name for c in report.checks if not c.passed]
 
 
+def _check(report, name):
+    (check,) = [c for c in report.checks if c.name == name]
+    return check
+
+
 class TestTampering:
     def test_mismatched_kind_fails_first_check(self):
         chi = CHIS_BY_KIND["pole"]
@@ -172,6 +177,34 @@ class TestTampering:
         failed = _failed_names(report)
         assert "witness_matches" in failed
         assert "witness_annihilated" in failed  # Psi+(-5/2)|0> is not singular
+
+    @pytest.mark.parametrize("recorded", [4, 0, -5, 10**9])
+    def test_verifier_sets_the_annihilation_range(self, recorded):
+        chi = CHIS_BY_KIND["schur_zero"]
+        verdict, cert = classify(chi)
+        assert cert.data["annihilation_range"] == 4
+        data = dict(cert.data, annihilation_range=recorded)
+        check = _check(verify_certificate(chi, verdict, Certificate(cert.kind, data)),
+                       "witness_annihilated")
+        assert check.passed
+        note = "" if recorded == 4 else f"; recorded range {recorded!r} ignored"
+        assert check.detail == "modes n=1..4" + note  # unchanged when honest
+        data["w"] = [{"state": "Psi+(-5/2) |0>", "value": "1"}]
+        check = _check(verify_certificate(chi, verdict, Certificate(cert.kind, data)),
+                       "witness_annihilated")
+        assert not check.passed
+        assert check.detail.startswith("modes n=1..4; failing: ")
+
+    def test_empty_closure_does_not_exclude_the_vacuum(self):
+        chi = CHIS_BY_KIND["schur_zero"]
+        verdict, cert = classify(chi)
+        data = dict(cert.data)
+        data["cfg"] = dict(data["cfg"], weight_cutoff="0", excursion="0")
+        report = verify_certificate(chi, verdict, Certificate(cert.kind, data))
+        check = _check(report, "vacuum_excluded")
+        assert not check.passed
+        assert check.detail == "closure dimension 0"
+        assert not report.ok
 
     def test_unreadable_witness_fails_cleanly(self):
         chi = CHIS_BY_KIND["schur_zero"]

@@ -10,6 +10,7 @@ from oracles import (
     normal_order_boson,
     oracle_f,
     oracle_h,
+    wick_apply,
 )
 from wakimoto import (
     WEYL_VACUUM,
@@ -161,6 +162,41 @@ def test_action_memoization_is_transparent():
     assert action.f(1, v) == first  # cached second call
     assert action.h(-1, v) == apply_h(-1, v, CHI)
     assert action.e(2, v) == apply_e(2, v, CHI)
+
+
+WICK_TWISTS = (
+    {},
+    {0: 2, -1: Fraction(3, 2)},
+    {1: Fraction(1, 3), 0: 3, -2: -5},
+)
+
+
+@pytest.mark.parametrize("coeffs", WICK_TWISTS)
+def test_action_matches_wick_enumerator(coeffs):
+    chi = ChiSeries(coeffs)
+    states = enumerate_weyl_basis(3, (-3, 3))
+    assert len(states) == 72
+    action = WeylAction(chi)
+    for kind in ("e", "h", "f"):
+        for n in range(-4, 5):
+            for st in states:
+                v = WeylVec.basis(st)
+                assert action.apply(kind, n, v) == wick_apply(kind, n, v, chi), (kind, n, str(st))
+
+
+@pytest.mark.parametrize("coeffs", WICK_TWISTS)
+def test_cached_application_matches_fresh_action(coeffs):
+    chi = ChiSeries(coeffs)
+    states = enumerate_weyl_basis(2, (-2, 2))
+    # mixed denominators exercise the common-denominator accumulation
+    v = WeylVec({st: Fraction((-1) ** i * (i + 1), i % 4 + 1) for i, st in enumerate(states)})
+    action = WeylAction(chi)
+    for kind in ("e", "h", "f"):
+        for n in range(-3, 4):
+            first = action.apply(kind, n, v)
+            assert action.apply(kind, n, v) == first, (kind, n)
+            assert WeylAction(chi).apply(kind, n, v) == first, (kind, n)
+            assert first == wick_apply(kind, n, v, chi), (kind, n)
 
 
 class TestEnumeration:
