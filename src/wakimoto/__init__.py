@@ -38,8 +38,8 @@ from .fock import (
     vec_from_json_obj,
     weight,
 )
-from .schur import schur_at_minus_chi, schur_det, schur_rec
-from .span import ClosureConfig, Space, SpanBasis, closure, cyclic_probe, joint_kernel
+from .schur import schur_at_minus_chi, schur_rec
+from .span import ClosureConfig, Space, SpanBasis, SparseVec, closure, cyclic_probe, joint_kernel
 from .superalg import (
     FOCK_SPACE,
     Extraction,
@@ -81,7 +81,6 @@ from .weyl import (
     affine_relation_check,
     apply_a,
     apply_astar,
-    apply_e,
     apply_f,
     apply_h,
     enumerate_weyl_basis,

@@ -28,6 +28,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .fock import (
+    VACUUM,
     FermionState,
     FermionVec,
     charge,
@@ -224,10 +225,12 @@ def classify(chi: ChiSeries, cfg: ClosureConfig = DEFAULT_CFG) -> tuple[Verdict,
 # ---------------------------------------------------------------------------
 
 
-def _cyclic_failures(
-    chi: ChiSeries, cfg: ClosureConfig, start_weight: Fraction
-) -> tuple[int, list[str]]:
-    """Probe every charged basis vector up to start_weight for cyclicity."""
+def _cyclic_probes(chi: ChiSeries, cfg: ClosureConfig, start_weight: Fraction) -> Check:
+    """Probe every charged basis vector up to start_weight for cyclicity.
+
+    The vacuum is cyclic by definition, so a window that admits no other
+    generator shows nothing and fails the check.
+    """
     ops = a_module_ops(chi, cfg)
     vac = vacuum_vec()
     lo, hi = cfg.charge_window
@@ -237,7 +240,11 @@ def _cyclic_failures(
         for st in states
         if not cyclic_probe(FermionVec.basis(st), vac, ops, cfg, FOCK_SPACE)
     ]
-    return len(states), failures
+    n = len(states)
+    detail = f"{n - len(failures)}/{n} generators cyclic"
+    if not any(st != VACUUM for st in states):
+        return Check("cyclic_probes", False, detail + "; no generator besides the vacuum")
+    return Check("cyclic_probes", not failures, detail)
 
 
 def verify_certificate(
@@ -288,8 +295,7 @@ def verify_certificate(
             ok_p and lead != 0 and format_rational(lead) == cert.data.get("chi_p"),
             f"chi_{p}={format_rational(lead)}",
         )
-        n, failures = _cyclic_failures(chi, cfg, start_weight)
-        add("cyclic_probes", not failures, f"{n - len(failures)}/{n} generators cyclic")
+        checks.append(_cyclic_probes(chi, cfg, start_weight))
         return Report(tuple(checks))
 
     if kind == "generic_weight":
@@ -301,8 +307,7 @@ def verify_certificate(
             and (chi0 == 1 or chi0.denominator != 1),
             f"chi0={format_rational(chi0)}",
         )
-        n, failures = _cyclic_failures(chi, cfg, start_weight)
-        add("cyclic_probes", not failures, f"{n - len(failures)}/{n} generators cyclic")
+        checks.append(_cyclic_probes(chi, cfg, start_weight))
         return Report(tuple(checks))
 
     if kind == "schur_nonzero":
@@ -327,8 +332,7 @@ def verify_certificate(
                 expected != 0 and expected == derived and image == expected * vacuum_vec(),
                 f"coefficient={format_rational(expected)}",
             )
-        n, failures = _cyclic_failures(chi, cfg, start_weight)
-        add("cyclic_probes", not failures, f"{n - len(failures)}/{n} generators cyclic")
+        checks.append(_cyclic_probes(chi, cfg, start_weight))
         return Report(tuple(checks))
 
     if kind == "schur_zero":

@@ -205,11 +205,7 @@ def _sample_fermion_vecs(rng, bound, ambient, trials):
     out = []
     for _ in range(trials):
         picks = rng.sample(states, k=min(len(states), rng.randint(1, 3)))
-        out.append(
-            FermionVec.from_items(
-                [(st, _random_rational(rng)) for st in picks], ambient=ambient
-            )
-        )
+        out.append(FermionVec.from_items((st, _random_rational(rng)) for st in picks))
     return out
 
 
@@ -229,7 +225,7 @@ def _cmd_relations(args) -> int:
                         lhs = apply_psi_dmode(
                             sp1, dr, apply_psi_dmode(sp2, ds, v)
                         ) + apply_psi_dmode(sp2, ds, apply_psi_dmode(sp1, dr, v))
-                        want = v if (sp1 != sp2 and dr + ds == 0) else FermionVec.zero(True)
+                        want = v if (sp1 != sp2 and dr + ds == 0) else FermionVec.zero()
                         checked += 1
                         if lhs != want:
                             failures.append(

@@ -13,7 +13,9 @@ word
 with ``lam`` and ``mu`` strictly decreasing tuples of positive half-odds.
 The whole space F allows ``mu_j >= 1/2``; the charged subspace (the kernel
 of ``Psi-(1/2)``) is spanned by words with ``mu_j >= 3/2``, and that smaller
-space is where the twisted module structure lives.
+space is where the twisted module structure lives.  Vectors carry no flag
+for it: a vector lies in the charged subspace exactly when no term of its
+support has a ``mu`` entry 1/2, which is what :func:`check_tilde` tests.
 
 Half-odd modes are stored as doubled odd integers so every index computation
 stays integral; weights are returned as exact ``Fraction`` values.
@@ -24,7 +26,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import Iterable, Iterator, Union
+
+from .span import SparseVec
 
 __all__ = [
     "PLUS",
@@ -95,9 +99,9 @@ class FermionState:
         dm = tuple(sorted((as_dmode(x) for x in mu), reverse=True))
         return cls(dl, dm)
 
-    def fits_tilde(self) -> bool:
-        """True when the monomial lies in the charged subspace (mu >= 3/2)."""
-        return all(d >= 3 for d in self.mu)
+    def sort_key(self):
+        """Global basis order: weight, then charge, then lexicographic (lam, mu)."""
+        return (weight(self), charge(self), self.lam, self.mu)
 
     def __str__(self) -> str:
         parts = [f"Psi-(-{fmt_halfodd(d)})" for d in self.lam]
@@ -117,115 +121,14 @@ def charge(state: FermionState) -> int:
     return len(state.mu) - len(state.lam)
 
 
-def state_key(state: FermionState):
-    """Global basis order: weight, then charge, then lexicographic (lam, mu)."""
-    return (weight(state), charge(state), state.lam, state.mu)
+state_key = FermionState.sort_key
 
 
-class FermionVec:
-    """Sparse rational linear combination of :class:`FermionState` monomials.
-
-    ``ambient`` records whether the vector is considered inside the whole
-    Fock space F (allowing ``Psi+(-1/2)`` factors) or inside the charged
-    subspace.  All stored states must be compatible with the flag.  Equality
-    compares coefficients only.
-    """
-
-    __slots__ = ("terms", "ambient")
-
-    def __init__(self, terms: Optional[Mapping[FermionState, Fraction]] = None, ambient: bool = False):
-        acc: dict[FermionState, Fraction] = {}
-        for st, c in (terms or {}).items():
-            q = c if isinstance(c, Fraction) else Fraction(c)
-            if q:
-                acc[st] = q
-        if not ambient:
-            for st in acc:
-                if not st.fits_tilde():
-                    raise ValueError(f"state {st} needs ambient=True (mu entry 1/2)")
-        self.terms = acc
-        self.ambient = ambient
-
-    @classmethod
-    def zero(cls, ambient: bool = False) -> "FermionVec":
-        return cls({}, ambient)
-
-    @classmethod
-    def basis(cls, state: FermionState, ambient: Optional[bool] = None) -> "FermionVec":
-        if ambient is None:
-            ambient = not state.fits_tilde()
-        return cls({state: Fraction(1)}, ambient)
-
-    @classmethod
-    def from_items(cls, items: Iterable[tuple[FermionState, Fraction]], ambient: bool = False) -> "FermionVec":
-        acc: dict[FermionState, Fraction] = {}
-        for st, c in items:
-            acc[st] = acc.get(st, Fraction(0)) + Fraction(c)
-        return cls(acc, ambient)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coeff(self, state: FermionState) -> Fraction:
-        return self.terms.get(state, Fraction(0))
-
-    def __add__(self, other: "FermionVec") -> "FermionVec":
-        acc = dict(self.terms)
-        for st, c in other.terms.items():
-            acc[st] = acc.get(st, Fraction(0)) + c
-        return FermionVec(acc, self.ambient or other.ambient)
-
-    def __sub__(self, other: "FermionVec") -> "FermionVec":
-        acc = dict(self.terms)
-        for st, c in other.terms.items():
-            acc[st] = acc.get(st, Fraction(0)) - c
-        return FermionVec(acc, self.ambient or other.ambient)
-
-    def __neg__(self) -> "FermionVec":
-        return FermionVec({st: -c for st, c in self.terms.items()}, self.ambient)
-
-    def _scaled(self, scalar) -> "FermionVec":
-        q = Fraction(scalar)
-        if not q:
-            return FermionVec.zero(self.ambient)
-        return FermionVec({st: q * c for st, c in self.terms.items()}, self.ambient)
-
-    def __mul__(self, scalar) -> "FermionVec":
-        return self._scaled(scalar)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar) -> "FermionVec":
-        return self._scaled(Fraction(1, 1) / Fraction(scalar))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FermionVec) and self.terms == other.terms
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def max_weight(self) -> Optional[Fraction]:
-        return max((weight(st) for st in self.terms), default=None)
-
-    def charges(self) -> set[int]:
-        return {charge(st) for st in self.terms}
-
-    def sorted_items(self) -> list[tuple[FermionState, Fraction]]:
-        return sorted(self.terms.items(), key=lambda kv: state_key(kv[0]))
-
-    def to_json_obj(self) -> list[dict]:
-        from .scalars import format_rational
-
-        return [{"state": str(st), "value": format_rational(c)} for st, c in self.sorted_items()]
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "FermionVec(0)"
-        body = " + ".join(f"({c})*{st}" for st, c in self.sorted_items())
-        return f"FermionVec({body})"
+FermionVec = SparseVec
 
 
-def vacuum_vec(ambient: bool = False) -> FermionVec:
-    return FermionVec.basis(VACUUM, ambient)
+def vacuum_vec() -> FermionVec:
+    return FermionVec.basis(VACUUM)
 
 
 _STATE_TOKEN_RE = re.compile(r"Psi([+-])\(-(\d+)/2\)\Z")
@@ -246,7 +149,7 @@ def parse_state(text: str) -> FermionState:
     return FermionState(tuple(lam), tuple(mu))
 
 
-def vec_from_json_obj(obj, ambient: bool = False) -> FermionVec:
+def vec_from_json_obj(obj) -> FermionVec:
     """Inverse of ``FermionVec.to_json_obj``."""
     from .scalars import parse_rational
 
@@ -254,7 +157,7 @@ def vec_from_json_obj(obj, ambient: bool = False) -> FermionVec:
     for i, entry in enumerate(obj):
         state = parse_state(entry["state"])
         items.append((state, parse_rational(entry["value"], field=f"terms[{i}].value")))
-    return FermionVec.from_items(items, ambient=ambient)
+    return FermionVec.from_items(items)
 
 
 # ---------------------------------------------------------------------------
@@ -308,13 +211,12 @@ def apply_psi_dmode(species: str, dmode: int, v: FermionVec) -> FermionVec:
     if dmode % 2 == 0:
         raise ValueError(f"mode must be half-odd, got doubled value {dmode}")
     sp = +1 if species == PLUS else -1
-    ambient = v.ambient or (sp > 0 and dmode == -1)
     acc: dict[FermionState, Fraction] = {}
     for st, c in v.terms.items():
         for sign, w in _apply_gen(sp, dmode, _state_word(st)):
             st2 = _word_state(w)
-            acc[st2] = acc.get(st2, Fraction(0)) + sign * c
-    return FermionVec(acc, ambient)
+            acc[st2] = acc.get(st2, 0) + sign * c
+    return FermionVec._of({st: c for st, c in acc.items() if c})
 
 
 def apply_psi(species: str, mode: Union[Fraction, str], v: FermionVec) -> FermionVec:

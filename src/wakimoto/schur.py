@@ -5,10 +5,9 @@ They are defined by the generating identity
     exp( sum_{n>=1} (x_n / n) y^n ) = sum_{r>=0} S_r(x_1, ..., x_r) y^r.
 
 Differentiating in y and matching coefficients gives the production
-recurrence ``r S_r = sum_{k=1}^{r} x_k S_{r-k}``; an independent closed form
-writes ``r! S_r`` as the determinant of an almost-triangular r x r matrix
-with first row (x_1, ..., x_r) and subdiagonal (-r+1, ..., -1).  Both routes
-are kept so they can be played against each other in tests.
+recurrence ``r S_r = sum_{k=1}^{r} x_k S_{r-k}``, the only route the engine
+needs.  The tests check it against two independent routes: the truncated
+series exponential and a determinant closed form.
 
 The classifier evaluates S_ell at the negated tail of a twist:
 ``S_ell(-chi) := S_ell(-chi_{-1}, -chi_{-2}, ...)``.
@@ -17,12 +16,11 @@ The classifier evaluates S_ell at the negated tail of a twist:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
 from typing import Sequence
 
 from .scalars import ChiSeries
 
-__all__ = ["schur_rec", "schur_det", "schur_at_minus_chi"]
+__all__ = ["schur_rec", "schur_at_minus_chi"]
 
 
 def _as_fracs(xs: Sequence) -> list[Fraction]:
@@ -45,49 +43,6 @@ def schur_rec(r: int, xs: Sequence) -> Fraction:
             acc += x(j) * series[k - j]
         series.append(acc / k)
     return series[r]
-
-
-def _det(mat: list[list[Fraction]]) -> Fraction:
-    # exact Gaussian elimination with first-nonzero pivoting
-    n = len(mat)
-    m = [row[:] for row in mat]
-    sign = 1
-    out = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            sign = -sign
-        out *= m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c]:
-                f = m[i][c] / m[c][c]
-                for j in range(c, n):
-                    m[i][j] -= f * m[c][j]
-    return sign * out
-
-
-def schur_det(r: int, xs: Sequence) -> Fraction:
-    """S_r via the determinant closed form (oracle route)."""
-    if r < 0:
-        raise ValueError("r must be >= 0")
-    if r == 0:
-        return Fraction(1)
-    vals = _as_fracs(xs)
-
-    def x(j: int) -> Fraction:
-        return vals[j - 1] if 1 <= j <= len(vals) else Fraction(0)
-
-    mat = [[Fraction(0)] * r for _ in range(r)]
-    for j in range(1, r + 1):
-        mat[0][j - 1] = x(j)
-    for i in range(2, r + 1):
-        mat[i - 1][i - 2] = Fraction(-r + i - 1)
-        for j in range(i, r + 1):
-            mat[i - 1][j - 1] = x(j - i + 1)
-    return _det(mat) / factorial(r)
 
 
 def schur_at_minus_chi(ell: int, chi: ChiSeries) -> Fraction:

@@ -15,7 +15,8 @@ need the genuinely shifting modes.
 
 The engine is generic over the basis-key type via a :class:`Space` adapter
 supplying weight, charge and a global total order on keys.  All iteration is
-sorted, so identical inputs produce identical bases.
+sorted, so identical inputs produce identical bases.  Both Fock spaces share
+one vector type, :class:`SparseVec`.
 """
 
 from __future__ import annotations
@@ -24,9 +25,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
+from .scalars import format_rational
+
 __all__ = [
     "ClosureConfig",
     "Space",
+    "SparseVec",
     "SpanBasis",
     "closure",
     "cyclic_probe",
@@ -34,6 +38,110 @@ __all__ = [
 ]
 
 OpFamily = Sequence[tuple[str, Callable[[Any], Any]]]
+
+
+class SparseVec:
+    """Sparse rational linear combination of basis states.
+
+    ``terms`` maps each state to a nonzero ``Fraction``.  A state orders
+    itself through ``sort_key()`` and prints through ``str``, which is all
+    the sorted and JSON views need, so one class serves every space.
+    Equality compares coefficients only.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: Optional[Mapping[Any, Any]] = None):
+        data: dict[Any, Fraction] = {}
+        if terms:
+            for st, c in terms.items():
+                c = c if isinstance(c, Fraction) else Fraction(c)
+                if c:
+                    data[st] = c
+        self.terms = data
+
+    @classmethod
+    def _of(cls, terms: dict[Any, Fraction]) -> "SparseVec":
+        """Wrap a dict whose values are already nonzero Fractions."""
+        v = object.__new__(cls)
+        v.terms = terms
+        return v
+
+    @classmethod
+    def zero(cls) -> "SparseVec":
+        return cls()
+
+    @classmethod
+    def basis(cls, state) -> "SparseVec":
+        return cls._of({state: Fraction(1)})
+
+    @classmethod
+    def from_items(cls, items: Iterable[tuple[Any, Any]]) -> "SparseVec":
+        """Sum (state, coefficient) pairs; repeated states add up."""
+        acc: dict[Any, Fraction] = {}
+        for st, c in items:
+            acc[st] = acc.get(st, 0) + Fraction(c)
+        return cls(acc)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def coeff(self, state) -> Fraction:
+        return self.terms.get(state, Fraction(0))
+
+    def _combined(self, other: "SparseVec", sign: int) -> "SparseVec":
+        data = dict(self.terms)
+        for st, c in other.terms.items():
+            prev = data.get(st)
+            if prev is None:
+                data[st] = c if sign > 0 else -c
+            else:
+                total = prev + c if sign > 0 else prev - c
+                if total:
+                    data[st] = total
+                else:
+                    del data[st]
+        return SparseVec._of(data)
+
+    def __add__(self, other: "SparseVec") -> "SparseVec":
+        return self._combined(other, 1)
+
+    def __sub__(self, other: "SparseVec") -> "SparseVec":
+        return self._combined(other, -1)
+
+    def __neg__(self) -> "SparseVec":
+        return SparseVec._of({st: -c for st, c in self.terms.items()})
+
+    def _scaled(self, scalar) -> "SparseVec":
+        s = Fraction(scalar)
+        if not s:
+            return SparseVec()
+        return SparseVec._of({st: s * c for st, c in self.terms.items()})
+
+    def __mul__(self, scalar) -> "SparseVec":
+        return self._scaled(scalar)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, scalar) -> "SparseVec":
+        return self._scaled(Fraction(1) / Fraction(scalar))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, SparseVec) and self.terms == other.terms
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def sorted_items(self) -> list[tuple[Any, Fraction]]:
+        return sorted(self.terms.items(), key=lambda kv: kv[0].sort_key())
+
+    def to_json_obj(self) -> list[dict]:
+        return [{"state": str(st), "value": format_rational(c)} for st, c in self.sorted_items()]
+
+    def __repr__(self) -> str:
+        if not self.terms:
+            return "SparseVec(0)"
+        body = " + ".join(f"({c})*{st}" for st, c in self.sorted_items())
+        return f"SparseVec({body})"
 
 
 @dataclass(frozen=True)
@@ -301,12 +409,7 @@ def cyclic_probe(v, vacuum, ops: OpFamily, cfg: ClosureConfig, space: Space) -> 
     return basis.contains(vacuum)
 
 
-def joint_kernel(
-    ann_ops: OpFamily,
-    piece: Sequence,
-    make_vec: Callable[[dict], Any],
-    space: Space,
-) -> SpanBasis:
+def joint_kernel(ann_ops: OpFamily, piece: Sequence, space: Space) -> SpanBasis:
     """Exact joint kernel of the annihilators on the span of ``piece``.
 
     ``piece`` lists the basis keys of one graded component; the result is a
@@ -315,7 +418,7 @@ def joint_kernel(
     cols = sorted(piece, key=space.sort_key)
     unit_images = []
     for s in cols:
-        vec = make_vec({s: Fraction(1)})
+        vec = SparseVec.basis(s)
         unit_images.append([op(vec) for _, op in ann_ops])
     # constraint rows: one per (operator, output key)
     constraints: dict[Any, dict[int, Fraction]] = {}
@@ -329,5 +432,5 @@ def joint_kernel(
     ]
     kernel = SpanBasis(space)
     for coeffs in _solve_kernel(ordered, len(cols)):
-        kernel.insert(make_vec({cols[i]: q for i, q in coeffs.items()}))
+        kernel.insert(SparseVec({cols[i]: q for i, q in coeffs.items()}))
     return kernel

@@ -41,6 +41,7 @@ from .fock import (
     apply_psi_dmode,
     as_dmode,
     charge,
+    check_tilde,
     fmt_halfodd,
     parse_halfodd,
     state_key,
@@ -78,7 +79,7 @@ FOCK_SPACE = Space(weight_of=weight, charge_of=charge, sort_key=state_key)
 def apply_Gplus(i: int, v: FermionVec) -> FermionVec:
     """Apply ``G+(i - 1/2)``, which acts as ``-i Psi+(i - 1/2)``."""
     if i == 0:
-        return FermionVec.zero(v.ambient)
+        return FermionVec.zero()
     return Fraction(-i) * apply_psi_dmode(PLUS, 2 * i - 1, v)
 
 
@@ -232,7 +233,7 @@ def extract_omega(v: FermionVec) -> Extraction:
     """
     if v.is_zero():
         raise ValueError("cannot extract from the zero vector")
-    if v.ambient:
+    if not check_tilde(v):
         raise ValueError("extraction is defined on the charged subspace only")
     states = v.terms
     ell = max(len(st.lam) for st in states)
@@ -345,7 +346,8 @@ def a_module_ops(chi: ChiSeries, cfg: ClosureConfig) -> list[tuple[str, object]]
 
     G+(i-1/2) shifts weight by 1/2 - i; G-(i-1/2) additionally carries the
     twist-shifted components 1/2 - i + m for m in the support of chi.  Modes
-    whose every component leaves the window act as zero there and are
+    whose every component shifts weight by more than the window's bound
+    send each vector of the window to zero or outside it, so they are
     omitted.  S(n) and T(n) act as scalars and never enlarge a span, so they
     are deliberately absent.
     """
@@ -358,9 +360,11 @@ def a_module_ops(chi: ChiSeries, cfg: ClosureConfig) -> list[tuple[str, object]]
         if i == 0:
             continue
         ops.append((f"G+({fmt_halfodd(2 * i - 1)})", partial(apply_Gplus, i)))
-    shifts = {0} | {-m for m in chi.support}
-    lo_m = math.ceil(half - bound - max(shifts))
-    hi_m = math.floor(half + bound - min(shifts))
-    for i in range(lo_m, hi_m + 1):
+    # one small interval per index, not their hull: a far tail index adds
+    # its own few modes instead of every mode in between
+    modes: set[int] = set()
+    for m in {0} | set(chi.support):
+        modes.update(range(math.ceil(m + half - bound), math.floor(m + half + bound) + 1))
+    for i in sorted(modes):
         ops.append((f"G-({fmt_halfodd(2 * i - 1)})", partial(apply_Gminus, i, chi=chi)))
     return ops

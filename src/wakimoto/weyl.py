@@ -41,10 +41,10 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Iterator, Mapping, Optional
+from typing import Iterator, Optional
 
-from .scalars import ChiSeries, format_rational, pole_order
-from .span import ClosureConfig, Space, cyclic_probe, joint_kernel
+from .scalars import ChiSeries, pole_order
+from .span import ClosureConfig, Space, SparseVec, cyclic_probe, joint_kernel
 
 __all__ = [
     "WeylState",
@@ -57,7 +57,6 @@ __all__ = [
     "weyl_state_key",
     "apply_a",
     "apply_astar",
-    "apply_e",
     "apply_h",
     "apply_f",
     "WeylAction",
@@ -86,6 +85,10 @@ class WeylState:
         if tuple(sorted(self.a_modes)) != self.a_modes or tuple(sorted(self.astar_modes)) != self.astar_modes:
             raise ValueError("mode multisets must be sorted ascending")
 
+    def sort_key(self):
+        """Basis order: weight, then charge, then the mode tuples."""
+        return (weyl_weight(self), weyl_charge(self), self.a_modes, self.astar_modes)
+
     def __str__(self) -> str:
         parts = []
         for prefix, modes in (("a", self.a_modes), ("a*", self.astar_modes)):
@@ -108,98 +111,10 @@ def weyl_charge(state: WeylState) -> int:
     return len(state.astar_modes) - len(state.a_modes)
 
 
-def weyl_state_key(state: WeylState):
-    return (weyl_weight(state), weyl_charge(state), state.a_modes, state.astar_modes)
+weyl_state_key = WeylState.sort_key
 
 
-class WeylVec:
-    """Sparse rational combination of :class:`WeylState` monomials."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Optional[Mapping[WeylState, Fraction]] = None):
-        data: dict[WeylState, Fraction] = {}
-        if terms:
-            for st, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    data[st] = c
-        self.terms = data
-
-    @classmethod
-    def zero(cls) -> "WeylVec":
-        return cls()
-
-    @classmethod
-    def basis(cls, state: WeylState) -> "WeylVec":
-        return cls({state: Fraction(1)})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coeff(self, state: WeylState) -> Fraction:
-        return self.terms.get(state, Fraction(0))
-
-    @classmethod
-    def _of(cls, terms: dict[WeylState, Fraction]) -> "WeylVec":
-        """Wrap a dict whose values are already nonzero Fractions."""
-        v = object.__new__(cls)
-        v.terms = terms
-        return v
-
-    def _combined(self, other: "WeylVec", sign: int) -> "WeylVec":
-        data = dict(self.terms)
-        for st, c in other.terms.items():
-            prev = data.get(st)
-            if prev is None:
-                data[st] = c if sign > 0 else -c
-            else:
-                total = prev + c if sign > 0 else prev - c
-                if total:
-                    data[st] = total
-                else:
-                    del data[st]
-        return WeylVec._of(data)
-
-    def __add__(self, other: "WeylVec") -> "WeylVec":
-        return self._combined(other, 1)
-
-    def __sub__(self, other: "WeylVec") -> "WeylVec":
-        return self._combined(other, -1)
-
-    def __neg__(self) -> "WeylVec":
-        return WeylVec._of({st: -c for st, c in self.terms.items()})
-
-    def _scaled(self, scalar) -> "WeylVec":
-        s = Fraction(scalar)
-        if not s:
-            return WeylVec()
-        return WeylVec._of({st: s * c for st, c in self.terms.items()})
-
-    def __mul__(self, scalar) -> "WeylVec":
-        return self._scaled(scalar)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar) -> "WeylVec":
-        return self._scaled(Fraction(1) / Fraction(scalar))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, WeylVec) and self.terms == other.terms
-
-    __hash__ = None
-
-    def sorted_items(self) -> list[tuple[WeylState, Fraction]]:
-        return sorted(self.terms.items(), key=lambda kv: weyl_state_key(kv[0]))
-
-    def to_json_obj(self) -> list[dict]:
-        return [{"state": str(st), "value": format_rational(c)} for st, c in self.sorted_items()]
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "WeylVec(0)"
-        body = " + ".join(f"({c})*{st}" for st, c in self.sorted_items())
-        return f"WeylVec({body})"
+WeylVec = SparseVec
 
 
 WEYL_SPACE = Space(weight_of=weyl_weight, charge_of=weyl_charge, sort_key=weyl_state_key)
@@ -422,20 +337,6 @@ class WeylAction:
         den *= scale
         return WeylVec._of({st: Fraction(num, den) for st, num in acc.items() if num})
 
-    def e(self, n: int, v: WeylVec) -> WeylVec:
-        return self.apply("e", n, v)
-
-    def h(self, n: int, v: WeylVec) -> WeylVec:
-        return self.apply("h", n, v)
-
-    def f(self, n: int, v: WeylVec) -> WeylVec:
-        return self.apply("f", n, v)
-
-
-def apply_e(n: int, v: WeylVec, chi: Optional[ChiSeries] = None) -> WeylVec:
-    """e(n) = a(n); the twist does not enter."""
-    return WeylAction(chi if chi is not None else ChiSeries()).apply("e", n, v)
-
 
 def apply_h(n: int, v: WeylVec, chi: ChiSeries) -> WeylVec:
     """h(n) = -2 sum_{m+k=n} :a*(m) a(k): - chi_n."""
@@ -493,18 +394,18 @@ def affine_relation_check(
     m: int, n: int, v: WeylVec, chi: ChiSeries, action: Optional[WeylAction] = None
 ) -> list[tuple[str, bool]]:
     """Evaluate every bracket relation at modes (m, n) on the vector v."""
-    act = action if action is not None else WeylAction(chi)
+    ap = (action if action is not None else WeylAction(chi)).apply
     delta = 1 if m + n == 0 else 0
-    he = act.h(m, act.e(n, v)) - act.e(n, act.h(m, v))
-    hf = act.h(m, act.f(n, v)) - act.f(n, act.h(m, v))
-    ef = act.e(m, act.f(n, v)) - act.f(n, act.e(m, v))
-    hh = act.h(m, act.h(n, v)) - act.h(n, act.h(m, v))
-    ee = act.e(m, act.e(n, v)) - act.e(n, act.e(m, v))
-    ff = act.f(m, act.f(n, v)) - act.f(n, act.f(m, v))
+    he = ap("h", m, ap("e", n, v)) - ap("e", n, ap("h", m, v))
+    hf = ap("h", m, ap("f", n, v)) - ap("f", n, ap("h", m, v))
+    ef = ap("e", m, ap("f", n, v)) - ap("f", n, ap("e", m, v))
+    hh = ap("h", m, ap("h", n, v)) - ap("h", n, ap("h", m, v))
+    ee = ap("e", m, ap("e", n, v)) - ap("e", n, ap("e", m, v))
+    ff = ap("f", m, ap("f", n, v)) - ap("f", n, ap("f", m, v))
     return [
-        ("[h,e]=2e", he == 2 * act.e(m + n, v)),
-        ("[h,f]=-2f", hf == -2 * act.f(m + n, v)),
-        ("[e,f]=h-2m*delta", ef == act.h(m + n, v) + (-2 * m * delta) * v),
+        ("[h,e]=2e", he == 2 * ap("e", m + n, v)),
+        ("[h,f]=-2f", hf == -2 * ap("f", m + n, v)),
+        ("[e,f]=h-2m*delta", ef == ap("h", m + n, v) + (-2 * m * delta) * v),
         ("[h,h]=-4m*delta", hh == (-4 * m * delta) * v),
         ("[e,e]=0", ee.is_zero()),
         ("[f,f]=0", ff.is_zero()),
@@ -526,9 +427,8 @@ def wakimoto_ops(
     span_n = bound + pad
     ops: list[tuple[str, object]] = []
     for n in range(-span_n, span_n + 1):
-        ops.append((f"e({n})", partial(act.e, n)))
-        ops.append((f"h({n})", partial(act.h, n)))
-        ops.append((f"f({n})", partial(act.f, n)))
+        for kind in "ehf":
+            ops.append((f"{kind}({n})", partial(act.apply, kind, n)))
     return ops
 
 
@@ -573,11 +473,10 @@ def wakimoto_probe(chi: ChiSeries, cfg: ClosureConfig = DEFAULT_PROBE_CFG) -> Ev
         if not cyclic_probe(WeylVec.basis(st), vac, ops, cfg, WEYL_SPACE)
     )
     nmax = 2 * math.floor(cfg.weight_cutoff) + max(pole_order(chi), 0) + 1
-    ann: list[tuple[str, object]] = [("e(0)", partial(action.e, 0))]
+    ann: list[tuple[str, object]] = [("e(0)", partial(action.apply, "e", 0))]
     for n in range(1, nmax + 1):
-        ann.append((f"e({n})", partial(action.e, n)))
-        ann.append((f"h({n})", partial(action.h, n)))
-        ann.append((f"f({n})", partial(action.f, n)))
+        for kind in "ehf":
+            ann.append((f"{kind}({n})", partial(action.apply, kind, n)))
     pieces: dict[tuple[int, int], list[WeylState]] = {}
     for st in states:
         pieces.setdefault((weyl_weight(st), weyl_charge(st)), []).append(st)
@@ -585,7 +484,7 @@ def wakimoto_probe(chi: ChiSeries, cfg: ClosureConfig = DEFAULT_PROBE_CFG) -> Ev
     for (w, c), piece in sorted(pieces.items()):
         if (w, c) == (0, 0):
             continue
-        kernel = joint_kernel(ann, piece, WeylVec, WEYL_SPACE)
+        kernel = joint_kernel(ann, piece, WEYL_SPACE)
         if kernel.dimension():
             candidates.append(
                 {

@@ -3,14 +3,20 @@
 Everything here is deliberately implemented by a different route than the
 package: operator words are rewritten generator-by-generator with adjacent
 transpositions (Wick-style), dimensions come from generating functions, and
-Schur values from the truncated series exponential.  Tests compare package
-output against these.  The one exception is ``wick_apply``, the generic
-normal-ordered enumerator for the boson currents, which builds on the
-package's single-mode actions.
+Schur values from the truncated series exponential and from a determinant.
+Tests compare package output against these.  Two oracles build on the
+package's own operators instead: ``wick_apply``, the generic normal-ordered
+enumerator for the boson currents, uses its single-mode actions, and
+``hull_a_module_ops`` spans the whole hull of the shifted G- mode ranges
+with its G modes.
 """
 
+import math
 from fractions import Fraction
+from functools import partial
 
+from wakimoto.fock import fmt_halfodd
+from wakimoto.superalg import apply_Gminus, apply_Gplus
 from wakimoto.weyl import WeylVec, apply_a, apply_astar
 
 # ---------------------------------------------------------------------------
@@ -295,7 +301,7 @@ def boson_graded_dims(max_weight, charge_window):
 
 
 # ---------------------------------------------------------------------------
-# Schur values via the series exponential
+# Schur values via the series exponential and the determinant
 # ---------------------------------------------------------------------------
 
 
@@ -318,3 +324,77 @@ def schur_series_exp(r, xs):
         for d, c in term.items():
             total[d] = total.get(d, Fraction(0)) + c
     return total.get(r, Fraction(0))
+
+
+def _det(mat):
+    # exact Gaussian elimination with first-nonzero pivoting
+    n = len(mat)
+    m = [row[:] for row in mat]
+    sign = 1
+    out = Fraction(1)
+    for c in range(n):
+        piv = next((i for i in range(c, n) if m[i][c]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            sign = -sign
+        out *= m[c][c]
+        for i in range(c + 1, n):
+            if m[i][c]:
+                f = m[i][c] / m[c][c]
+                for j in range(c, n):
+                    m[i][j] -= f * m[c][j]
+    return sign * out
+
+
+def schur_det(r, xs):
+    """S_r via the determinant closed form.
+
+    ``r! S_r`` is the determinant of the almost-triangular r x r matrix with
+    first row (x_1, ..., x_r) and subdiagonal (-r+1, ..., -1).
+    """
+    if r < 0:
+        raise ValueError("r must be >= 0")
+    if r == 0:
+        return Fraction(1)
+    vals = [Fraction(x) for x in xs]
+
+    def x(j):
+        return vals[j - 1] if 1 <= j <= len(vals) else Fraction(0)
+
+    mat = [[Fraction(0)] * r for _ in range(r)]
+    for j in range(1, r + 1):
+        mat[0][j - 1] = x(j)
+    for i in range(2, r + 1):
+        mat[i - 1][i - 2] = Fraction(-r + i - 1)
+        for j in range(i, r + 1):
+            mat[i - 1][j - 1] = x(j - i + 1)
+    return _det(mat) / math.factorial(r)
+
+
+# ---------------------------------------------------------------------------
+# odd-mode family over the convex hull of the twist-shifted mode ranges
+# ---------------------------------------------------------------------------
+
+
+def hull_a_module_ops(chi, cfg):
+    """Every odd mode between the lowest and highest twist-shifted mode.
+
+    The engine's family keeps one small interval of G- modes per support
+    index; this superset spans their convex hull, so its size grows with
+    the largest |index|.  The extra modes only send window vectors to zero
+    or outside the window, so closures must come out the same.
+    """
+    bound = cfg.weight_cutoff + cfg.excursion
+    half = Fraction(1, 2)
+    ops = []
+    for i in range(math.ceil(half - bound), math.floor(half + bound) + 1):
+        if i:
+            ops.append((f"G+({fmt_halfodd(2 * i - 1)})", partial(apply_Gplus, i)))
+    shifts = {0} | {-m for m in chi.support}
+    lo_m = math.ceil(half - bound - max(shifts))
+    hi_m = math.floor(half + bound - min(shifts))
+    for i in range(lo_m, hi_m + 1):
+        ops.append((f"G-({fmt_halfodd(2 * i - 1)})", partial(apply_Gminus, i, chi=chi)))
+    return ops

@@ -13,7 +13,7 @@ import random
 from contextlib import redirect_stdout
 from fractions import Fraction
 
-from oracles import fermion_graded_dims
+from oracles import fermion_graded_dims, schur_det
 from wakimoto import (
     ChiSeries,
     ClosureConfig,
@@ -44,7 +44,6 @@ from wakimoto import (
     scalar_S,
     scalar_T,
     schur_at_minus_chi,
-    schur_det,
     schur_rec,
     singular_w,
     vacuum_filling_word,
@@ -78,11 +77,9 @@ def random_coeff(rng):
     return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2, 3]))
 
 
-def random_vec(rng, pool, ambient):
+def random_vec(rng, pool):
     picks = rng.sample(pool, k=rng.randint(1, 3))
-    return FermionVec.from_items(
-        [(st, random_coeff(rng)) for st in picks], ambient=ambient
-    )
+    return FermionVec.from_items((st, random_coeff(rng)) for st in picks)
 
 
 def test_criterion_01_clifford_relations():
@@ -90,12 +87,12 @@ def test_criterion_01_clifford_relations():
     for all |r|, |s| <= 9/2 on every basis vector of weight <= 5 in both
     the ambient space and the charged subspace."""
     dmodes = list(range(-9, 10, 2))
-    states = [
-        (st, True) for st in enumerate_basis(Fraction(5), ambient=True)
-    ] + [(st, False) for st in enumerate_basis(Fraction(5), ambient=False)]
+    states = enumerate_basis(Fraction(5), ambient=True) + enumerate_basis(
+        Fraction(5), ambient=False
+    )
     assert len(states) == 59 + 33
-    for st, ambient in states:
-        v = FermionVec.basis(st, ambient=ambient)
+    for st in states:
+        v = FermionVec.basis(st)
         for dr in dmodes:
             plus_v = apply_psi_dmode("+", dr, v)
             minus_v = apply_psi_dmode("-", dr, v)
@@ -105,7 +102,7 @@ def test_criterion_01_clifford_relations():
                 mixed = apply_psi_dmode("+", dr, apply_psi_dmode("-", ds, v)) + (
                     apply_psi_dmode("-", ds, plus_v)
                 )
-                assert mixed == (v if dr + ds == 0 else FermionVec.zero(ambient))
+                assert mixed == (v if dr + ds == 0 else FermionVec.zero())
                 if ds > dr:
                     same_plus = apply_psi_dmode("+", dr, apply_psi_dmode("+", ds, v)) + (
                         apply_psi_dmode("+", ds, plus_v)
@@ -142,7 +139,7 @@ def test_criterion_03_super_anticommutators_and_scalar_extraction():
     dmodes = list(range(-7, 8, 2))
     for coeffs in TEN_TWISTS:
         chi = ChiSeries(coeffs)
-        for v in (random_vec(rng, pool, False) for _ in range(3)):
+        for v in (random_vec(rng, pool) for _ in range(3)):
             for dr in dmodes:
                 r = Fraction(dr, 2)
                 for ds in dmodes:
@@ -206,7 +203,7 @@ def test_criterion_05_staircase_extraction():
     rng = random.Random(50505)
     pool = enumerate_basis(Fraction(5), ambient=False)
     for _ in range(200):
-        v = random_vec(rng, pool, False)
+        v = random_vec(rng, pool)
         word, index, scalar = extract_omega(v)
         assert scalar != 0
         assert all(op == "G+" for op, _ in word.ops)
@@ -425,7 +422,7 @@ def test_criterion_12_deterministic_output():
         pool = enumerate_basis(Fraction(4), ambient=False)
         trace = []
         for _ in range(20):
-            word, index, scalar = extract_omega(random_vec(rng, pool, False))
+            word, index, scalar = extract_omega(random_vec(rng, pool))
             trace.append((str(word), index, str(scalar)))
         return trace
 

@@ -1,13 +1,17 @@
+import importlib
 import json
 from fractions import Fraction
 
 import pytest
 
+from oracles import hull_a_module_ops
 from wakimoto import (
+    DEFAULT_CFG,
     Certificate,
     ChiSeries,
     ClosureConfig,
     Verdict,
+    a_module_ops,
     classify,
     verify_certificate,
 )
@@ -178,6 +182,16 @@ class TestTampering:
         assert "witness_matches" in failed
         assert "witness_annihilated" in failed  # Psi+(-5/2)|0> is not singular
 
+    def test_witness_outside_charged_subspace_fails(self):
+        # parsed without complaint, then refused by the exact comparison
+        chi = CHIS_BY_KIND["schur_zero"]
+        verdict, cert = classify(chi)
+        data = dict(cert.data)
+        data["w"] = [{"state": "Psi+(-1/2) |0>", "value": "1"}]
+        report = verify_certificate(chi, verdict, Certificate(cert.kind, data))
+        assert "witness_matches" in _failed_names(report)
+        assert not report.ok
+
     @pytest.mark.parametrize("recorded", [4, 0, -5, 10**9])
     def test_verifier_sets_the_annihilation_range(self, recorded):
         chi = CHIS_BY_KIND["schur_zero"]
@@ -204,6 +218,25 @@ class TestTampering:
         check = _check(report, "vacuum_excluded")
         assert not check.passed
         assert check.detail == "closure dimension 0"
+        assert not report.ok
+
+    @pytest.mark.parametrize(
+        "coeffs, window, detail",
+        [
+            ({0: 3, -2: 1}, [-3, 3], "1/1 generators cyclic"),
+            ({1: 1}, [-3, 3], "1/1 generators cyclic"),
+            ({0: Fraction(1, 2)}, [1, 2], "0/0 generators cyclic"),
+        ],
+    )
+    def test_vacuum_alone_proves_no_cyclicity(self, coeffs, window, detail):
+        chi = ChiSeries(coeffs)
+        verdict, cert = classify(chi)
+        data = dict(cert.data)
+        data["cfg"] = dict(data["cfg"], weight_cutoff="0", charge_window=window)
+        report = verify_certificate(chi, verdict, Certificate(cert.kind, data))
+        check = _check(report, "cyclic_probes")
+        assert not check.passed
+        assert check.detail == detail + "; no generator besides the vacuum"
         assert not report.ok
 
     def test_unreadable_witness_fails_cleanly(self):
@@ -244,3 +277,41 @@ def test_classification_is_deterministic():
     a = [json.dumps(x.to_json_obj(), sort_keys=True) for x in classify(chi)]
     b = [json.dumps(x.to_json_obj(), sort_keys=True) for x in classify(chi)]
     assert a == b
+
+
+# -- the odd-mode family against its convex-hull oracle ---------------------
+
+FAR_TAILS = [
+    ({1: 1, -40: 1}, ClosureConfig(Fraction(2), (-2, 2), Fraction(1))),
+    ({0: Fraction(1, 2), -37: 2}, ClosureConfig(Fraction(2), (-2, 2), Fraction(1))),
+    ({0: 2, -1: 1, -40: 3}, ClosureConfig(Fraction(2), (-2, 2), Fraction(1))),
+    ({0: -3, -40: 1}, DEFAULT_CFG),
+    ({0: 2, -1000: 1}, DEFAULT_CFG),
+]
+
+
+@pytest.mark.parametrize("coeffs, cfg", FAR_TAILS)
+def test_family_matches_hull_family_on_far_tails(coeffs, cfg, monkeypatch):
+    chi = ChiSeries(coeffs)
+    union = {label for label, _ in a_module_ops(chi, cfg)}
+    hull = {label for label, _ in hull_a_module_ops(chi, cfg)}
+    assert union < hull
+
+    def run():
+        verdict, cert = classify(chi, cfg)
+        report = verify_certificate(chi, verdict, cert)
+        assert report.ok
+        objs = [verdict.to_json_obj(), cert.to_json_obj(), report.to_json_obj()]
+        return json.dumps(objs, sort_keys=True)
+
+    expected = run()
+    monkeypatch.setattr(importlib.import_module("wakimoto.classify"), "a_module_ops",
+                        hull_a_module_ops)
+    assert run() == expected
+
+
+def test_far_tail_adds_only_its_own_modes():
+    chi = ChiSeries({0: 2, -1000: 1})
+    # 11 G+ modes, then 12 G- modes around each of the indices 0 and -1000
+    assert len(a_module_ops(chi, DEFAULT_CFG)) == 35
+    assert len(hull_a_module_ops(chi, DEFAULT_CFG)) == 1023

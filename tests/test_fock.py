@@ -18,6 +18,7 @@ from wakimoto import (
     charge,
     check_tilde,
     enumerate_basis,
+    extract_omega,
     fmt_halfodd,
     graded_dimension,
     parse_halfodd,
@@ -90,28 +91,27 @@ def test_vec_arithmetic_and_zero_dropping():
     assert (v - v).is_zero()
     assert (-v + v).is_zero()
     assert (0 * v).is_zero()
-    assert v.max_weight() == Fraction(3, 2)
-    assert v.charges() == {-1}
 
 
-def test_vec_equality_ignores_ambient_flag():
-    st = FermionState((1,), ())
-    assert FermionVec.basis(st, ambient=True) == FermionVec.basis(st, ambient=False)
-    assert FermionVec.zero(True) == FermionVec.zero(False)
-
-
-def test_ambient_flag_enforced_and_propagated():
-    needs_f = FermionState((), (1,))
-    with pytest.raises(ValueError):
-        FermionVec({needs_f: Fraction(1)}, ambient=False)
-    v = FermionVec.basis(needs_f)  # infers ambient
-    assert v.ambient
-    assert (v + vacuum_vec()).ambient
-    assert (vacuum_vec() - v).ambient
-    assert not (vacuum_vec() + vacuum_vec()).ambient
-    # creating Psi+(-1/2) forces the ambient flag even from a charged vector
+def test_charged_membership_follows_support():
+    needs_f = FermionState((), (1,))  # Psi+(-1/2)|0>, outside the charged subspace
+    v = FermionVec.basis(needs_f)
+    for outside in (v, v + vacuum_vec(), vacuum_vec() - v):
+        assert not check_tilde(outside)
+        with pytest.raises(ValueError):
+            extract_omega(outside)
+    assert check_tilde(vacuum_vec() + vacuum_vec())
+    # creating Psi+(-1/2) leaves the charged subspace, even from the vacuum
     forced = apply_psi(PLUS, Fraction(-1, 2), vacuum_vec())
-    assert forced.ambient and forced.coeff(needs_f) == 1
+    assert forced == v and not check_tilde(forced)
+    # once the mu = 1/2 term cancels, the vector is charged again
+    mixed = forced + 2 * FermionVec.basis(FermionState((1,), (3,)))
+    back = mixed - v
+    assert not check_tilde(mixed) and check_tilde(back)
+    assert extract_omega(back).omega_index == 1
+    # equality compares coefficients only, however the vector was built
+    assert back == FermionVec({FermionState((1,), (3,)): 2, needs_f: 0})
+    assert FermionVec.zero() == forced - v
 
 
 def test_vec_json_round_trip():
@@ -160,7 +160,7 @@ def test_pauli_exclusion():
 
 def test_sweep_sign_through_word():
     # Psi+(1/2) must pass Psi-(-3/2) before contracting with Psi-(-1/2).
-    v = FermionVec.basis(FermionState((3, 1), ()), ambient=True)
+    v = FermionVec.basis(FermionState((3, 1), ()))
     got = apply_psi(PLUS, Fraction(1, 2), v)
     assert got == -FermionVec.basis(FermionState((3,), ()))
 
@@ -180,7 +180,7 @@ def test_random_words_match_rewriting_oracle():
             (rng.choice((MINUS, PLUS)), rng.choice(dmodes))
             for _ in range(rng.randint(0, 6))
         ]
-        v = vacuum_vec(ambient=True)
+        v = vacuum_vec()
         for sp, d in reversed(word):
             v = apply_psi_dmode(sp, d, v)
         want = normal_order_fermion([(sp, d) for sp, d in word])

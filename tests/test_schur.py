@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import schur_series_exp
-from wakimoto import ChiSeries, schur_at_minus_chi, schur_det, schur_rec
+from oracles import schur_det, schur_series_exp
+from wakimoto import ChiSeries, schur_at_minus_chi, schur_rec
 
 small_fracs = st.fractions(min_value=-9, max_value=9, max_denominator=12)
 

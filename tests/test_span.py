@@ -195,7 +195,7 @@ class TestJointKernel:
             return apply_psi_dmode(MINUS, 3, v) + apply_psi_dmode(MINUS, 5, v)
 
         piece = [FermionState((), (3,)), FermionState((), (5,))]
-        kernel = joint_kernel([("sum", op)], piece, lambda d: FermionVec(d), FOCK_SPACE)
+        kernel = joint_kernel([("sum", op)], piece, FOCK_SPACE)
         assert kernel.dimension() == 1
         diff = FermionVec.basis(piece[0]) - FermionVec.basis(piece[1])
         assert kernel.contains(diff)
@@ -204,13 +204,13 @@ class TestJointKernel:
     def test_independent_images_give_trivial_kernel(self):
         op = partial(apply_psi_dmode, MINUS, 3)
         piece = [FermionState((1,), (3,)), FermionState((3,), (3,))]
-        kernel = joint_kernel([("P", op)], piece, lambda d: FermionVec(d), FOCK_SPACE)
+        kernel = joint_kernel([("P", op)], piece, FOCK_SPACE)
         assert kernel.dimension() == 0
 
     def test_no_constraints_keeps_everything(self):
         op = partial(apply_psi_dmode, MINUS, 7)  # annihilates the whole piece
         piece = [FermionState((), (3,)), FermionState((1,), ())]
-        kernel = joint_kernel([("P", op)], piece, lambda d: FermionVec(d), FOCK_SPACE)
+        kernel = joint_kernel([("P", op)], piece, FOCK_SPACE)
         assert kernel.dimension() == 2
 
     def test_two_operator_intersection(self):
@@ -224,5 +224,5 @@ class TestJointKernel:
             ("B", op35),
         ]
         piece = [FermionState((), (3,)), FermionState((), (5,))]
-        kernel = joint_kernel(ops, piece, lambda d: FermionVec(d), FOCK_SPACE)
+        kernel = joint_kernel(ops, piece, FOCK_SPACE)
         assert kernel.dimension() == 0

@@ -39,7 +39,7 @@ POLE_TAIL = ChiSeries(
 
 
 def test_gplus_is_scaled_psi_plus():
-    v = FermionVec.basis(FermionState((3, 1), ()), ambient=True)
+    v = FermionVec.basis(FermionState((3, 1), ()))
     for i in (-2, -1, 1, 3):
         mode = Fraction(2 * i - 1, 2)
         assert apply_Gplus(i, v) == Fraction(-i) * apply_psi(PLUS, mode, v)

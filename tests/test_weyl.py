@@ -22,7 +22,6 @@ from wakimoto import (
     affine_relation_check,
     apply_a,
     apply_astar,
-    apply_e,
     apply_f,
     apply_h,
     enumerate_weyl_basis,
@@ -110,8 +109,8 @@ def test_h_on_vacuum_is_minus_chi0():
 
 def test_e_is_current_a():
     v = WeylVec.basis(WeylState((1,), (0,)))
-    assert apply_e(2, v, CHI) == apply_a(2, v)
-    assert apply_e(-1, v) == apply_a(-1, v)
+    assert WeylAction(CHI).apply("e", 2, v) == apply_a(2, v)
+    assert WeylAction(ChiSeries()).apply("e", -1, v) == apply_a(-1, v)
 
 
 @pytest.mark.parametrize("c", [Fraction(-1), Fraction(0), Fraction(1, 2)])
@@ -125,7 +124,7 @@ def test_f_zero_mode_reads_the_tail(c):
 def test_ef_bracket_on_vacuum():
     chi2 = ChiSeries({0: 2})
     vac = weyl_vacuum_vec()
-    lhs = apply_e(1, apply_f(-1, vac, chi2)) - apply_f(-1, apply_e(1, vac), chi2)
+    lhs = apply_a(1, apply_f(-1, vac, chi2)) - apply_f(-1, apply_a(1, vac), chi2)
     assert lhs == -4 * vac  # h(0) - 2*1*delta = -2 - 2
     hh = apply_h(1, apply_h(-1, vac, chi2), chi2) - apply_h(-1, apply_h(1, vac, chi2), chi2)
     assert hh == -4 * vac
@@ -157,11 +156,11 @@ def test_affine_relations_on_mixed_vector():
 def test_action_memoization_is_transparent():
     action = WeylAction(CHI)
     v = WeylVec.basis(WeylState((1, 2), (0,)))
-    first = action.f(1, v)
+    first = action.apply("f", 1, v)
     assert first == apply_f(1, v, CHI)
-    assert action.f(1, v) == first  # cached second call
-    assert action.h(-1, v) == apply_h(-1, v, CHI)
-    assert action.e(2, v) == apply_e(2, v, CHI)
+    assert action.apply("f", 1, v) == first  # cached second call
+    assert action.apply("h", -1, v) == apply_h(-1, v, CHI)
+    assert action.apply("e", 2, v) == apply_a(2, v)
 
 
 WICK_TWISTS = (
