@@ -19,6 +19,12 @@ support has a ``mu`` entry 1/2, which is what :func:`check_tilde` tests.
 
 Half-odd modes are stored as doubled odd integers so every index computation
 stays integral; weights are returned as exact ``Fraction`` values.
+
+A single mode ``Psi±(r)`` acts on one monomial in closed form
+(``_psi_core``): an annihilator removes one entry from ``lam`` or ``mu``, a
+creator inserts one, and the result is one monomial with an ``int`` sign, or
+zero.  Vectors are acted on term by term through that core; the word
+rewriting oracle in the tests is its reference.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .span import SparseVec
 
@@ -161,47 +167,60 @@ def vec_from_json_obj(obj) -> FermionVec:
 
 
 # ---------------------------------------------------------------------------
-# single-generator action on canonical words
+# single-generator action on one monomial
+#
+# On a basis monomial a single Psi mode gives zero or one monomial with sign
+# +-1, and distinct monomials go to distinct monomials, so a vector's image
+# needs no accumulation.  The core works on the ``lam``/``mu`` tuples
+# directly; the word order is all of ``lam`` then all of ``mu``, and moving a
+# generator past a factor costs a sign.
 # ---------------------------------------------------------------------------
 
-_Gen = tuple[int, int]  # (species: -1 | +1, doubled mode)
+_new_object = object.__new__
+_set_field = object.__setattr__
 
 
-def _state_word(state: FermionState) -> tuple[_Gen, ...]:
-    return tuple((-1, -d) for d in state.lam) + tuple((+1, -d) for d in state.mu)
+def _state(lam: tuple[int, ...], mu: tuple[int, ...]) -> FermionState:
+    """A FermionState from tuples that are canonical by construction."""
+    st = _new_object(FermionState)
+    _set_field(st, "lam", lam)
+    _set_field(st, "mu", mu)
+    return st
 
 
-def _word_state(word: tuple[_Gen, ...]) -> FermionState:
-    lam = tuple(-d for sp, d in word if sp < 0)
-    mu = tuple(-d for sp, d in word if sp > 0)
-    return FermionState(lam, mu)
+def _psi_core(sp: int, d: int, state: FermionState) -> Optional[tuple[FermionState, int]]:
+    """``Psi+(d/2)`` (sp = +1) or ``Psi-(d/2)`` (sp = -1) on one monomial.
 
-
-def _apply_gen(sp: int, d: int, word: tuple[_Gen, ...]) -> list[tuple[int, tuple[_Gen, ...]]]:
-    """Act with one generator on a canonical word; returns (sign, word) terms.
-
-    Annihilators (d > 0) sweep right, picking up a contraction against each
-    opposite-species factor of opposite mode, and die on the vacuum.
-    Creators insert at their canonical slot with the transposition sign, or
-    vanish by exclusion when the slot is already occupied.
+    Returns ``(monomial, sign)`` or None for zero.  An annihilator (d > 0)
+    contracts against the opposite-species factor of mode ``-d/2``: it
+    removes ``d`` from ``lam`` for Psi+ and from ``mu`` for Psi-, and dies
+    when that entry is absent.  A creator inserts ``-d`` into its own
+    descending tuple, or vanishes by exclusion when the entry is present.
+    The sign is (-1)^position of the factor in the word.
     """
+    lam, mu = state.lam, state.mu
     if d > 0:
-        out = []
-        sign = 1
-        for i, (sp2, d2) in enumerate(word):
-            if sp2 != sp and d + d2 == 0:
-                out.append((sign, word[:i] + word[i + 1 :]))
-            sign = -sign
-        return out
-    key = (0 if sp < 0 else 1, d)
-    sign = 1
-    for i, (sp2, d2) in enumerate(word):
-        if sp2 == sp and d2 == d:
-            return []
-        if key < (0 if sp2 < 0 else 1, d2):
-            return [(sign, word[:i] + ((sp, d),) + word[i:])]
-        sign = -sign
-    return [(sign, word + ((sp, d),))]
+        part = lam if sp > 0 else mu
+        if d not in part:
+            return None
+        i = part.index(d)
+        rest = part[:i] + part[i + 1 :]
+        if sp > 0:
+            return _state(rest, mu), -1 if i & 1 else 1
+        return _state(lam, rest), -1 if (len(lam) + i) & 1 else 1
+    x = -d
+    part = lam if sp < 0 else mu
+    i = 0
+    for e in part:
+        if e <= x:
+            if e == x:
+                return None
+            break
+        i += 1
+    grown = part[:i] + (x,) + part[i:]
+    if sp < 0:
+        return _state(grown, mu), -1 if i & 1 else 1
+    return _state(lam, grown), -1 if (len(lam) + i) & 1 else 1
 
 
 def apply_psi_dmode(species: str, dmode: int, v: FermionVec) -> FermionVec:
@@ -211,12 +230,12 @@ def apply_psi_dmode(species: str, dmode: int, v: FermionVec) -> FermionVec:
     if dmode % 2 == 0:
         raise ValueError(f"mode must be half-odd, got doubled value {dmode}")
     sp = +1 if species == PLUS else -1
-    acc: dict[FermionState, Fraction] = {}
+    out: dict[FermionState, Fraction] = {}
     for st, c in v.terms.items():
-        for sign, w in _apply_gen(sp, dmode, _state_word(st)):
-            st2 = _word_state(w)
-            acc[st2] = acc.get(st2, 0) + sign * c
-    return FermionVec._of({st: c for st, c in acc.items() if c})
+        hit = _psi_core(sp, dmode, st)
+        if hit is not None:
+            out[hit[0]] = c if hit[1] > 0 else -c
+    return FermionVec._of(out)
 
 
 def apply_psi(species: str, mode: Union[Fraction, str], v: FermionVec) -> FermionVec:

@@ -14,13 +14,16 @@ irreducibility criterion.
 from __future__ import annotations
 
 import json
+import math
 import re
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Union
 
 __all__ = [
     "ChiParseError",
     "ChiSeries",
+    "MAX_CHI_INDEX",
     "parse_rational",
     "format_rational",
     "parse_chi",
@@ -60,14 +63,24 @@ def format_rational(q) -> str:
     return str(Fraction(q))
 
 
+_ZERO = Fraction(0)
+
+# Largest |m| that parse_chi accepts.  Operator families grow with the
+# largest index (the boson side spans every mode up to it), so an absurd
+# index would ask for billions of operators before any work starts.
+MAX_CHI_INDEX = 1000
+
+
 class ChiSeries:
     """Finitely supported twist coefficients ``m -> chi_m``.
 
     Immutable and hashable; zero coefficients are dropped on construction so
-    two series are equal iff they have identical support and values.
+    two series are equal iff they have identical support and values.  The
+    common denominator of the coefficients and their integer numerators over
+    it are computed once, for the operator actions that sum over ints.
     """
 
-    __slots__ = ("_items", "_map")
+    __slots__ = ("_items", "_map", "_den", "_nums")
 
     def __init__(self, coeffs: Union[Mapping[int, object], Iterable[tuple]] = ()):
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
@@ -82,9 +95,22 @@ class ChiSeries:
                 acc[m] = q
         self._items: tuple[tuple[int, Fraction], ...] = tuple(sorted(acc.items()))
         self._map = dict(self._items)
+        self._den = math.lcm(*(q.denominator for _, q in self._items))
+        nums = {m: q.numerator * (self._den // q.denominator) for m, q in self._items}
+        self._nums = MappingProxyType(nums)
 
     def coeff(self, m: int) -> Fraction:
-        return self._map.get(m, Fraction(0))
+        return self._map.get(m, _ZERO)
+
+    @property
+    def denominator(self) -> int:
+        """Least common denominator of the coefficients (1 when chi = 0)."""
+        return self._den
+
+    @property
+    def numerators(self) -> Mapping[int, int]:
+        """``m -> chi_m * denominator`` as ints, in ascending ``m``."""
+        return self._nums
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -133,8 +159,9 @@ def parse_chi(doc: Union[str, Mapping]) -> ChiSeries:
     """Parse ``{"coeffs": [{"m": <int>, "value": "<p/q>"}, ...]}``.
 
     Accepts a JSON text or an already-decoded mapping.  Malformed JSON, a
-    non-integer index, a duplicate index, or a bad rational (including zero
-    denominators) raise :class:`ChiParseError` naming the offending field.
+    non-integer index, an index with ``|m| > MAX_CHI_INDEX``, a duplicate
+    index, or a bad rational (including zero denominators) raise
+    :class:`ChiParseError` naming the offending field.
     """
     if isinstance(doc, str):
         try:
@@ -158,6 +185,8 @@ def parse_chi(doc: Union[str, Mapping]) -> ChiSeries:
         m = entry["m"]
         if isinstance(m, bool) or not isinstance(m, int):
             raise ChiParseError(f"coeffs[{idx}].m: expected an integer, got {m!r}")
+        if abs(m) > MAX_CHI_INDEX:
+            raise ChiParseError(f"coeffs[{idx}].m: index {m} exceeds the cap |m| <= {MAX_CHI_INDEX}")
         if m in seen:
             raise ChiParseError(f"coeffs[{idx}].m: duplicate index {m}")
         seen.add(m)

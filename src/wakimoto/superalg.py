@@ -38,6 +38,7 @@ from .fock import (
     VACUUM,
     FermionState,
     FermionVec,
+    _psi_core,
     apply_psi_dmode,
     as_dmode,
     charge,
@@ -80,21 +81,44 @@ def apply_Gplus(i: int, v: FermionVec) -> FermionVec:
     """Apply ``G+(i - 1/2)``, which acts as ``-i Psi+(i - 1/2)``."""
     if i == 0:
         return FermionVec.zero()
-    return Fraction(-i) * apply_psi_dmode(PLUS, 2 * i - 1, v)
+    d = 2 * i - 1
+    out: dict[FermionState, Fraction] = {}
+    for st, c in v.terms.items():
+        hit = _psi_core(+1, d, st)
+        if hit is not None:
+            out[hit[0]] = c * (-i * hit[1])
+    return FermionVec._of(out)
 
 
 def apply_Gminus(i: int, v: FermionVec, chi: ChiSeries) -> FermionVec:
     """Apply ``G-(i - 1/2)`` twisted by chi.
 
     The twist contributes one shifted ``Psi-`` mode per support index, so the
-    sum below is finite and exact — no truncation is involved.
+    sum below is finite and exact — no truncation is involved.  Components
+    that land on the same monomial are summed as ints over one common
+    denominator, so each output coefficient is a single Fraction.
     """
-    out = (chi.coeff(0) - i) * apply_psi_dmode(MINUS, 2 * i - 1, v)
-    for m in chi.support:
-        if m == 0:
+    terms = v.terms
+    if not terms:
+        return FermionVec.zero()
+    nums = chi.numerators
+    # (doubled mode, component coefficient * chi.denominator)
+    parts = [(2 * i - 1, nums.get(0, 0) - i * chi.denominator)]
+    parts += [(2 * (i - m) - 1, x) for m, x in nums.items() if m]
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    scaled = [(st, c.numerator * (den // c.denominator)) for st, c in terms.items()]
+    acc: dict[FermionState, int] = {}
+    get = acc.get
+    for d, k in parts:
+        if not k:
             continue
-        out = out + chi.coeff(m) * apply_psi_dmode(MINUS, 2 * i - 1 - 2 * m, v)
-    return out
+        for st, p in scaled:
+            hit = _psi_core(-1, d, st)
+            if hit is not None:
+                out = hit[0]
+                acc[out] = get(out, 0) + hit[1] * k * p
+    den *= chi.denominator
+    return FermionVec._of({st: Fraction(num, den) for st, num in acc.items() if num})
 
 
 def scalar_T(n: int, chi: ChiSeries) -> Fraction:

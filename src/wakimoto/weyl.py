@@ -303,8 +303,8 @@ class WeylAction:
         self.chi = chi
         self._cache: dict[tuple[str, int, WeylState], tuple] = {}
         # chi_j = _chi_num[j] / _chi_den, all over one denominator
-        self._chi_den = math.lcm(*(x.denominator for _, x in chi.items()))
-        self._chi_num = {j: x.numerator * (self._chi_den // x.denominator) for j, x in chi.items()}
+        self._chi_den = chi.denominator
+        self._chi_num = chi.numerators
 
     def apply(self, kind: str, n: int, v: WeylVec) -> WeylVec:
         terms = v.terms

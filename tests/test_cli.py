@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from wakimoto import cli
 from wakimoto.cli import main
 
 CHI_SCHUR_NONZERO = json.dumps(
@@ -350,6 +351,18 @@ class TestInterface:
         )
         assert code == 0
         assert out == inline
+
+    @pytest.mark.parametrize("command", ["classify", "probe-wakimoto"])
+    def test_huge_index_is_a_parse_error(self, capsys, monkeypatch, command):
+        def never(*args, **kwargs):
+            raise AssertionError("a capped twist must not reach the engine")
+
+        monkeypatch.setattr(cli, "classify", never)
+        monkeypatch.setattr(cli, "wakimoto_probe", never)
+        chi = json.dumps({"coeffs": [{"m": 0, "value": "2"}, {"m": -10**9, "value": "1"}]})
+        code, out, err = run_cli(capsys, [command, "--chi", chi])
+        assert code == 2 and out == ""
+        assert err.startswith("error: coeffs[1].m: index -1000000000 exceeds")
 
     def test_unknown_command_exits_two(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

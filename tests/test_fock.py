@@ -4,7 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import fermion_graded_dims, fermion_vec_as_dict, normal_order_fermion
+from oracles import (
+    fermion_graded_dims,
+    fermion_state_word,
+    fermion_vec_as_dict,
+    normal_order_fermion,
+)
 from wakimoto import (
     MINUS,
     PLUS,
@@ -28,6 +33,7 @@ from wakimoto import (
     vec_from_json_obj,
     weight,
 )
+from wakimoto.fock import _psi_core
 
 
 def test_halfodd_helpers():
@@ -185,6 +191,22 @@ def test_random_words_match_rewriting_oracle():
             v = apply_psi_dmode(sp, d, v)
         want = normal_order_fermion([(sp, d) for sp, d in word])
         assert fermion_vec_as_dict(v) == want, word
+
+
+@pytest.mark.parametrize("species", [PLUS, MINUS])
+@pytest.mark.parametrize("d", [d for k in range(1, 10, 2) for d in (-k, k)])
+def test_psi_core_matches_rewriting_oracle(species, d):
+    sp = +1 if species == PLUS else -1
+    for st in enumerate_basis(Fraction(7, 2), ambient=True):
+        want = normal_order_fermion([(species, d), *fermion_state_word(st)])
+        hit = _psi_core(sp, d, st)
+        if hit is None:
+            assert want == {}, (st, d)
+            continue
+        out, sign = hit
+        assert type(sign) is int
+        assert FermionState(out.lam, out.mu) == out  # canonical, re-validated
+        assert want == {(out.lam, out.mu): sign}, (st, d)
 
 
 # -- enumeration ------------------------------------------------------------

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from wakimoto.scalars import MAX_CHI_INDEX
 from wakimoto import (
     ChiParseError,
     ChiSeries,
@@ -85,6 +86,14 @@ class TestChiSeries:
         assert ChiSeries({3: 0}).is_zero()
         assert not ChiSeries({0: 1}).is_zero()
 
+    def test_common_denominator(self):
+        chi = ChiSeries({2: Fraction(1, 6), 0: Fraction(-3, 4), -5: 7})
+        assert chi.denominator == 12
+        assert dict(chi.numerators) == {-5: 84, 0: -9, 2: 2}
+        for m, num in chi.numerators.items():
+            assert Fraction(num, chi.denominator) == chi.coeff(m)
+        assert ChiSeries().denominator == 1 and dict(ChiSeries().numerators) == {}
+
     def test_json_obj_sorted_by_index(self):
         chi = ChiSeries({1: Fraction(1, 2), -2: Fraction(3), 0: Fraction(-1)})
         assert chi.to_json_obj() == {
@@ -155,12 +164,25 @@ class TestParseChi:
                 '{"coeffs": [{"m": 1, "value": "1"}, {"m": 1, "value": "2"}]}',
                 "coeffs[1].m: duplicate",
             ),
+            ('{"coeffs": [{"m": 1001, "value": "1"}]}', "coeffs[0].m: index 1001 exceeds"),
+            (
+                '{"coeffs": [{"m": 0, "value": "2"}, {"m": -1000000000, "value": "1"}]}',
+                "coeffs[1].m: index -1000000000 exceeds",
+            ),
         ],
     )
     def test_errors_name_the_offending_field(self, doc, fragment):
         with pytest.raises(ChiParseError) as err:
             parse_chi(doc)
         assert fragment in str(err.value)
+
+    def test_index_cap_admits_its_bound(self):
+        assert MAX_CHI_INDEX >= 1000
+        doc = {"coeffs": [{"m": -MAX_CHI_INDEX, "value": "1"}, {"m": MAX_CHI_INDEX, "value": "2"}]}
+        assert parse_chi(doc).support == (-MAX_CHI_INDEX, MAX_CHI_INDEX)
+        doc["coeffs"][1]["m"] = MAX_CHI_INDEX + 1
+        with pytest.raises(ChiParseError, match=r"coeffs\[1\]\.m"):
+            parse_chi(doc)
 
     @given(
         st.dictionaries(

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import fermion_state_word, fermion_vec_as_dict, normal_order_fermion
 from wakimoto import (
     MINUS,
     PLUS,
@@ -58,6 +59,63 @@ def test_gminus_twist_terms():
     assert got1 == apply_psi(MINUS, Fraction(3, 2), FermionVec.basis(omega(2)))
 
 
+# chi_0 = 2: the (chi_0 - i) component of G-(3/2) vanishes
+CHI0_IS_I = ChiSeries({0: 2, 1: Fraction(3, 4), -2: Fraction(-5, 3)})
+# chi_0 = chi_1: on Psi-(-3/2)|0> + Psi-(-1/2)|0> the two components of
+# G-(-1/2) both reach Psi-(-3/2) Psi-(-1/2)|0>, with opposite signs
+CANCELLING = ChiSeries({0: Fraction(2, 3), 1: Fraction(2, 3)})
+
+
+def _oracle_image(components, v):
+    """Sum of coefficient * rewriting-oracle image over (species, d, k)."""
+    want = {}
+    for species, d, k in components:
+        for st, c in v.terms.items():
+            word = [(species, d), *fermion_state_word(st)]
+            for key, q in normal_order_fermion(word, c * k).items():
+                want[key] = want.get(key, 0) + q
+    return {key: q for key, q in want.items() if q}
+
+
+def _gminus_components(i, chi):
+    out = [(MINUS, 2 * i - 1, chi.coeff(0) - i)]
+    return out + [(MINUS, 2 * (i - m) - 1, chi.coeff(m)) for m in chi.support if m]
+
+
+@pytest.mark.parametrize("chi", [ChiSeries(), ChiSeries({0: 3, -1: 1}), POLE_TAIL, CHI0_IS_I, CANCELLING])
+def test_g_modes_match_rewriting_oracle(chi):
+    rng = random.Random(f"g-oracle:{chi!r}")
+    states = enumerate_basis(Fraction(7, 2), ambient=True)
+    vecs = [
+        FermionVec.from_items(
+            (rng.choice(states), Fraction(rng.randint(-9, 9), rng.randint(1, 6)))
+            for _ in range(rng.randint(1, 6))
+        )
+        for _ in range(12)
+    ]
+    for v in vecs:
+        for i in range(-4, 5):
+            plus = [(PLUS, 2 * i - 1, Fraction(-i))]
+            assert fermion_vec_as_dict(apply_Gplus(i, v)) == _oracle_image(plus, v), (v, i)
+            got = apply_Gminus(i, v, chi)
+            assert fermion_vec_as_dict(got) == _oracle_image(_gminus_components(i, chi), v), (v, i)
+
+
+def test_gminus_components_cancel_on_a_shared_state():
+    v = FermionVec.from_items(
+        [(FermionState((3,), ()), 1), (FermionState((1,), ()), 1), (FermionState((), (3,)), 2)]
+    )
+    shared = ((3, 1), ())
+    # each component alone reaches the shared state ...
+    for comp in _gminus_components(0, CANCELLING):
+        assert shared in _oracle_image([comp], v)
+    # ... and their sum does not
+    got = apply_Gminus(0, v, CANCELLING)
+    assert shared not in fermion_vec_as_dict(got)
+    assert fermion_vec_as_dict(got) == _oracle_image(_gminus_components(0, CANCELLING), v)
+    assert not got.is_zero()
+
+
 def test_even_scalars():
     chi = ChiSeries({0: Fraction(3), -1: Fraction(1, 2)})
     assert scalar_T(0, chi) == Fraction(-3, 2)
@@ -67,7 +125,7 @@ def test_even_scalars():
     assert scalar_S(2, chi) == 0 and scalar_T(5, chi) == 0
 
 
-@pytest.mark.parametrize("chi", [ChiSeries({0: 3, -1: 1}), POLE_TAIL])
+@pytest.mark.parametrize("chi", [ChiSeries({0: 3, -1: 1}), POLE_TAIL, CHI0_IS_I, CANCELLING])
 def test_mixed_anticommutators_close_on_scalars(chi):
     vecs = [
         vacuum_vec(),
