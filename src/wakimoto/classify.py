@@ -40,7 +40,7 @@ from .fock import (
 )
 from .scalars import ChiSeries, ell_of, format_rational, pole_order
 from .schur import schur_at_minus_chi
-from .span import ClosureConfig, closure, cyclic_probe
+from .span import ClosureConfig, SpanBasis, closure, cyclic_probe
 from .superalg import (
     FOCK_SPACE,
     OperatorWord,
@@ -134,6 +134,27 @@ def _annihilation_failures(w: FermionVec, chi: ChiSeries, nmax: int) -> list[str
     return bad
 
 
+def _omega_closure(ell: int, chi: ChiSeries, cfg: ClosureConfig) -> tuple[SpanBasis, bool]:
+    """Truncated closure of Omega_ell and whether it excludes the vacuum."""
+    basis = closure([omega_vec(ell)], a_module_ops(chi, cfg), cfg, FOCK_SPACE)
+    return basis, not basis.contains(vacuum_vec())
+
+
+def _vacuum_closure(
+    chi: ChiSeries, cfg: ClosureConfig, state: FermionState
+) -> tuple[bool, dict, int]:
+    """Truncated closure of the vacuum for the neg_ell case.
+
+    Returns whether it excludes ``state``, its report, and the dimension of
+    the charged window up to the cutoff.
+    """
+    basis = closure([vacuum_vec()], a_module_ops(chi, cfg), cfg, FOCK_SPACE)
+    excluded = not basis.contains(FermionVec.basis(state))
+    lo, hi = cfg.charge_window
+    full_dim = sum(1 for st in enumerate_basis(cfg.weight_cutoff) if lo <= charge(st) <= hi)
+    return excluded, basis.report(), full_dim
+
+
 def classify(chi: ChiSeries, cfg: ClosureConfig = DEFAULT_CFG) -> tuple[Verdict, Certificate]:
     """Decide irreducibility of the twisted module and build a certificate.
 
@@ -175,9 +196,7 @@ def classify(chi: ChiSeries, cfg: ClosureConfig = DEFAULT_CFG) -> tuple[Verdict,
             return verdict, cert
         w = singular_w(ell, chi)
         nmax = max(4, ell + 2)
-        ops = a_module_ops(chi, cfg)
-        basis = closure([omega_vec(ell)], ops, cfg, FOCK_SPACE)
-        vacuum_excluded = not basis.contains(vacuum_vec())
+        basis, vacuum_excluded = _omega_closure(ell, chi, cfg)
         verdict = Verdict("reducible", "schur_zero", {"ell": ell})
         cert = Certificate(
             "schur_zero",
@@ -195,14 +214,7 @@ def classify(chi: ChiSeries, cfg: ClosureConfig = DEFAULT_CFG) -> tuple[Verdict,
         return verdict, cert
     q = -ell - 1
     excluded_state = FermionState((2 * q + 1,), ())
-    ops = a_module_ops(chi, cfg)
-    basis = closure([vacuum_vec()], ops, cfg, FOCK_SPACE)
-    excluded = not basis.contains(FermionVec.basis(excluded_state))
-    closure_dim = sum(basis.graded_dimension().values())
-    lo, hi = cfg.charge_window
-    full_dim = sum(
-        1 for st in enumerate_basis(cfg.weight_cutoff) if lo <= charge(st) <= hi
-    )
+    excluded, report, full_dim = _vacuum_closure(chi, cfg, excluded_state)
     verdict = Verdict("reducible", "neg_ell", {"ell": ell, "q": q})
     cert = Certificate(
         "neg_ell",
@@ -211,9 +223,9 @@ def classify(chi: ChiSeries, cfg: ClosureConfig = DEFAULT_CFG) -> tuple[Verdict,
             "q": q,
             "excluded_state": str(excluded_state),
             "excluded": excluded,
-            "closure_dimension": closure_dim,
+            "closure_dimension": report["dimension"],
             "full_dimension": full_dim,
-            "closure": basis.report(),
+            "closure": report,
             "cfg": cfg.to_json_obj(),
         },
     )
@@ -366,8 +378,7 @@ def verify_certificate(
             + (f"; failing: {failures}" if failures else "")
             + ("" if recorded_range == nmax else f"; recorded range {recorded_range!r} ignored"),
         )
-        basis = closure([omega_vec(ell)], a_module_ops(chi, cfg), cfg, FOCK_SPACE)
-        excluded = not basis.contains(vacuum_vec())
+        basis, excluded = _omega_closure(ell, chi, cfg)
         # an empty closure never admitted Omega_ell, so it excludes nothing
         add(
             "vacuum_excluded",
@@ -396,15 +407,9 @@ def verify_certificate(
         excluded_state == FermionState((2 * q + 1,), ()),
         str(excluded_state),
     )
-    basis = closure([vacuum_vec()], a_module_ops(chi, cfg), cfg, FOCK_SPACE)
-    add(
-        "state_excluded",
-        not basis.contains(FermionVec.basis(excluded_state)),
-        f"weight {fmt_halfodd(2 * q + 1)} monomial not reached",
-    )
-    closure_dim = sum(basis.graded_dimension().values())
-    lo, hi = cfg.charge_window
-    full_dim = sum(1 for st in enumerate_basis(cfg.weight_cutoff) if lo <= charge(st) <= hi)
+    excluded, report, full_dim = _vacuum_closure(chi, cfg, excluded_state)
+    add("state_excluded", excluded, f"weight {fmt_halfodd(2 * q + 1)} monomial not reached")
+    closure_dim = report["dimension"]
     add(
         "proper_within_window",
         closure_dim < full_dim

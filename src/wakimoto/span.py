@@ -13,6 +13,13 @@ Scalar operators (e.g. central or diagonal mode actions) map a vector to a
 multiple of itself and can never enlarge a span, so operator families only
 need the genuinely shifting modes.
 
+:class:`SpanBasis` is the only Gaussian elimination here.  Its rows are
+the unique fully reduced echelon basis for a total order on keys, and the
+other exact questions are answered by eliminating under a derived order:
+the subspace inside the weight cutoff (``restricted_rows``) by ordering the
+states above the cutoff first, and the joint kernel of a family of maps
+(``joint_kernel``) by ordering tagged images before the source keys.
+
 The engine is generic over the basis-key type via a :class:`Space` adapter
 supplying weight, charge and a global total order on keys.  All iteration is
 sorted, so identical inputs produce identical bases.  Both Fock spaces share
@@ -21,7 +28,7 @@ one vector type, :class:`SparseVec`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
@@ -262,34 +269,23 @@ class SpanBasis:
         """Echelon basis of the largest subspace supported inside the cutoff.
 
         A row kept for exploration may carry a tail in the excursion zone
-        even though some combination with other rows does not; reporting
-        must not depend on which representative the elimination happened to
-        keep.  Low rows pass through; for the tailed ones we solve exactly
-        for the combinations whose beyond-cutoff components cancel.
+        even though some combination with other rows does not, so reporting
+        must not depend on which representative the elimination kept.  The
+        rows are eliminated once more under an order that puts every state
+        above the cutoff first.  A row's support lies at or above its pivot,
+        so a fully reduced row whose pivot lies inside the cutoff lies
+        inside it entirely.  A vector of the span inside the cutoff has its
+        pivot there too, so it is eliminated by such rows alone.  These rows
+        are therefore the unique reduced echelon basis of that subspace.
         """
         if self.cfg is None:
             return self.rows()
         w = self.cfg.weight_cutoff
-        low, tailed = [], []
-        for r in self.rows():
-            (low if all(self.space.weight_of(s) <= w for s in r.terms) else tailed).append(r)
-        out = SpanBasis(self.space, self.cfg)
-        for r in low:
-            out.insert(r)
-        if tailed:
-            constraints: dict[Any, dict[int, Fraction]] = {}
-            for j, r in enumerate(tailed):
-                for s, c in r.terms.items():
-                    if self.space.weight_of(s) > w:
-                        constraints.setdefault(s, {})[j] = c
-            ordered = [constraints[s] for s in sorted(constraints, key=self.space.sort_key)]
-            for combo in _solve_kernel(ordered, len(tailed)):
-                v = None
-                for j, q in combo.items():
-                    term = q * tailed[j]
-                    v = term if v is None else v + term
-                out.insert(v)
-        return out.rows()
+        weight_of, key = self.space.weight_of, self.space.sort_key
+        heavy_first = SpanBasis(replace(self.space, sort_key=lambda s: (weight_of(s) <= w, key(s))))
+        for r in self._rows.values():
+            heavy_first.insert(r)
+        return [heavy_first._rows[p] for p in heavy_first.pivots() if weight_of(p) <= w]
 
     def graded_dimension(self) -> dict[tuple, int]:
         """Pivot counts per (weight, charge), restricted to the cutoff."""
@@ -301,60 +297,18 @@ class SpanBasis:
         return out
 
     def report(self, memberships: Optional[dict[str, bool]] = None) -> dict:
+        graded = self.graded_dimension()
         body = {
             "cfg": self.cfg.to_json_obj() if self.cfg else None,
-            "dimension": sum(self.graded_dimension().values()),
+            "dimension": sum(graded.values()),
             "graded_dimension": [
                 {"weight": str(w), "charge": c, "dim": d}
-                for (w, c), d in sorted(self.graded_dimension().items())
+                for (w, c), d in sorted(graded.items())
             ],
         }
         if memberships is not None:
             body["membership"] = dict(sorted(memberships.items()))
         return body
-
-
-def _solve_kernel(constraint_rows: Sequence[Mapping[int, Fraction]], ncols: int) -> list[dict[int, Fraction]]:
-    """Kernel basis of an exact sparse linear system over column indices.
-
-    Rows are fully reduced against each other, so the free-column read-off
-    below is valid.  One kernel vector per free column, in ascending order.
-    """
-    rows: dict[int, dict[int, Fraction]] = {}  # pivot col -> reduced row
-    for src in constraint_rows:
-        row = dict(src)
-        while row:
-            hit = min((c for c in row if c in rows), default=None)
-            if hit is None:
-                break
-            f = row[hit]
-            for c2, v2 in rows[hit].items():
-                row[c2] = row.get(c2, Fraction(0)) - f * v2
-            row = {c2: v2 for c2, v2 in row.items() if v2}
-        if not row:
-            continue
-        p = min(row)
-        inv = Fraction(1) / row[p]
-        row = {c2: inv * v2 for c2, v2 in row.items()}
-        for q, other in list(rows.items()):
-            f = other.get(p)
-            if f:
-                merged = dict(other)
-                for c2, v2 in row.items():
-                    merged[c2] = merged.get(c2, Fraction(0)) - f * v2
-                rows[q] = {c2: v2 for c2, v2 in merged.items() if v2}
-        rows[p] = row
-    out = []
-    for f in range(ncols):
-        if f in rows:
-            continue
-        coeffs = {f: Fraction(1)}
-        for p, row in rows.items():
-            c = row.get(f)
-            if c:
-                coeffs[p] = -c
-        out.append(coeffs)
-    return out
 
 
 def _admissible(v, cfg: ClosureConfig, space: Space, bound: Fraction) -> bool:
@@ -412,25 +366,28 @@ def cyclic_probe(v, vacuum, ops: OpFamily, cfg: ClosureConfig, space: Space) -> 
 def joint_kernel(ann_ops: OpFamily, piece: Sequence, space: Space) -> SpanBasis:
     """Exact joint kernel of the annihilators on the span of ``piece``.
 
-    ``piece`` lists the basis keys of one graded component; the result is a
-    row-echelon basis (over those keys) of the simultaneous kernel.
+    ``piece`` lists basis keys; the result is the reduced row-echelon basis
+    (over those keys) of the simultaneous kernel.  Each key s becomes one
+    augmented row: its image under operator j with every output key tagged
+    j, plus s itself tagged past the last operator, so every image key sorts
+    before every key of ``piece``.  In the fully reduced echelon form a row
+    whose pivot is a key of ``piece`` has no image part left, since a row's
+    support lies at or above its pivot, and a combination with zero image
+    is eliminated by such rows alone.  So those rows, with their tags
+    dropped, are the kernel's reduced echelon basis.
     """
-    cols = sorted(piece, key=space.sort_key)
-    unit_images = []
-    for s in cols:
+    tag = len(ann_ops)
+    # only the order of the augmented keys is read
+    augmented = SpanBasis(replace(space, sort_key=lambda k: (k[0], space.sort_key(k[1]))))
+    for s in piece:
         vec = SparseVec.basis(s)
-        unit_images.append([op(vec) for _, op in ann_ops])
-    # constraint rows: one per (operator, output key)
-    constraints: dict[Any, dict[int, Fraction]] = {}
-    for j in range(len(ann_ops)):
-        for i, images in enumerate(unit_images):
-            for out_state, c in images[j].terms.items():
-                constraints.setdefault((j, out_state), {})[i] = c
-    ordered = [
-        constraints[k]
-        for k in sorted(constraints, key=lambda k: (k[0], space.sort_key(k[1])))
-    ]
+        terms = {(tag, s): Fraction(1)}
+        for j, (_, op) in enumerate(ann_ops):
+            for out, c in op(vec).terms.items():
+                terms[j, out] = c
+        augmented.insert(SparseVec._of(terms))
     kernel = SpanBasis(space)
-    for coeffs in _solve_kernel(ordered, len(cols)):
-        kernel.insert(SparseVec({cols[i]: q for i, q in coeffs.items()}))
+    for (j, s), row in augmented._rows.items():
+        if j == tag:
+            kernel._rows[s] = SparseVec._of({st: c for (_, st), c in row.terms.items()})
     return kernel

@@ -420,14 +420,28 @@ def affine_relation_check(
 def wakimoto_ops(
     chi: ChiSeries, cfg: ClosureConfig, action: Optional[WeylAction] = None
 ) -> list[tuple[str, object]]:
-    """Current modes able to move weight within the truncation window."""
+    """Current modes able to move weight within the truncation window.
+
+    With B the window's integer weight bound: e(n) and h(n) for |n| <= B,
+    and f(n) also for |n - j| <= B around each pole index j > 0.  No other
+    mode adds a row to a closure.  For n < -B the chi-free part is nonzero
+    and leaves the window: on the top mode-degree its all-creating part
+    multiplies by a nonzero polynomial, which no other term can cancel.
+    For n > B the chi-free part lowers weight below zero, so it vanishes on
+    the window.  What is left is the twist: h's is a scalar, which never
+    grows a span, and f's term -chi_j a*(n - j) vanishes when n - j > B and
+    leaves the window when j - n > B, so for n > B it acts only when
+    j - B <= n <= j + B, which needs j > 0.
+    """
     act = action if action is not None else WeylAction(chi)
     bound = math.floor(cfg.weight_cutoff + cfg.excursion)
-    pad = max((abs(j) for j in chi.support), default=0)
-    span_n = bound + pad
+    f_modes = set(range(-bound, bound + 1))
+    for j in chi.support:
+        if j > 0:
+            f_modes.update(range(j - bound, j + bound + 1))
     ops: list[tuple[str, object]] = []
-    for n in range(-span_n, span_n + 1):
-        for kind in "ehf":
+    for n in sorted(f_modes):
+        for kind in "ehf" if abs(n) <= bound else "f":
             ops.append((f"{kind}({n})", partial(act.apply, kind, n)))
     return ops
 

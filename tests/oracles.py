@@ -4,11 +4,13 @@ Everything here is deliberately implemented by a different route than the
 package: operator words are rewritten generator-by-generator with adjacent
 transpositions (Wick-style), dimensions come from generating functions, and
 Schur values from the truncated series exponential and from a determinant.
-Tests compare package output against these.  Two oracles build on the
+Tests compare package output against these.  Some oracles build on the
 package's own operators instead: ``wick_apply``, the generic normal-ordered
 enumerator for the boson currents, uses its single-mode actions, and
-``hull_a_module_ops`` spans the whole hull of the shifted G- mode ranges
-with its G modes.
+``hull_a_module_ops`` and ``hull_wakimoto_ops`` span the whole hull of the
+twist-shifted mode ranges with its G modes and currents.  The exact kernel
+solve over column indices at the end is the reference for the span
+engine's restricted rows and joint kernels.
 """
 
 import math
@@ -16,8 +18,9 @@ from fractions import Fraction
 from functools import partial
 
 from wakimoto.fock import fmt_halfodd
+from wakimoto.span import SpanBasis, SparseVec
 from wakimoto.superalg import apply_Gminus, apply_Gplus
-from wakimoto.weyl import WeylVec, apply_a, apply_astar
+from wakimoto.weyl import WeylAction, WeylVec, apply_a, apply_astar
 
 # ---------------------------------------------------------------------------
 # fermion side: rewrite a word of (species, doubled mode) generators on |0>
@@ -398,3 +401,113 @@ def hull_a_module_ops(chi, cfg):
     for i in range(lo_m, hi_m + 1):
         ops.append((f"G-({fmt_halfodd(2 * i - 1)})", partial(apply_Gminus, i, chi=chi)))
     return ops
+
+
+def hull_wakimoto_ops(chi, cfg, action=None):
+    """e(n), h(n) and f(n) for every n in the hull [-B - pad, B + pad].
+
+    B is the window's integer weight bound and pad the largest |index| of
+    the twist.  The engine's family keeps f's intervals around the pole
+    indices only; the extra modes here never add a row to a closure.
+    """
+    act = action if action is not None else WeylAction(chi)
+    bound = math.floor(cfg.weight_cutoff + cfg.excursion)
+    pad = max((abs(j) for j in chi.support), default=0)
+    return [
+        (f"{kind}({n})", partial(act.apply, kind, n))
+        for n in range(-bound - pad, bound + pad + 1)
+        for kind in "ehf"
+    ]
+
+
+# ---------------------------------------------------------------------------
+# restricted rows and joint kernels by an exact kernel solve over columns
+# ---------------------------------------------------------------------------
+
+
+def solve_kernel(constraint_rows, ncols):
+    """Kernel basis of an exact sparse linear system over column indices.
+
+    Rows are fully reduced against each other, so the free-column read-off
+    below is valid.  One kernel vector per free column, in ascending order.
+    """
+    rows = {}  # pivot col -> reduced row
+    for src in constraint_rows:
+        row = dict(src)
+        while row:
+            hit = min((c for c in row if c in rows), default=None)
+            if hit is None:
+                break
+            f = row[hit]
+            for c2, v2 in rows[hit].items():
+                row[c2] = row.get(c2, Fraction(0)) - f * v2
+            row = {c2: v2 for c2, v2 in row.items() if v2}
+        if not row:
+            continue
+        p = min(row)
+        inv = Fraction(1) / row[p]
+        row = {c2: inv * v2 for c2, v2 in row.items()}
+        for q, other in list(rows.items()):
+            f = other.get(p)
+            if f:
+                merged = dict(other)
+                for c2, v2 in row.items():
+                    merged[c2] = merged.get(c2, Fraction(0)) - f * v2
+                rows[q] = {c2: v2 for c2, v2 in merged.items() if v2}
+        rows[p] = row
+    out = []
+    for f in range(ncols):
+        if f in rows:
+            continue
+        coeffs = {f: Fraction(1)}
+        for p, row in rows.items():
+            c = row.get(f)
+            if c:
+                coeffs[p] = -c
+        out.append(coeffs)
+    return out
+
+
+def solved_restricted_rows(basis):
+    """``SpanBasis.restricted_rows`` by solving for cancelling tails.
+
+    Rows inside the cutoff pass through; among the rows with a component
+    above it, the combinations whose components above the cutoff cancel are
+    the kernel of one constraint row per such state.
+    """
+    if basis.cfg is None:
+        return basis.rows()
+    space, w = basis.space, basis.cfg.weight_cutoff
+    low, tailed = [], []
+    for r in basis.rows():
+        (low if all(space.weight_of(s) <= w for s in r.terms) else tailed).append(r)
+    out = SpanBasis(space, basis.cfg)
+    for r in low:
+        out.insert(r)
+    constraints = {}
+    for j, r in enumerate(tailed):
+        for s, c in r.terms.items():
+            if space.weight_of(s) > w:
+                constraints.setdefault(s, {})[j] = c
+    ordered = [constraints[s] for s in sorted(constraints, key=space.sort_key)]
+    for combo in solve_kernel(ordered, len(tailed)):
+        out.insert(sum((q * tailed[j] for j, q in combo.items()), SparseVec()))
+    return out.rows()
+
+
+def solved_joint_kernel(ann_ops, piece, space):
+    """``joint_kernel`` by one constraint row per (operator, output key)."""
+    cols = sorted(piece, key=space.sort_key)
+    constraints = {}
+    for i, s in enumerate(cols):
+        vec = SparseVec.basis(s)
+        for j, (_, op) in enumerate(ann_ops):
+            for out, c in op(vec).terms.items():
+                constraints.setdefault((j, out), {})[i] = c
+    ordered = [
+        constraints[k] for k in sorted(constraints, key=lambda k: (k[0], space.sort_key(k[1])))
+    ]
+    kernel = SpanBasis(space)
+    for coeffs in solve_kernel(ordered, len(cols)):
+        kernel.insert(SparseVec({cols[i]: q for i, q in coeffs.items()}))
+    return kernel

@@ -239,6 +239,27 @@ class TestProbeWakimoto:
             }
         ]
 
+    @pytest.mark.parametrize(
+        "coeffs, status",
+        [
+            ([{"m": 0, "value": "2"}, {"m": -1000, "value": "1"}], "reducible"),
+            ([{"m": 1000, "value": "1"}], "irreducible"),
+        ],
+    )
+    def test_far_index_stays_small(self, capsys, coeffs, status):
+        # the current family grows with the pole indices only, and by a
+        # few f modes each, so neither twist builds thousands of operators
+        chi = json.dumps({"coeffs": coeffs})
+        code, out, err = run_cli(
+            capsys,
+            ["probe-wakimoto", "--chi", chi, "--cutoff", "2", "--window", "2", "--excursion", "1"],
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["agrees"] is True
+        assert doc["verdict"]["status"] == status
+        assert doc["evidence"]["probed"] == 24
+
 
 class TestRelations:
     def test_clifford_suite(self, capsys):

@@ -4,6 +4,7 @@ from functools import partial
 
 import pytest
 
+from oracles import solved_joint_kernel, solved_restricted_rows
 from wakimoto import (
     FOCK_SPACE,
     MINUS,
@@ -226,3 +227,64 @@ class TestJointKernel:
         piece = [FermionState((), (3,)), FermionState((), (5,))]
         kernel = joint_kernel(ops, piece, FOCK_SPACE)
         assert kernel.dimension() == 0
+
+
+# -- restricted rows and joint kernels against the kernel-solve reference ----
+
+
+def _inside(row, cfg):
+    return all(FOCK_SPACE.weight_of(s) <= cfg.weight_cutoff for s in row.terms)
+
+
+def test_restricted_rows_match_kernel_solve():
+    # few states and many rows, so tails above the cutoff often cancel
+    rng = random.Random(2024)
+    states = enumerate_basis(Fraction(4))
+    cancelled = 0
+    for _ in range(60):
+        pool = rng.sample(states, 8)
+        vecs = [_random_vec(rng, pool, rng.randint(1, 4)) for _ in range(rng.randint(2, 8))]
+        for cutoff in ("0", "1/2", "3/2", "2", "5/2", "7/2"):
+            cfg = ClosureConfig(weight_cutoff=Fraction(cutoff), excursion=Fraction(4))
+            basis = SpanBasis(FOCK_SPACE, cfg)
+            for v in vecs:
+                basis.insert(v)
+            got = basis.restricted_rows()
+            assert got == solved_restricted_rows(basis)
+            assert all(_inside(r, cfg) for r in got)
+            cancelled += len(got) > sum(_inside(r, cfg) for r in basis.rows())
+    # the comparison is not vacuous: many cases need a cancelling combination
+    assert cancelled >= 20
+
+
+def _linear_op(images):
+    def op(v):
+        out = FermionVec()
+        for s, c in v.terms.items():
+            out = out + c * images.get(s, FermionVec())
+        return out
+
+    return op
+
+
+def test_joint_kernel_matches_kernel_solve():
+    rng = random.Random(99)
+    states = enumerate_basis(Fraction(4))
+    nontrivial = 0
+    for _ in range(60):
+        piece = rng.sample(states, rng.randint(1, 7))
+        targets = rng.sample(states, rng.randint(1, 5))
+        ops = []
+        for j in range(rng.randint(1, 3)):
+            images = {
+                s: _random_vec(rng, targets, rng.randint(1, len(targets)))
+                for s in piece
+                if rng.random() < 0.7
+            }
+            ops.append((f"op{j}", _linear_op(images)))
+        kernel = joint_kernel(ops, piece, FOCK_SPACE)
+        assert kernel.rows() == solved_joint_kernel(ops, piece, FOCK_SPACE).rows()
+        for row in kernel.rows():
+            assert all(op(row).is_zero() for _, op in ops)
+        nontrivial += 0 < kernel.dimension() < len(piece)
+    assert nontrivial >= 20

@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+import wakimoto.weyl as weyl
 from oracles import (
     boson_graded_dims,
     boson_state_word,
     boson_vec_as_dict,
+    hull_wakimoto_ops,
     normal_order_boson,
     oracle_f,
     oracle_h,
@@ -219,10 +221,34 @@ class TestEnumeration:
 
 def test_wakimoto_ops_labels():
     cfg = ClosureConfig(weight_cutoff=Fraction(1), charge_window=(-1, 1), excursion=Fraction(0))
+    inside = [f"{k}({n})" for n in range(-1, 2) for k in ("e", "h", "f")]
+    # a tail index adds no mode; a pole index j adds f(n) for |n - j| <= 1
     labels = [lbl for lbl, _ in wakimoto_ops(ChiSeries({0: 2, -1: 1}), cfg)]
-    assert labels == [
-        f"{k}({n})" for n in range(-2, 3) for k in ("e", "h", "f")
-    ]
+    assert labels == inside
+    labels = [lbl for lbl, _ in wakimoto_ops(ChiSeries({3: 1, -5: 2}), cfg)]
+    assert labels == inside + ["f(2)", "f(3)", "f(4)"]
+
+
+# pole and tail twists, with a gap between f's pole interval and |n| <= B
+HULL_TWISTS = [
+    {1: 1},
+    {7: 1},
+    {1: 1, 6: 2, -3: 1},
+    {2: Fraction(1, 2), -4: 1},
+    {0: 2, -5: 1},
+    {0: -3, -4: 2},
+]
+
+
+@pytest.mark.parametrize("coeffs", HULL_TWISTS)
+def test_family_matches_hull_family(coeffs, monkeypatch):
+    chi = ChiSeries(coeffs)
+    cfg = ClosureConfig(weight_cutoff=Fraction(2), charge_window=(-1, 1), excursion=Fraction(1))
+    family = {lbl for lbl, _ in wakimoto_ops(chi, cfg)}
+    assert family < {lbl for lbl, _ in hull_wakimoto_ops(chi, cfg)}
+    expected = wakimoto_probe(chi, cfg)
+    monkeypatch.setattr(weyl, "wakimoto_ops", hull_wakimoto_ops)
+    assert wakimoto_probe(chi, cfg) == expected
 
 
 class TestProbe:
