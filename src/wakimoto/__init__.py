@@ -68,6 +68,7 @@ from .classify import (
     Report,
     Verdict,
     classify,
+    recorded_cfg,
     verify_certificate,
 )
 from .weyl import (
@@ -79,10 +80,6 @@ from .weyl import (
     WeylState,
     WeylVec,
     affine_relation_check,
-    apply_a,
-    apply_astar,
-    apply_f,
-    apply_h,
     enumerate_weyl_basis,
     evidence_agrees,
     wakimoto_ops,

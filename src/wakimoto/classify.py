@@ -37,8 +37,9 @@ from .fock import (
     parse_state,
     vacuum_vec,
     vec_from_json_obj,
+    weight,
 )
-from .scalars import ChiSeries, ell_of, format_rational, pole_order
+from .scalars import ChiParseError, ChiSeries, ell_of, format_rational, pole_order
 from .schur import schur_at_minus_chi
 from .span import ClosureConfig, SpanBasis, closure, cyclic_probe
 from .superalg import (
@@ -61,6 +62,7 @@ __all__ = [
     "Check",
     "Report",
     "classify",
+    "recorded_cfg",
     "verify_certificate",
 ]
 
@@ -259,6 +261,18 @@ def _cyclic_probes(chi: ChiSeries, cfg: ClosureConfig, start_weight: Fraction) -
     return Check("cyclic_probes", not failures, detail)
 
 
+def recorded_cfg(cert: Certificate) -> ClosureConfig:
+    """The window recorded in the certificate, or ``DEFAULT_CFG`` if none is.
+
+    A malformed or inverted record raises ``ChiParseError`` naming it.
+    """
+    recorded = cert.data.get("cfg")
+    try:
+        return DEFAULT_CFG if recorded is None else ClosureConfig.from_json_obj(recorded)
+    except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise ChiParseError(f"certificate.data.cfg: not a valid window: {exc!r}") from None
+
+
 def verify_certificate(
     chi: ChiSeries,
     verdict: Verdict,
@@ -269,13 +283,13 @@ def verify_certificate(
     """Re-derive every certificate claim from chi alone.
 
     Never raises on a failing claim — each one becomes a failed check in the
-    report.  ``cfg`` defaults to the window recorded in the certificate;
-    ``start_weight`` bounds the generators probed for cyclicity in the
-    irreducible cases (default: min(5/2, weight cutoff)).
+    report.  ``cfg`` defaults to ``recorded_cfg(cert)``, which raises
+    ``ChiParseError`` on a malformed record; ``start_weight`` bounds the
+    generators probed for cyclicity in the irreducible cases (default:
+    min(5/2, weight cutoff)).
     """
     if cfg is None:
-        recorded = cert.data.get("cfg")
-        cfg = ClosureConfig.from_json_obj(recorded) if recorded else DEFAULT_CFG
+        cfg = recorded_cfg(cert)
     if start_weight is None:
         start_weight = min(Fraction(5, 2), cfg.weight_cutoff)
     checks: list[Check] = []
@@ -408,7 +422,13 @@ def verify_certificate(
         str(excluded_state),
     )
     excluded, report, full_dim = _vacuum_closure(chi, cfg, excluded_state)
-    add("state_excluded", excluded, f"weight {fmt_halfodd(2 * q + 1)} monomial not reached")
+    # a state heavier than the window is never reached, so that shows nothing
+    bound = cfg.weight_cutoff + cfg.excursion
+    heavy = weight(excluded_state) > bound
+    detail = f"weight {fmt_halfodd(2 * q + 1)} monomial not reached"
+    if heavy:
+        detail += f"; heavier than the window bound {format_rational(bound)}"
+    add("state_excluded", excluded and not heavy, detail)
     closure_dim = report["dimension"]
     add(
         "proper_within_window",

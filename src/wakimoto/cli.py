@@ -12,7 +12,7 @@ Subcommands:
 All output is JSON on stdout with sorted keys, so identical invocations
 produce byte-identical output.  Exit status: 0 on success, 1 when a check
 fails (verification, agreement, or relation failures), 2 on usage or parse
-errors.
+errors, including a malformed or negative bound.
 """
 
 from __future__ import annotations
@@ -21,29 +21,32 @@ import argparse
 import json
 import random
 import sys
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
-from .classify import DEFAULT_CFG, Certificate, Verdict, classify, verify_certificate
-from .fock import (
-    FermionVec,
-    enumerate_basis,
-    fmt_halfodd,
+from .classify import (
+    DEFAULT_CFG,
+    Certificate,
+    Verdict,
+    classify,
+    recorded_cfg,
+    verify_certificate,
 )
+from .fock import apply_psi_dmode, enumerate_basis, fmt_halfodd
 from .scalars import ChiParseError, parse_chi, parse_rational, format_rational
 from .schur import schur_rec, schur_at_minus_chi
-from .span import ClosureConfig
-from .superalg import anticommutator_check, same_species_anticommutator
+from .span import ClosureConfig, SparseVec
+from .superalg import FOCK_SPACE, anticommutator_check, same_species_anticommutator
 from .weyl import (
+    DEFAULT_PROBE_CFG,
+    WEYL_SPACE,
     WeylAction,
-    WeylVec,
     affine_relation_check,
     enumerate_weyl_basis,
     evidence_agrees,
     wakimoto_probe,
-    weyl_charge,
-    weyl_weight,
 )
-from .fock import apply_psi_dmode, charge as fermion_charge, weight as fermion_weight
 
 __all__ = ["main"]
 
@@ -61,9 +64,31 @@ def _chi_from_args(args):
     return None
 
 
-def _cfg_from_args(args) -> ClosureConfig:
-    w = args.window
-    return ClosureConfig(Fraction(args.cutoff), (-w, w), Fraction(args.excursion))
+def _cfg_from_args(args, base: ClosureConfig) -> ClosureConfig:
+    """``base`` with each of ``--cutoff/--window/--excursion`` given applied.
+
+    The base is ``DEFAULT_CFG`` for ``classify``, ``DEFAULT_PROBE_CFG`` for
+    the probe and the recorded window for ``verify``.  Each flag is applied
+    on its own, so the error names the one that does not parse or fit.
+    """
+    cfg = base
+    for flag, field in (("cutoff", "weight_cutoff"), ("window", "charge_window"),
+                        ("excursion", "excursion")):
+        value = getattr(args, flag)
+        if value is None:
+            continue
+        try:
+            cfg = replace(cfg, **{field: (-value, value) if flag == "window" else value})
+        except (ValueError, ZeroDivisionError):
+            raise ChiParseError(f"--{flag}: not a valid window value: {value!r}") from None
+    return cfg
+
+
+def _bound(text: str, field: str) -> Fraction:
+    value = parse_rational(text, field=field)
+    if value < 0:
+        raise ChiParseError(f"{field}: must be >= 0, got {text!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -75,8 +100,7 @@ def _cmd_classify(args) -> int:
     chi = _chi_from_args(args)
     if chi is None:
         raise ChiParseError("a twist is required (--chi or --chi-file)")
-    cfg = _cfg_from_args(args)
-    verdict, cert = classify(chi, cfg)
+    verdict, cert = classify(chi, _cfg_from_args(args, DEFAULT_CFG))
     _emit(
         {
             "chi": chi.to_json_obj(),
@@ -103,14 +127,7 @@ def _cmd_verify(args) -> int:
         cert = Certificate.from_json_obj(doc["certificate"])
     except (KeyError, TypeError) as exc:
         raise ChiParseError(f"certificate document missing field: {exc}") from exc
-    recorded = cert.data.get("cfg")
-    base = ClosureConfig.from_json_obj(recorded) if recorded else DEFAULT_CFG
-    lo, hi = base.charge_window
-    cfg = ClosureConfig(
-        Fraction(args.cutoff) if args.cutoff is not None else base.weight_cutoff,
-        (-args.window, args.window) if args.window is not None else (lo, hi),
-        Fraction(args.excursion) if args.excursion is not None else base.excursion,
-    )
+    cfg = _cfg_from_args(args, recorded_cfg(cert))
     start = (
         parse_rational(args.start_weight, field="start-weight")
         if args.start_weight is not None
@@ -128,6 +145,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_schur(args) -> int:
+    if args.ell < 0:
+        raise ChiParseError(f"ell: must be >= 0, got {args.ell}")
     if args.at is not None:
         xs = [
             parse_rational(part.strip(), field=f"at[{i}]")
@@ -145,23 +164,14 @@ def _cmd_schur(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    max_weight = parse_rational(args.max_weight, field="max-weight")
+    max_weight = _bound(args.max_weight, "max-weight")
     if args.space == "weyl":
-        window = (-args.window, args.window)
-        states = enumerate_weyl_basis(max_weight, window)
-        graded: dict[tuple, int] = {}
-        for st in states:
-            key = (Fraction(weyl_weight(st)), weyl_charge(st))
-            graded[key] = graded.get(key, 0) + 1
-        labels = [str(st) for st in states]
+        states = enumerate_weyl_basis(max_weight, (-args.window, args.window))
+        space = WEYL_SPACE
     else:
-        ambient = args.space == "ambient"
-        states = enumerate_basis(max_weight, ambient=ambient)
-        graded = {}
-        for st in states:
-            key = (fermion_weight(st), fermion_charge(st))
-            graded[key] = graded.get(key, 0) + 1
-        labels = [str(st) for st in states]
+        states = enumerate_basis(max_weight, ambient=args.space == "ambient")
+        space = FOCK_SPACE
+    graded = Counter((Fraction(space.weight_of(st)), space.charge_of(st)) for st in states)
     doc = {
         "space": args.space,
         "max_weight": format_rational(max_weight),
@@ -172,7 +182,7 @@ def _cmd_enumerate(args) -> int:
         ],
     }
     if args.states:
-        doc["states"] = labels
+        doc["states"] = [str(st) for st in states]
     _emit(doc)
     return 0
 
@@ -181,7 +191,7 @@ def _cmd_probe(args) -> int:
     chi = _chi_from_args(args)
     if chi is None:
         raise ChiParseError("a twist is required (--chi or --chi-file)")
-    cfg = _cfg_from_args(args)
+    cfg = _cfg_from_args(args, DEFAULT_PROBE_CFG)
     verdict, _ = classify(chi, cfg)
     evidence = wakimoto_probe(chi, cfg)
     agrees = evidence_agrees(verdict.status, evidence)
@@ -200,24 +210,23 @@ def _random_rational(rng: random.Random) -> Fraction:
     return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 1, 2, 3]))
 
 
-def _sample_fermion_vecs(rng, bound, ambient, trials):
-    states = enumerate_basis(bound, ambient=ambient)
+def _sample_vecs(rng, states, trials):
     out = []
     for _ in range(trials):
         picks = rng.sample(states, k=min(len(states), rng.randint(1, 3)))
-        out.append(FermionVec.from_items((st, _random_rational(rng)) for st in picks))
+        out.append(SparseVec({st: _random_rational(rng) for st in picks}))
     return out
 
 
 def _cmd_relations(args) -> int:
     rng = random.Random(args.seed)
-    bound = parse_rational(args.weight, field="weight")
+    bound = _bound(args.weight, "weight")
     modes = [2 * k - 1 for k in range(-args.max_mode + 1, args.max_mode + 1)]
     chi = _chi_from_args(args)
     failures: list[str] = []
     checked = 0
     if args.suite == "clifford":
-        vecs = _sample_fermion_vecs(rng, bound, True, args.trials)
+        vecs = _sample_vecs(rng, enumerate_basis(bound, ambient=True), args.trials)
         for v in vecs:
             for dr in modes:
                 for ds in modes:
@@ -225,7 +234,7 @@ def _cmd_relations(args) -> int:
                         lhs = apply_psi_dmode(
                             sp1, dr, apply_psi_dmode(sp2, ds, v)
                         ) + apply_psi_dmode(sp2, ds, apply_psi_dmode(sp1, dr, v))
-                        want = v if (sp1 != sp2 and dr + ds == 0) else FermionVec.zero()
+                        want = v if (sp1 != sp2 and dr + ds == 0) else SparseVec.zero()
                         checked += 1
                         if lhs != want:
                             failures.append(
@@ -234,7 +243,7 @@ def _cmd_relations(args) -> int:
     elif args.suite == "super":
         if chi is None:
             raise ChiParseError("suite 'super' needs a twist (--chi/--chi-file)")
-        vecs = _sample_fermion_vecs(rng, bound, False, args.trials)
+        vecs = _sample_vecs(rng, enumerate_basis(bound), args.trials)
         for v in vecs:
             for dr in modes:
                 r = Fraction(dr, 2)
@@ -252,13 +261,8 @@ def _cmd_relations(args) -> int:
         if chi is None:
             raise ChiParseError("suite 'affine' needs a twist (--chi/--chi-file)")
         action = WeylAction(chi)
-        window = (-args.window, args.window)
-        states = enumerate_weyl_basis(bound, window)
-        vecs = []
-        for _ in range(args.trials):
-            picks = rng.sample(states, k=min(len(states), rng.randint(1, 3)))
-            vecs.append(WeylVec({st: _random_rational(rng) for st in picks}))
-        for v in vecs:
+        states = enumerate_weyl_basis(bound, (-args.window, args.window))
+        for v in _sample_vecs(rng, states, args.trials):
             for m in range(-args.max_mode, args.max_mode + 1):
                 for n in range(-args.max_mode, args.max_mode + 1):
                     for name, ok in affine_relation_check(m, n, v, chi, action):
@@ -287,14 +291,11 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--chi", help="twist as inline JSON {\"coeffs\": [...]}")
     group.add_argument("--chi-file", help="path to a twist JSON document")
 
+    # omitted flags keep the command's base window (see _cfg_from_args)
     cfg_parent = argparse.ArgumentParser(add_help=False)
-    cfg_parent.add_argument("--cutoff", default="4", help="weight cutoff (rational, default 4)")
-    cfg_parent.add_argument(
-        "--window", type=int, default=3, help="half-width of the charge window (default 3)"
-    )
-    cfg_parent.add_argument(
-        "--excursion", default="2", help="extra exploration headroom (rational, default 2)"
-    )
+    cfg_parent.add_argument("--cutoff", help="weight cutoff (rational)")
+    cfg_parent.add_argument("--window", type=int, help="half-width of the charge window")
+    cfg_parent.add_argument("--excursion", help="extra exploration headroom (rational)")
 
     parser = argparse.ArgumentParser(
         prog="wakimoto",
@@ -305,11 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", parents=[chi_parent, cfg_parent], help="classify a twist")
     p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("verify", help="re-check a certificate document")
+    p = sub.add_parser("verify", parents=[cfg_parent], help="re-check a certificate document")
     p.add_argument("--certificate", required=True, help="certificate JSON path ('-' for stdin)")
-    p.add_argument("--cutoff", default=None, help="override the recorded weight cutoff")
-    p.add_argument("--window", type=int, default=None, help="override the charge half-width")
-    p.add_argument("--excursion", default=None, help="override the exploration headroom")
     p.add_argument("--start-weight", default=None, help="max weight of cyclicity generators")
     p.set_defaults(func=_cmd_verify)
 
@@ -332,15 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "probe-wakimoto",
-        parents=[chi_parent],
+        parents=[chi_parent, cfg_parent],
         help="compare boson-side evidence with the verdict",
-    )
-    p.add_argument("--cutoff", default="3", help="weight cutoff (rational, default 3)")
-    p.add_argument(
-        "--window", type=int, default=2, help="half-width of the charge window (default 2)"
-    )
-    p.add_argument(
-        "--excursion", default="2", help="extra exploration headroom (rational, default 2)"
     )
     p.set_defaults(func=_cmd_probe)
 

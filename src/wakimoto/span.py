@@ -296,9 +296,9 @@ class SpanBasis:
             out[key] = out.get(key, 0) + 1
         return out
 
-    def report(self, memberships: Optional[dict[str, bool]] = None) -> dict:
+    def report(self) -> dict:
         graded = self.graded_dimension()
-        body = {
+        return {
             "cfg": self.cfg.to_json_obj() if self.cfg else None,
             "dimension": sum(graded.values()),
             "graded_dimension": [
@@ -306,9 +306,6 @@ class SpanBasis:
                 for (w, c), d in sorted(graded.items())
             ],
         }
-        if memberships is not None:
-            body["membership"] = dict(sorted(memberships.items()))
-        return body
 
 
 def _admissible(v, cfg: ClosureConfig, space: Space, bound: Fraction) -> bool:
@@ -343,9 +340,8 @@ def closure(
     while changed:
         changed = False
         for pivot in basis.pivots():
-            row = basis._rows.get(pivot)
-            if row is None:
-                continue
+            # pivots are never removed, only their rows rewritten
+            row = basis._rows[pivot]
             for _, op in ops:
                 w = op(row)
                 if w.is_zero() or not _admissible(w, cfg, space, bound):

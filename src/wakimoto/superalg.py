@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
 from .fock import (
     MINUS,
@@ -46,7 +46,6 @@ from .fock import (
     fmt_halfodd,
     parse_halfodd,
     state_key,
-    vacuum_vec,
     weight,
 )
 from .scalars import ChiSeries, ell_of

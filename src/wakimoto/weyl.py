@@ -55,10 +55,6 @@ __all__ = [
     "weyl_weight",
     "weyl_charge",
     "weyl_state_key",
-    "apply_a",
-    "apply_astar",
-    "apply_h",
-    "apply_f",
     "WeylAction",
     "enumerate_weyl_basis",
     "affine_relation_check",
@@ -259,28 +255,8 @@ def _f_core(n: int, st: WeylState) -> tuple[tuple[WeylState, int], ...]:
 
 
 # ---------------------------------------------------------------------------
-# single-mode actions
+# the current action
 # ---------------------------------------------------------------------------
-
-
-def _linear(core, n: int, v: WeylVec) -> WeylVec:
-    """Extend a single-monomial core linearly over v."""
-    acc: dict[WeylState, Fraction] = {}
-    for st, c in v.terms.items():
-        for out, k in core(n, st):
-            prev = acc.get(out)
-            acc[out] = c * k if prev is None else prev + c * k
-    return WeylVec._of({st: c for st, c in acc.items() if c})
-
-
-def apply_a(n: int, v: WeylVec) -> WeylVec:
-    """Mode a(n): contraction against a*(-n) for n >= 0, creation below."""
-    return _linear(_a_core, n, v)
-
-
-def apply_astar(n: int, v: WeylVec) -> WeylVec:
-    """Mode a*(n): contraction against a(-n) for n >= 1, creation below."""
-    return _linear(_astar_core, n, v)
 
 
 class WeylAction:
@@ -336,16 +312,6 @@ class WeylAction:
                     acc[out] = get(out, 0) - p * x * k
         den *= scale
         return WeylVec._of({st: Fraction(num, den) for st, num in acc.items() if num})
-
-
-def apply_h(n: int, v: WeylVec, chi: ChiSeries) -> WeylVec:
-    """h(n) = -2 sum_{m+k=n} :a*(m) a(k): - chi_n."""
-    return WeylAction(chi).apply("h", n, v)
-
-
-def apply_f(n: int, v: WeylVec, chi: ChiSeries) -> WeylVec:
-    """f(n) = -sum :a*a*a: + 2n a*(n) - sum_j chi_j a*(n-j)."""
-    return WeylAction(chi).apply("f", n, v)
 
 
 # ---------------------------------------------------------------------------
@@ -475,6 +441,30 @@ class Evidence:
 DEFAULT_PROBE_CFG = ClosureConfig(Fraction(3), (-2, 2), Fraction(2))
 
 
+def _probe_annihilators(
+    chi: ChiSeries, cfg: ClosureConfig, action: WeylAction
+) -> list[tuple[str, object]]:
+    """Raising modes whose joint kernel the probe takes on each graded piece.
+
+    With C = floor(cutoff): e(0), then e(n), h(n) and f(n) for 1 <= n <= C,
+    then f(p) when the pole order p exceeds C.  Adding any raising mode
+    e/h/f(n), n >= 1, leaves every kernel as it is.  Every piece has weight
+    <= C.  For a pole-free chi a mode with n > C acts on a piece by zero:
+    its chi-free part lowers weight below zero, h's twist -chi_n is 0, and
+    f's twist -chi_j a*(n - j) has j <= 0, so a*(n - j) would contract an
+    a-mode heavier than the piece.  For p >= 1 the weight-preserving part
+    of f(p)v is -chi_p a*(0)v, nonzero for v != 0 since a*(0) maps distinct
+    monomials to distinct monomials; so every kernel is 0, whichever other
+    modes the family holds.
+    """
+    top = math.floor(cfg.weight_cutoff)
+    modes = [("e", 0)] + [(kind, n) for n in range(1, top + 1) for kind in "ehf"]
+    p = pole_order(chi)
+    if p > top:
+        modes.append(("f", p))
+    return [(f"{kind}({n})", partial(action.apply, kind, n)) for kind, n in modes]
+
+
 def wakimoto_probe(chi: ChiSeries, cfg: ClosureConfig = DEFAULT_PROBE_CFG) -> Evidence:
     """Collect cyclicity and singular-candidate evidence within the window."""
     action = WeylAction(chi)
@@ -486,11 +476,7 @@ def wakimoto_probe(chi: ChiSeries, cfg: ClosureConfig = DEFAULT_PROBE_CFG) -> Ev
         for st in states
         if not cyclic_probe(WeylVec.basis(st), vac, ops, cfg, WEYL_SPACE)
     )
-    nmax = 2 * math.floor(cfg.weight_cutoff) + max(pole_order(chi), 0) + 1
-    ann: list[tuple[str, object]] = [("e(0)", partial(action.apply, "e", 0))]
-    for n in range(1, nmax + 1):
-        for kind in "ehf":
-            ann.append((f"{kind}({n})", partial(action.apply, kind, n)))
+    ann = _probe_annihilators(chi, cfg, action)
     pieces: dict[tuple[int, int], list[WeylState]] = {}
     for st in states:
         pieces.setdefault((weyl_weight(st), weyl_charge(st)), []).append(st)

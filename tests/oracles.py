@@ -4,13 +4,15 @@ Everything here is deliberately implemented by a different route than the
 package: operator words are rewritten generator-by-generator with adjacent
 transpositions (Wick-style), dimensions come from generating functions, and
 Schur values from the truncated series exponential and from a determinant.
-Tests compare package output against these.  Some oracles build on the
-package's own operators instead: ``wick_apply``, the generic normal-ordered
-enumerator for the boson currents, uses its single-mode actions, and
-``hull_a_module_ops`` and ``hull_wakimoto_ops`` span the whole hull of the
-twist-shifted mode ranges with its G modes and currents.  The exact kernel
-solve over column indices at the end is the reference for the span
-engine's restricted rows and joint kernels.
+Tests compare package output against these.  ``wick_apply``, the generic
+normal-ordered enumerator for the boson currents, applies each single mode
+through the rewriting oracle, not through any package action.  Some
+oracles build on the package's own operators instead: ``hull_a_module_ops``
+and ``hull_wakimoto_ops`` span the whole hull of the twist-shifted mode
+ranges with its G modes and currents, and ``wide_probe_annihilators`` is
+the probe's earlier, wider family of raising modes.  The exact kernel solve
+over column indices at the end is the reference for the span engine's
+restricted rows and joint kernels.
 """
 
 import math
@@ -18,9 +20,10 @@ from fractions import Fraction
 from functools import partial
 
 from wakimoto.fock import fmt_halfodd
+from wakimoto.scalars import pole_order
 from wakimoto.span import SpanBasis, SparseVec
 from wakimoto.superalg import apply_Gminus, apply_Gplus
-from wakimoto.weyl import WeylAction, WeylVec, apply_a, apply_astar
+from wakimoto.weyl import WeylAction, WeylState, WeylVec
 
 # ---------------------------------------------------------------------------
 # fermion side: rewrite a word of (species, doubled mode) generators on |0>
@@ -175,6 +178,17 @@ def oracle_f(n, state, chi):
     return {k: c for k, c in acc.items() if c}
 
 
+def rewrite_mode(kind, m, v):
+    """a(m) or a*(m) on a vector, each monomial by the rewriting oracle."""
+    acc = {}
+    for st, c in v.terms.items():
+        word = ((kind, m),) + boson_state_word(st)
+        for (a_modes, astar_modes), k in normal_order_boson(word, c).items():
+            out = WeylState(a_modes, astar_modes)
+            acc[out] = acc.get(out, 0) + k
+    return WeylVec(acc)
+
+
 def _apply_normal_ordered(factors, v):
     """Apply a normal-ordered product: all annihilators act first.
 
@@ -191,7 +205,7 @@ def _apply_normal_ordered(factors, v):
     for kind, m in ann + cre:
         if v.is_zero():
             break
-        v = apply_a(m, v) if kind == "a" else apply_astar(m, v)
+        v = rewrite_mode(kind, m, v)
     return v
 
 
@@ -199,13 +213,13 @@ def wick_apply(kind, n, v, chi):
     """e(n), h(n) or f(n) on a vector by the generic Wick enumerator.
 
     Sums every normal-ordered summand that can act on each monomial as a
-    whole vector, through the package's single-mode ``apply_a`` and
-    ``apply_astar`` (which the rewriting oracle above pins down).  This was
-    the engine's own route before it computed closed-form per-monomial
-    cores, and stays here as their reference.
+    whole vector, one single mode at a time through ``rewrite_mode``, so no
+    package action is involved.  This was the engine's own route before it
+    computed closed-form per-monomial cores, and stays here as their
+    reference.
     """
     if kind == "e":
-        return apply_a(n, v)
+        return rewrite_mode("a", n, v)
     out = WeylVec.zero()
     for st, c in v.terms.items():
         a_set = set(st.a_modes)
@@ -231,9 +245,9 @@ def wick_apply(kind, n, v, chi):
                 out = out - _apply_normal_ordered([("a*", m1), ("a*", m2), ("a", k)], base)
     if kind == "h":
         return out - chi.coeff(n) * v
-    out = out + 2 * n * apply_astar(n, v)
+    out = out + 2 * n * rewrite_mode("a*", n, v)
     for j in chi.support:
-        out = out - chi.coeff(j) * apply_astar(n - j, v)
+        out = out - chi.coeff(j) * rewrite_mode("a*", n - j, v)
     return out
 
 
@@ -401,6 +415,21 @@ def hull_a_module_ops(chi, cfg):
     for i in range(lo_m, hi_m + 1):
         ops.append((f"G-({fmt_halfodd(2 * i - 1)})", partial(apply_Gminus, i, chi=chi)))
     return ops
+
+
+def wide_probe_annihilators(chi, cfg, action):
+    """e(0), then e(n), h(n) and f(n) for n = 1..2 floor(cutoff) + p + 1.
+
+    p is the pole order.  This was the probe's family before it was cut to
+    the modes that can act on its pieces; the extra modes must leave every
+    joint kernel unchanged.
+    """
+    nmax = 2 * math.floor(cfg.weight_cutoff) + pole_order(chi) + 1
+    return [("e(0)", partial(action.apply, "e", 0))] + [
+        (f"{kind}({n})", partial(action.apply, kind, n))
+        for n in range(1, nmax + 1)
+        for kind in "ehf"
+    ]
 
 
 def hull_wakimoto_ops(chi, cfg, action=None):

@@ -13,6 +13,7 @@ from wakimoto import (
     Verdict,
     a_module_ops,
     classify,
+    recorded_cfg,
     verify_certificate,
 )
 
@@ -133,6 +134,14 @@ def test_verify_with_explicit_small_window():
     assert report.ok
 
 
+def test_recorded_window_else_default():
+    cfg = ClosureConfig(weight_cutoff=Fraction(5, 2), charge_window=(-1, 2), excursion=Fraction(1))
+    _, cert = classify(ChiSeries({1: 1}), cfg)
+    assert recorded_cfg(cert) == cfg
+    data = {k: v for k, v in cert.data.items() if k != "cfg"}
+    assert recorded_cfg(Certificate(cert.kind, data)) == DEFAULT_CFG
+
+
 def _failed_names(report):
     return [c.name for c in report.checks if not c.passed]
 
@@ -238,6 +247,20 @@ class TestTampering:
         assert not check.passed
         assert check.detail == detail + "; no generator besides the vacuum"
         assert not report.ok
+
+    def test_state_heavier_than_the_window_is_not_excluded(self):
+        # q = 3: the excluded state has weight 7/2, above cutoff + excursion = 3
+        chi = ChiSeries({0: -3, -1: 5})
+        verdict, cert = classify(chi, ClosureConfig(Fraction(2), (-2, 2), Fraction(1)))
+        check = _check(verify_certificate(chi, verdict, cert), "state_excluded")
+        assert not check.passed
+        assert check.detail == (
+            "weight 7/2 monomial not reached; heavier than the window bound 3"
+        )
+        verdict, cert = classify(chi)
+        check = _check(verify_certificate(chi, verdict, cert), "state_excluded")
+        assert check.passed
+        assert check.detail == "weight 7/2 monomial not reached"
 
     def test_unreadable_witness_fails_cleanly(self):
         chi = CHIS_BY_KIND["schur_zero"]

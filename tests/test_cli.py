@@ -2,10 +2,11 @@ import io
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from wakimoto import cli
+from wakimoto import DEFAULT_CFG, ClosureConfig, cli
 from wakimoto.cli import main
 
 CHI_SCHUR_NONZERO = json.dumps(
@@ -112,6 +113,58 @@ class TestClassifyVerify:
         code, out, err = run_cli(capsys, ["verify", "--certificate", str(path)])
         assert code == 2
         assert "certificate document missing field: 'verdict'" in err
+
+
+# (argv, recorded window written into a pole certificate for verify, name in the error)
+MALFORMED_BOUNDS = [
+    (["classify", "--chi", CHI_POLE, "--cutoff", "abc"], None, "--cutoff"),
+    (["classify", "--chi", CHI_POLE, "--cutoff", "1/0"], None, "--cutoff"),
+    (["classify", "--chi", CHI_POLE, "--cutoff", "-1"], None, "--cutoff"),
+    (["classify", "--chi", CHI_POLE, "--window", "-1"], None, "--window"),
+    (["classify", "--chi", CHI_POLE, "--excursion=-1/2"], None, "--excursion"),
+    (["probe-wakimoto", "--chi", CHI_POLE, "--cutoff", "x"], None, "--cutoff"),
+    (["probe-wakimoto", "--chi", CHI_POLE, "--window", "-1"], None, "--window"),
+    (["verify", "--cutoff", "-1"], None, "--cutoff"),
+    (["verify", "--window", "-2"], None, "--window"),
+    (["verify"], {"charge_window": [-2, 2]}, "certificate.data.cfg"),
+    (["verify"], "4", "certificate.data.cfg"),
+    (["verify"], [], "certificate.data.cfg"),
+    (["verify"], {"weight_cutoff": "3", "charge_window": [2, -2], "excursion": "2"},
+     "certificate.data.cfg"),
+    (["verify"], {"weight_cutoff": "1/0", "charge_window": [-2, 2], "excursion": "2"},
+     "certificate.data.cfg"),
+    (["verify", "--cutoff", "3"], {"weight_cutoff": "3", "charge_window": 2, "excursion": "2"},
+     "certificate.data.cfg"),
+    (["enumerate", "--max-weight", "-1"], None, "max-weight"),
+    (["relations", "--suite", "clifford", "--weight", "-1"], None, "weight"),
+    (["schur", "--ell", "-1", "--at", "1"], None, "ell"),
+]
+
+
+@pytest.mark.parametrize("argv, recorded, name", MALFORMED_BOUNDS)
+def test_malformed_bound_exits_two(capsys, tmp_path, argv, recorded, name):
+    if argv[0] == "verify":
+        doc = json.loads(classify_document(capsys, CHI_POLE))
+        if recorded is not None:
+            doc["certificate"]["data"]["cfg"] = recorded
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        argv = [*argv, "--certificate", str(path)]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {name}: ") and err.count("\n") == 1, err
+
+
+def test_window_flags_fill_from_the_base(capsys):
+    base = ClosureConfig(Fraction(5), (-1, 2), Fraction(3))
+    parse = cli.build_parser().parse_args
+    args = parse(["verify", "--certificate", "-", "--excursion", "2.5"])
+    assert cli._cfg_from_args(args, base) == ClosureConfig(Fraction(5), (-1, 2), Fraction(5, 2))
+    args = parse(["probe-wakimoto", "--window", "4", "--cutoff", "7/2"])
+    assert cli._cfg_from_args(args, base) == ClosureConfig(Fraction(7, 2), (-4, 4), Fraction(3))
+    assert cli._cfg_from_args(parse(["classify"]), base) == base
+    doc = json.loads(classify_document(capsys, CHI_POLE, extra=[]))
+    assert doc["certificate"]["data"]["cfg"] == DEFAULT_CFG.to_json_obj()
 
 
 class TestSchur:

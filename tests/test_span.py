@@ -122,12 +122,10 @@ class TestSpanBasis:
         cfg = ClosureConfig(weight_cutoff=Fraction(2), charge_window=(-1, 1), excursion=0)
         basis = SpanBasis(FOCK_SPACE, cfg)
         basis.insert(omega_vec(1))
-        rep = basis.report(memberships={"vacuum": False})
-        assert rep == {
+        assert basis.report() == {
             "cfg": cfg.to_json_obj(),
             "dimension": 1,
             "graded_dimension": [{"weight": "3/2", "charge": 1, "dim": 1}],
-            "membership": {"vacuum": False},
         }
 
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -13,6 +14,7 @@ from oracles import (
     oracle_f,
     oracle_h,
     wick_apply,
+    wide_probe_annihilators,
 )
 from wakimoto import (
     WEYL_VACUUM,
@@ -22,10 +24,6 @@ from wakimoto import (
     WeylState,
     WeylVec,
     affine_relation_check,
-    apply_a,
-    apply_astar,
-    apply_f,
-    apply_h,
     enumerate_weyl_basis,
     evidence_agrees,
     wakimoto_ops,
@@ -37,6 +35,19 @@ from wakimoto import (
 )
 
 CHI = ChiSeries({1: Fraction(2), 0: Fraction(-3, 2), -2: Fraction(5)})
+
+
+def _single_mode(core, n, v):
+    """One a or a* mode on a vector, through its single-monomial core."""
+    acc = {}
+    for st, c in v.terms.items():
+        for out, k in core(n, st):
+            acc[out] = acc.get(out, 0) + c * k
+    return WeylVec(acc)
+
+
+a_mode = partial(_single_mode, weyl._a_core)
+astar_mode = partial(_single_mode, weyl._astar_core)
 
 
 def test_state_validation_and_str():
@@ -61,24 +72,24 @@ def test_grading():
 
 def test_annihilators_on_vacuum():
     vac = weyl_vacuum_vec()
-    assert apply_a(0, vac).is_zero()
-    assert apply_a(3, vac).is_zero()
-    assert apply_astar(1, vac).is_zero()
+    assert a_mode(0, vac).is_zero()
+    assert a_mode(3, vac).is_zero()
+    assert astar_mode(1, vac).is_zero()
     # a*(0) creates: the zero mode is two-sided
-    assert apply_astar(0, vac) == WeylVec.basis(WeylState((), (0,)))
+    assert astar_mode(0, vac) == WeylVec.basis(WeylState((), (0,)))
 
 
 def test_multiplicity_contraction():
     two = WeylVec.basis(WeylState((), (1, 1)))  # a*(-1)^2 |0>
-    assert apply_a(1, two) == 2 * WeylVec.basis(WeylState((), (1,)))
+    assert a_mode(1, two) == 2 * WeylVec.basis(WeylState((), (1,)))
     double = WeylVec.basis(WeylState((2, 2), ()))
-    assert apply_astar(2, double) == -2 * WeylVec.basis(WeylState((2,), ()))
+    assert astar_mode(2, double) == -2 * WeylVec.basis(WeylState((2,), ()))
 
 
 def test_creation_inserts():
-    v = apply_a(-2, apply_a(-1, weyl_vacuum_vec()))
+    v = a_mode(-2, a_mode(-1, weyl_vacuum_vec()))
     assert v == WeylVec.basis(WeylState((1, 2), ()))
-    v2 = apply_astar(-1, apply_astar(-1, weyl_vacuum_vec()))
+    v2 = astar_mode(-1, astar_mode(-1, weyl_vacuum_vec()))
     assert v2 == WeylVec.basis(WeylState((), (1, 1)))
 
 
@@ -93,7 +104,7 @@ def test_random_words_match_rewriting_oracle():
             word.append((kind, n))
         v = weyl_vacuum_vec()
         for kind, n in reversed(word):
-            v = apply_a(n, v) if kind == "a" else apply_astar(n, v)
+            v = a_mode(n, v) if kind == "a" else astar_mode(n, v)
         assert boson_vec_as_dict(v) == normal_order_boson(word), word
 
 
@@ -104,15 +115,15 @@ def test_state_word_round_trip():
 
 
 def test_h_on_vacuum_is_minus_chi0():
-    assert apply_h(0, weyl_vacuum_vec(), CHI) == Fraction(3, 2) * weyl_vacuum_vec()
+    assert WeylAction(CHI).apply("h", 0, weyl_vacuum_vec()) == Fraction(3, 2) * weyl_vacuum_vec()
     chi2 = ChiSeries({0: 2})
-    assert apply_h(0, weyl_vacuum_vec(), chi2) == -2 * weyl_vacuum_vec()
+    assert WeylAction(chi2).apply("h", 0, weyl_vacuum_vec()) == -2 * weyl_vacuum_vec()
 
 
 def test_e_is_current_a():
     v = WeylVec.basis(WeylState((1,), (0,)))
-    assert WeylAction(CHI).apply("e", 2, v) == apply_a(2, v)
-    assert WeylAction(ChiSeries()).apply("e", -1, v) == apply_a(-1, v)
+    assert WeylAction(CHI).apply("e", 2, v) == a_mode(2, v)
+    assert WeylAction(ChiSeries()).apply("e", -1, v) == a_mode(-1, v)
 
 
 @pytest.mark.parametrize("c", [Fraction(-1), Fraction(0), Fraction(1, 2)])
@@ -120,15 +131,15 @@ def test_f_zero_mode_reads_the_tail(c):
     # chi = 2/z + c: f(0) a(-1)|0> = c |0>
     chi = ChiSeries({0: 2, -1: c})
     v = WeylVec.basis(WeylState((1,), ()))
-    assert apply_f(0, v, chi) == c * weyl_vacuum_vec()
+    assert WeylAction(chi).apply("f", 0, v) == c * weyl_vacuum_vec()
 
 
 def test_ef_bracket_on_vacuum():
-    chi2 = ChiSeries({0: 2})
+    ap = WeylAction(ChiSeries({0: 2})).apply
     vac = weyl_vacuum_vec()
-    lhs = apply_a(1, apply_f(-1, vac, chi2)) - apply_f(-1, apply_a(1, vac), chi2)
+    lhs = ap("e", 1, ap("f", -1, vac)) - ap("f", -1, ap("e", 1, vac))
     assert lhs == -4 * vac  # h(0) - 2*1*delta = -2 - 2
-    hh = apply_h(1, apply_h(-1, vac, chi2), chi2) - apply_h(-1, apply_h(1, vac, chi2), chi2)
+    hh = ap("h", 1, ap("h", -1, vac)) - ap("h", -1, ap("h", 1, vac))
     assert hh == -4 * vac
 
 
@@ -139,11 +150,12 @@ def test_h_f_match_brute_force_oracle():
         WeylState((), (0, 2)),
         WeylState((1, 3), (0,)),
     ]
+    action = WeylAction(CHI)
     for st in states:
         v = WeylVec.basis(st)
         for n in range(-2, 3):
-            assert boson_vec_as_dict(apply_h(n, v, CHI)) == oracle_h(n, st, CHI), ("h", n, st)
-            assert boson_vec_as_dict(apply_f(n, v, CHI)) == oracle_f(n, st, CHI), ("f", n, st)
+            assert boson_vec_as_dict(action.apply("h", n, v)) == oracle_h(n, st, CHI), ("h", n, st)
+            assert boson_vec_as_dict(action.apply("f", n, v)) == oracle_f(n, st, CHI), ("f", n, st)
 
 
 def test_affine_relations_on_mixed_vector():
@@ -159,10 +171,10 @@ def test_action_memoization_is_transparent():
     action = WeylAction(CHI)
     v = WeylVec.basis(WeylState((1, 2), (0,)))
     first = action.apply("f", 1, v)
-    assert first == apply_f(1, v, CHI)
+    assert first == WeylAction(CHI).apply("f", 1, v)
     assert action.apply("f", 1, v) == first  # cached second call
-    assert action.apply("h", -1, v) == apply_h(-1, v, CHI)
-    assert action.apply("e", 2, v) == apply_a(2, v)
+    assert action.apply("h", -1, v) == WeylAction(CHI).apply("h", -1, v)
+    assert action.apply("e", 2, v) == a_mode(2, v)
 
 
 WICK_TWISTS = (
@@ -249,6 +261,38 @@ def test_family_matches_hull_family(coeffs, monkeypatch):
     expected = wakimoto_probe(chi, cfg)
     monkeypatch.setattr(weyl, "wakimoto_ops", hull_wakimoto_ops)
     assert wakimoto_probe(chi, cfg) == expected
+
+
+# pole-free twists with singular candidates, far tails, and poles on either
+# side of the cutoff
+PROBE_TWISTS = [
+    {0: 2},
+    {0: 2, -1: Fraction(1, 2)},
+    {0: 3, -1: 1, -2: 1},
+    {0: -3, -4: 2},
+    {0: 2, -40: 1},
+    {1: 1},
+    {2: Fraction(1, 2), -4: 1},
+    {5: 1, 0: 2},
+    {40: 1},
+]
+
+
+def test_probe_family_matches_wide_family(monkeypatch):
+    cfg = ClosureConfig(weight_cutoff=Fraction(2), charge_window=(-2, 2), excursion=Fraction(1))
+    ours = [wakimoto_probe(ChiSeries(coeffs), cfg) for coeffs in PROBE_TWISTS]
+    assert sum(bool(ev.candidates) for ev in ours) >= 3
+    monkeypatch.setattr(weyl, "_probe_annihilators", wide_probe_annihilators)
+    assert [wakimoto_probe(ChiSeries(coeffs), cfg) for coeffs in PROBE_TWISTS] == ours
+
+
+def test_probe_family_labels():
+    cfg = ClosureConfig(weight_cutoff=Fraction(5, 2), charge_window=(-1, 1), excursion=Fraction(1))
+    inside = ["e(0)"] + [f"{k}({n})" for n in (1, 2) for k in "ehf"]
+    action = WeylAction(ChiSeries())
+    for coeffs, extra in (({0: 2, -9: 1}, []), ({2: 1}, []), ({1000: 1}, ["f(1000)"])):
+        labels = [lbl for lbl, _ in weyl._probe_annihilators(ChiSeries(coeffs), cfg, action)]
+        assert labels == inside + extra
 
 
 class TestProbe:
