@@ -31,7 +31,6 @@ from .fock import (
     enumerate_basis,
     fmt_halfodd,
     graded_dimension,
-    parse_halfodd,
     parse_state,
     state_key,
     vacuum_vec,
@@ -51,6 +50,7 @@ from .superalg import (
     apply_word,
     extract_omega,
     gminus_string_on_omega,
+    lowering_string,
     lowering_ladder_word,
     omega,
     omega_vec,

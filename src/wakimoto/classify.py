@@ -1,14 +1,16 @@
 """Irreducibility classification of the twisted charged-fermion module.
 
 ``classify`` decides among five mutually exclusive cases by exact
-arithmetic on the twist series chi and emits a certificate.  A separate
-``verify_certificate`` re-derives every claim from scratch:
+arithmetic on the twist series chi, emits a certificate and reads the
+verdict off it through one kind table.  ``verify_certificate`` re-derives
+every claim from chi and compares the record against it:
 
 * case "i"   — chi has a pole (some chi_m != 0 with m > 0): irreducible.
 * case "ii"  — pole-free with chi_0 = 1 or chi_0 not an integer: irreducible.
 * case "iii" — pole-free, ell = chi_0 - 1 >= 1 and S_ell(-chi) != 0:
-  irreducible; the certificate carries the lowering word whose image on the
-  staircase vector Omega_ell is a nonzero multiple of the vacuum.
+  irreducible; the certificate records the lowering string
+  G-(1/2) ... G-(ell-1/2), which sends the staircase vector Omega_ell to a
+  nonzero multiple of the vacuum and which the verifier builds again.
 * "schur_zero" — ell >= 1 but S_ell(-chi) = 0: reducible; the certificate
   carries the singular vector w annihilated by all positive modes, plus a
   truncated-closure run showing the vacuum is not reached from Omega_ell.
@@ -44,12 +46,11 @@ from .schur import schur_at_minus_chi
 from .span import ClosureConfig, SpanBasis, closure, cyclic_probe
 from .superalg import (
     FOCK_SPACE,
-    OperatorWord,
     a_module_ops,
     apply_Gminus,
     apply_Gplus,
-    apply_word,
     gminus_string_on_omega,
+    lowering_string,
     omega,
     omega_vec,
     singular_w,
@@ -68,8 +69,19 @@ __all__ = [
 
 DEFAULT_CFG = ClosureConfig()
 
-_IRREDUCIBLE_KINDS = {"pole": "i", "generic_weight": "ii", "schur_nonzero": "iii"}
-_REDUCIBLE_KINDS = {"schur_zero": "schur_zero", "neg_ell": "neg_ell"}
+
+def _read_part(obj, part: str, fields: tuple[str, ...]) -> tuple:
+    """The string ``fields`` and the ``data`` object of one document part."""
+    if not isinstance(obj, dict):
+        raise ChiParseError(f"{part}: expected an object")
+    values = [obj[name] for name in fields]
+    for name, value in zip(fields, values):
+        if not isinstance(value, str):
+            raise ChiParseError(f"{part}.{name}: expected a string")
+    data = obj.get("data", {})
+    if not isinstance(data, dict):
+        raise ChiParseError(f"{part}.data: expected an object")
+    return (*values, dict(data))
 
 
 @dataclass(frozen=True)
@@ -82,8 +94,8 @@ class Verdict:
         return {"status": self.status, "case": self.case, "data": dict(self.data)}
 
     @classmethod
-    def from_json_obj(cls, obj: dict) -> "Verdict":
-        return cls(obj["status"], obj["case"], dict(obj.get("data", {})))
+    def from_json_obj(cls, obj) -> "Verdict":
+        return cls(*_read_part(obj, "verdict", ("status", "case")))
 
 
 @dataclass(frozen=True)
@@ -95,8 +107,27 @@ class Certificate:
         return {"kind": self.kind, "data": dict(self.data)}
 
     @classmethod
-    def from_json_obj(cls, obj: dict) -> "Certificate":
-        return cls(obj["kind"], dict(obj.get("data", {})))
+    def from_json_obj(cls, obj) -> "Certificate":
+        return cls(*_read_part(obj, "certificate", ("kind",)))
+
+
+# certificate kind -> (status, case, certificate fields the verdict repeats)
+_KINDS = {
+    "pole": ("irreducible", "i", ("pole_order", "chi_p")),
+    "generic_weight": ("irreducible", "ii", ("chi0",)),
+    "schur_nonzero": ("irreducible", "iii", ("ell", "schur_value")),
+    "schur_zero": ("reducible", "schur_zero", ("ell",)),
+    "neg_ell": ("reducible", "neg_ell", ("ell", "q")),
+}
+
+
+def _verdict_of(cert: Certificate) -> Optional[Verdict]:
+    """The verdict a certificate supports, or None for an unknown kind."""
+    entry = _KINDS.get(cert.kind)
+    if entry is None:
+        return None
+    status, case, fields = entry
+    return Verdict(status, case, {name: cert.data.get(name) for name in fields})
 
 
 @dataclass(frozen=True)
@@ -162,65 +193,39 @@ def classify(chi: ChiSeries, cfg: ClosureConfig = DEFAULT_CFG) -> tuple[Verdict,
 
     The irreducible cases are settled by scalar arithmetic alone; the
     reducible cases additionally run the span engine inside ``cfg`` to
-    attach concrete witness data.
+    attach concrete witness data.  The verdict is read off the certificate.
     """
     p = pole_order(chi)
-    if p >= 1:
-        lead = format_rational(chi.coeff(p))
-        verdict = Verdict("irreducible", "i", {"pole_order": p, "chi_p": lead})
-        cert = Certificate("pole", {"pole_order": p, "chi_p": lead, "cfg": cfg.to_json_obj()})
-        return verdict, cert
-    chi0 = chi.coeff(0)
     ell = ell_of(chi)
-    if ell is None or ell == 0:
-        c0 = format_rational(chi0)
-        verdict = Verdict("irreducible", "ii", {"chi0": c0})
-        cert = Certificate("generic_weight", {"chi0": c0, "cfg": cfg.to_json_obj()})
-        return verdict, cert
-    if ell >= 1:
-        sval = schur_at_minus_chi(ell, chi)
-        if sval != 0:
-            word = OperatorWord(tuple(("G-", 2 * i - 1) for i in range(1, ell + 1)))
-            coeff = gminus_string_on_omega(ell, chi)
-            verdict = Verdict(
-                "irreducible", "iii", {"ell": ell, "schur_value": format_rational(sval)}
-            )
-            cert = Certificate(
-                "schur_nonzero",
-                {
-                    "ell": ell,
-                    "schur_value": format_rational(sval),
-                    "lowering_word": word.to_json_obj(),
-                    "vacuum_coefficient": format_rational(coeff),
-                    "cfg": cfg.to_json_obj(),
-                },
-            )
-            return verdict, cert
+    if p >= 1:
+        kind, data = "pole", {"pole_order": p, "chi_p": format_rational(chi.coeff(p))}
+    elif ell is None or ell == 0:
+        kind, data = "generic_weight", {"chi0": format_rational(chi.coeff(0))}
+    elif ell >= 1 and (sval := schur_at_minus_chi(ell, chi)) != 0:
+        kind, data = "schur_nonzero", {
+            "ell": ell,
+            "schur_value": format_rational(sval),
+            "lowering_word": lowering_string(ell).to_json_obj(),
+            "vacuum_coefficient": format_rational(gminus_string_on_omega(ell, chi)),
+        }
+    elif ell >= 1:
         w = singular_w(ell, chi)
         nmax = max(4, ell + 2)
         basis, vacuum_excluded = _omega_closure(ell, chi, cfg)
-        verdict = Verdict("reducible", "schur_zero", {"ell": ell})
-        cert = Certificate(
-            "schur_zero",
-            {
-                "ell": ell,
-                "omega": str(omega(ell)),
-                "w": w.to_json_obj(),
-                "annihilation_range": nmax,
-                "annihilation_failures": _annihilation_failures(w, chi, nmax),
-                "vacuum_excluded": vacuum_excluded,
-                "closure": basis.report(),
-                "cfg": cfg.to_json_obj(),
-            },
-        )
-        return verdict, cert
-    q = -ell - 1
-    excluded_state = FermionState((2 * q + 1,), ())
-    excluded, report, full_dim = _vacuum_closure(chi, cfg, excluded_state)
-    verdict = Verdict("reducible", "neg_ell", {"ell": ell, "q": q})
-    cert = Certificate(
-        "neg_ell",
-        {
+        kind, data = "schur_zero", {
+            "ell": ell,
+            "omega": str(omega(ell)),
+            "w": w.to_json_obj(),
+            "annihilation_range": nmax,
+            "annihilation_failures": _annihilation_failures(w, chi, nmax),
+            "vacuum_excluded": vacuum_excluded,
+            "closure": basis.report(),
+        }
+    else:
+        q = -ell - 1
+        excluded_state = FermionState((2 * q + 1,), ())
+        excluded, report, full_dim = _vacuum_closure(chi, cfg, excluded_state)
+        kind, data = "neg_ell", {
             "ell": ell,
             "q": q,
             "excluded_state": str(excluded_state),
@@ -228,10 +233,9 @@ def classify(chi: ChiSeries, cfg: ClosureConfig = DEFAULT_CFG) -> tuple[Verdict,
             "closure_dimension": report["dimension"],
             "full_dimension": full_dim,
             "closure": report,
-            "cfg": cfg.to_json_obj(),
-        },
-    )
-    return verdict, cert
+        }
+    cert = Certificate(kind, {**data, "cfg": cfg.to_json_obj()})
+    return _verdict_of(cert), cert
 
 
 # ---------------------------------------------------------------------------
@@ -299,14 +303,10 @@ def verify_certificate(
         return bool(passed)
 
     kind = cert.kind
-    expected_case = _IRREDUCIBLE_KINDS.get(kind) or _REDUCIBLE_KINDS.get(kind)
-    expected_status = "irreducible" if kind in _IRREDUCIBLE_KINDS else "reducible"
-    add(
-        "verdict_matches_certificate",
-        expected_case == verdict.case and verdict.status == expected_status,
-        f"kind={kind}, case={verdict.case}, status={verdict.status}",
-    )
-    if expected_case is None:
+    derived = _verdict_of(cert)
+    detail = f"kind={kind}, case={verdict.case}, status={verdict.status}"
+    add("verdict_matches_certificate", verdict == derived, detail)
+    if derived is None:
         return Report(tuple(checks))
 
     p = pole_order(chi)
@@ -349,14 +349,15 @@ def verify_certificate(
                 sval != 0 and format_rational(sval) == cert.data.get("schur_value"),
                 f"S_{ell}(-chi)={format_rational(sval)}",
             )
-            word = OperatorWord.from_json_obj(cert.data.get("lowering_word", []))
-            image = apply_word(word, omega_vec(ell), chi)
-            expected = Fraction(cert.data.get("vacuum_coefficient", "0"))
-            derived = Fraction(math.factorial(ell)) * (-1) ** ell * sval
+            coeff = gminus_string_on_omega(ell, chi)
+            recorded = cert.data.get("vacuum_coefficient")
             add(
                 "lowering_word_reaches_vacuum",
-                expected != 0 and expected == derived and image == expected * vacuum_vec(),
-                f"coefficient={format_rational(expected)}",
+                cert.data.get("lowering_word") == lowering_string(ell).to_json_obj()
+                and coeff != 0
+                and coeff == math.factorial(ell) * (-1) ** ell * sval
+                and recorded == format_rational(coeff),
+                f"coefficient={recorded}",
             )
         checks.append(_cyclic_probes(chi, cfg, start_weight))
         return Report(tuple(checks))

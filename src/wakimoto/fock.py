@@ -54,7 +54,6 @@ __all__ = [
     "graded_dimension",
     "check_tilde",
     "fmt_halfodd",
-    "parse_halfodd",
     "as_dmode",
 ]
 
@@ -75,11 +74,6 @@ def as_dmode(mode: Union[Fraction, int, str]) -> int:
 def fmt_halfodd(d: int) -> str:
     """Doubled odd integer -> literal like ``-3/2``."""
     return f"{d}/2"
-
-
-def parse_halfodd(text: str) -> int:
-    d = as_dmode(Fraction(text.strip()))
-    return d
 
 
 @dataclass(frozen=True)
@@ -142,6 +136,8 @@ _STATE_TOKEN_RE = re.compile(r"Psi([+-])\(-(\d+)/2\)\Z")
 
 def parse_state(text: str) -> FermionState:
     """Inverse of ``str(FermionState)``; accepts only canonical words."""
+    if not isinstance(text, str):
+        raise ValueError(f"state text must be a string, got {text!r}")
     tokens = text.split()
     if not tokens or tokens[-1] != "|0>":
         raise ValueError(f"state text must end with |0>: {text!r}")

@@ -19,9 +19,13 @@ operator families for closures consist of the odd modes only.
 
 The module also provides the staircase vectors Omega_s, the extraction
 procedure that maps any nonzero vector of the charged subspace onto a
-staircase vector by raising modes, the lowering strings whose vacuum
-coefficient is a Schur polynomial value, and the ladder words connecting
-staircase vectors of different heights.
+staircase vector by raising modes, the lowering string
+``G-(1/2) ... G-(ell-1/2)`` whose vacuum coefficient on Omega_ell is a Schur
+polynomial value, and the ladder words connecting staircase vectors of
+different heights.  Operator words hold G± modes only: a bare fermion mode
+is not an element of the algebra.  ``lowering_string`` is the one builder of
+the case-iii string; the classifier records it, and the verifier derives it
+again rather than reading it from a certificate.
 """
 
 from __future__ import annotations
@@ -33,18 +37,16 @@ from functools import partial
 from typing import NamedTuple, Optional
 
 from .fock import (
-    MINUS,
     PLUS,
     VACUUM,
     FermionState,
     FermionVec,
     _psi_core,
-    apply_psi_dmode,
+    apply_psi_dmode,  # not called here: perfbench/tracer.py wraps superalg.apply_psi_dmode
     as_dmode,
     charge,
     check_tilde,
     fmt_halfodd,
-    parse_halfodd,
     state_key,
     weight,
 )
@@ -65,6 +67,7 @@ __all__ = [
     "apply_word",
     "Extraction",
     "extract_omega",
+    "lowering_string",
     "gminus_string_on_omega",
     "singular_w",
     "lowering_ladder_word",
@@ -173,15 +176,14 @@ def omega_vec(s: int) -> FermionVec:
 # operator words
 # ---------------------------------------------------------------------------
 
-_WORD_OPS = ("G+", "G-", "Psi+", "Psi-")
+_WORD_OPS = ("G+", "G-")
 
 
 @dataclass(frozen=True)
 class OperatorWord:
-    """A product of mode operators, applied right to left.
+    """A product of odd modes of the algebra, applied right to left.
 
-    Entries are (label, doubled mode) pairs with label in
-    {"G+", "G-", "Psi+", "Psi-"}.
+    Entries are (label, doubled mode) pairs with label "G+" or "G-".
     """
 
     ops: tuple[tuple[str, int], ...] = ()
@@ -199,17 +201,6 @@ class OperatorWord:
     def to_json_obj(self) -> list[dict]:
         return [{"op": label, "mode": fmt_halfodd(d)} for label, d in self.ops]
 
-    @classmethod
-    def from_json_obj(cls, obj) -> "OperatorWord":
-        entries = []
-        for i, item in enumerate(obj):
-            label = item.get("op")
-            mode = item.get("mode")
-            if label not in _WORD_OPS:
-                raise ValueError(f"ops[{i}].op: unknown operator {label!r}")
-            entries.append((label, parse_halfodd(mode)))
-        return cls(tuple(entries))
-
     def __str__(self) -> str:
         if not self.ops:
             return "1"
@@ -221,14 +212,10 @@ def apply_word(word: OperatorWord, v: FermionVec, chi: Optional[ChiSeries] = Non
     for label, d in reversed(word.ops):
         if label == "G+":
             v = apply_Gplus((d + 1) // 2, v)
-        elif label == "G-":
-            if chi is None:
-                raise ValueError("G- factors need a twist series")
-            v = apply_Gminus((d + 1) // 2, v, chi)
-        elif label == "Psi+":
-            v = apply_psi_dmode(PLUS, d, v)
+        elif chi is None:
+            raise ValueError("G- factors need a twist series")
         else:
-            v = apply_psi_dmode(MINUS, d, v)
+            v = apply_Gminus((d + 1) // 2, v, chi)
     return v
 
 
@@ -293,20 +280,23 @@ def extract_omega(v: FermionVec) -> Extraction:
 # ---------------------------------------------------------------------------
 
 
+def lowering_string(ell: int) -> OperatorWord:
+    """``G-(1/2) ... G-(ell-1/2)``, the string case iii applies to Omega_ell."""
+    if ell < 1:
+        raise ValueError("ell must be >= 1")
+    return OperatorWord(tuple(("G-", 2 * i - 1) for i in range(1, ell + 1)))
+
+
 def gminus_string_on_omega(ell: int, chi: ChiSeries) -> Fraction:
-    """Vacuum coefficient of ``G-(1/2) ... G-(ell-1/2) Omega_ell``.
+    """Vacuum coefficient of ``lowering_string(ell)`` applied to Omega_ell.
 
     Requires a pole-free twist with ``chi_0 = ell + 1``.  All modes in the
     string annihilate, so the image lies on the vacuum line; the coefficient
     equals ``(-1)^ell ell! S_ell(-chi)``, which tests check independently.
     """
-    if ell < 1:
-        raise ValueError("ell must be >= 1")
     if ell_of(chi) != ell:
         raise ValueError(f"twist must be pole-free with chi_0 = {ell + 1}")
-    v = omega_vec(ell)
-    for i in range(ell, 0, -1):
-        v = apply_Gminus(i, v, chi)
+    v = apply_word(lowering_string(ell), omega_vec(ell), chi)
     residue = {st for st in v.terms if st != VACUUM}
     if residue:
         raise RuntimeError(f"lowering string left non-vacuum terms: {sorted(map(str, residue))}")
@@ -316,17 +306,12 @@ def gminus_string_on_omega(ell: int, chi: ChiSeries) -> Fraction:
 def singular_w(ell: int, chi: ChiSeries) -> FermionVec:
     """``w = G-(3/2) ... G-(ell-1/2) Omega_ell`` (just ``Omega_1`` for ell=1).
 
-    When ``S_ell(-chi) = 0`` this vector is annihilated by every positive
+    That is the lowering string less its leftmost factor G-(1/2).  When ``S_ell(-chi) = 0`` this vector is annihilated by every positive
     G mode and generates a proper submodule.
     """
-    if ell < 1:
-        raise ValueError("ell must be >= 1")
     if ell_of(chi) != ell:
         raise ValueError(f"twist must be pole-free with chi_0 = {ell + 1}")
-    v = omega_vec(ell)
-    for i in range(ell, 1, -1):
-        v = apply_Gminus(i, v, chi)
-    return v
+    return apply_word(OperatorWord(lowering_string(ell).ops[1:]), omega_vec(ell), chi)
 
 
 def lowering_ladder_word(s: int, target: int) -> OperatorWord:

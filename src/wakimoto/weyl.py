@@ -357,10 +357,10 @@ def enumerate_weyl_basis(
 
 
 def affine_relation_check(
-    m: int, n: int, v: WeylVec, chi: ChiSeries, action: Optional[WeylAction] = None
+    m: int, n: int, v: WeylVec, chi: ChiSeries, action: WeylAction
 ) -> list[tuple[str, bool]]:
     """Evaluate every bracket relation at modes (m, n) on the vector v."""
-    ap = (action if action is not None else WeylAction(chi)).apply
+    ap = action.apply
     delta = 1 if m + n == 0 else 0
     he = ap("h", m, ap("e", n, v)) - ap("e", n, ap("h", m, v))
     hf = ap("h", m, ap("f", n, v)) - ap("f", n, ap("h", m, v))
@@ -384,7 +384,7 @@ def affine_relation_check(
 
 
 def wakimoto_ops(
-    chi: ChiSeries, cfg: ClosureConfig, action: Optional[WeylAction] = None
+    chi: ChiSeries, cfg: ClosureConfig, action: WeylAction
 ) -> list[tuple[str, object]]:
     """Current modes able to move weight within the truncation window.
 
@@ -399,7 +399,6 @@ def wakimoto_ops(
     leaves the window when j - n > B, so for n > B it acts only when
     j - B <= n <= j + B, which needs j > 0.
     """
-    act = action if action is not None else WeylAction(chi)
     bound = math.floor(cfg.weight_cutoff + cfg.excursion)
     f_modes = set(range(-bound, bound + 1))
     for j in chi.support:
@@ -408,7 +407,7 @@ def wakimoto_ops(
     ops: list[tuple[str, object]] = []
     for n in sorted(f_modes):
         for kind in "ehf" if abs(n) <= bound else "f":
-            ops.append((f"{kind}({n})", partial(act.apply, kind, n)))
+            ops.append((f"{kind}({n})", partial(action.apply, kind, n)))
     return ops
 
 

@@ -23,7 +23,7 @@ from wakimoto.fock import fmt_halfodd
 from wakimoto.scalars import pole_order
 from wakimoto.span import SpanBasis, SparseVec
 from wakimoto.superalg import apply_Gminus, apply_Gplus
-from wakimoto.weyl import WeylAction, WeylState, WeylVec
+from wakimoto.weyl import WeylState, WeylVec
 
 # ---------------------------------------------------------------------------
 # fermion side: rewrite a word of (species, doubled mode) generators on |0>
@@ -432,18 +432,17 @@ def wide_probe_annihilators(chi, cfg, action):
     ]
 
 
-def hull_wakimoto_ops(chi, cfg, action=None):
+def hull_wakimoto_ops(chi, cfg, action):
     """e(n), h(n) and f(n) for every n in the hull [-B - pad, B + pad].
 
     B is the window's integer weight bound and pad the largest |index| of
     the twist.  The engine's family keeps f's intervals around the pole
     indices only; the extra modes here never add a row to a closure.
     """
-    act = action if action is not None else WeylAction(chi)
     bound = math.floor(cfg.weight_cutoff + cfg.excursion)
     pad = max((abs(j) for j in chi.support), default=0)
     return [
-        (f"{kind}({n})", partial(act.apply, kind, n))
+        (f"{kind}({n})", partial(action.apply, kind, n))
         for n in range(-bound - pad, bound + pad + 1)
         for kind in "ehf"
     ]

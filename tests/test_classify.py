@@ -287,6 +287,35 @@ class TestTampering:
         report = verify_certificate(chi, verdict, Certificate(cert.kind, data))
         assert "excluded_state" in _failed_names(report)
 
+    def test_forged_lowering_word_fails(self):
+        # Psi-(3/2) sends Omega_1 to the vacuum with the honest coefficient,
+        # but a bare fermion mode is not an element of the algebra
+        chi = ChiSeries({0: 2, -1: 1})
+        verdict, cert = classify(chi)
+        for word in (
+            [{"op": "Psi-", "mode": "3/2"}],
+            cert.data["lowering_word"] + [{"op": "G+", "mode": "-1/2"}],
+        ):
+            data = dict(cert.data, lowering_word=word)
+            report = verify_certificate(chi, verdict, Certificate(cert.kind, data))
+            assert _failed_names(report) == ["lowering_word_reaches_vacuum"]
+            assert _check(report, "lowering_word_reaches_vacuum").detail == "coefficient=1"
+
+    def test_unknown_kind_fails(self):
+        chi = CHIS_BY_KIND["schur_zero"]
+        _, cert = classify(chi)
+        forged = Verdict("reducible", None, {})
+        report = verify_certificate(chi, forged, Certificate("bogus", cert.data))
+        assert _failed_names(report) == ["verdict_matches_certificate"]
+        assert len(report.checks) == 1
+
+    def test_verdict_data_must_repeat_the_certificate(self):
+        chi = CHIS_BY_KIND["neg_ell"]
+        verdict, cert = classify(chi)
+        for data in ({}, dict(verdict.data, q=verdict.data["q"] + 1), dict(verdict.data, x=1)):
+            report = verify_certificate(chi, Verdict(verdict.status, verdict.case, data), cert)
+            assert _failed_names(report) == ["verdict_matches_certificate"]
+
     def test_verdict_status_flip_detected(self):
         chi = CHIS_BY_KIND["schur_zero"]
         verdict, cert = classify(chi)

@@ -79,16 +79,21 @@ class TestClassifyVerify:
 
     def test_tampered_value_flips_exit_status(self, capsys, tmp_path):
         doc = json.loads(classify_document(capsys, CHI_SCHUR_NONZERO))
-        doc["certificate"]["data"]["schur_value"] = "7"
         path = tmp_path / "tampered.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
-        code, out, err = run_cli(capsys, ["verify", "--certificate", str(path)])
-        assert code == 1
-        report = json.loads(out)["report"]
-        assert report["ok"] is False
-        assert [c["name"] for c in report["checks"] if not c["passed"]] == [
-            "schur_nonzero"
-        ]
+        # the verdict repeats the certificate's value, so tampering with one
+        # side fails the match too; tampering with both fails only the value
+        for parts, failing in (
+            (["certificate"], ["verdict_matches_certificate", "schur_nonzero"]),
+            (["certificate", "verdict"], ["schur_nonzero"]),
+        ):
+            for part in parts:
+                doc[part]["data"]["schur_value"] = "7"
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            code, out, err = run_cli(capsys, ["verify", "--certificate", str(path)])
+            assert code == 1
+            report = json.loads(out)["report"]
+            assert report["ok"] is False
+            assert [c["name"] for c in report["checks"] if not c["passed"]] == failing
 
     def test_missing_certificate_file(self, capsys, tmp_path):
         code, out, err = run_cli(
@@ -165,6 +170,88 @@ def test_window_flags_fill_from_the_base(capsys):
     assert cli._cfg_from_args(parse(["classify"]), base) == base
     doc = json.loads(classify_document(capsys, CHI_POLE, extra=[]))
     assert doc["certificate"]["data"]["cfg"] == DEFAULT_CFG.to_json_obj()
+
+
+CHI_NEG_ELL = json.dumps({"coeffs": [{"m": 0, "value": "-1"}]})
+_WORD = ("certificate", "data", "lowering_word")
+_COEFF = ("certificate", "data", "vacuum_coefficient")
+
+# (twist, path of the value in a classify document, the value written there,
+# exit code, failing check (exit 1) or field named in the error (exit 2))
+MALFORMED_INPUTS = [
+    (CHI_SCHUR_NONZERO, _WORD, [{"op": "Q", "mode": "1/2"}], 1, "lowering_word_reaches_vacuum"),
+    (CHI_SCHUR_NONZERO, _WORD, [{"op": "G-", "mode": "1"}], 1, "lowering_word_reaches_vacuum"),
+    (CHI_SCHUR_NONZERO, _WORD, ["x"], 1, "lowering_word_reaches_vacuum"),
+    (CHI_SCHUR_NONZERO, _WORD, 5, 1, "lowering_word_reaches_vacuum"),
+    (CHI_SCHUR_NONZERO, _COEFF, "abc", 1, "lowering_word_reaches_vacuum"),
+    (CHI_SCHUR_NONZERO, _COEFF, "1/0", 1, "lowering_word_reaches_vacuum"),
+    (CHI_NEG_ELL, ("certificate", "data", "excluded_state"), 5, 1, "excluded_state"),
+    (CHI_NEG_ELL, ("certificate", "data", "excluded_state"), None, 1, "excluded_state"),
+    (CHI_SCHUR_ZERO, ("certificate", "data", "w"), [{"state": 5, "value": "1"}], 1,
+     "witness_matches"),
+    (CHI_SCHUR_NONZERO, ("certificate", "data"), "abc", 2, "certificate.data"),
+    (CHI_SCHUR_NONZERO, ("certificate", "data"), [["ell", 1]], 2, "certificate.data"),
+    (CHI_SCHUR_NONZERO, ("certificate", "kind"), ["x"], 2, "certificate.kind"),
+    (CHI_SCHUR_NONZERO, ("certificate",), "abc", 2, "certificate"),
+    (CHI_SCHUR_NONZERO, ("verdict", "data"), "ab", 2, "verdict.data"),
+    (CHI_SCHUR_NONZERO, ("verdict", "data"), [["ell", 2]], 2, "verdict.data"),
+    (CHI_SCHUR_NONZERO, ("verdict", "status"), 5, 2, "verdict.status"),
+    (CHI_SCHUR_NONZERO, ("verdict", "case"), None, 2, "verdict.case"),
+]
+
+
+def verify_edited(capsys, monkeypatch, chi_text, path, value):
+    doc = json.loads(classify_document(capsys, chi_text))
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    return run_cli(capsys, ["verify", "--certificate", "-"])
+
+
+@pytest.mark.parametrize(
+    "chi_text, path, value, code, name",
+    MALFORMED_INPUTS,
+    ids=[f"{i:02d}-{'.'.join(case[1])}" for i, case in enumerate(MALFORMED_INPUTS)],
+)
+def test_malformed_certificate_input(capsys, monkeypatch, chi_text, path, value, code, name):
+    # main returns instead of raising, so no traceback can reach the user
+    got, out, err = verify_edited(capsys, monkeypatch, chi_text, path, value)
+    assert got == code
+    if code == 2:
+        assert out == ""
+        assert err.startswith(f"error: {name}: ") and err.count("\n") == 1, err
+    else:
+        assert err == ""
+        failed = [c["name"] for c in json.loads(out)["report"]["checks"] if not c["passed"]]
+        assert failed == [name]
+
+
+def test_forged_certificates_are_refused(capsys, monkeypatch):
+    chi = json.dumps({"coeffs": [{"m": 0, "value": "2"}, {"m": -1, "value": "1"}]})
+    word = [{"op": "Psi-", "mode": "3/2"}]
+    code, out, err = verify_edited(capsys, monkeypatch, chi, _WORD, word)
+    assert code == 1
+    failed = [c["name"] for c in json.loads(out)["report"]["checks"] if not c["passed"]]
+    assert failed == ["lowering_word_reaches_vacuum"]
+    # a verdict without a case is a document of the wrong shape; with a case
+    # it still fails, since no kind "bogus" supports any verdict
+    doc = json.loads(classify_document(capsys, CHI_SCHUR_ZERO))
+    doc["certificate"]["kind"] = "bogus"
+    for case, code in ((None, 2), ("schur_zero", 1)):
+        doc["verdict"] = {"status": "reducible", "case": case}
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+        got, out, err = run_cli(capsys, ["verify", "--certificate", "-"])
+        assert got == code
+        if code == 2:
+            assert (out, err) == ("", "error: verdict.case: expected a string\n")
+        else:
+            checks = json.loads(out)["report"]["checks"]
+            assert [(c["name"], c["passed"]) for c in checks] == [
+                ("verdict_matches_certificate", False)
+            ]
 
 
 class TestSchur:

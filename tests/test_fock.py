@@ -26,7 +26,6 @@ from wakimoto import (
     extract_omega,
     fmt_halfodd,
     graded_dimension,
-    parse_halfodd,
     parse_state,
     state_key,
     vacuum_vec,
@@ -41,7 +40,6 @@ def test_halfodd_helpers():
     assert as_dmode(Fraction(-1, 2)) == -1
     assert as_dmode("5/2") == 5
     assert fmt_halfodd(-7) == "-7/2"
-    assert parse_halfodd(" 3/2 ") == 3
     for bad in (Fraction(1), Fraction(3, 4), 2):
         with pytest.raises(ValueError):
             as_dmode(bad)

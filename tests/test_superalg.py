@@ -22,6 +22,7 @@ from wakimoto import (
     extract_omega,
     gminus_string_on_omega,
     lowering_ladder_word,
+    lowering_string,
     omega,
     omega_vec,
     raising_ladder_word,
@@ -159,32 +160,31 @@ def test_omega_staircase():
 
 class TestOperatorWord:
     def test_validation(self):
-        OperatorWord((("G+", 1), ("Psi-", -3)))
-        with pytest.raises(ValueError):
-            OperatorWord((("X", 1),))
+        OperatorWord((("G+", 1), ("G-", -3)))
+        # a bare fermion mode is not an element of the algebra
+        for label in ("X", "Psi+", "Psi-"):
+            with pytest.raises(ValueError):
+                OperatorWord(((label, 1),))
         with pytest.raises(ValueError):
             OperatorWord((("G+", 2),))
 
-    def test_str_and_json_round_trip(self):
-        w = OperatorWord((("G-", 3), ("Psi+", -1)))
-        assert str(w) == "G-(3/2) Psi+(-1/2)"
+    def test_str_and_json(self):
+        w = OperatorWord((("G-", 3), ("G+", -1)))
+        assert str(w) == "G-(3/2) G+(-1/2)"
         assert str(OperatorWord()) == "1"
-        assert OperatorWord.from_json_obj(w.to_json_obj()) == w
         assert w.to_json_obj() == [
             {"op": "G-", "mode": "3/2"},
-            {"op": "Psi+", "mode": "-1/2"},
+            {"op": "G+", "mode": "-1/2"},
         ]
 
-    def test_from_json_rejects_unknown_op(self):
-        with pytest.raises(ValueError, match=r"ops\[0\].op"):
-            OperatorWord.from_json_obj([{"op": "Q", "mode": "1/2"}])
-
     def test_apply_is_right_to_left(self):
-        w = OperatorWord((("Psi+", 3), ("Psi-", -3)))
-        # rightmost first: creates Psi-(-3/2) then annihilates against it
-        assert apply_word(w, vacuum_vec()) == vacuum_vec()
-        flipped = OperatorWord((("Psi-", -3), ("Psi+", 3)))
-        assert apply_word(flipped, vacuum_vec()).is_zero()
+        chi = ChiSeries({0: 2})
+        w = OperatorWord((("G+", 3), ("G-", -3)))
+        # rightmost first: G-(-3/2) creates 3 Psi-(-3/2), then G+(3/2) = -2 Psi+(3/2)
+        # annihilates against it
+        assert apply_word(w, vacuum_vec(), chi) == -6 * vacuum_vec()
+        flipped = OperatorWord((("G-", -3), ("G+", 3)))
+        assert apply_word(flipped, vacuum_vec(), chi).is_zero()
 
     def test_gminus_requires_twist(self):
         with pytest.raises(ValueError, match="twist"):
@@ -256,6 +256,22 @@ class TestExtraction:
 
 
 class TestLoweringString:
+    def test_modes(self):
+        assert lowering_string(1) == OperatorWord((("G-", 1),))
+        assert str(lowering_string(3)) == "G-(1/2) G-(3/2) G-(5/2)"
+        with pytest.raises(ValueError):
+            lowering_string(0)
+
+    @pytest.mark.parametrize(
+        "ell, coeffs", [(1, {0: 2, -1: 1}), (2, {0: 3, -2: 1}), (3, {0: 4, -1: 1, -3: 2})]
+    )
+    def test_string_and_witness_apply_the_one_word(self, ell, coeffs):
+        chi = ChiSeries(coeffs)
+        image = apply_word(lowering_string(ell), omega_vec(ell), chi)
+        assert image == gminus_string_on_omega(ell, chi) * vacuum_vec()
+        # w is the string less its leftmost factor G-(1/2)
+        assert apply_Gminus(1, singular_w(ell, chi), chi) == image
+
     def test_matches_schur_value(self):
         rng = random.Random(3)
         for ell in (1, 2, 3, 4):

@@ -235,9 +235,11 @@ def test_wakimoto_ops_labels():
     cfg = ClosureConfig(weight_cutoff=Fraction(1), charge_window=(-1, 1), excursion=Fraction(0))
     inside = [f"{k}({n})" for n in range(-1, 2) for k in ("e", "h", "f")]
     # a tail index adds no mode; a pole index j adds f(n) for |n - j| <= 1
-    labels = [lbl for lbl, _ in wakimoto_ops(ChiSeries({0: 2, -1: 1}), cfg)]
+    chi = ChiSeries({0: 2, -1: 1})
+    labels = [lbl for lbl, _ in wakimoto_ops(chi, cfg, WeylAction(chi))]
     assert labels == inside
-    labels = [lbl for lbl, _ in wakimoto_ops(ChiSeries({3: 1, -5: 2}), cfg)]
+    chi = ChiSeries({3: 1, -5: 2})
+    labels = [lbl for lbl, _ in wakimoto_ops(chi, cfg, WeylAction(chi))]
     assert labels == inside + ["f(2)", "f(3)", "f(4)"]
 
 
@@ -256,8 +258,9 @@ HULL_TWISTS = [
 def test_family_matches_hull_family(coeffs, monkeypatch):
     chi = ChiSeries(coeffs)
     cfg = ClosureConfig(weight_cutoff=Fraction(2), charge_window=(-1, 1), excursion=Fraction(1))
-    family = {lbl for lbl, _ in wakimoto_ops(chi, cfg)}
-    assert family < {lbl for lbl, _ in hull_wakimoto_ops(chi, cfg)}
+    action = WeylAction(chi)
+    family = {lbl for lbl, _ in wakimoto_ops(chi, cfg, action)}
+    assert family < {lbl for lbl, _ in hull_wakimoto_ops(chi, cfg, action)}
     expected = wakimoto_probe(chi, cfg)
     monkeypatch.setattr(weyl, "wakimoto_ops", hull_wakimoto_ops)
     assert wakimoto_probe(chi, cfg) == expected
