@@ -130,6 +130,16 @@ def _verdict_of(cert: Certificate) -> Optional[Verdict]:
     return Verdict(status, case, {name: cert.data.get(name) for name in fields})
 
 
+def _is_int(value, want: int) -> bool:
+    """Is a recorded JSON value the integer ``want``, and not a boolean?"""
+    return type(value) is int and value == want
+
+
+def _same_types(a: dict, b: dict) -> bool:
+    """Do equal data hold equal types, so no boolean stands in for an integer?"""
+    return all(type(value) is type(b[name]) for name, value in a.items())
+
+
 @dataclass(frozen=True)
 class Check:
     name: str
@@ -305,7 +315,11 @@ def verify_certificate(
     kind = cert.kind
     derived = _verdict_of(cert)
     detail = f"kind={kind}, case={verdict.case}, status={verdict.status}"
-    add("verdict_matches_certificate", verdict == derived, detail)
+    add(
+        "verdict_matches_certificate",
+        verdict == derived and _same_types(verdict.data, derived.data),
+        detail,
+    )
     if derived is None:
         return Report(tuple(checks))
 
@@ -313,7 +327,7 @@ def verify_certificate(
     ell = ell_of(chi)
 
     if kind == "pole":
-        ok_p = p >= 1 and p == cert.data.get("pole_order")
+        ok_p = p >= 1 and _is_int(cert.data.get("pole_order"), p)
         add("pole_order", ok_p, f"pole_order={p}")
         lead = chi.coeff(p) if p >= 1 else Fraction(0)
         add(
@@ -339,7 +353,7 @@ def verify_certificate(
     if kind == "schur_nonzero":
         ell_ok = add(
             "ell",
-            p == 0 and ell is not None and ell >= 1 and ell == cert.data.get("ell"),
+            p == 0 and ell is not None and ell >= 1 and _is_int(cert.data.get("ell"), ell),
             f"ell={ell}",
         )
         if ell_ok:
@@ -365,7 +379,7 @@ def verify_certificate(
     if kind == "schur_zero":
         ell_ok = add(
             "ell",
-            p == 0 and ell is not None and ell >= 1 and ell == cert.data.get("ell"),
+            p == 0 and ell is not None and ell >= 1 and _is_int(cert.data.get("ell"), ell),
             f"ell={ell}",
         )
         if not ell_ok:
@@ -405,13 +419,13 @@ def verify_certificate(
     # kind == "neg_ell"
     ell_ok = add(
         "ell",
-        p == 0 and ell is not None and ell <= -1 and ell == cert.data.get("ell"),
+        p == 0 and ell is not None and ell <= -1 and _is_int(cert.data.get("ell"), ell),
         f"ell={ell}",
     )
     if not ell_ok:
         return Report(tuple(checks))
     q = -ell - 1
-    add("q", q == cert.data.get("q"), f"q={q}")
+    add("q", _is_int(cert.data.get("q"), q), f"q={q}")
     try:
         excluded_state = parse_state(cert.data.get("excluded_state", ""))
     except ValueError as exc:
@@ -434,8 +448,8 @@ def verify_certificate(
     add(
         "proper_within_window",
         closure_dim < full_dim
-        and closure_dim == cert.data.get("closure_dimension")
-        and full_dim == cert.data.get("full_dimension"),
+        and _is_int(cert.data.get("closure_dimension"), closure_dim)
+        and _is_int(cert.data.get("full_dimension"), full_dim),
         f"closure {closure_dim} < full {full_dim}",
     )
     return Report(tuple(checks))

@@ -128,11 +128,15 @@ def _cmd_verify(args) -> int:
     except (KeyError, TypeError) as exc:
         raise ChiParseError(f"certificate document missing field: {exc}") from exc
     cfg = _cfg_from_args(args, recorded_cfg(cert))
-    start = (
-        parse_rational(args.start_weight, field="start-weight")
-        if args.start_weight is not None
-        else None
-    )
+    start = None
+    if args.start_weight is not None:
+        # the probes enumerate every state up to this weight
+        start = _bound(args.start_weight, "--start-weight")
+        if start > cfg.weight_cutoff:
+            raise ChiParseError(
+                f"--start-weight: must not exceed the weight cutoff "
+                f"{format_rational(cfg.weight_cutoff)}, got {args.start_weight!r}"
+            )
     report = verify_certificate(chi, verdict, cert, cfg=cfg, start_weight=start)
     _emit(
         {

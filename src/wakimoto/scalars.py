@@ -50,12 +50,13 @@ def parse_rational(text: str, field: str = "value") -> Fraction:
     if not _RATIONAL_RE.match(s):
         raise ChiParseError(f"{field}: not a rational literal: {text!r}")
     num, _, den = s.partition("/")
-    if den:
-        d = int(den)
-        if d == 0:
-            raise ChiParseError(f"{field}: zero denominator in {text!r}")
-        return Fraction(int(num), d)
-    return Fraction(int(num))
+    try:
+        n, d = int(num), int(den or 1)
+    except ValueError:  # more digits than int() converts
+        raise ChiParseError(f"{field}: rational literal too long") from None
+    if d == 0:
+        raise ChiParseError(f"{field}: zero denominator in {text!r}")
+    return Fraction(n, d)
 
 
 def format_rational(q) -> str:

@@ -13,6 +13,12 @@ Scalar operators (e.g. central or diagonal mode actions) map a vector to a
 multiple of itself and can never enlarge a span, so operator families only
 need the genuinely shifting modes.
 
+Each unit of work is done once.  The closure expands a row again only after
+an insert has rewritten it: the images of an unchanged row already lie in
+the span.  Rows are fully reduced, each holding its own pivot with
+coefficient 1 and no other pivot, so ``reduce`` subtracts each hit row once,
+in a single pass.
+
 :class:`SpanBasis` is the only Gaussian elimination here.  Its rows are
 the unique fully reduced echelon basis for a total order on keys, and the
 other exact questions are answered by eliminating under a derived order:
@@ -223,22 +229,34 @@ class SpanBasis:
         Interior components matter too, not just the leading one: rows stay
         fully reduced so the row set is the unique reduced echelon basis of
         the span and restricted reporting cannot hide a low-weight row
-        behind a high-weight tail.  Eliminating the smallest hit first makes
-        progress monotone (a row's support lies at or above its pivot).
+        behind a high-weight tail.  Full reduction also makes one pass
+        enough: row s holds its pivot s with coefficient 1 and no other
+        pivot, so subtracting v[s]·row_s changes no other pivot's
+        coefficient.  The remainder is v − Σ v[s]·row_s over the pivots s
+        in v's support, in any order.
         """
-        while not v.is_zero():
-            hit = min(
-                (s for s in v.terms if s in self._rows),
-                key=self.space.sort_key,
-                default=None,
-            )
-            if hit is None:
-                return v
-            v = v - v.terms[hit] * self._rows[hit]
-        return v
+        rows = self._rows
+        terms = v.terms
+        hits = [s for s in terms if s in rows]
+        if not hits:
+            return v
+        data = dict(terms)
+        for s in hits:
+            c = terms[s]
+            for st, rc in rows[s].terms.items():
+                total = data.get(st, 0) - c * rc
+                if total:
+                    data[st] = total
+                else:
+                    del data[st]
+        return SparseVec._of(data)
 
     def insert(self, v) -> bool:
-        """Insert a vector, keeping full reduction; True if the span grew."""
+        """Insert a vector, keeping full reduction; True if the span grew.
+
+        A row it rewrites becomes a new object, and a call that does not
+        grow the span changes nothing; ``closure`` relies on both.
+        """
         v = self.reduce(v)
         if v.is_zero():
             return False
@@ -324,7 +342,13 @@ def closure(
 ) -> SpanBasis:
     """Least fixpoint of the operator family inside the truncation window.
 
-    Every operator is applied to every row until a full sweep adds nothing.
+    Sweeps over the pivots apply every operator to each row until a sweep
+    adds nothing.  A row is expanded once per version: ``insert`` replaces
+    a row by a new object whenever it rewrites it, and a row that is the
+    same object as when it was last expanded is skipped.  Its images were
+    inserted then, or left the window, and the span only grows, so they
+    would reduce to zero now and change nothing.  The inserts that grow
+    the span, and the resulting basis, are those of the full sweep.
     When ``stop_if_contains`` is given, the loop returns early as soon as
     that vector reduces to zero — used for membership probes where a partial
     basis already certifies the positive answer.
@@ -336,12 +360,16 @@ def closure(
             basis.insert(g)
     if stop_if_contains is not None and basis.contains(stop_if_contains):
         return basis
+    expanded: dict[Any, Any] = {}  # pivot -> the row object last expanded
     changed = True
     while changed:
         changed = False
         for pivot in basis.pivots():
             # pivots are never removed, only their rows rewritten
             row = basis._rows[pivot]
+            if expanded.get(pivot) is row:
+                continue
+            expanded[pivot] = row
             for _, op in ops:
                 w = op(row)
                 if w.is_zero() or not _admissible(w, cfg, space, bound):

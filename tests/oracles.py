@@ -12,7 +12,11 @@ and ``hull_wakimoto_ops`` span the whole hull of the twist-shifted mode
 ranges with its G modes and currents, and ``wide_probe_annihilators`` is
 the probe's earlier, wider family of raising modes.  The exact kernel solve
 over column indices at the end is the reference for the span engine's
-restricted rows and joint kernels.
+restricted rows and joint kernels.  ``ordered_reduce`` and
+``sweep_closure`` are the span engine's earlier elimination (smallest pivot
+hit first, one hit per step) and full-sweep closure (every operator on
+every row until a sweep adds nothing), kept as references for the one-pass
+``SpanBasis.reduce`` and the closure that skips unchanged rows.
 """
 
 import math
@@ -21,7 +25,7 @@ from functools import partial
 
 from wakimoto.fock import fmt_halfodd
 from wakimoto.scalars import pole_order
-from wakimoto.span import SpanBasis, SparseVec
+from wakimoto.span import SpanBasis, SparseVec, _admissible
 from wakimoto.superalg import apply_Gminus, apply_Gplus
 from wakimoto.weyl import WeylState, WeylVec
 
@@ -539,3 +543,48 @@ def solved_joint_kernel(ann_ops, piece, space):
     for coeffs in solve_kernel(ordered, len(cols)):
         kernel.insert(SparseVec({cols[i]: q for i, q in coeffs.items()}))
     return kernel
+
+
+# ---------------------------------------------------------------------------
+# the span engine's earlier elimination and closure
+# ---------------------------------------------------------------------------
+
+
+def ordered_reduce(basis, v):
+    """``SpanBasis.reduce`` by eliminating the smallest pivot hit first."""
+    while not v.is_zero():
+        hit = min(
+            (s for s in v.terms if s in basis._rows),
+            key=basis.space.sort_key,
+            default=None,
+        )
+        if hit is None:
+            return v
+        v = v - v.terms[hit] * basis._rows[hit]
+    return v
+
+
+def sweep_closure(generators, ops, cfg, space, stop_if_contains=None):
+    """``closure`` by full sweeps: every operator on every row, every sweep."""
+    bound = cfg.weight_cutoff + cfg.excursion
+    basis = SpanBasis(space, cfg)
+    for g in generators:
+        if not g.is_zero() and _admissible(g, cfg, space, bound):
+            basis.insert(g)
+    if stop_if_contains is not None and basis.contains(stop_if_contains):
+        return basis
+    changed = True
+    while changed:
+        changed = False
+        for pivot in basis.pivots():
+            # pivots are never removed, only their rows rewritten
+            row = basis._rows[pivot]
+            for _, op in ops:
+                w = op(row)
+                if w.is_zero() or not _admissible(w, cfg, space, bound):
+                    continue
+                if basis.insert(w):
+                    changed = True
+                    if stop_if_contains is not None and basis.contains(stop_if_contains):
+                        return basis
+    return basis

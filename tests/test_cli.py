@@ -143,6 +143,10 @@ MALFORMED_BOUNDS = [
     (["enumerate", "--max-weight", "-1"], None, "max-weight"),
     (["relations", "--suite", "clifford", "--weight", "-1"], None, "weight"),
     (["schur", "--ell", "-1", "--at", "1"], None, "ell"),
+    (["verify", "--start-weight", "-1"], None, "--start-weight"),
+    (["verify", "--start-weight", "100"], None, "--start-weight"),
+    (["verify", "--cutoff", "2", "--start-weight", "5/2"], None, "--start-weight"),
+    (["verify", "--start-weight", "1" + "0" * 5000], None, "--start-weight"),
 ]
 
 
@@ -158,6 +162,21 @@ def test_malformed_bound_exits_two(capsys, tmp_path, argv, recorded, name):
     code, out, err = run_cli(capsys, argv)
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {name}: ") and err.count("\n") == 1, err
+
+
+def test_start_weight_widens_the_probes(capsys, tmp_path):
+    # the certify benchmark's window: cutoff 5, start weight 7/2
+    path = tmp_path / "cert.json"
+    path.write_text(classify_document(
+        capsys, CHI_POLE, extra=["--cutoff", "5", "--window", "3", "--excursion", "2"]))
+    probes = {}
+    for extra in ([], ["--start-weight", "7/2"]):
+        code, out, err = run_cli(capsys, ["verify", "--certificate", str(path), *extra])
+        assert (code, err) == (0, "")
+        checks = json.loads(out)["report"]["checks"]
+        probes[len(extra)] = next(c["detail"] for c in checks if c["name"] == "cyclic_probes")
+    # `enumerate` counts 8 charged states up to weight 5/2 and 14 up to 7/2
+    assert probes == {0: "8/8 generators cyclic", 2: "14/14 generators cyclic"}
 
 
 def test_window_flags_fill_from_the_base(capsys):
@@ -229,10 +248,40 @@ def test_malformed_certificate_input(capsys, monkeypatch, chi_text, path, value,
         assert failed == [name]
 
 
+CHI_ELL_ONE = json.dumps({"coeffs": [{"m": 0, "value": "2"}, {"m": -1, "value": "1"}]})
+
+
+# (twist, integer field the verdict repeats, the checks a boolean there fails)
+BOOLEAN_FIELDS = [
+    (CHI_ELL_ONE, "ell", ["ell"]),
+    (CHI_NEG_ELL, "q", ["q"]),
+    (CHI_POLE, "pole_order", ["pole_order", "pole_coefficient"]),
+]
+
+
+@pytest.mark.parametrize("chi_text, field, failing", BOOLEAN_FIELDS,
+                         ids=[field for _, field, _ in BOOLEAN_FIELDS])
+def test_boolean_is_not_an_integer(capsys, monkeypatch, chi_text, field, failing):
+    # JSON true equals 1 in Python; the verifier must not take one for the other
+    doc = json.loads(classify_document(capsys, chi_text))
+    assert doc["certificate"]["data"][field] == 1
+    doc["verdict"]["data"][field] = True
+    for parts, failed_checks in (
+        (("verdict",), ["verdict_matches_certificate"]),
+        (("verdict", "certificate"), failing),
+    ):
+        for part in parts:
+            doc[part]["data"][field] = True
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+        code, out, err = run_cli(capsys, ["verify", "--certificate", "-"])
+        assert (code, err) == (1, "")
+        failed = [c["name"] for c in json.loads(out)["report"]["checks"] if not c["passed"]]
+        assert failed == failed_checks
+
+
 def test_forged_certificates_are_refused(capsys, monkeypatch):
-    chi = json.dumps({"coeffs": [{"m": 0, "value": "2"}, {"m": -1, "value": "1"}]})
     word = [{"op": "Psi-", "mode": "3/2"}]
-    code, out, err = verify_edited(capsys, monkeypatch, chi, _WORD, word)
+    code, out, err = verify_edited(capsys, monkeypatch, CHI_ELL_ONE, _WORD, word)
     assert code == 1
     failed = [c["name"] for c in json.loads(out)["report"]["checks"] if not c["passed"]]
     assert failed == ["lowering_word_reaches_vacuum"]

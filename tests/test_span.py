@@ -4,23 +4,32 @@ from functools import partial
 
 import pytest
 
-from oracles import solved_joint_kernel, solved_restricted_rows
+from oracles import ordered_reduce, solved_joint_kernel, solved_restricted_rows, sweep_closure
 from wakimoto import (
     FOCK_SPACE,
     MINUS,
+    WEYL_SPACE,
     ChiSeries,
     ClosureConfig,
     FermionState,
     FermionVec,
     SpanBasis,
+    WeylAction,
+    WeylVec,
     a_module_ops,
     apply_psi_dmode,
     closure,
     cyclic_probe,
+    ell_of,
     enumerate_basis,
+    enumerate_weyl_basis,
     joint_kernel,
     omega_vec,
+    pole_order,
+    schur_at_minus_chi,
     vacuum_vec,
+    wakimoto_ops,
+    weyl_vacuum_vec,
 )
 
 
@@ -286,3 +295,139 @@ def test_joint_kernel_matches_kernel_solve():
             assert all(op(row).is_zero() for _, op in ops)
         nontrivial += 0 < kernel.dimension() < len(piece)
     assert nontrivial >= 20
+
+
+def test_one_pass_reduce_matches_ordered_elimination():
+    rng = random.Random(4711)
+    states = enumerate_basis(Fraction(4))
+    multi_hit = 0
+    for _ in range(60):
+        pool = rng.sample(states, 10)
+        basis = SpanBasis(FOCK_SPACE)
+        for _ in range(rng.randint(1, 8)):
+            basis.insert(_random_vec(rng, pool, rng.randint(1, 5)))
+        for _ in range(5):
+            v = _random_vec(rng, pool, rng.randint(1, 6))
+            assert basis.reduce(v) == ordered_reduce(basis, v)
+            multi_hit += sum(s in basis.pivots() for s in v.terms) >= 2
+    # the comparison is not vacuous: most queries hit several pivots
+    assert multi_hit >= 100
+
+
+# -- the closure that skips unchanged rows against the full sweep ------------
+
+
+def _draw(rng):
+    return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2, 3]))
+
+
+def _twist(case, rng):
+    """A seeded twist of one of the classifier's five cases."""
+    if case == "i":
+        chi = ChiSeries({1: _draw(rng), 0: _draw(rng)})
+    elif case == "ii":
+        chi = ChiSeries({0: Fraction(rng.choice([-3, 1, 5]), 2), -1: _draw(rng)})
+    elif case == "iii":
+        chi = ChiSeries({0: 3, -1: _draw(rng)})
+        assert schur_at_minus_chi(2, chi) != 0
+    elif case == "schur_zero":
+        # S_2(-chi) is x_2/2 plus a polynomial in x_1, with x_2 = -chi_-2
+        coeffs = {0: 3, -1: _draw(rng)}
+        coeffs[-2] = 2 * schur_at_minus_chi(2, ChiSeries(coeffs))
+        chi = ChiSeries(coeffs)
+        assert schur_at_minus_chi(2, chi) == 0
+    else:
+        chi = ChiSeries({0: rng.choice([0, -1]), -1: _draw(rng)})
+    assert (pole_order(chi) >= 1) == (case == "i")
+    assert (ell_of(chi) is not None and ell_of(chi) <= -1) == (case == "neg_ell")
+    return chi
+
+
+def _generators(case, chi, space, rng):
+    """The case's own generator and one random basis state of the window."""
+    if space is FOCK_SPACE:
+        cfg = ClosureConfig(weight_cutoff=Fraction(3), charge_window=(-2, 2), excursion=Fraction(1))
+        ops = a_module_ops(chi, cfg)
+        vac = vacuum_vec()
+        own = omega_vec(2) if case in ("iii", "schur_zero") else vac
+        other = FermionVec.basis(rng.choice(enumerate_basis(Fraction(2))))
+    else:
+        cfg = ClosureConfig(weight_cutoff=Fraction(2), charge_window=(-1, 1), excursion=Fraction(1))
+        ops = wakimoto_ops(chi, cfg, WeylAction(chi))
+        vac = own = weyl_vacuum_vec()
+        other = WeylVec.basis(rng.choice(enumerate_weyl_basis(Fraction(2), (-1, 1))))
+    return cfg, ops, vac, (own, other)
+
+
+def _recorded(run, generators, ops, cfg, space, stop, monkeypatch):
+    """A closure run with its growing inserts and its op applications."""
+    grown = []
+    applied = [0]
+    insert = SpanBasis.insert
+
+    def recording(self, v):
+        grew = insert(self, v)
+        if grew:
+            grown.append(v)
+        return grew
+
+    def counted(op):
+        def apply(v):
+            applied[0] += 1
+            return op(v)
+
+        return apply
+
+    with monkeypatch.context() as mp:
+        mp.setattr(SpanBasis, "insert", recording)
+        basis = run(generators, [(name, counted(op)) for name, op in ops], cfg, space, stop)
+    return basis, grown, applied[0]
+
+
+@pytest.mark.parametrize("space", [FOCK_SPACE, WEYL_SPACE], ids=["fock", "weyl"])
+@pytest.mark.parametrize("case", ["i", "ii", "iii", "schur_zero", "neg_ell"])
+def test_closure_matches_full_sweep(case, space, monkeypatch):
+    rng = random.Random(f"{case}:{space is FOCK_SPACE}")
+    for _ in range(2):
+        chi = _twist(case, rng)
+        cfg, ops, vac, generators = _generators(case, chi, space, rng)
+        for g in generators:
+            for stop in (None, vac):
+                new, new_grown, new_applied = _recorded(
+                    closure, [g], ops, cfg, space, stop, monkeypatch)
+                old, old_grown, old_applied = _recorded(
+                    sweep_closure, [g], ops, cfg, space, stop, monkeypatch)
+                assert new.pivots() == old.pivots()
+                assert new.rows() == old.rows()
+                assert new.report() == old.report()
+                assert new_grown == old_grown
+                assert new_applied <= old_applied
+
+
+@pytest.mark.parametrize("case", ["schur_zero", "neg_ell"])
+def test_closure_skips_unchanged_rows(case, monkeypatch):
+    chi = _twist(case, random.Random(case))
+    cfg, ops, _, (own, _) = _generators(case, chi, FOCK_SPACE, random.Random(0))
+    new, _, new_applied = _recorded(closure, [own], ops, cfg, FOCK_SPACE, None, monkeypatch)
+    old, _, old_applied = _recorded(sweep_closure, [own], ops, cfg, FOCK_SPACE, None, monkeypatch)
+    assert new.dimension() == old.dimension() > 1
+    assert new_applied < old_applied
+
+
+def test_rewritten_row_is_expanded_again():
+    # x + y is expanded first, and its image leaves the window.  The image
+    # y of w then rewrites that row to x, whose image t is new: only a
+    # closure that expands rewritten rows again reaches t.
+    x, w, y, t = sorted(enumerate_basis(Fraction(2)), key=FOCK_SPACE.sort_key)[:4]
+    heavy = FermionVec.basis(FermionState((), (7, 5, 3)))  # weight 15/2
+    images = {
+        x: FermionVec.basis(t),
+        y: heavy - FermionVec.basis(t),
+        w: FermionVec.basis(y),
+    }
+    ops = [("op", _linear_op(images))]
+    cfg = ClosureConfig(weight_cutoff=Fraction(2), charge_window=(-3, 3), excursion=0)
+    generators = [FermionVec.basis(x) + FermionVec.basis(y), FermionVec.basis(w)]
+    basis = closure(generators, ops, cfg, FOCK_SPACE)
+    assert basis.contains(FermionVec.basis(t))
+    assert basis.rows() == sweep_closure(generators, ops, cfg, FOCK_SPACE).rows()
