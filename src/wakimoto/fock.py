@@ -30,8 +30,8 @@ rewriting oracle in the tests is its reference.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Union
 
 from .span import SparseVec
@@ -76,15 +76,21 @@ def fmt_halfodd(d: int) -> str:
     return f"{d}/2"
 
 
-@dataclass(frozen=True)
-class FermionState:
-    """Canonical monomial ``(lam, mu)``: doubled, strictly decreasing, odd, >= 1."""
+_FERMION_TAG = 1
 
-    lam: tuple[int, ...] = ()
-    mu: tuple[int, ...] = ()
 
-    def __post_init__(self):
-        for name, part in (("lam", self.lam), ("mu", self.mu)):
+class FermionState(tuple):
+    """Canonical monomial ``(lam, mu)``: doubled, strictly decreasing, odd, >= 1.
+
+    A tagged tuple ``(1, lam, mu)``: hashing and equality are the tuple's
+    own, and the int tag keeps a fermion monomial apart from a boson
+    monomial or a bare tuple of modes.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, lam: tuple[int, ...] = (), mu: tuple[int, ...] = ()):
+        for name, part in (("lam", lam), ("mu", mu)):
             last = None
             for d in part:
                 if not isinstance(d, int) or d < 1 or d % 2 == 0:
@@ -92,6 +98,16 @@ class FermionState:
                 if last is not None and d >= last:
                     raise ValueError(f"{name} must be strictly decreasing: {part}")
                 last = d
+        return tuple.__new__(cls, (_FERMION_TAG, lam, mu))
+
+    def __getnewargs__(self):
+        return self[1:]
+
+    lam = property(itemgetter(1))
+    mu = property(itemgetter(2))
+
+    def __repr__(self) -> str:
+        return f"FermionState(lam={self[1]!r}, mu={self[2]!r})"
 
     @classmethod
     def from_modes(cls, lam: Iterable[Union[Fraction, str]] = (), mu: Iterable[Union[Fraction, str]] = ()) -> "FermionState":
@@ -100,8 +116,12 @@ class FermionState:
         return cls(dl, dm)
 
     def sort_key(self):
-        """Global basis order: weight, then charge, then lexicographic (lam, mu)."""
-        return (weight(self), charge(self), self.lam, self.mu)
+        """Global basis order: weight, then charge, then lexicographic (lam, mu).
+
+        The weight enters doubled, as an int; the order is the same.
+        """
+        _, lam, mu = self
+        return (sum(lam) + sum(mu), len(mu) - len(lam), lam, mu)
 
     def __str__(self) -> str:
         parts = [f"Psi-(-{fmt_halfodd(d)})" for d in self.lam]
@@ -114,11 +134,11 @@ VACUUM = FermionState((), ())
 
 
 def weight(state: FermionState) -> Fraction:
-    return Fraction(sum(state.lam) + sum(state.mu), 2)
+    return Fraction(sum(state[1]) + sum(state[2]), 2)
 
 
 def charge(state: FermionState) -> int:
-    return len(state.mu) - len(state.lam)
+    return len(state[2]) - len(state[1])
 
 
 state_key = FermionState.sort_key
@@ -172,16 +192,12 @@ def vec_from_json_obj(obj) -> FermionVec:
 # generator past a factor costs a sign.
 # ---------------------------------------------------------------------------
 
-_new_object = object.__new__
-_set_field = object.__setattr__
+_tuple_new = tuple.__new__
 
 
 def _state(lam: tuple[int, ...], mu: tuple[int, ...]) -> FermionState:
     """A FermionState from tuples that are canonical by construction."""
-    st = _new_object(FermionState)
-    _set_field(st, "lam", lam)
-    _set_field(st, "mu", mu)
-    return st
+    return _tuple_new(FermionState, (_FERMION_TAG, lam, mu))
 
 
 def _psi_core(sp: int, d: int, state: FermionState) -> Optional[tuple[FermionState, int]]:
@@ -194,7 +210,7 @@ def _psi_core(sp: int, d: int, state: FermionState) -> Optional[tuple[FermionSta
     descending tuple, or vanishes by exclusion when the entry is present.
     The sign is (-1)^position of the factor in the word.
     """
-    lam, mu = state.lam, state.mu
+    _, lam, mu = state
     if d > 0:
         part = lam if sp > 0 else mu
         if d not in part:

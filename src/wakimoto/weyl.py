@@ -41,6 +41,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from operator import itemgetter
 from typing import Iterator, Optional
 
 from .scalars import ChiSeries, pole_order
@@ -66,28 +67,45 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class WeylState:
-    """Canonical boson monomial; both mode multisets stored ascending."""
+_WEYL_TAG = 0
 
-    a_modes: tuple[int, ...] = ()
-    astar_modes: tuple[int, ...] = ()
 
-    def __post_init__(self):
-        if any(not isinstance(n, int) or n < 1 for n in self.a_modes):
-            raise ValueError(f"a modes must be positive integers: {self.a_modes!r}")
-        if any(not isinstance(n, int) or n < 0 for n in self.astar_modes):
-            raise ValueError(f"a* modes must be non-negative integers: {self.astar_modes!r}")
-        if tuple(sorted(self.a_modes)) != self.a_modes or tuple(sorted(self.astar_modes)) != self.astar_modes:
+class WeylState(tuple):
+    """Canonical boson monomial; both mode multisets stored ascending.
+
+    A tagged tuple ``(0, a_modes, astar_modes)``: hashing and equality are
+    the tuple's own, and the int tag keeps a boson monomial apart from a
+    fermion monomial or a bare tuple of modes.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, a_modes: tuple[int, ...] = (), astar_modes: tuple[int, ...] = ()):
+        if any(not isinstance(n, int) or n < 1 for n in a_modes):
+            raise ValueError(f"a modes must be positive integers: {a_modes!r}")
+        if any(not isinstance(n, int) or n < 0 for n in astar_modes):
+            raise ValueError(f"a* modes must be non-negative integers: {astar_modes!r}")
+        if tuple(sorted(a_modes)) != a_modes or tuple(sorted(astar_modes)) != astar_modes:
             raise ValueError("mode multisets must be sorted ascending")
+        return tuple.__new__(cls, (_WEYL_TAG, a_modes, astar_modes))
+
+    def __getnewargs__(self):
+        return self[1:]
+
+    a_modes = property(itemgetter(1))
+    astar_modes = property(itemgetter(2))
+
+    def __repr__(self) -> str:
+        return f"WeylState(a_modes={self[1]!r}, astar_modes={self[2]!r})"
 
     def sort_key(self):
         """Basis order: weight, then charge, then the mode tuples."""
-        return (weyl_weight(self), weyl_charge(self), self.a_modes, self.astar_modes)
+        _, a, s = self
+        return (sum(a) + sum(s), len(s) - len(a), a, s)
 
     def __str__(self) -> str:
         parts = []
-        for prefix, modes in (("a", self.a_modes), ("a*", self.astar_modes)):
+        for prefix, modes in (("a", self[1]), ("a*", self[2])):
             for d in sorted(set(modes), reverse=True):
                 cnt = modes.count(d)
                 tok = f"{prefix}({-d})"
@@ -100,11 +118,11 @@ WEYL_VACUUM = WeylState((), ())
 
 
 def weyl_weight(state: WeylState) -> int:
-    return sum(state.a_modes) + sum(state.astar_modes)
+    return sum(state[1]) + sum(state[2])
 
 
 def weyl_charge(state: WeylState) -> int:
-    return len(state.astar_modes) - len(state.a_modes)
+    return len(state[2]) - len(state[1])
 
 
 weyl_state_key = WeylState.sort_key
@@ -130,16 +148,12 @@ def weyl_vacuum_vec() -> WeylVec:
 # int.
 # ---------------------------------------------------------------------------
 
-_new_object = object.__new__
-_set_field = object.__setattr__
+_tuple_new = tuple.__new__
 
 
 def _state(a_modes: tuple[int, ...], astar_modes: tuple[int, ...]) -> WeylState:
     """A WeylState from mode tuples that are canonical by construction."""
-    st = _new_object(WeylState)
-    _set_field(st, "a_modes", a_modes)
-    _set_field(st, "astar_modes", astar_modes)
-    return st
+    return _tuple_new(WeylState, (_WEYL_TAG, a_modes, astar_modes))
 
 
 def _without(modes: tuple[int, ...], value: int) -> tuple[int, ...]:
@@ -158,7 +172,7 @@ def _items(acc: dict[tuple, int]) -> tuple[tuple[WeylState, int], ...]:
 
 def _a_core(n: int, st: WeylState) -> tuple[tuple[WeylState, int], ...]:
     """a(n): contraction against a*(-n) for n >= 0, creation below."""
-    a, s = st.a_modes, st.astar_modes
+    _, a, s = st
     if n < 0:
         return ((_state(_with(a, -n), s), 1),)
     mult = s.count(n)
@@ -167,7 +181,7 @@ def _a_core(n: int, st: WeylState) -> tuple[tuple[WeylState, int], ...]:
 
 def _astar_core(n: int, st: WeylState) -> tuple[tuple[WeylState, int], ...]:
     """a*(n): contraction against a(-n) for n >= 1, creation below."""
-    a, s = st.a_modes, st.astar_modes
+    _, a, s = st
     if n <= 0:
         return ((_state(a, _with(s, -n)), 1),)
     mult = a.count(n)
@@ -176,7 +190,7 @@ def _astar_core(n: int, st: WeylState) -> tuple[tuple[WeylState, int], ...]:
 
 def _h_core(n: int, st: WeylState) -> tuple[tuple[WeylState, int], ...]:
     """-2 sum_{m+k=n} :a*(m) a(k):, split by which factors annihilate."""
-    a, s = st.a_modes, st.astar_modes
+    _, a, s = st
     acc: dict[tuple, int] = {}
     # both create: n < m <= 0
     for m in range(n + 1, 1):
@@ -231,7 +245,7 @@ def _f_core(n: int, st: WeylState) -> tuple[tuple[WeylState, int], ...]:
     [n - max a - max a*, 0]; for each m1 the remaining m2 + k = n - m1 is
     split over the a* modes (a(k) annihilates) or over k < 0 (a(k) creates).
     """
-    a, s = st.a_modes, st.astar_modes
+    _, a, s = st
     a_set = dict.fromkeys(a)
     s_set = dict.fromkeys(s)
     low = n - (a[-1] if a else 0) - (s[-1] if s else 0)
@@ -249,7 +263,7 @@ def _f_core(n: int, st: WeylState) -> tuple[tuple[WeylState, int], ...]:
             _cubic_term(a, s, m1, m2, r - m2, acc)
     if n:
         for out, c in _astar_core(n, st):
-            key = (out.a_modes, out.astar_modes)
+            key = out[1:]
             acc[key] = acc.get(key, 0) + 2 * n * c
     return _items(acc)
 
@@ -264,52 +278,74 @@ class WeylAction:
 
     The chi-free part of each mode (e, the normal-ordered quadratic of h, the
     cubic of f plus 2n a*(n)) is computed once per monomial with int
-    coefficients and cached on this action, keyed ``(kind, n, state)``;
-    relation suites and closure probes revisit the same monomials many
-    times.  ``apply`` adds the twist as a linear correction: -chi_n on the
-    same monomial for h, and -sum_j chi_j a*(n-j) for f from cached a*
-    images.  Coefficients are accumulated as ints over one common
-    denominator, so each output coefficient is a single Fraction.  The cache
-    lives and dies with the action; it is not shared across twists.
+    coefficients and cached on this action, in one dict per ``(kind, n)``
+    keyed by state; relation suites and closure probes revisit the same
+    monomials many times.  The twist enters as a linear correction: -chi_n
+    on the same monomial for h, and -sum_j chi_j a*(n-j) for f from cached
+    a* images.  ``_core`` does all of this over the integers, and ``apply``
+    wraps it for rational vectors: each output coefficient is a single
+    Fraction.  The caches live and die with the action; they are not shared
+    across twists.
     """
 
     _RAW = {"e": _a_core, "h": _h_core, "f": _f_core}
 
     def __init__(self, chi: ChiSeries):
         self.chi = chi
-        self._cache: dict[tuple[str, int, WeylState], tuple] = {}
+        self._caches: dict[tuple[str, int], dict[WeylState, tuple]] = {}
         # chi_j = _chi_num[j] / _chi_den, all over one denominator
         self._chi_den = chi.denominator
         self._chi_num = chi.numerators
 
-    def apply(self, kind: str, n: int, v: WeylVec) -> WeylVec:
-        terms = v.terms
-        if not terms:
-            return WeylVec()
+    def _cache(self, kind: str, n: int) -> dict[WeylState, tuple]:
+        cache = self._caches.get((kind, n))
+        if cache is None:
+            cache = self._caches[kind, n] = {}
+        return cache
+
+    def _core(self, kind: str, n: int, pairs) -> tuple[dict[WeylState, int], int]:
+        """kind(n) on sum p * state over the (state, int p) pairs.
+
+        Returns ``(numerators, scale)``: the image is numerators / scale.
+        The numerators may hold zeros where terms cancel.
+        """
         # the twist: -chi_n on the same monomial for h, -chi_j a*(n-j) for f
         shift = self._chi_num.get(n) if kind == "h" else None
-        astar_shifts = [(n - j, x) for j, x in self._chi_num.items()] if kind == "f" else ()
+        astar_shifts = (
+            [(n - j, x, self._cache("a*", n - j)) for j, x in self._chi_num.items()]
+            if kind == "f"
+            else ()
+        )
         scale = self._chi_den if shift or astar_shifts else 1
-        den = math.lcm(*(c.denominator for c in terms.values()))
-        cache = self._cache
+        raw = self._RAW[kind]
+        cache = self._cache(kind, n)
         acc: dict[WeylState, int] = {}
         get = acc.get
-        for st, c in terms.items():
-            p = c.numerator * (den // c.denominator)
-            items = cache.get((kind, n, st))
+        for st, p in pairs:
+            items = cache.get(st)
             if items is None:
-                items = cache[kind, n, st] = self._RAW[kind](n, st)
+                items = cache[st] = raw(n, st)
             ps = p * scale
             for out, k in items:
                 acc[out] = get(out, 0) + ps * k
             if shift:
                 acc[st] = get(st, 0) - p * shift
-            for m, x in astar_shifts:
-                items = cache.get(("a*", m, st))
+            for m, x, a_cache in astar_shifts:
+                items = a_cache.get(st)
                 if items is None:
-                    items = cache["a*", m, st] = _astar_core(m, st)
+                    items = a_cache[st] = _astar_core(m, st)
                 for out, k in items:
                     acc[out] = get(out, 0) - p * x * k
+        return acc, scale
+
+    def apply(self, kind: str, n: int, v: WeylVec) -> WeylVec:
+        terms = v.terms
+        if not terms:
+            return WeylVec()
+        den = math.lcm(*(c.denominator for c in terms.values()))
+        acc, scale = self._core(
+            kind, n, [(st, c.numerator * (den // c.denominator)) for st, c in terms.items()]
+        )
         den *= scale
         return WeylVec._of({st: Fraction(num, den) for st, num in acc.items() if num})
 
@@ -356,25 +392,65 @@ def enumerate_weyl_basis(
 # ---------------------------------------------------------------------------
 
 
+def _commutator(core, first, x, y) -> list[tuple[int, dict[WeylState, int], int]]:
+    """[x, y] on the vector whose first-level images are ``first``.
+
+    Returns the two (sign, numerators, den) terms x(y(v)) and -y(x(v)).
+    """
+    terms = []
+    for sign, outer, inner in ((1, x, y), (-1, y, x)):
+        nums, den = first[inner]
+        image, scale = core(*outer, nums.items())
+        terms.append((sign, image, den * scale))
+    return terms
+
+
+def _vanishes(terms) -> bool:
+    """Is sum c * numerators / den over the (c, numerators, den) terms zero?"""
+    top = math.lcm(*(den for _, _, den in terms))
+    total: dict[WeylState, int] = {}
+    get = total.get
+    for c, nums, den in terms:
+        c *= top // den
+        for st, x in nums.items():
+            total[st] = get(st, 0) + c * x
+    return not any(total.values())
+
+
 def affine_relation_check(
     m: int, n: int, v: WeylVec, chi: ChiSeries, action: WeylAction
 ) -> list[tuple[str, bool]]:
-    """Evaluate every bracket relation at modes (m, n) on the vector v."""
-    ap = action.apply
-    delta = 1 if m + n == 0 else 0
-    he = ap("h", m, ap("e", n, v)) - ap("e", n, ap("h", m, v))
-    hf = ap("h", m, ap("f", n, v)) - ap("f", n, ap("h", m, v))
-    ef = ap("e", m, ap("f", n, v)) - ap("f", n, ap("e", m, v))
-    hh = ap("h", m, ap("h", n, v)) - ap("h", n, ap("h", m, v))
-    ee = ap("e", m, ap("e", n, v)) - ap("e", n, ap("e", m, v))
-    ff = ap("f", m, ap("f", n, v)) - ap("f", n, ap("f", m, v))
+    """Evaluate every bracket relation at modes (m, n) on the vector v.
+
+    The twist comes from ``action``.  ``chi`` is unused; it stays because the
+    benchmark's relations workload passes all five arguments by position.
+    Everything acts on D v, with D the common denominator of v's
+    coefficients, so each relation is one integer combination that must
+    vanish.  Each first-level image (e, h, f at m, n and m + n) is computed
+    once, and its zero entries are dropped before the second level.
+    """
+    terms = v.terms
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    dv = {st: c.numerator * (den // c.denominator) for st, c in terms.items()}
+    core = action._core
+    first: dict[tuple[str, int], tuple[dict[WeylState, int], int]] = {}
+    for key in (("e", n), ("h", m), ("f", n), ("e", m), ("h", n), ("f", m),
+                ("e", m + n), ("h", m + n), ("f", m + n)):
+        if key not in first:
+            nums, scale = core(*key, dv.items())
+            first[key] = ({st: x for st, x in nums.items() if x}, scale)
+    m_delta = m if m + n == 0 else 0
+    relations = (
+        ("[h,e]=2e", ("h", m), ("e", n), [(-2, *first["e", m + n])]),
+        ("[h,f]=-2f", ("h", m), ("f", n), [(2, *first["f", m + n])]),
+        ("[e,f]=h-2m*delta", ("e", m), ("f", n), [(-1, *first["h", m + n]), (2 * m_delta, dv, 1)]),
+        ("[h,h]=-4m*delta", ("h", m), ("h", n), [(4 * m_delta, dv, 1)]),
+        ("[e,e]=0", ("e", m), ("e", n), []),
+        ("[f,f]=0", ("f", m), ("f", n), []),
+    )
     return [
-        ("[h,e]=2e", he == 2 * ap("e", m + n, v)),
-        ("[h,f]=-2f", hf == -2 * ap("f", m + n, v)),
-        ("[e,f]=h-2m*delta", ef == ap("h", m + n, v) + (-2 * m * delta) * v),
-        ("[h,h]=-4m*delta", hh == (-4 * m * delta) * v),
-        ("[e,e]=0", ee.is_zero()),
-        ("[f,f]=0", ff.is_zero()),
+        (name, _vanishes(_commutator(core, first, x, y) + rest))
+        for name, x, y, rest in relations
     ]
 
 

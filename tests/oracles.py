@@ -17,6 +17,10 @@ restricted rows and joint kernels.  ``ordered_reduce`` and
 hit first, one hit per step) and full-sweep closure (every operator on
 every row until a sweep adds nothing), kept as references for the one-pass
 ``SpanBasis.reduce`` and the closure that skips unchanged rows.
+``apply_relation_check`` is the relation suite over rational vectors, the
+reference for the integer ``affine_relation_check``.  ``seeded_twist``
+draws a twist of each of the classifier's five cases for the tests that
+compare against these.
 """
 
 import math
@@ -24,7 +28,8 @@ from fractions import Fraction
 from functools import partial
 
 from wakimoto.fock import fmt_halfodd
-from wakimoto.scalars import pole_order
+from wakimoto.scalars import ChiSeries, ell_of, pole_order
+from wakimoto.schur import schur_at_minus_chi
 from wakimoto.span import SpanBasis, SparseVec, _admissible
 from wakimoto.superalg import apply_Gminus, apply_Gplus
 from wakimoto.weyl import WeylState, WeylVec
@@ -253,6 +258,31 @@ def wick_apply(kind, n, v, chi):
     for j in chi.support:
         out = out - chi.coeff(j) * rewrite_mode("a*", n - j, v)
     return out
+
+
+def apply_relation_check(m, n, v, action):
+    """Every bracket relation at modes (m, n) on v, over rational vectors.
+
+    This was the engine's ``affine_relation_check`` before it compared each
+    relation as one integer combination: both sides are composed from
+    ``action.apply`` and compared as vectors.
+    """
+    ap = action.apply
+    delta = 1 if m + n == 0 else 0
+    he = ap("h", m, ap("e", n, v)) - ap("e", n, ap("h", m, v))
+    hf = ap("h", m, ap("f", n, v)) - ap("f", n, ap("h", m, v))
+    ef = ap("e", m, ap("f", n, v)) - ap("f", n, ap("e", m, v))
+    hh = ap("h", m, ap("h", n, v)) - ap("h", n, ap("h", m, v))
+    ee = ap("e", m, ap("e", n, v)) - ap("e", n, ap("e", m, v))
+    ff = ap("f", m, ap("f", n, v)) - ap("f", n, ap("f", m, v))
+    return [
+        ("[h,e]=2e", he == 2 * ap("e", m + n, v)),
+        ("[h,f]=-2f", hf == -2 * ap("f", m + n, v)),
+        ("[e,f]=h-2m*delta", ef == ap("h", m + n, v) + (-2 * m * delta) * v),
+        ("[h,h]=-4m*delta", hh == (-4 * m * delta) * v),
+        ("[e,e]=0", ee.is_zero()),
+        ("[f,f]=0", ff.is_zero()),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -588,3 +618,34 @@ def sweep_closure(generators, ops, cfg, space, stop_if_contains=None):
                     if stop_if_contains is not None and basis.contains(stop_if_contains):
                         return basis
     return basis
+
+
+# ---------------------------------------------------------------------------
+# seeded twists of the classifier's five cases
+# ---------------------------------------------------------------------------
+
+
+def _draw(rng):
+    return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2, 3]))
+
+
+def seeded_twist(case, rng):
+    """A seeded twist of one of the classifier's five cases."""
+    if case == "i":
+        chi = ChiSeries({1: _draw(rng), 0: _draw(rng)})
+    elif case == "ii":
+        chi = ChiSeries({0: Fraction(rng.choice([-3, 1, 5]), 2), -1: _draw(rng)})
+    elif case == "iii":
+        chi = ChiSeries({0: 3, -1: _draw(rng)})
+        assert schur_at_minus_chi(2, chi) != 0
+    elif case == "schur_zero":
+        # S_2(-chi) is x_2/2 plus a polynomial in x_1, with x_2 = -chi_-2
+        coeffs = {0: 3, -1: _draw(rng)}
+        coeffs[-2] = 2 * schur_at_minus_chi(2, ChiSeries(coeffs))
+        chi = ChiSeries(coeffs)
+        assert schur_at_minus_chi(2, chi) == 0
+    else:
+        chi = ChiSeries({0: rng.choice([0, -1]), -1: _draw(rng)})
+    assert (pole_order(chi) >= 1) == (case == "i")
+    assert (ell_of(chi) is not None and ell_of(chi) <= -1) == (case == "neg_ell")
+    return chi

@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import random
 from fractions import Fraction
 
@@ -47,14 +49,27 @@ def test_halfodd_helpers():
 
 def test_state_validation():
     FermionState((5, 1), (3,))  # fine
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^lam must be strictly decreasing: \(1, 3\)$"):
         FermionState((1, 3), ())  # must decrease
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^lam must be strictly decreasing: \(3, 3\)$"):
         FermionState((3, 3), ())  # strictly
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^lam entries must be positive doubled odd ints: \(2,\)$"):
         FermionState((2,), ())  # even doubled mode
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^lam entries must be positive doubled odd ints: \(-1,\)$"):
         FermionState((-1,), ())
+    with pytest.raises(ValueError, match=r"^mu entries must be positive doubled odd ints: \(4,\)$"):
+        FermionState((), (4,))
+
+
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda st: pickle.loads(pickle.dumps(st))])
+def test_state_copies_and_pickles(clone):
+    st = FermionState((5, 1), (7, 3))
+    got = clone(st)
+    assert type(got) is FermionState
+    assert got == st and hash(got) == hash(st)
+    assert (got.lam, got.mu) == ((5, 1), (7, 3))
+    assert repr(got) == "FermionState(lam=(5, 1), mu=(7, 3))"
+    assert got != ((5, 1), (7, 3))
 
 
 def test_from_modes_sorts():

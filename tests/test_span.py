@@ -4,7 +4,13 @@ from functools import partial
 
 import pytest
 
-from oracles import ordered_reduce, solved_joint_kernel, solved_restricted_rows, sweep_closure
+from oracles import (
+    ordered_reduce,
+    seeded_twist,
+    solved_joint_kernel,
+    solved_restricted_rows,
+    sweep_closure,
+)
 from wakimoto import (
     FOCK_SPACE,
     MINUS,
@@ -20,13 +26,10 @@ from wakimoto import (
     apply_psi_dmode,
     closure,
     cyclic_probe,
-    ell_of,
     enumerate_basis,
     enumerate_weyl_basis,
     joint_kernel,
     omega_vec,
-    pole_order,
-    schur_at_minus_chi,
     vacuum_vec,
     wakimoto_ops,
     weyl_vacuum_vec,
@@ -317,32 +320,6 @@ def test_one_pass_reduce_matches_ordered_elimination():
 # -- the closure that skips unchanged rows against the full sweep ------------
 
 
-def _draw(rng):
-    return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2, 3]))
-
-
-def _twist(case, rng):
-    """A seeded twist of one of the classifier's five cases."""
-    if case == "i":
-        chi = ChiSeries({1: _draw(rng), 0: _draw(rng)})
-    elif case == "ii":
-        chi = ChiSeries({0: Fraction(rng.choice([-3, 1, 5]), 2), -1: _draw(rng)})
-    elif case == "iii":
-        chi = ChiSeries({0: 3, -1: _draw(rng)})
-        assert schur_at_minus_chi(2, chi) != 0
-    elif case == "schur_zero":
-        # S_2(-chi) is x_2/2 plus a polynomial in x_1, with x_2 = -chi_-2
-        coeffs = {0: 3, -1: _draw(rng)}
-        coeffs[-2] = 2 * schur_at_minus_chi(2, ChiSeries(coeffs))
-        chi = ChiSeries(coeffs)
-        assert schur_at_minus_chi(2, chi) == 0
-    else:
-        chi = ChiSeries({0: rng.choice([0, -1]), -1: _draw(rng)})
-    assert (pole_order(chi) >= 1) == (case == "i")
-    assert (ell_of(chi) is not None and ell_of(chi) <= -1) == (case == "neg_ell")
-    return chi
-
-
 def _generators(case, chi, space, rng):
     """The case's own generator and one random basis state of the window."""
     if space is FOCK_SPACE:
@@ -389,7 +366,7 @@ def _recorded(run, generators, ops, cfg, space, stop, monkeypatch):
 def test_closure_matches_full_sweep(case, space, monkeypatch):
     rng = random.Random(f"{case}:{space is FOCK_SPACE}")
     for _ in range(2):
-        chi = _twist(case, rng)
+        chi = seeded_twist(case, rng)
         cfg, ops, vac, generators = _generators(case, chi, space, rng)
         for g in generators:
             for stop in (None, vac):
@@ -406,7 +383,7 @@ def test_closure_matches_full_sweep(case, space, monkeypatch):
 
 @pytest.mark.parametrize("case", ["schur_zero", "neg_ell"])
 def test_closure_skips_unchanged_rows(case, monkeypatch):
-    chi = _twist(case, random.Random(case))
+    chi = seeded_twist(case, random.Random(case))
     cfg, ops, _, (own, _) = _generators(case, chi, FOCK_SPACE, random.Random(0))
     new, _, new_applied = _recorded(closure, [own], ops, cfg, FOCK_SPACE, None, monkeypatch)
     old, _, old_applied = _recorded(sweep_closure, [own], ops, cfg, FOCK_SPACE, None, monkeypatch)

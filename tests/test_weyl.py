@@ -1,4 +1,8 @@
+import copy
+import gc
+import pickle
 import random
+import weakref
 from fractions import Fraction
 from functools import partial
 
@@ -6,6 +10,7 @@ import pytest
 
 import wakimoto.weyl as weyl
 from oracles import (
+    apply_relation_check,
     boson_graded_dims,
     boson_state_word,
     boson_vec_as_dict,
@@ -13,13 +18,16 @@ from oracles import (
     normal_order_boson,
     oracle_f,
     oracle_h,
+    seeded_twist,
     wick_apply,
     wide_probe_annihilators,
 )
 from wakimoto import (
+    VACUUM,
     WEYL_VACUUM,
     ChiSeries,
     ClosureConfig,
+    FermionState,
     WeylAction,
     WeylState,
     WeylVec,
@@ -54,12 +62,32 @@ def test_state_validation_and_str():
     st = WeylState((1, 1, 2), (0, 0, 3))
     assert str(st) == "a(-2) a(-1)^2 a*(-3) a*(0)^2 |0>"
     assert str(WEYL_VACUUM) == "|0>"
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^a modes must be positive integers: \(0,\)$"):
         WeylState((0,), ())  # a-mode must be >= 1
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^a\* modes must be non-negative integers: \(-1,\)$"):
         WeylState((), (-1,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^mode multisets must be sorted ascending$"):
         WeylState((2, 1), ())  # must be ascending
+
+
+def test_states_of_different_spaces_never_collide():
+    boson, fermion, bare = WeylState(), FermionState(), ()
+    assert boson != fermion and fermion != boson
+    assert boson != bare and fermion != bare
+    assert WeylState((1,), ()) != ((1,), ())
+    table = {WEYL_VACUUM: "boson", VACUUM: "fermion"}
+    assert len(table) == 2
+    assert table[WeylState()] == "boson" and table[FermionState()] == "fermion"
+
+
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda st: pickle.loads(pickle.dumps(st))])
+def test_state_copies_and_pickles(clone):
+    st = WeylState((1, 1, 2), (0, 3))
+    got = clone(st)
+    assert type(got) is WeylState
+    assert got == st and hash(got) == hash(st)
+    assert (got.a_modes, got.astar_modes) == ((1, 1, 2), (0, 3))
+    assert repr(got) == "WeylState(a_modes=(1, 1, 2), astar_modes=(0, 3))"
 
 
 def test_grading():
@@ -165,6 +193,80 @@ def test_affine_relations_on_mixed_vector():
         for n in range(-2, 3):
             for name, okay in affine_relation_check(m, n, v, CHI, action):
                 assert okay, (name, m, n)
+
+
+RELATION_CASES = ["i", "ii", "iii", "schur_zero", "neg_ell"]
+RELATION_STATES = enumerate_weyl_basis(3, (-2, 2))
+
+
+def _mixed_vectors(rng, count):
+    """Seeded vectors of one to four window monomials with mixed denominators."""
+    return [
+        WeylVec({
+            st: Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2, 3, 4]))
+            for st in rng.sample(RELATION_STATES, rng.randint(1, 4))
+        })
+        for _ in range(count)
+    ]
+
+
+def _both_relation_checks(chi, vectors):
+    """The integer check and the rational oracle at every |m|, |n| <= 2."""
+    ours, oracle = WeylAction(chi), WeylAction(chi)
+    for v in vectors:
+        for m in range(-2, 3):
+            for n in range(-2, 3):
+                yield (
+                    affine_relation_check(m, n, v, chi, ours),
+                    apply_relation_check(m, n, v, oracle),
+                )
+
+
+@pytest.mark.parametrize("case", RELATION_CASES)
+def test_relation_check_matches_rational_oracle(case):
+    rng = random.Random(f"relations:{case}")
+    for _ in range(2):
+        chi = seeded_twist(case, rng)
+        for got, want in _both_relation_checks(chi, [WeylVec(), *_mixed_vectors(rng, 2)]):
+            assert got == want
+            assert all(ok for _, ok in got)
+
+
+# an extra identity term in h(1) or f(1) breaks exactly one relation: the one
+# whose right-hand side holds that mode at m + n = 1
+@pytest.mark.parametrize("kind, broken", [("f", "[h,f]=-2f"), ("h", "[e,f]=h-2m*delta")])
+def test_perturbed_core_fails_the_same_relations(kind, broken, monkeypatch):
+    raw = WeylAction._RAW[kind]
+
+    def perturbed(n, st):
+        return raw(n, st) + (((st, 1),) if n == 1 else ())
+
+    monkeypatch.setitem(WeylAction._RAW, kind, perturbed)
+    rng = random.Random(f"perturbed:{kind}")
+    failed = set()
+    for case in RELATION_CASES:
+        chi = seeded_twist(case, rng)
+        for got, want in _both_relation_checks(chi, _mixed_vectors(rng, 1)):
+            assert got == want
+            failed.update(name for name, ok in got if not ok)
+    assert failed == {broken}
+
+
+def test_relation_check_leaves_no_reference_cycle():
+    # the action and its caches must go with the last reference to it,
+    # without waiting for the cyclic garbage collector
+    v = WeylVec.basis(WeylState((1,), (0,))) - 2 * WeylVec.basis(WeylState((), (2,)))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        action = WeylAction(CHI)
+        alive = weakref.ref(action)
+        affine_relation_check(1, -1, v, CHI, action)
+        del action
+        assert alive() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_action_memoization_is_transparent():
