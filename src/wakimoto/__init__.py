@@ -22,17 +22,12 @@ from .fock import (
     PLUS,
     VACUUM,
     FermionState,
-    FermionVec,
-    apply_psi,
     apply_psi_dmode,
     as_dmode,
     charge,
-    check_tilde,
     enumerate_basis,
     fmt_halfodd,
-    graded_dimension,
     parse_state,
-    state_key,
     vacuum_vec,
     vec_from_json_obj,
     weight,
@@ -41,25 +36,20 @@ from .schur import schur_at_minus_chi, schur_rec
 from .span import ClosureConfig, Space, SpanBasis, SparseVec, closure, cyclic_probe, joint_kernel
 from .superalg import (
     FOCK_SPACE,
-    Extraction,
     OperatorWord,
     a_module_ops,
     anticommutator_check,
     apply_Gminus,
     apply_Gplus,
     apply_word,
-    extract_omega,
     gminus_string_on_omega,
     lowering_string,
-    lowering_ladder_word,
     omega,
     omega_vec,
-    raising_ladder_word,
     same_species_anticommutator,
     scalar_S,
     scalar_T,
     singular_w,
-    vacuum_filling_word,
 )
 from .classify import (
     DEFAULT_CFG,
@@ -85,7 +75,6 @@ from .weyl import (
     wakimoto_ops,
     wakimoto_probe,
     weyl_charge,
-    weyl_state_key,
     weyl_vacuum_vec,
     weyl_weight,
 )

@@ -32,7 +32,6 @@ from typing import Optional
 from .fock import (
     VACUUM,
     FermionState,
-    FermionVec,
     charge,
     enumerate_basis,
     fmt_halfodd,
@@ -43,7 +42,7 @@ from .fock import (
 )
 from .scalars import ChiParseError, ChiSeries, ell_of, format_rational, pole_order
 from .schur import schur_at_minus_chi
-from .span import ClosureConfig, SpanBasis, closure, cyclic_probe
+from .span import ClosureConfig, SpanBasis, SparseVec, closure, cyclic_probe
 from .superalg import (
     FOCK_SPACE,
     a_module_ops,
@@ -167,7 +166,7 @@ class Report:
 # ---------------------------------------------------------------------------
 
 
-def _annihilation_failures(w: FermionVec, chi: ChiSeries, nmax: int) -> list[str]:
+def _annihilation_failures(w: SparseVec, chi: ChiSeries, nmax: int) -> list[str]:
     bad = []
     for n in range(1, nmax + 1):
         if not apply_Gplus(n, w).is_zero():
@@ -192,7 +191,7 @@ def _vacuum_closure(
     the charged window up to the cutoff.
     """
     basis = closure([vacuum_vec()], a_module_ops(chi, cfg), cfg, FOCK_SPACE)
-    excluded = not basis.contains(FermionVec.basis(state))
+    excluded = not basis.contains(SparseVec.basis(state))
     lo, hi = cfg.charge_window
     full_dim = sum(1 for st in enumerate_basis(cfg.weight_cutoff) if lo <= charge(st) <= hi)
     return excluded, basis.report(), full_dim
@@ -266,7 +265,7 @@ def _cyclic_probes(chi: ChiSeries, cfg: ClosureConfig, start_weight: Fraction) -
     failures = [
         str(st)
         for st in states
-        if not cyclic_probe(FermionVec.basis(st), vac, ops, cfg, FOCK_SPACE)
+        if not cyclic_probe(SparseVec.basis(st), vac, ops, cfg, FOCK_SPACE)
     ]
     n = len(states)
     detail = f"{n - len(failures)}/{n} generators cyclic"
@@ -285,6 +284,79 @@ def recorded_cfg(cert: Certificate) -> ClosureConfig:
         return DEFAULT_CFG if recorded is None else ClosureConfig.from_json_obj(recorded)
     except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ChiParseError(f"certificate.data.cfg: not a valid window: {exc!r}") from None
+
+
+def _ell_fits(kind: str, p: int, ell: Optional[int], recorded) -> bool:
+    """Is chi pole-free with ell on the kind's side, and is ell recorded?"""
+    if p != 0 or ell is None:
+        return False
+    return (ell <= -1 if kind == "neg_ell" else ell >= 1) and _is_int(recorded, ell)
+
+
+def _witness_checks(add, chi: ChiSeries, cert: Certificate, cfg: ClosureConfig, ell: int) -> None:
+    """schur_zero: S_ell(-chi) vanishes, and the recorded w is singular."""
+    sval = schur_at_minus_chi(ell, chi)
+    add("schur_vanishes", sval == 0, f"S_{ell}(-chi)={format_rational(sval)}")
+    try:
+        recorded_w = vec_from_json_obj(cert.data.get("w", []))
+    except (ValueError, KeyError, TypeError) as exc:
+        add("witness_matches", False, f"unreadable witness: {exc}")
+        return
+    add(
+        "witness_matches",
+        not recorded_w.is_zero() and recorded_w == singular_w(ell, chi),
+        f"{len(recorded_w.terms)} terms",
+    )
+    # the verifier, not the certificate, sets the range it checks
+    nmax = max(4, ell + 2)
+    recorded_range = cert.data.get("annihilation_range")
+    failures = _annihilation_failures(recorded_w, chi, nmax)
+    add(
+        "witness_annihilated",
+        not failures,
+        f"modes n=1..{nmax}"
+        + (f"; failing: {failures}" if failures else "")
+        + ("" if recorded_range == nmax else f"; recorded range {recorded_range!r} ignored"),
+    )
+    basis, excluded = _omega_closure(ell, chi, cfg)
+    # an empty closure never admitted Omega_ell, so it excludes nothing
+    add(
+        "vacuum_excluded",
+        basis.dimension() > 0 and excluded and cert.data.get("vacuum_excluded") is True,
+        f"closure dimension {basis.dimension()}",
+    )
+
+
+def _excluded_state_checks(add, chi: ChiSeries, cert: Certificate, cfg: ClosureConfig, ell: int) -> None:
+    """neg_ell: the vacuum's closure misses Psi-(-q-1/2)|0> and is proper."""
+    q = -ell - 1
+    add("q", _is_int(cert.data.get("q"), q), f"q={q}")
+    try:
+        excluded_state = parse_state(cert.data.get("excluded_state", ""))
+    except ValueError as exc:
+        add("excluded_state", False, f"unreadable state: {exc}")
+        return
+    add(
+        "excluded_state",
+        excluded_state == FermionState((2 * q + 1,), ()),
+        str(excluded_state),
+    )
+    excluded, report, full_dim = _vacuum_closure(chi, cfg, excluded_state)
+    # a state heavier than the window is never reached, so that shows nothing
+    bound = cfg.weight_cutoff + cfg.excursion
+    heavy = weight(excluded_state) > bound
+    detail = f"weight {fmt_halfodd(2 * q + 1)} monomial not reached"
+    if heavy:
+        detail += f"; heavier than the window bound {format_rational(bound)}"
+    add("state_excluded", excluded and not heavy, detail)
+    closure_dim = report["dimension"]
+    add(
+        "proper_within_window",
+        closure_dim < full_dim
+        and _is_int(cert.data.get("closure_dimension"), closure_dim)
+        and _is_int(cert.data.get("full_dimension"), full_dim),
+        f"closure {closure_dim} < full {full_dim}",
+    )
 
 
 def verify_certificate(
@@ -335,10 +407,7 @@ def verify_certificate(
             ok_p and lead != 0 and format_rational(lead) == cert.data.get("chi_p"),
             f"chi_{p}={format_rational(lead)}",
         )
-        checks.append(_cyclic_probes(chi, cfg, start_weight))
-        return Report(tuple(checks))
-
-    if kind == "generic_weight":
+    elif kind == "generic_weight":
         add("pole_free", p == 0, f"pole_order={p}")
         chi0 = chi.coeff(0)
         add(
@@ -347,16 +416,13 @@ def verify_certificate(
             and (chi0 == 1 or chi0.denominator != 1),
             f"chi0={format_rational(chi0)}",
         )
-        checks.append(_cyclic_probes(chi, cfg, start_weight))
-        return Report(tuple(checks))
-
-    if kind == "schur_nonzero":
-        ell_ok = add(
-            "ell",
-            p == 0 and ell is not None and ell >= 1 and _is_int(cert.data.get("ell"), ell),
-            f"ell={ell}",
-        )
-        if ell_ok:
+    # the other three kinds rest on ell = chi_0 - 1 and check nothing else without it
+    elif add("ell", _ell_fits(kind, p, ell, cert.data.get("ell")), f"ell={ell}"):
+        if kind == "schur_zero":
+            _witness_checks(add, chi, cert, cfg, ell)
+        elif kind == "neg_ell":
+            _excluded_state_checks(add, chi, cert, cfg, ell)
+        else:
             sval = schur_at_minus_chi(ell, chi)
             add(
                 "schur_nonzero",
@@ -373,83 +439,7 @@ def verify_certificate(
                 and recorded == format_rational(coeff),
                 f"coefficient={recorded}",
             )
+    # an irreducible verdict is only as good as the cyclicity it shows
+    if derived.status == "irreducible":
         checks.append(_cyclic_probes(chi, cfg, start_weight))
-        return Report(tuple(checks))
-
-    if kind == "schur_zero":
-        ell_ok = add(
-            "ell",
-            p == 0 and ell is not None and ell >= 1 and _is_int(cert.data.get("ell"), ell),
-            f"ell={ell}",
-        )
-        if not ell_ok:
-            return Report(tuple(checks))
-        sval = schur_at_minus_chi(ell, chi)
-        add("schur_vanishes", sval == 0, f"S_{ell}(-chi)={format_rational(sval)}")
-        try:
-            recorded_w = vec_from_json_obj(cert.data.get("w", []))
-        except (ValueError, KeyError, TypeError) as exc:
-            add("witness_matches", False, f"unreadable witness: {exc}")
-            return Report(tuple(checks))
-        add(
-            "witness_matches",
-            not recorded_w.is_zero() and recorded_w == singular_w(ell, chi),
-            f"{len(recorded_w.terms)} terms",
-        )
-        # the verifier, not the certificate, sets the range it checks
-        nmax = max(4, ell + 2)
-        recorded_range = cert.data.get("annihilation_range")
-        failures = _annihilation_failures(recorded_w, chi, nmax)
-        add(
-            "witness_annihilated",
-            not failures,
-            f"modes n=1..{nmax}"
-            + (f"; failing: {failures}" if failures else "")
-            + ("" if recorded_range == nmax else f"; recorded range {recorded_range!r} ignored"),
-        )
-        basis, excluded = _omega_closure(ell, chi, cfg)
-        # an empty closure never admitted Omega_ell, so it excludes nothing
-        add(
-            "vacuum_excluded",
-            basis.dimension() > 0 and excluded and cert.data.get("vacuum_excluded") is True,
-            f"closure dimension {basis.dimension()}",
-        )
-        return Report(tuple(checks))
-
-    # kind == "neg_ell"
-    ell_ok = add(
-        "ell",
-        p == 0 and ell is not None and ell <= -1 and _is_int(cert.data.get("ell"), ell),
-        f"ell={ell}",
-    )
-    if not ell_ok:
-        return Report(tuple(checks))
-    q = -ell - 1
-    add("q", _is_int(cert.data.get("q"), q), f"q={q}")
-    try:
-        excluded_state = parse_state(cert.data.get("excluded_state", ""))
-    except ValueError as exc:
-        add("excluded_state", False, f"unreadable state: {exc}")
-        return Report(tuple(checks))
-    add(
-        "excluded_state",
-        excluded_state == FermionState((2 * q + 1,), ()),
-        str(excluded_state),
-    )
-    excluded, report, full_dim = _vacuum_closure(chi, cfg, excluded_state)
-    # a state heavier than the window is never reached, so that shows nothing
-    bound = cfg.weight_cutoff + cfg.excursion
-    heavy = weight(excluded_state) > bound
-    detail = f"weight {fmt_halfodd(2 * q + 1)} monomial not reached"
-    if heavy:
-        detail += f"; heavier than the window bound {format_rational(bound)}"
-    add("state_excluded", excluded and not heavy, detail)
-    closure_dim = report["dimension"]
-    add(
-        "proper_within_window",
-        closure_dim < full_dim
-        and _is_int(cert.data.get("closure_dimension"), closure_dim)
-        and _is_int(cert.data.get("full_dimension"), full_dim),
-        f"closure {closure_dim} < full {full_dim}",
-    )
     return Report(tuple(checks))

@@ -15,7 +15,8 @@ The whole space F allows ``mu_j >= 1/2``; the charged subspace (the kernel
 of ``Psi-(1/2)``) is spanned by words with ``mu_j >= 3/2``, and that smaller
 space is where the twisted module structure lives.  Vectors carry no flag
 for it: a vector lies in the charged subspace exactly when no term of its
-support has a ``mu`` entry 1/2, which is what :func:`check_tilde` tests.
+support has a ``mu`` entry 1/2.  Vectors are the engine's
+:class:`~wakimoto.span.SparseVec`.
 
 Half-odd modes are stored as doubled odd integers so every index computation
 stays integral; weights are returned as exact ``Fraction`` values.
@@ -23,8 +24,9 @@ stays integral; weights are returned as exact ``Fraction`` values.
 A single mode ``Psi±(r)`` acts on one monomial in closed form
 (``_psi_core``): an annihilator removes one entry from ``lam`` or ``mu``, a
 creator inserts one, and the result is one monomial with an ``int`` sign, or
-zero.  Vectors are acted on term by term through that core; the word
-rewriting oracle in the tests is its reference.
+zero.  Vectors are acted on term by term through that core
+(:func:`apply_psi_dmode`, which takes the doubled mode); the word rewriting
+oracle in the tests is its reference.
 """
 
 from __future__ import annotations
@@ -40,19 +42,14 @@ __all__ = [
     "PLUS",
     "MINUS",
     "FermionState",
-    "FermionVec",
     "VACUUM",
     "vacuum_vec",
     "parse_state",
     "vec_from_json_obj",
     "weight",
     "charge",
-    "state_key",
-    "apply_psi",
     "apply_psi_dmode",
     "enumerate_basis",
-    "graded_dimension",
-    "check_tilde",
     "fmt_halfodd",
     "as_dmode",
 ]
@@ -141,14 +138,8 @@ def charge(state: FermionState) -> int:
     return len(state[2]) - len(state[1])
 
 
-state_key = FermionState.sort_key
-
-
-FermionVec = SparseVec
-
-
-def vacuum_vec() -> FermionVec:
-    return FermionVec.basis(VACUUM)
+def vacuum_vec() -> SparseVec:
+    return SparseVec.basis(VACUUM)
 
 
 _STATE_TOKEN_RE = re.compile(r"Psi([+-])\(-(\d+)/2\)\Z")
@@ -171,15 +162,15 @@ def parse_state(text: str) -> FermionState:
     return FermionState(tuple(lam), tuple(mu))
 
 
-def vec_from_json_obj(obj) -> FermionVec:
-    """Inverse of ``FermionVec.to_json_obj``."""
+def vec_from_json_obj(obj) -> SparseVec:
+    """Inverse of ``SparseVec.to_json_obj`` on fermion states."""
     from .scalars import parse_rational
 
     items = []
     for i, entry in enumerate(obj):
         state = parse_state(entry["state"])
         items.append((state, parse_rational(entry["value"], field=f"terms[{i}].value")))
-    return FermionVec.from_items(items)
+    return SparseVec.from_items(items)
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +226,8 @@ def _psi_core(sp: int, d: int, state: FermionState) -> Optional[tuple[FermionSta
     return _state(lam, grown), -1 if (len(lam) + i) & 1 else 1
 
 
-def apply_psi_dmode(species: str, dmode: int, v: FermionVec) -> FermionVec:
-    """Fast path of :func:`apply_psi` taking the doubled mode directly."""
+def apply_psi_dmode(species: str, dmode: int, v: SparseVec) -> SparseVec:
+    """Apply ``Psi<species>(dmode/2)`` to a vector, in canonical form."""
     if species not in (PLUS, MINUS):
         raise ValueError(f"species must be '+' or '-', got {species!r}")
     if dmode % 2 == 0:
@@ -247,16 +238,11 @@ def apply_psi_dmode(species: str, dmode: int, v: FermionVec) -> FermionVec:
         hit = _psi_core(sp, dmode, st)
         if hit is not None:
             out[hit[0]] = c if hit[1] > 0 else -c
-    return FermionVec._of(out)
-
-
-def apply_psi(species: str, mode: Union[Fraction, str], v: FermionVec) -> FermionVec:
-    """Apply ``Psi<species>(mode)`` to a vector, reordering into canonical form."""
-    return apply_psi_dmode(species, as_dmode(mode), v)
+    return SparseVec._of(out)
 
 
 # ---------------------------------------------------------------------------
-# basis enumeration and grading
+# basis enumeration
 # ---------------------------------------------------------------------------
 
 
@@ -283,19 +269,6 @@ def enumerate_basis(max_weight: Fraction, ambient: bool = False) -> list[Fermion
         lam = tuple(reversed(lam_asc))
         for mu_asc in _distinct_parts(mu_min, rest):
             states.append(FermionState(lam, tuple(reversed(mu_asc))))
-    states.sort(key=state_key)
+    states.sort(key=FermionState.sort_key)
     return states
 
-
-def graded_dimension(max_weight: Fraction, ambient: bool = False) -> dict[tuple[Fraction, int], int]:
-    """Counts of basis monomials grouped by (weight, charge)."""
-    out: dict[tuple[Fraction, int], int] = {}
-    for st in enumerate_basis(max_weight, ambient):
-        key = (weight(st), charge(st))
-        out[key] = out.get(key, 0) + 1
-    return out
-
-
-def check_tilde(v: FermionVec) -> bool:
-    """True iff ``Psi-(1/2)`` annihilates the vector (charged-subspace test)."""
-    return apply_psi_dmode(MINUS, 1, v).is_zero()

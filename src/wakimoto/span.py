@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
-from .scalars import format_rational
+from .scalars import format_rational, parse_rational
 
 __all__ = [
     "ClosureConfig",
@@ -186,11 +186,14 @@ class ClosureConfig:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "ClosureConfig":
+        """Inverse of ``to_json_obj``: rational strings and two JSON ints."""
         lo, hi = obj["charge_window"]
+        if type(lo) is not int or type(hi) is not int:
+            raise TypeError(f"charge_window: expected two integers, got {[lo, hi]!r}")
         return cls(
-            weight_cutoff=Fraction(obj["weight_cutoff"]),
-            charge_window=(int(lo), int(hi)),
-            excursion=Fraction(obj["excursion"]),
+            weight_cutoff=parse_rational(obj["weight_cutoff"], field="weight_cutoff"),
+            charge_window=(lo, hi),
+            excursion=parse_rational(obj["excursion"], field="excursion"),
         )
 
 

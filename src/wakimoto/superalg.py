@@ -17,15 +17,17 @@ S(n) = -(n+1) chi_n / 4 (derived from the two auxiliary commuting currents,
 one of which is twisted to zero).  Scalar modes never enlarge a span, so
 operator families for closures consist of the odd modes only.
 
-The module also provides the staircase vectors Omega_s, the extraction
-procedure that maps any nonzero vector of the charged subspace onto a
-staircase vector by raising modes, the lowering string
-``G-(1/2) ... G-(ell-1/2)`` whose vacuum coefficient on Omega_ell is a Schur
-polynomial value, and the ladder words connecting staircase vectors of
-different heights.  Operator words hold G± modes only: a bare fermion mode
-is not an element of the algebra.  ``lowering_string`` is the one builder of
-the case-iii string; the classifier records it, and the verifier derives it
-again rather than reading it from a certificate.
+The module also provides the staircase vectors Omega_s, operator words of
+G± modes, the lowering string ``G-(1/2) ... G-(ell-1/2)`` whose vacuum
+coefficient on Omega_ell is a Schur polynomial value, the singular vector
+of the vanishing case, and the operator family for span closures: what the
+classifier and its verifier run.  Operator words hold G± modes only: a bare
+fermion mode is not an element of the algebra.  ``lowering_string`` is the
+one builder of the case-iii string; the classifier records it, and the
+verifier derives it again rather than reading it from a certificate.  The
+extraction onto staircase vectors and the ladder words of the paper's
+proof are no runtime path; ``tests/oracles.py`` keeps them as the
+reference the acceptance tests check.
 """
 
 from __future__ import annotations
@@ -34,24 +36,21 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .fock import (
     PLUS,
     VACUUM,
     FermionState,
-    FermionVec,
     _psi_core,
     apply_psi_dmode,  # not called here: perfbench/tracer.py wraps superalg.apply_psi_dmode
     as_dmode,
     charge,
-    check_tilde,
     fmt_halfodd,
-    state_key,
     weight,
 )
 from .scalars import ChiSeries, ell_of
-from .span import ClosureConfig, Space
+from .span import ClosureConfig, Space, SparseVec
 
 __all__ = [
     "FOCK_SPACE",
@@ -65,34 +64,29 @@ __all__ = [
     "omega_vec",
     "OperatorWord",
     "apply_word",
-    "Extraction",
-    "extract_omega",
     "lowering_string",
     "gminus_string_on_omega",
     "singular_w",
-    "lowering_ladder_word",
-    "raising_ladder_word",
-    "vacuum_filling_word",
     "a_module_ops",
 ]
 
-FOCK_SPACE = Space(weight_of=weight, charge_of=charge, sort_key=state_key)
+FOCK_SPACE = Space(weight_of=weight, charge_of=charge, sort_key=FermionState.sort_key)
 
 
-def apply_Gplus(i: int, v: FermionVec) -> FermionVec:
+def apply_Gplus(i: int, v: SparseVec) -> SparseVec:
     """Apply ``G+(i - 1/2)``, which acts as ``-i Psi+(i - 1/2)``."""
     if i == 0:
-        return FermionVec.zero()
+        return SparseVec.zero()
     d = 2 * i - 1
     out: dict[FermionState, Fraction] = {}
     for st, c in v.terms.items():
         hit = _psi_core(+1, d, st)
         if hit is not None:
             out[hit[0]] = c * (-i * hit[1])
-    return FermionVec._of(out)
+    return SparseVec._of(out)
 
 
-def apply_Gminus(i: int, v: FermionVec, chi: ChiSeries) -> FermionVec:
+def apply_Gminus(i: int, v: SparseVec, chi: ChiSeries) -> SparseVec:
     """Apply ``G-(i - 1/2)`` twisted by chi.
 
     The twist contributes one shifted ``Psi-`` mode per support index, so the
@@ -102,7 +96,7 @@ def apply_Gminus(i: int, v: FermionVec, chi: ChiSeries) -> FermionVec:
     """
     terms = v.terms
     if not terms:
-        return FermionVec.zero()
+        return SparseVec.zero()
     nums = chi.numerators
     # (doubled mode, component coefficient * chi.denominator)
     parts = [(2 * i - 1, nums.get(0, 0) - i * chi.denominator)]
@@ -120,7 +114,7 @@ def apply_Gminus(i: int, v: FermionVec, chi: ChiSeries) -> FermionVec:
                 out = hit[0]
                 acc[out] = get(out, 0) + hit[1] * k * p
     den *= chi.denominator
-    return FermionVec._of({st: Fraction(num, den) for st, num in acc.items() if num})
+    return SparseVec._of({st: Fraction(num, den) for st, num in acc.items() if num})
 
 
 def scalar_T(n: int, chi: ChiSeries) -> Fraction:
@@ -133,7 +127,7 @@ def scalar_S(n: int, chi: ChiSeries) -> Fraction:
     return -Fraction(n + 1) * chi.coeff(n) / 4
 
 
-def anticommutator_check(r, s, v: FermionVec, chi: ChiSeries) -> bool:
+def anticommutator_check(r, s, v: SparseVec, chi: ChiSeries) -> bool:
     """Verify {G+(r), G-(s)} v against the even-mode scalars (C = -3)."""
     dr, ds = as_dmode(r), as_dmode(s)
     i, j = (dr + 1) // 2, (ds + 1) // 2
@@ -145,7 +139,7 @@ def anticommutator_check(r, s, v: FermionVec, chi: ChiSeries) -> bool:
     return lhs == scalar * v
 
 
-def same_species_anticommutator(species: str, r, s, v: FermionVec, chi: ChiSeries) -> FermionVec:
+def same_species_anticommutator(species: str, r, s, v: SparseVec, chi: ChiSeries) -> SparseVec:
     """{G(species)(r), G(species)(s)} v — must vanish identically."""
     dr, ds = as_dmode(r), as_dmode(s)
     i, j = (dr + 1) // 2, (ds + 1) // 2
@@ -168,8 +162,8 @@ def omega(s: int) -> FermionState:
     return FermionState((), tuple(range(2 * s + 1, 1, -2)))
 
 
-def omega_vec(s: int) -> FermionVec:
-    return FermionVec.basis(omega(s))
+def omega_vec(s: int) -> SparseVec:
+    return SparseVec.basis(omega(s))
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +201,7 @@ class OperatorWord:
         return " ".join(f"{label}({fmt_halfodd(d)})" for label, d in self.ops)
 
 
-def apply_word(word: OperatorWord, v: FermionVec, chi: Optional[ChiSeries] = None) -> FermionVec:
+def apply_word(word: OperatorWord, v: SparseVec, chi: Optional[ChiSeries] = None) -> SparseVec:
     """Apply an operator word (rightmost factor first)."""
     for label, d in reversed(word.ops):
         if label == "G+":
@@ -220,63 +214,7 @@ def apply_word(word: OperatorWord, v: FermionVec, chi: Optional[ChiSeries] = Non
 
 
 # ---------------------------------------------------------------------------
-# extraction onto staircase vectors
-# ---------------------------------------------------------------------------
-
-
-class Extraction(NamedTuple):
-    word: OperatorWord
-    omega_index: Optional[int]  # None means the extraction lands on the vacuum
-    scalar: Fraction
-
-
-def extract_omega(v: FermionVec) -> Extraction:
-    """Build a raising word sending v onto a nonzero multiple of a staircase.
-
-    The word uses only G+ modes, hence is twist-independent.  Writing
-    v = sum C_{lam,mu} v_{lam,mu}: take the longest lam (lexicographically
-    largest on ties), annihilate it with G+(lam_i); among the surviving mu
-    pick the shortest (again lexicographically largest), and top it up to a
-    full staircase with creating G+ modes.  Every other term dies either for
-    lack of a Psi- factor or by exclusion, so the image is exactly
-    scalar * Omega_s (or scalar * |0> when only the bare minus-word remains).
-    """
-    if v.is_zero():
-        raise ValueError("cannot extract from the zero vector")
-    if not check_tilde(v):
-        raise ValueError("extraction is defined on the charged subspace only")
-    states = v.terms
-    ell = max(len(st.lam) for st in states)
-    lam_bar = max(st.lam for st in states if len(st.lam) == ell)
-    t1 = sorted({st.mu for st in states if st.lam == lam_bar})
-    ops: list[tuple[str, int]] = []
-    if t1 == [()]:
-        target = VACUUM
-        index: Optional[int] = None
-    else:
-        ell1 = min(len(mu) for mu in t1)
-        mu_bar = max(mu for mu in t1 if len(mu) == ell1)
-        s = (max(mu[0] for mu in t1 if mu) - 1) // 2
-        staircase = tuple(range(2 * s + 1, 1, -2))
-        if ell1 == s:
-            t: tuple[int, ...] = ()
-        elif ell1 == 0:
-            t = staircase
-        else:
-            t = tuple(sorted(set(staircase) - set(mu_bar), reverse=True))
-        ops += [("G+", -d) for d in t]
-        target = omega(s)
-        index = s
-    ops += [("G+", d) for d in lam_bar]
-    word = OperatorWord(tuple(ops))
-    image = apply_word(word, v)
-    if set(image.terms) != {target}:
-        raise RuntimeError(f"extraction inconsistency: image {image!r} is not a multiple of {target}")
-    return Extraction(word, index, image.terms[target])
-
-
-# ---------------------------------------------------------------------------
-# lowering strings and ladders
+# the lowering string and the singular vector
 # ---------------------------------------------------------------------------
 
 
@@ -303,7 +241,7 @@ def gminus_string_on_omega(ell: int, chi: ChiSeries) -> Fraction:
     return v.coeff(VACUUM)
 
 
-def singular_w(ell: int, chi: ChiSeries) -> FermionVec:
+def singular_w(ell: int, chi: ChiSeries) -> SparseVec:
     """``w = G-(3/2) ... G-(ell-1/2) Omega_ell`` (just ``Omega_1`` for ell=1).
 
     That is the lowering string less its leftmost factor G-(1/2).  When ``S_ell(-chi) = 0`` this vector is annihilated by every positive
@@ -312,36 +250,6 @@ def singular_w(ell: int, chi: ChiSeries) -> FermionVec:
     if ell_of(chi) != ell:
         raise ValueError(f"twist must be pole-free with chi_0 = {ell + 1}")
     return apply_word(OperatorWord(lowering_string(ell).ops[1:]), omega_vec(ell), chi)
-
-
-def lowering_ladder_word(s: int, target: int) -> OperatorWord:
-    """``G-(target+3/2) ... G-(s+1/2)`` taking Omega_s down to Omega_target.
-
-    ``target = 0`` descends all the way to the vacuum.  Applied to Omega_s
-    the word yields ``prod_{k=target+1}^{s} (ell - k)`` times the target
-    vector, where ``ell = chi_0 - 1``.
-    """
-    if not 0 <= target < s:
-        raise ValueError("need 0 <= target < s")
-    return OperatorWord(tuple(("G-", 2 * i - 1) for i in range(target + 2, s + 2)))
-
-
-def raising_ladder_word(s: int, target: int) -> OperatorWord:
-    """``G+(-target-1/2) ... G+(-s-3/2)`` raising Omega_s up to Omega_target.
-
-    ``s = 0`` starts from the vacuum.  The image is ``target!/s!`` times the
-    target staircase vector.
-    """
-    if not 0 <= s < target:
-        raise ValueError("need 0 <= s < target")
-    return OperatorWord(tuple(("G+", -(2 * j + 1)) for j in range(target, s, -1)))
-
-
-def vacuum_filling_word(n_top: int) -> OperatorWord:
-    """``G-(-n-1/2) ... G-(-1/2)`` building the dense minus staircase from |0>."""
-    if n_top < 0:
-        raise ValueError("n_top must be >= 0")
-    return OperatorWord(tuple(("G-", -(2 * k + 1)) for k in range(n_top, -1, -1)))
 
 
 # ---------------------------------------------------------------------------

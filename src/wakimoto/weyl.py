@@ -55,7 +55,6 @@ __all__ = [
     "weyl_vacuum_vec",
     "weyl_weight",
     "weyl_charge",
-    "weyl_state_key",
     "WeylAction",
     "enumerate_weyl_basis",
     "affine_relation_check",
@@ -125,13 +124,11 @@ def weyl_charge(state: WeylState) -> int:
     return len(state[2]) - len(state[1])
 
 
-weyl_state_key = WeylState.sort_key
-
-
+# the benchmark workloads build boson vectors through ``weyl.WeylVec``
 WeylVec = SparseVec
 
 
-WEYL_SPACE = Space(weight_of=weyl_weight, charge_of=weyl_charge, sort_key=weyl_state_key)
+WEYL_SPACE = Space(weight_of=weyl_weight, charge_of=weyl_charge, sort_key=WeylState.sort_key)
 
 
 def weyl_vacuum_vec() -> WeylVec:
@@ -384,7 +381,7 @@ def enumerate_weyl_basis(
                 if not lo <= ch <= hi:
                     continue
                 states.append(WeylState(a_part, (0,) * zeros + s_part))
-    return sorted(states, key=weyl_state_key)
+    return sorted(states, key=WeylState.sort_key)
 
 
 # ---------------------------------------------------------------------------

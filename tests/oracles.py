@@ -21,17 +21,26 @@ every row until a sweep adds nothing), kept as references for the one-pass
 reference for the integer ``affine_relation_check``.  ``seeded_twist``
 draws a twist of each of the classifier's five cases for the tests that
 compare against these.
+
+The last section is the reference for the paper's extraction lemma, which
+no runtime path calls: ``extract_omega`` sends any nonzero vector of the
+charged subspace (``check_tilde``) onto a multiple of a staircase vector or
+the vacuum by a word of raising G+ modes, and the ladder words
+(``lowering_ladder_word``, ``raising_ladder_word``, ``vacuum_filling_word``)
+carry staircases onto one another.  The acceptance tests check the
+submodule structure of the proof with them.
 """
 
 import math
 from fractions import Fraction
 from functools import partial
+from typing import NamedTuple, Optional
 
-from wakimoto.fock import fmt_halfodd
+from wakimoto.fock import MINUS, VACUUM, apply_psi_dmode, fmt_halfodd
 from wakimoto.scalars import ChiSeries, ell_of, pole_order
 from wakimoto.schur import schur_at_minus_chi
 from wakimoto.span import SpanBasis, SparseVec, _admissible
-from wakimoto.superalg import apply_Gminus, apply_Gplus
+from wakimoto.superalg import OperatorWord, apply_Gminus, apply_Gplus, apply_word, omega
 from wakimoto.weyl import WeylState, WeylVec
 
 # ---------------------------------------------------------------------------
@@ -649,3 +658,92 @@ def seeded_twist(case, rng):
     assert (pole_order(chi) >= 1) == (case == "i")
     assert (ell_of(chi) is not None and ell_of(chi) <= -1) == (case == "neg_ell")
     return chi
+
+
+# ---------------------------------------------------------------------------
+# extraction onto staircase vectors, and the ladder words between them
+# ---------------------------------------------------------------------------
+
+
+def check_tilde(v):
+    """True iff ``Psi-(1/2)`` annihilates the vector (charged-subspace test)."""
+    return apply_psi_dmode(MINUS, 1, v).is_zero()
+
+
+class Extraction(NamedTuple):
+    word: OperatorWord
+    omega_index: Optional[int]  # None means the extraction lands on the vacuum
+    scalar: Fraction
+
+
+def extract_omega(v):
+    """Build a raising word sending v onto a nonzero multiple of a staircase.
+
+    The word uses only G+ modes, hence is twist-independent.  Writing
+    v = sum C_{lam,mu} v_{lam,mu}: take the longest lam (lexicographically
+    largest on ties), annihilate it with G+(lam_i); among the surviving mu
+    pick the shortest (again lexicographically largest), and top it up to a
+    full staircase with creating G+ modes.  Every other term dies either for
+    lack of a Psi- factor or by exclusion, so the image is exactly
+    scalar * Omega_s (or scalar * |0> when only the bare minus-word remains).
+    """
+    if v.is_zero():
+        raise ValueError("cannot extract from the zero vector")
+    if not check_tilde(v):
+        raise ValueError("extraction is defined on the charged subspace only")
+    states = v.terms
+    ell = max(len(st.lam) for st in states)
+    lam_bar = max(st.lam for st in states if len(st.lam) == ell)
+    t1 = sorted({st.mu for st in states if st.lam == lam_bar})
+    ops = []
+    if t1 == [()]:
+        target, index = VACUUM, None
+    else:
+        ell1 = min(len(mu) for mu in t1)
+        mu_bar = max(mu for mu in t1 if len(mu) == ell1)
+        s = (max(mu[0] for mu in t1 if mu) - 1) // 2
+        staircase = tuple(range(2 * s + 1, 1, -2))
+        if ell1 == s:
+            t = ()
+        elif ell1 == 0:
+            t = staircase
+        else:
+            t = tuple(sorted(set(staircase) - set(mu_bar), reverse=True))
+        ops += [("G+", -d) for d in t]
+        target, index = omega(s), s
+    ops += [("G+", d) for d in lam_bar]
+    word = OperatorWord(tuple(ops))
+    image = apply_word(word, v)
+    if set(image.terms) != {target}:
+        raise RuntimeError(f"extraction inconsistency: image {image!r} is not a multiple of {target}")
+    return Extraction(word, index, image.terms[target])
+
+
+def lowering_ladder_word(s, target):
+    """``G-(target+3/2) ... G-(s+1/2)`` taking Omega_s down to Omega_target.
+
+    ``target = 0`` descends all the way to the vacuum.  Applied to Omega_s
+    the word yields ``prod_{k=target+1}^{s} (ell - k)`` times the target
+    vector, where ``ell = chi_0 - 1``.
+    """
+    if not 0 <= target < s:
+        raise ValueError("need 0 <= target < s")
+    return OperatorWord(tuple(("G-", 2 * i - 1) for i in range(target + 2, s + 2)))
+
+
+def raising_ladder_word(s, target):
+    """``G+(-target-1/2) ... G+(-s-3/2)`` raising Omega_s up to Omega_target.
+
+    ``s = 0`` starts from the vacuum.  The image is ``target!/s!`` times the
+    target staircase vector.
+    """
+    if not 0 <= s < target:
+        raise ValueError("need 0 <= s < target")
+    return OperatorWord(tuple(("G+", -(2 * j + 1)) for j in range(target, s, -1)))
+
+
+def vacuum_filling_word(n_top):
+    """``G-(-n-1/2) ... G-(-1/2)`` building the dense minus staircase from |0>."""
+    if n_top < 0:
+        raise ValueError("n_top must be >= 0")
+    return OperatorWord(tuple(("G-", -(2 * k + 1)) for k in range(n_top, -1, -1)))

@@ -13,12 +13,19 @@ import random
 from contextlib import redirect_stdout
 from fractions import Fraction
 
-from oracles import fermion_graded_dims, schur_det
+from oracles import (
+    extract_omega,
+    fermion_graded_dims,
+    lowering_ladder_word,
+    raising_ladder_word,
+    schur_det,
+    vacuum_filling_word,
+)
 from wakimoto import (
     ChiSeries,
     ClosureConfig,
     FOCK_SPACE,
-    FermionVec,
+    SparseVec,
     WeylAction,
     WeylVec,
     affine_relation_check,
@@ -35,18 +42,14 @@ from wakimoto import (
     enumerate_basis,
     enumerate_weyl_basis,
     evidence_agrees,
-    extract_omega,
     gminus_string_on_omega,
-    lowering_ladder_word,
     omega_vec,
-    raising_ladder_word,
     same_species_anticommutator,
     scalar_S,
     scalar_T,
     schur_at_minus_chi,
     schur_rec,
     singular_w,
-    vacuum_filling_word,
     vacuum_vec,
     verify_certificate,
     wakimoto_probe,
@@ -79,7 +82,7 @@ def random_coeff(rng):
 
 def random_vec(rng, pool):
     picks = rng.sample(pool, k=rng.randint(1, 3))
-    return FermionVec.from_items((st, random_coeff(rng)) for st in picks)
+    return SparseVec.from_items((st, random_coeff(rng)) for st in picks)
 
 
 def test_criterion_01_clifford_relations():
@@ -92,7 +95,7 @@ def test_criterion_01_clifford_relations():
     )
     assert len(states) == 59 + 33
     for st in states:
-        v = FermionVec.basis(st)
+        v = SparseVec.basis(st)
         for dr in dmodes:
             plus_v = apply_psi_dmode("+", dr, v)
             minus_v = apply_psi_dmode("-", dr, v)
@@ -102,7 +105,7 @@ def test_criterion_01_clifford_relations():
                 mixed = apply_psi_dmode("+", dr, apply_psi_dmode("-", ds, v)) + (
                     apply_psi_dmode("-", ds, plus_v)
                 )
-                assert mixed == (v if dr + ds == 0 else FermionVec.zero())
+                assert mixed == (v if dr + ds == 0 else SparseVec.zero())
                 if ds > dr:
                     same_plus = apply_psi_dmode("+", dr, apply_psi_dmode("+", ds, v)) + (
                         apply_psi_dmode("+", ds, plus_v)
@@ -126,7 +129,7 @@ def test_criterion_02_basis_grading_and_kernel():
             counted[key] = counted.get(key, 0) + 1
         assert counted == fermion_graded_dims(12, ambient=ambient)
     for st in enumerate_basis(Fraction(6), ambient=False):
-        assert apply_psi_dmode("-", 1, FermionVec.basis(st)).is_zero()
+        assert apply_psi_dmode("-", 1, SparseVec.basis(st)).is_zero()
 
 
 def test_criterion_03_super_anticommutators_and_scalar_extraction():
@@ -254,7 +257,7 @@ def test_criterion_07_irreducible_twists_are_cyclic():
         ops = a_module_ops(chi, PROBE_CFG)
         vac = vacuum_vec()
         for st in generators:
-            assert cyclic_probe(FermionVec.basis(st), vac, ops, PROBE_CFG, FOCK_SPACE)
+            assert cyclic_probe(SparseVec.basis(st), vac, ops, PROBE_CFG, FOCK_SPACE)
 
 
 def test_criterion_08_reducible_twists_have_proper_submodules():

@@ -147,6 +147,12 @@ MALFORMED_BOUNDS = [
     (["verify", "--start-weight", "100"], None, "--start-weight"),
     (["verify", "--cutoff", "2", "--start-weight", "5/2"], None, "--start-weight"),
     (["verify", "--start-weight", "1" + "0" * 5000], None, "--start-weight"),
+    # a recorded window holds rational strings and two JSON ints, nothing it could be read as
+    *((["verify"], {"weight_cutoff": "3", "charge_window": [-2, 2], "excursion": "2", **bad},
+       "certificate.data.cfg") for bad in (
+        {"charge_window": [-2.9, 2.9]}, {"charge_window": ["-3", "3"]},
+        {"charge_window": [True, 3]}, {"weight_cutoff": 2.5}, {"weight_cutoff": "1e1"},
+        {"excursion": True})),
 ]
 
 

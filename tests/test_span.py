@@ -18,8 +18,8 @@ from wakimoto import (
     ChiSeries,
     ClosureConfig,
     FermionState,
-    FermionVec,
     SpanBasis,
+    SparseVec,
     WeylAction,
     WeylVec,
     a_module_ops,
@@ -72,7 +72,7 @@ class TestClosureConfig:
 
 
 def _random_vec(rng, pool, n=3):
-    return FermionVec.from_items(
+    return SparseVec.from_items(
         (st, Fraction(rng.randint(-4, 4), rng.randint(1, 3))) for st in rng.sample(pool, n)
     )
 
@@ -103,8 +103,8 @@ class TestSpanBasis:
 
     def test_reduce_leaves_no_known_pivot(self):
         basis = SpanBasis(FOCK_SPACE)
-        a = FermionVec.basis(FermionState((1,), ()))
-        b = FermionVec.basis(FermionState((3,), ()))
+        a = SparseVec.basis(FermionState((1,), ()))
+        b = SparseVec.basis(FermionState((3,), ()))
         basis.insert(a + b)
         rem = basis.reduce(2 * a - b)
         assert min(rem.terms, key=FOCK_SPACE.sort_key) not in basis.pivots()
@@ -112,7 +112,7 @@ class TestSpanBasis:
 
     def test_insert_reports_growth(self):
         basis = SpanBasis(FOCK_SPACE)
-        a = FermionVec.basis(FermionState((1,), ()))
+        a = SparseVec.basis(FermionState((1,), ()))
         assert basis.insert(a)
         assert not basis.insert(3 * a)
         assert basis.dimension() == 1
@@ -120,8 +120,8 @@ class TestSpanBasis:
     def test_restricted_reporting(self):
         cfg = ClosureConfig(weight_cutoff=Fraction(1), charge_window=(-2, 2), excursion=Fraction(2))
         basis = SpanBasis(FOCK_SPACE, cfg)
-        low = FermionVec.basis(FermionState((1,), ()))
-        high = FermionVec.basis(FermionState((5, 3), ()))  # weight 4 > cutoff
+        low = SparseVec.basis(FermionState((1,), ()))
+        high = SparseVec.basis(FermionState((5, 3), ()))  # weight 4 > cutoff
         mixed = low + high
         basis.insert(high)
         basis.insert(mixed)
@@ -158,7 +158,7 @@ class TestClosure:
         assert sum(grid.values()) == 6
         assert len(enumerate_basis(Fraction(2))) == 6
         for st in enumerate_basis(Fraction(2)):
-            assert basis.contains(FermionVec.basis(st))
+            assert basis.contains(SparseVec.basis(st))
 
     def test_singular_vector_never_reaches_the_vacuum(self):
         # chi(z) = 2/z: ell = 1 and S_1 = 0, so Omega_1 generates a proper
@@ -208,7 +208,7 @@ class TestJointKernel:
         piece = [FermionState((), (3,)), FermionState((), (5,))]
         kernel = joint_kernel([("sum", op)], piece, FOCK_SPACE)
         assert kernel.dimension() == 1
-        diff = FermionVec.basis(piece[0]) - FermionVec.basis(piece[1])
+        diff = SparseVec.basis(piece[0]) - SparseVec.basis(piece[1])
         assert kernel.contains(diff)
         assert op(kernel.rows()[0]).is_zero()
 
@@ -269,9 +269,9 @@ def test_restricted_rows_match_kernel_solve():
 
 def _linear_op(images):
     def op(v):
-        out = FermionVec()
+        out = SparseVec()
         for s, c in v.terms.items():
-            out = out + c * images.get(s, FermionVec())
+            out = out + c * images.get(s, SparseVec())
         return out
 
     return op
@@ -327,7 +327,7 @@ def _generators(case, chi, space, rng):
         ops = a_module_ops(chi, cfg)
         vac = vacuum_vec()
         own = omega_vec(2) if case in ("iii", "schur_zero") else vac
-        other = FermionVec.basis(rng.choice(enumerate_basis(Fraction(2))))
+        other = SparseVec.basis(rng.choice(enumerate_basis(Fraction(2))))
     else:
         cfg = ClosureConfig(weight_cutoff=Fraction(2), charge_window=(-1, 1), excursion=Fraction(1))
         ops = wakimoto_ops(chi, cfg, WeylAction(chi))
@@ -396,15 +396,15 @@ def test_rewritten_row_is_expanded_again():
     # y of w then rewrites that row to x, whose image t is new: only a
     # closure that expands rewritten rows again reaches t.
     x, w, y, t = sorted(enumerate_basis(Fraction(2)), key=FOCK_SPACE.sort_key)[:4]
-    heavy = FermionVec.basis(FermionState((), (7, 5, 3)))  # weight 15/2
+    heavy = SparseVec.basis(FermionState((), (7, 5, 3)))  # weight 15/2
     images = {
-        x: FermionVec.basis(t),
-        y: heavy - FermionVec.basis(t),
-        w: FermionVec.basis(y),
+        x: SparseVec.basis(t),
+        y: heavy - SparseVec.basis(t),
+        w: SparseVec.basis(y),
     }
     ops = [("op", _linear_op(images))]
     cfg = ClosureConfig(weight_cutoff=Fraction(2), charge_window=(-3, 3), excursion=0)
-    generators = [FermionVec.basis(x) + FermionVec.basis(y), FermionVec.basis(w)]
+    generators = [SparseVec.basis(x) + SparseVec.basis(y), SparseVec.basis(w)]
     basis = closure(generators, ops, cfg, FOCK_SPACE)
-    assert basis.contains(FermionVec.basis(t))
+    assert basis.contains(SparseVec.basis(t))
     assert basis.rows() == sweep_closure(generators, ops, cfg, FOCK_SPACE).rows()

@@ -3,35 +3,39 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import fermion_state_word, fermion_vec_as_dict, normal_order_fermion
+from oracles import (
+    extract_omega,
+    fermion_state_word,
+    fermion_vec_as_dict,
+    lowering_ladder_word,
+    normal_order_fermion,
+    raising_ladder_word,
+    vacuum_filling_word,
+)
 from wakimoto import (
     MINUS,
     PLUS,
     ChiSeries,
     ClosureConfig,
     FermionState,
-    FermionVec,
     OperatorWord,
+    SparseVec,
     a_module_ops,
     anticommutator_check,
     apply_Gminus,
     apply_Gplus,
-    apply_psi,
+    apply_psi_dmode,
     apply_word,
     enumerate_basis,
-    extract_omega,
     gminus_string_on_omega,
-    lowering_ladder_word,
     lowering_string,
     omega,
     omega_vec,
-    raising_ladder_word,
     same_species_anticommutator,
     scalar_S,
     scalar_T,
     schur_at_minus_chi,
     singular_w,
-    vacuum_filling_word,
     vacuum_vec,
 )
 
@@ -41,23 +45,22 @@ POLE_TAIL = ChiSeries(
 
 
 def test_gplus_is_scaled_psi_plus():
-    v = FermionVec.basis(FermionState((3, 1), ()))
+    v = SparseVec.basis(FermionState((3, 1), ()))
     for i in (-2, -1, 1, 3):
-        mode = Fraction(2 * i - 1, 2)
-        assert apply_Gplus(i, v) == Fraction(-i) * apply_psi(PLUS, mode, v)
+        assert apply_Gplus(i, v) == Fraction(-i) * apply_psi_dmode(PLUS, 2 * i - 1, v)
     assert apply_Gplus(0, v).is_zero()
 
 
 def test_gminus_twist_terms():
     chi = ChiSeries({0: Fraction(5), 1: Fraction(7)})
     got = apply_Gminus(0, vacuum_vec(), chi)
-    want = 5 * FermionVec.basis(FermionState((1,), ())) + 7 * FermionVec.basis(
+    want = 5 * SparseVec.basis(FermionState((1,), ())) + 7 * SparseVec.basis(
         FermionState((3,), ())
     )
     assert got == want
     # untwisted: single mode with coefficient chi_0 - i
-    got1 = apply_Gminus(2, FermionVec.basis(omega(2)), ChiSeries({0: 3}))
-    assert got1 == apply_psi(MINUS, Fraction(3, 2), FermionVec.basis(omega(2)))
+    got1 = apply_Gminus(2, SparseVec.basis(omega(2)), ChiSeries({0: 3}))
+    assert got1 == apply_psi_dmode(MINUS, 3, SparseVec.basis(omega(2)))
 
 
 # chi_0 = 2: the (chi_0 - i) component of G-(3/2) vanishes
@@ -88,7 +91,7 @@ def test_g_modes_match_rewriting_oracle(chi):
     rng = random.Random(f"g-oracle:{chi!r}")
     states = enumerate_basis(Fraction(7, 2), ambient=True)
     vecs = [
-        FermionVec.from_items(
+        SparseVec.from_items(
             (rng.choice(states), Fraction(rng.randint(-9, 9), rng.randint(1, 6)))
             for _ in range(rng.randint(1, 6))
         )
@@ -103,7 +106,7 @@ def test_g_modes_match_rewriting_oracle(chi):
 
 
 def test_gminus_components_cancel_on_a_shared_state():
-    v = FermionVec.from_items(
+    v = SparseVec.from_items(
         [(FermionState((3,), ()), 1), (FermionState((1,), ()), 1), (FermionState((), (3,)), 2)]
     )
     shared = ((3, 1), ())
@@ -130,8 +133,8 @@ def test_even_scalars():
 def test_mixed_anticommutators_close_on_scalars(chi):
     vecs = [
         vacuum_vec(),
-        FermionVec.basis(FermionState((3, 1), (3,))),
-        omega_vec(2) - 3 * FermionVec.basis(FermionState((1,), ())),
+        SparseVec.basis(FermionState((3, 1), (3,))),
+        omega_vec(2) - 3 * SparseVec.basis(FermionState((1,), ())),
     ]
     halves = [Fraction(d, 2) for d in range(-5, 6, 2)]
     for v in vecs:
@@ -143,7 +146,7 @@ def test_mixed_anticommutators_close_on_scalars(chi):
 @pytest.mark.parametrize("chi", [ChiSeries({0: 3, -1: 1}), POLE_TAIL])
 @pytest.mark.parametrize("species", [PLUS, MINUS])
 def test_same_species_anticommutators_vanish(species, chi):
-    v = FermionVec.basis(FermionState((3,), (5, 3)))
+    v = SparseVec.basis(FermionState((3,), (5, 3)))
     halves = [Fraction(d, 2) for d in range(-5, 6, 2)]
     for r in halves:
         for s in halves:
@@ -199,13 +202,13 @@ class TestExtraction:
         assert got.scalar == 1
 
     def test_bare_minus_word_lands_on_vacuum(self):
-        got = extract_omega(FermionVec.basis(FermionState((1,), ())))
+        got = extract_omega(SparseVec.basis(FermionState((1,), ())))
         assert got.word == OperatorWord((("G+", 1),))
         assert got.omega_index is None
         assert got.scalar == -1
 
     def test_longest_lam_wins(self):
-        v = FermionVec.basis(FermionState((1,), (3,))) + 2 * omega_vec(1)
+        v = SparseVec.basis(FermionState((1,), (3,))) + 2 * omega_vec(1)
         got = extract_omega(v)
         assert got.word == OperatorWord((("G+", 1),))
         assert got.omega_index == 1
@@ -213,7 +216,7 @@ class TestExtraction:
 
     def test_top_up_to_staircase(self):
         # mu = (5,) inside charge sector s = 2 needs a G+(-3/2) creation
-        v = FermionVec.basis(FermionState((1,), (5,)))
+        v = SparseVec.basis(FermionState((1,), (5,)))
         got = extract_omega(v)
         assert got.omega_index == 2
         assert ("G+", -3) in got.word.ops and ("G+", 1) in got.word.ops
@@ -222,7 +225,7 @@ class TestExtraction:
     def test_survivor_set_mixing_vacuum_and_staircase(self):
         # surviving mu-set {(), (3,)}: the empty term must not confuse the
         # charge-sector choice, and the full staircase top-up kills the rest
-        v = FermionVec.basis(FermionState((1,), ())) + FermionVec.basis(
+        v = SparseVec.basis(FermionState((1,), ())) + SparseVec.basis(
             FermionState((1,), (3,))
         )
         got = extract_omega(v)
@@ -233,16 +236,16 @@ class TestExtraction:
 
     def test_rejects_zero_and_ambient(self):
         with pytest.raises(ValueError):
-            extract_omega(FermionVec.zero())
+            extract_omega(SparseVec.zero())
         with pytest.raises(ValueError):
-            extract_omega(FermionVec.basis(FermionState((), (1,))))
+            extract_omega(SparseVec.basis(FermionState((), (1,))))
 
     def test_random_vectors_land_exactly(self):
         rng = random.Random(99)
         pool = enumerate_basis(Fraction(4))
         for _ in range(40):
             picks = rng.sample(pool, rng.randint(1, 4))
-            v = FermionVec.from_items(
+            v = SparseVec.from_items(
                 (st, Fraction(rng.randint(1, 5), rng.randint(1, 3))) for st in picks
             )
             if v.is_zero():
@@ -303,7 +306,7 @@ class TestSingularVector:
         chi = ChiSeries({0: 3, -1: 1, -2: 1})
         assert schur_at_minus_chi(2, chi) == 0
         w = singular_w(2, chi)
-        want = FermionVec.basis(FermionState((), (3,))) - FermionVec.basis(
+        want = SparseVec.basis(FermionState((), (3,))) - SparseVec.basis(
             FermionState((), (5,))
         )
         assert w == want
@@ -361,7 +364,7 @@ class TestLadders:
     def test_vacuum_filling_constant(self):
         chi = ChiSeries({0: 5})  # ell = 4
         img = apply_word(vacuum_filling_word(2), vacuum_vec(), chi)
-        dense = FermionVec.basis(FermionState((5, 3, 1), ()))
+        dense = SparseVec.basis(FermionState((5, 3, 1), ()))
         assert img == 210 * dense  # 5 * 6 * 7
 
 
@@ -381,4 +384,4 @@ def test_a_module_ops_apply_within_window():
     chi = ChiSeries({0: 2, -1: 1})
     for lbl, op in a_module_ops(chi, cfg):
         out = op(omega_vec(1))
-        assert isinstance(out, FermionVec)
+        assert isinstance(out, SparseVec)
