@@ -256,17 +256,20 @@ def _cyclic_probes(chi: ChiSeries, cfg: ClosureConfig, start_weight: Fraction) -
     """Probe every charged basis vector up to start_weight for cyclicity.
 
     The vacuum is cyclic by definition, so a window that admits no other
-    generator shows nothing and fails the check.
+    generator shows nothing and fails the check.  States are probed in
+    basis order, lighter first, and a probe stops at any state already
+    proved cyclic.
     """
     ops = a_module_ops(chi, cfg)
-    vac = vacuum_vec()
     lo, hi = cfg.charge_window
     states = [st for st in enumerate_basis(start_weight) if lo <= charge(st) <= hi]
-    failures = [
-        str(st)
-        for st in states
-        if not cyclic_probe(SparseVec.basis(st), vac, ops, cfg, FOCK_SPACE)
-    ]
+    known = {VACUUM}
+    failures = []
+    for st in states:
+        if cyclic_probe(SparseVec.basis(st), known, ops, cfg, FOCK_SPACE):
+            known.add(st)
+        else:
+            failures.append(str(st))
     n = len(states)
     detail = f"{n - len(failures)}/{n} generators cyclic"
     if not any(st != VACUUM for st in states):

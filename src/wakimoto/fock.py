@@ -34,7 +34,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from operator import itemgetter
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterator, Optional, Union
 
 from .span import SparseVec
 
@@ -105,12 +105,6 @@ class FermionState(tuple):
 
     def __repr__(self) -> str:
         return f"FermionState(lam={self[1]!r}, mu={self[2]!r})"
-
-    @classmethod
-    def from_modes(cls, lam: Iterable[Union[Fraction, str]] = (), mu: Iterable[Union[Fraction, str]] = ()) -> "FermionState":
-        dl = tuple(sorted((as_dmode(x) for x in lam), reverse=True))
-        dm = tuple(sorted((as_dmode(x) for x in mu), reverse=True))
-        return cls(dl, dm)
 
     def sort_key(self):
         """Global basis order: weight, then charge, then lexicographic (lam, mu).

@@ -9,6 +9,15 @@ element of the module generated by the inputs — membership answers are never
 polluted by dropped terms.  Consequently a positive membership answer is a
 proof, while a negative answer is evidence scoped to the configuration.
 
+A closure can stop early.  Its ``stop_at`` is a set of basis states, and
+the closure returns as soon as one of them lies in the span.  In a fully
+reduced span a state u lies there exactly when the row of pivot u is u
+itself (the pure-row lemma): reducing u subtracts that row alone, and
+nothing else can cancel u.  So the stop test is a dict lookup per stop
+state, not a reduction.  ``cyclic_probe`` stops at every monomial already
+proved cyclic, not at the vacuum alone: a row is an exact element of
+⟨v⟩, so u ∈ ⟨v⟩ and |0⟩ ∈ ⟨u⟩ give |0⟩ ∈ ⟨v⟩.
+
 Scalar operators (e.g. central or diagonal mode actions) map a vector to a
 multiple of itself and can never enlarge a span, so operator families only
 need the genuinely shifting modes.
@@ -36,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
+from typing import Any, Callable, Collection, Iterable, Mapping, Optional, Sequence
 
 from .scalars import format_rational, parse_rational
 
@@ -277,6 +286,19 @@ class SpanBasis:
     def contains(self, v) -> bool:
         return self.reduce(v).is_zero()
 
+    def holds_any(self, states: Collection) -> bool:
+        """Does the span contain one of these basis states?
+
+        A state u is in the span exactly when its row is u alone: the row of
+        pivot u is the only one that u's reduction subtracts, so the
+        remainder is zero just when that row is u (pivot coefficient 1).
+        The scan runs over the given states or the rows, whichever is fewer.
+        """
+        rows = self._rows
+        if len(states) <= len(rows):
+            return any(len(r.terms) == 1 for r in map(rows.get, states) if r is not None)
+        return any(len(r.terms) == 1 and p in states for p, r in rows.items())
+
     def rows(self) -> list:
         return [self._rows[p] for p in sorted(self._rows, key=self.space.sort_key)]
 
@@ -341,7 +363,7 @@ def closure(
     ops: OpFamily,
     cfg: ClosureConfig,
     space: Space,
-    stop_if_contains=None,
+    stop_at: Optional[Collection] = None,
 ) -> SpanBasis:
     """Least fixpoint of the operator family inside the truncation window.
 
@@ -352,16 +374,21 @@ def closure(
     inserted then, or left the window, and the span only grows, so they
     would reduce to zero now and change nothing.  The inserts that grow
     the span, and the resulting basis, are those of the full sweep.
-    When ``stop_if_contains`` is given, the loop returns early as soon as
-    that vector reduces to zero — used for membership probes where a partial
-    basis already certifies the positive answer.
+
+    ``stop_at`` is a collection of basis states.  When it is given, the
+    closure returns as soon as one of them lies in the span: after the
+    generators are inserted and after every insert that grows the span.
+    By the pure-row lemma (``SpanBasis.holds_any``) each test is a row
+    lookup, not a reduction.  The partial basis already proves that the
+    generators reach that state.
     """
+    stop = frozenset(stop_at) if stop_at else None
     bound = cfg.weight_cutoff + cfg.excursion
     basis = SpanBasis(space, cfg)
     for g in generators:
         if not g.is_zero() and _admissible(g, cfg, space, bound):
             basis.insert(g)
-    if stop_if_contains is not None and basis.contains(stop_if_contains):
+    if stop and basis.holds_any(stop):
         return basis
     expanded: dict[Any, Any] = {}  # pivot -> the row object last expanded
     changed = True
@@ -379,15 +406,23 @@ def closure(
                     continue
                 if basis.insert(w):
                     changed = True
-                    if stop_if_contains is not None and basis.contains(stop_if_contains):
+                    if stop and basis.holds_any(stop):
                         return basis
     return basis
 
 
-def cyclic_probe(v, vacuum, ops: OpFamily, cfg: ClosureConfig, space: Space) -> bool:
-    """Does the truncated closure of ``[v]`` contain the vacuum vector?"""
-    basis = closure([v], ops, cfg, space, stop_if_contains=vacuum)
-    return basis.contains(vacuum)
+def cyclic_probe(v, cyclic: Collection, ops: OpFamily, cfg: ClosureConfig, space: Space) -> bool:
+    """Does the truncated closure of ``[v]`` reach a state of ``cyclic``?
+
+    ``cyclic`` holds basis states known to generate the vacuum, the vacuum
+    among them.  The closure stops at the first of them it reaches.  Every
+    row is an exact element of ⟨v⟩, so reaching u with |0⟩ ∈ ⟨u⟩ proves
+    |0⟩ ∈ ⟨v⟩; a negative answer is scoped to the window.
+    A battery probes its states lighter first and adds each one it proves
+    cyclic, so a later probe stops at the first proved state it reaches.
+    """
+    # positional, so a wrapper of ``closure`` with its own keyword names works
+    return closure([v], ops, cfg, space, cyclic).holds_any(cyclic)
 
 
 def joint_kernel(ann_ops: OpFamily, piece: Sequence, space: Space) -> SpanBasis:

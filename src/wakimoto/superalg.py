@@ -189,9 +189,6 @@ class OperatorWord:
             if not isinstance(d, int) or d % 2 == 0:
                 raise ValueError(f"mode must be a doubled odd integer, got {d!r}")
 
-    def __len__(self) -> int:
-        return len(self.ops)
-
     def to_json_obj(self) -> list[dict]:
         return [{"op": label, "mode": fmt_halfodd(d)} for label, d in self.ops]
 

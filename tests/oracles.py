@@ -603,14 +603,23 @@ def ordered_reduce(basis, v):
     return v
 
 
-def sweep_closure(generators, ops, cfg, space, stop_if_contains=None):
-    """``closure`` by full sweeps: every operator on every row, every sweep."""
+def sweep_closure(generators, ops, cfg, space, stop_at=None):
+    """``closure`` by full sweeps: every operator on every row, every sweep.
+
+    It stops once a state of ``stop_at`` reduces to zero, so comparing it
+    with ``closure`` also checks the pure-row shortcut of the stop test.
+    """
+    stop = [SparseVec.basis(u) for u in stop_at or ()]
+
+    def reached():
+        return any(basis.contains(u) for u in stop)
+
     bound = cfg.weight_cutoff + cfg.excursion
     basis = SpanBasis(space, cfg)
     for g in generators:
         if not g.is_zero() and _admissible(g, cfg, space, bound):
             basis.insert(g)
-    if stop_if_contains is not None and basis.contains(stop_if_contains):
+    if reached():
         return basis
     changed = True
     while changed:
@@ -624,7 +633,7 @@ def sweep_closure(generators, ops, cfg, space, stop_if_contains=None):
                     continue
                 if basis.insert(w):
                     changed = True
-                    if stop_if_contains is not None and basis.contains(stop_if_contains):
+                    if reached():
                         return basis
     return basis
 

@@ -26,6 +26,7 @@ from wakimoto import (
     ClosureConfig,
     FOCK_SPACE,
     SparseVec,
+    VACUUM,
     WeylAction,
     WeylVec,
     affine_relation_check,
@@ -255,9 +256,9 @@ def test_criterion_07_irreducible_twists_are_cyclic():
         verdict, _ = classify(chi, PROBE_CFG)
         assert verdict.status == "irreducible"
         ops = a_module_ops(chi, PROBE_CFG)
-        vac = vacuum_vec()
         for st in generators:
-            assert cyclic_probe(SparseVec.basis(st), vac, ops, PROBE_CFG, FOCK_SPACE)
+            # each generator on its own: the stop set holds the vacuum only
+            assert cyclic_probe(SparseVec.basis(st), {VACUUM}, ops, PROBE_CFG, FOCK_SPACE)
 
 
 def test_criterion_08_reducible_twists_have_proper_submodules():

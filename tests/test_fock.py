@@ -68,11 +68,6 @@ def test_state_copies_and_pickles(clone):
     assert got != ((5, 1), (7, 3))
 
 
-def test_from_modes_sorts():
-    st = FermionState.from_modes(lam=[Fraction(1, 2), Fraction(5, 2)], mu=["3/2"])
-    assert st == FermionState((5, 1), (3,))
-
-
 def test_weight_charge_and_order():
     st = FermionState((3, 1), (5,))
     assert weight(st) == Fraction(9, 2)

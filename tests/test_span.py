@@ -1,3 +1,4 @@
+import importlib
 import random
 from fractions import Fraction
 from functools import partial
@@ -20,10 +21,13 @@ from wakimoto import (
     FermionState,
     SpanBasis,
     SparseVec,
+    VACUUM,
+    WEYL_VACUUM,
     WeylAction,
     WeylVec,
     a_module_ops,
     apply_psi_dmode,
+    charge,
     closure,
     cyclic_probe,
     enumerate_basis,
@@ -32,6 +36,7 @@ from wakimoto import (
     omega_vec,
     vacuum_vec,
     wakimoto_ops,
+    wakimoto_probe,
     weyl_vacuum_vec,
 )
 
@@ -175,10 +180,10 @@ class TestClosure:
 
     def test_stop_if_contains_short_circuits(self):
         cfg = ClosureConfig(weight_cutoff=Fraction(2), charge_window=(-2, 2), excursion=Fraction(2))
-        chi = ChiSeries({0: 1})
-        target = vacuum_vec()
-        basis = closure([omega_vec(1)], a_module_ops(chi, cfg), cfg, FOCK_SPACE, stop_if_contains=target)
-        assert basis.contains(target)
+        ops = a_module_ops(ChiSeries({0: 1}), cfg)
+        basis = closure([omega_vec(1)], ops, cfg, FOCK_SPACE, {VACUUM})
+        assert basis.contains(vacuum_vec())
+        assert basis.dimension() < closure([omega_vec(1)], ops, cfg, FOCK_SPACE).dimension()
 
     def test_deterministic_report(self):
         cfg = ClosureConfig(weight_cutoff=Fraction(2), charge_window=(-2, 2), excursion=Fraction(1))
@@ -192,12 +197,12 @@ class TestCyclicProbe:
     def test_positive(self):
         cfg = ClosureConfig(weight_cutoff=Fraction(2), charge_window=(-2, 2), excursion=Fraction(2))
         chi = ChiSeries({0: 1})
-        assert cyclic_probe(omega_vec(1), vacuum_vec(), a_module_ops(chi, cfg), cfg, FOCK_SPACE)
+        assert cyclic_probe(omega_vec(1), {VACUUM}, a_module_ops(chi, cfg), cfg, FOCK_SPACE)
 
     def test_negative(self):
         cfg = ClosureConfig(weight_cutoff=Fraction(3), charge_window=(-3, 3), excursion=Fraction(2))
         chi = ChiSeries({0: 2})
-        assert not cyclic_probe(omega_vec(1), vacuum_vec(), a_module_ops(chi, cfg), cfg, FOCK_SPACE)
+        assert not cyclic_probe(omega_vec(1), {VACUUM}, a_module_ops(chi, cfg), cfg, FOCK_SPACE)
 
 
 class TestJointKernel:
@@ -321,17 +326,21 @@ def test_one_pass_reduce_matches_ordered_elimination():
 
 
 def _generators(case, chi, space, rng):
-    """The case's own generator and one random basis state of the window."""
+    """The case's own generator and one random basis state of the window.
+
+    Also returns the vacuum state, which the stop tests stop at.
+    """
     if space is FOCK_SPACE:
         cfg = ClosureConfig(weight_cutoff=Fraction(3), charge_window=(-2, 2), excursion=Fraction(1))
         ops = a_module_ops(chi, cfg)
-        vac = vacuum_vec()
-        own = omega_vec(2) if case in ("iii", "schur_zero") else vac
+        vac = VACUUM
+        own = omega_vec(2) if case in ("iii", "schur_zero") else vacuum_vec()
         other = SparseVec.basis(rng.choice(enumerate_basis(Fraction(2))))
     else:
         cfg = ClosureConfig(weight_cutoff=Fraction(2), charge_window=(-1, 1), excursion=Fraction(1))
         ops = wakimoto_ops(chi, cfg, WeylAction(chi))
-        vac = own = weyl_vacuum_vec()
+        vac = WEYL_VACUUM
+        own = weyl_vacuum_vec()
         other = WeylVec.basis(rng.choice(enumerate_weyl_basis(Fraction(2), (-1, 1))))
     return cfg, ops, vac, (own, other)
 
@@ -369,7 +378,7 @@ def test_closure_matches_full_sweep(case, space, monkeypatch):
         chi = seeded_twist(case, rng)
         cfg, ops, vac, generators = _generators(case, chi, space, rng)
         for g in generators:
-            for stop in (None, vac):
+            for stop in (None, {vac}):
                 new, new_grown, new_applied = _recorded(
                     closure, [g], ops, cfg, space, stop, monkeypatch)
                 old, old_grown, old_applied = _recorded(
@@ -408,3 +417,110 @@ def test_rewritten_row_is_expanded_again():
     basis = closure(generators, ops, cfg, FOCK_SPACE)
     assert basis.contains(SparseVec.basis(t))
     assert basis.rows() == sweep_closure(generators, ops, cfg, FOCK_SPACE).rows()
+
+
+# -- pure rows and the batteries that stop at proved monomials ---------------
+
+
+@pytest.mark.parametrize("space", [FOCK_SPACE, WEYL_SPACE], ids=["fock", "weyl"])
+@pytest.mark.parametrize("case", ["i", "ii", "iii", "schur_zero", "neg_ell"])
+def test_pure_row_is_membership(case, space):
+    rng = random.Random(f"pure:{case}:{space is FOCK_SPACE}")
+    chi = seeded_twist(case, rng)
+    cfg, ops, _, generators = _generators(case, chi, space, rng)
+    top = cfg.weight_cutoff + cfg.excursion
+    lo, hi = cfg.charge_window
+    if space is FOCK_SPACE:
+        window = [st for st in enumerate_basis(top, ambient=True) if lo <= charge(st) <= hi]
+    else:
+        window = enumerate_weyl_basis(top, cfg.charge_window)
+    for g in generators:
+        basis = closure([g], ops, cfg, space)
+        held = []
+        for u in window:
+            pure = basis._rows.get(u) == SparseVec.basis(u)
+            assert pure == basis.holds_any({u}) == basis.contains(SparseVec.basis(u))
+            if pure:
+                held.append(u)
+        assert held
+        # set queries: a set larger than the basis scans the rows instead
+        assert basis.holds_any(set(window)) and basis.holds_any(set(held))
+        assert not basis.holds_any(set(window) - set(held))
+
+
+# The certify benchmark's window and start weight on the fermion side; the
+# crosscheck benchmark's window on the boson side.
+BATTERY_CFG = {
+    "fock": ClosureConfig(weight_cutoff=Fraction(5), charge_window=(-3, 3), excursion=Fraction(2)),
+    "weyl": ClosureConfig(weight_cutoff=Fraction(2), charge_window=(-2, 2), excursion=Fraction(1)),
+}
+BATTERY_START_WEIGHT = Fraction(7, 2)
+
+
+def _battery(side, chi, monkeypatch):
+    """The battery's answer per probed state, and its op applications.
+
+    Also returns the same states probed one by one with the vacuum as the
+    only stop state, and the op applications of those probes.  Every
+    closure counts its op applications through a wrapper on
+    ``span.closure``, which ``cyclic_probe`` calls.
+    """
+    span = importlib.import_module("wakimoto.span")
+    owner = importlib.import_module("wakimoto.classify" if side == "fock" else "wakimoto.weyl")
+    cfg = BATTERY_CFG[side]
+    applied = [0]
+    answers = {}
+    close, probe = span.closure, span.cyclic_probe
+
+    def counted(op):
+        def apply(v):
+            applied[0] += 1
+            return op(v)
+
+        return apply
+
+    def counting(generators, ops, cfg, space, stop_at=None):
+        return close(generators, [(name, counted(op)) for name, op in ops], cfg, space, stop_at)
+
+    def recording(v, cyclic, ops, cfg, space):
+        (st,) = v.terms
+        answers[st] = probe(v, cyclic, ops, cfg, space)
+        return answers[st]
+
+    with monkeypatch.context() as mp:
+        mp.setattr(span, "closure", counting)
+        mp.setattr(owner, "cyclic_probe", recording)
+        if side == "fock":
+            check = owner._cyclic_probes(chi, cfg, BATTERY_START_WEIGHT)
+            cyclic = sum(answers.values())
+            assert check.detail.startswith(f"{cyclic}/{len(answers)} generators cyclic")
+        else:
+            evidence = wakimoto_probe(chi, cfg)
+            assert evidence.non_cyclic == tuple(str(st) for st, ok in answers.items() if not ok)
+            assert evidence.probed == len(answers)
+        memo_applied = applied[0]
+        applied[0] = 0
+        if side == "fock":
+            ops, space, vac, vec = a_module_ops(chi, cfg), FOCK_SPACE, VACUUM, SparseVec.basis
+        else:
+            ops, space, vac, vec = wakimoto_ops(chi, cfg, WeylAction(chi)), WEYL_SPACE, WEYL_VACUUM, WeylVec.basis
+        alone = {st: probe(vec(st), {vac}, ops, cfg, space) for st in answers}
+    assert list(answers) == sorted(answers, key=space.sort_key)
+    return answers, memo_applied, alone, applied[0]
+
+
+@pytest.mark.parametrize("side", ["fock", "weyl"])
+@pytest.mark.parametrize("case", ["i", "ii", "iii", "schur_zero", "neg_ell"])
+def test_battery_matches_independent_probes(case, side, monkeypatch):
+    chi = seeded_twist(case, random.Random(f"battery:{case}"))
+    answers, _, alone, _ = _battery(side, chi, monkeypatch)
+    assert len(answers) > 1
+    assert answers == alone
+
+
+@pytest.mark.parametrize("side", ["fock", "weyl"])
+def test_battery_reuses_proved_monomials(side, monkeypatch):
+    chi = seeded_twist("iii", random.Random("battery:iii"))
+    answers, memo_applied, alone, alone_applied = _battery(side, chi, monkeypatch)
+    assert all(answers.values())
+    assert memo_applied < alone_applied
