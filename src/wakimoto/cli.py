@@ -225,6 +225,17 @@ def _sample_vecs(rng, states, trials):
 def _cmd_relations(args) -> int:
     rng = random.Random(args.seed)
     bound = _bound(args.weight, "weight")
+    # each bound must leave something to check: a suite that checks
+    # nothing must not pass
+    least = 0 if args.suite == "affine" else 1
+    if args.max_mode < least:
+        raise ChiParseError(
+            f"--max-mode: must be >= {least} for suite {args.suite!r}, got {args.max_mode}"
+        )
+    if args.trials < 1:
+        raise ChiParseError(f"--trials: must be >= 1, got {args.trials}")
+    if args.window < 0:
+        raise ChiParseError(f"--window: must be >= 0, got {args.window}")
     modes = [2 * k - 1 for k in range(-args.max_mode + 1, args.max_mode + 1)]
     chi = _chi_from_args(args)
     failures: list[str] = []

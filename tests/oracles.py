@@ -17,6 +17,8 @@ restricted rows and joint kernels.  ``ordered_reduce`` and
 hit first, one hit per step) and full-sweep closure (every operator on
 every row until a sweep adds nothing), kept as references for the one-pass
 ``SpanBasis.reduce`` and the closure that skips unchanged rows.
+``ordered_f_core`` is the cubic f core summed over ordered triples of
+modes, the reference for the engine's ``_f_core`` over unordered a* pairs.
 ``apply_relation_check`` is the relation suite over rational vectors, the
 reference for the integer ``affine_relation_check``.  ``seeded_twist``
 draws a twist of each of the classifier's five cases for the tests that
@@ -41,7 +43,7 @@ from wakimoto.scalars import ChiSeries, ell_of, pole_order
 from wakimoto.schur import schur_at_minus_chi
 from wakimoto.span import SpanBasis, SparseVec, _admissible
 from wakimoto.superalg import OperatorWord, apply_Gminus, apply_Gplus, apply_word, omega
-from wakimoto.weyl import WeylState, WeylVec
+from wakimoto.weyl import WeylState, WeylVec, _astar_core, _items, _with, _without
 
 # ---------------------------------------------------------------------------
 # fermion side: rewrite a word of (species, doubled mode) generators on |0>
@@ -267,6 +269,60 @@ def wick_apply(kind, n, v, chi):
     for j in chi.support:
         out = out - chi.coeff(j) * rewrite_mode("a*", n - j, v)
     return out
+
+
+def _cubic_term(a, s, m1, m2, k, acc):
+    """Add -:a*(m1) a*(m2) a(k): on the monomial (a, s) into acc."""
+    c = -1
+    for m in (m1, m2):
+        if m >= 1:
+            mult = a.count(m)
+            if not mult:
+                return
+            c *= -mult
+            a = _without(a, m)
+    if k >= 0:
+        c *= s.count(k)
+        s = _without(s, k)
+    for m in (m1, m2):
+        if m <= 0:
+            s = _with(s, -m)
+    if k < 0:
+        a = _with(a, -k)
+    key = (a, s)
+    acc[key] = acc.get(key, 0) + c
+
+
+def ordered_f_core(n, st):
+    """-sum_{m1+m2+k=n} :a*(m1) a*(m2) a(k): + 2n a*(n) over ordered triples.
+
+    This was the engine's ``_f_core`` before it took the a* pairs unordered.
+    An a*(m) with m >= 1 must hit some a(-m) of the monomial and an a(k)
+    with k >= 0 some a*(-k), so m1 runs over the a modes and the range
+    [n - max a - max a*, 0]; for each m1 the remaining m2 + k = n - m1 is
+    split over the a* modes (a(k) annihilates) or over k < 0 (a(k) creates).
+    """
+    _, a, s = st
+    a_set = dict.fromkeys(a)
+    s_set = dict.fromkeys(s)
+    low = n - (a[-1] if a else 0) - (s[-1] if s else 0)
+    acc = {}
+    for m1 in (*range(min(low, 1), 1), *a_set):
+        r = n - m1
+        for k in s_set:
+            m2 = r - k
+            if m2 <= 0 or m2 in a_set:
+                _cubic_term(a, s, m1, m2, k, acc)
+        for m2 in a_set:
+            if m2 > r:
+                _cubic_term(a, s, m1, m2, r - m2, acc)
+        for m2 in range(r + 1, 1):
+            _cubic_term(a, s, m1, m2, r - m2, acc)
+    if n:
+        for out, c in _astar_core(n, st):
+            key = out[1:]
+            acc[key] = acc.get(key, 0) + 2 * n * c
+    return _items(acc)
 
 
 def apply_relation_check(m, n, v, action):

@@ -153,6 +153,14 @@ MALFORMED_BOUNDS = [
         {"charge_window": [-2.9, 2.9]}, {"charge_window": ["-3", "3"]},
         {"charge_window": [True, 3]}, {"weight_cutoff": 2.5}, {"weight_cutoff": "1e1"},
         {"excursion": True})),
+    # a relation suite that would check nothing, or only zero vectors
+    (["relations", "--suite", "clifford", "--max-mode", "-1"], None, "--max-mode"),
+    (["relations", "--suite", "clifford", "--max-mode", "0"], None, "--max-mode"),
+    (["relations", "--suite", "super", "--chi", CHI_POLE, "--max-mode", "0"], None, "--max-mode"),
+    (["relations", "--suite", "affine", "--chi", CHI_POLE, "--max-mode", "-1"], None, "--max-mode"),
+    (["relations", "--suite", "clifford", "--trials", "0"], None, "--trials"),
+    (["relations", "--suite", "affine", "--chi", CHI_POLE, "--trials", "-2"], None, "--trials"),
+    (["relations", "--suite", "affine", "--chi", CHI_POLE, "--window", "-1"], None, "--window"),
 ]
 
 

@@ -18,6 +18,7 @@ from oracles import (
     normal_order_boson,
     oracle_f,
     oracle_h,
+    ordered_f_core,
     seeded_twist,
     wick_apply,
     wide_probe_annihilators,
@@ -183,6 +184,59 @@ def test_h_f_match_brute_force_oracle():
         for n in range(-2, 3):
             assert boson_vec_as_dict(action.apply("h", n, v)) == oracle_h(n, st, CHI), ("h", n, st)
             assert boson_vec_as_dict(action.apply("f", n, v)) == oracle_f(n, st, CHI), ("f", n, st)
+
+
+F_CORE_STATES = enumerate_weyl_basis(4, (-3, 3))
+
+
+def test_f_core_matches_ordered_triples():
+    assert len(F_CORE_STATES) == 151
+    # repeated a modes give the c(c - 1) contractions, repeated a* modes
+    # the counts of a(k); both sides of the pair also create equal modes
+    assert WeylState((1, 1, 1), ()) in F_CORE_STATES
+    assert WeylState((), (0, 1, 1)) in F_CORE_STATES
+    assert WeylState((1, 1), (0, 0)) in F_CORE_STATES
+    for st in F_CORE_STATES:
+        # every m + n that criterion 10 and the relations benchmark reach
+        for n in range(-6, 7):
+            got = weyl._f_core(n, st)
+            assert len(dict(got)) == len(got) and all(k for _, k in got), (n, str(st))
+            assert dict(got) == dict(ordered_f_core(n, st)), (n, str(st))
+
+
+def test_each_core_is_computed_once_per_action(monkeypatch):
+    raw_calls, requested = [], set()
+
+    def counting(kind, raw):
+        def core(n, st):
+            raw_calls.append((kind, n, st))
+            return raw(n, st)
+        return core
+
+    monkeypatch.setattr(
+        WeylAction, "_RAW", {kind: counting(kind, raw) for kind, raw in WeylAction._RAW.items()}
+    )
+    core = WeylAction._core
+
+    def recording(self, kind, n, pairs, acc, c=1):
+        pairs = list(pairs)
+        requested.update((kind, n, st) for st, _ in pairs)
+        return core(self, kind, n, pairs, acc, c)
+
+    monkeypatch.setattr(WeylAction, "_core", recording)
+    v = WeylVec({WeylState((1, 1), (0,)): Fraction(1, 2), WeylState((), (0, 0, 2)): -3})
+    action = WeylAction(CHI)
+
+    def one_pass():
+        for m in range(-2, 3):
+            for n in range(-2, 3):
+                assert all(ok for _, ok in affine_relation_check(m, n, v, CHI, action))
+
+    one_pass()
+    assert len(raw_calls) == len(requested) > 0
+    raw_calls.clear()
+    one_pass()
+    assert raw_calls == []
 
 
 def test_affine_relations_on_mixed_vector():
