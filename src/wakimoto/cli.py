@@ -34,7 +34,16 @@ from .classify import (
     verify_certificate,
 )
 from .fock import apply_psi_dmode, enumerate_basis, fmt_halfodd
-from .scalars import ChiParseError, parse_chi, parse_rational, format_rational
+from .scalars import (
+    MAX_ENUM_WEIGHT,
+    MAX_ENUM_WINDOW,
+    MAX_RELATION_MODE,
+    MAX_RELATION_TRIALS,
+    ChiParseError,
+    format_rational,
+    parse_chi,
+    parse_rational,
+)
 from .schur import schur_rec, schur_at_minus_chi
 from .span import ClosureConfig, SparseVec
 from .superalg import FOCK_SPACE, anticommutator_check, same_species_anticommutator
@@ -89,6 +98,21 @@ def _bound(text: str, field: str) -> Fraction:
     if value < 0:
         raise ChiParseError(f"{field}: must be >= 0, got {text!r}")
     return value
+
+
+def _capped(value, cap: int, field: str):
+    """``value``, unless it exceeds the size cap of its flag."""
+    if value > cap:
+        raise ChiParseError(f"{field}: must be <= {cap}, got {format_rational(value)}")
+    return value
+
+
+def _enum_window(weight_text: str, weight_field: str, window: int) -> tuple[Fraction, int]:
+    """The weight bound and charge half-width of an enumerated basis window."""
+    weight = _capped(_bound(weight_text, weight_field), MAX_ENUM_WEIGHT, weight_field)
+    if window < 0:
+        raise ChiParseError(f"--window: must be >= 0, got {window}")
+    return weight, _capped(window, MAX_ENUM_WINDOW, "--window")
 
 
 # ---------------------------------------------------------------------------
@@ -168,9 +192,9 @@ def _cmd_schur(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    max_weight = _bound(args.max_weight, "max-weight")
+    max_weight, window = _enum_window(args.max_weight, "max-weight", args.window)
     if args.space == "weyl":
-        states = enumerate_weyl_basis(max_weight, (-args.window, args.window))
+        states = enumerate_weyl_basis(max_weight, (-window, window))
         space = WEYL_SPACE
     else:
         states = enumerate_basis(max_weight, ambient=args.space == "ambient")
@@ -224,7 +248,7 @@ def _sample_vecs(rng, states, trials):
 
 def _cmd_relations(args) -> int:
     rng = random.Random(args.seed)
-    bound = _bound(args.weight, "weight")
+    bound, window = _enum_window(args.weight, "weight", args.window)
     # each bound must leave something to check: a suite that checks
     # nothing must not pass
     least = 0 if args.suite == "affine" else 1
@@ -232,10 +256,10 @@ def _cmd_relations(args) -> int:
         raise ChiParseError(
             f"--max-mode: must be >= {least} for suite {args.suite!r}, got {args.max_mode}"
         )
+    _capped(args.max_mode, MAX_RELATION_MODE, "--max-mode")
     if args.trials < 1:
         raise ChiParseError(f"--trials: must be >= 1, got {args.trials}")
-    if args.window < 0:
-        raise ChiParseError(f"--window: must be >= 0, got {args.window}")
+    _capped(args.trials, MAX_RELATION_TRIALS, "--trials")
     modes = [2 * k - 1 for k in range(-args.max_mode + 1, args.max_mode + 1)]
     chi = _chi_from_args(args)
     failures: list[str] = []
@@ -276,7 +300,7 @@ def _cmd_relations(args) -> int:
         if chi is None:
             raise ChiParseError("suite 'affine' needs a twist (--chi/--chi-file)")
         action = WeylAction(chi)
-        states = enumerate_weyl_basis(bound, (-args.window, args.window))
+        states = enumerate_weyl_basis(bound, (-window, window))
         for v in _sample_vecs(rng, states, args.trials):
             for m in range(-args.max_mode, args.max_mode + 1):
                 for n in range(-args.max_mode, args.max_mode + 1):
@@ -338,8 +362,13 @@ def build_parser() -> argparse.ArgumentParser:
         default="charged",
         help="which space to enumerate",
     )
-    p.add_argument("--max-weight", default="4", help="weight bound (rational)")
-    p.add_argument("--window", type=int, default=3, help="charge half-width (weyl only)")
+    p.add_argument(
+        "--max-weight", default="4", help=f"weight bound (rational, at most {MAX_ENUM_WEIGHT})"
+    )
+    p.add_argument(
+        "--window", type=int, default=3,
+        help=f"charge half-width (weyl only, at most {MAX_ENUM_WINDOW})",
+    )
     p.add_argument("--states", action="store_true", help="also list the monomials")
     p.set_defaults(func=_cmd_enumerate)
 
@@ -354,10 +383,22 @@ def build_parser() -> argparse.ArgumentParser:
         "relations", parents=[chi_parent], help="randomized relation suites"
     )
     p.add_argument("--suite", choices=["clifford", "super", "affine"], required=True)
-    p.add_argument("--max-mode", type=int, default=3, help="mode bound (default 3)")
-    p.add_argument("--weight", default="3", help="weight bound for sampled vectors")
-    p.add_argument("--window", type=int, default=3, help="charge half-width (affine only)")
-    p.add_argument("--trials", type=int, default=5, help="number of sampled vectors")
+    p.add_argument(
+        "--max-mode", type=int, default=3,
+        help=f"mode bound (default 3, at most {MAX_RELATION_MODE})",
+    )
+    p.add_argument(
+        "--weight", default="3",
+        help=f"weight bound for sampled vectors (at most {MAX_ENUM_WEIGHT})",
+    )
+    p.add_argument(
+        "--window", type=int, default=3,
+        help=f"charge half-width (affine only, at most {MAX_ENUM_WINDOW})",
+    )
+    p.add_argument(
+        "--trials", type=int, default=5,
+        help=f"number of sampled vectors (at most {MAX_RELATION_TRIALS})",
+    )
     p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     p.set_defaults(func=_cmd_relations)
 

@@ -25,8 +25,9 @@ A single mode ``Psi±(r)`` acts on one monomial in closed form
 (``_psi_core``): an annihilator removes one entry from ``lam`` or ``mu``, a
 creator inserts one, and the result is one monomial with an ``int`` sign, or
 zero.  Vectors are acted on term by term through that core
-(:func:`apply_psi_dmode`, which takes the doubled mode); the word rewriting
-oracle in the tests is its reference.
+(:func:`apply_psi_dmode`, which takes the doubled mode), on int numerators
+over the vector's denominator; the word rewriting oracle in the tests is its
+reference.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ __all__ = [
     "parse_state",
     "vec_from_json_obj",
     "weight",
+    "doubled_weight",
     "charge",
     "apply_psi_dmode",
     "enumerate_basis",
@@ -124,8 +126,13 @@ class FermionState(tuple):
 VACUUM = FermionState((), ())
 
 
+def doubled_weight(state: FermionState) -> int:
+    """Twice the weight, as an int."""
+    return sum(state[1]) + sum(state[2])
+
+
 def weight(state: FermionState) -> Fraction:
-    return Fraction(sum(state[1]) + sum(state[2]), 2)
+    return Fraction(doubled_weight(state), 2)
 
 
 def charge(state: FermionState) -> int:
@@ -227,12 +234,13 @@ def apply_psi_dmode(species: str, dmode: int, v: SparseVec) -> SparseVec:
     if dmode % 2 == 0:
         raise ValueError(f"mode must be half-odd, got doubled value {dmode}")
     sp = +1 if species == PLUS else -1
-    out: dict[FermionState, Fraction] = {}
-    for st, c in v.terms.items():
+    out: dict[FermionState, int] = {}
+    for st, n in v.terms.items():
         hit = _psi_core(sp, dmode, st)
         if hit is not None:
-            out[hit[0]] = c if hit[1] > 0 else -c
-    return SparseVec._of(out)
+            out[hit[0]] = n if hit[1] > 0 else -n
+    # the surviving numerators may share a factor the lost ones did not
+    return SparseVec._canonical(out, v.den)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Exact scalars and the twist series chi.
 
-Every coefficient in this package is an exact rational (``fractions.Fraction``);
-nothing is ever rounded.  A *twist* is a finitely supported Laurent series
+Every coefficient in this package is an exact rational, nothing is ever
+rounded: a ``fractions.Fraction`` where it is read or written, and int
+numerators over one int denominator inside vectors and twists.  A *twist* is a finitely supported Laurent series
 
     chi(z) = sum_m chi_m z^(-m-1),
 
@@ -24,6 +25,10 @@ __all__ = [
     "ChiParseError",
     "ChiSeries",
     "MAX_CHI_INDEX",
+    "MAX_ENUM_WEIGHT",
+    "MAX_ENUM_WINDOW",
+    "MAX_RELATION_MODE",
+    "MAX_RELATION_TRIALS",
     "parse_rational",
     "format_rational",
     "parse_chi",
@@ -70,6 +75,20 @@ _ZERO = Fraction(0)
 # largest index (the boson side spans every mode up to it), so an absurd
 # index would ask for billions of operators before any work starts.
 MAX_CHI_INDEX = 1000
+
+# Largest weight and charge half-width of an enumerated basis window
+# (``enumerate --max-weight/--window``, ``relations --weight/--window``).
+# The boson window grows exponentially with the weight: at both caps it
+# holds 66,494 monomials, and ``enumerate --space weyl`` takes about a
+# second on a 2-vCPU Xeon.
+MAX_ENUM_WEIGHT = 16
+MAX_ENUM_WINDOW = 3
+# Largest ``relations --max-mode`` and ``--trials``.  Each sampled vector
+# is checked at every pair of modes, and the boson action caches its images
+# of every mode on every monomial it meets: at all four caps
+# ``relations --suite affine`` took about 10 s and 300 MB there.
+MAX_RELATION_MODE = 4
+MAX_RELATION_TRIALS = 10
 
 
 class ChiSeries:

@@ -28,6 +28,15 @@ the span.  Rows are fully reduced, each holding its own pivot with
 coefficient 1 and no other pivot, so ``reduce`` subtracts each hit row once,
 in a single pass.
 
+Arithmetic is over the integers.  A vector is int numerators over one
+positive int denominator in lowest terms, so the mode actions sum ints and
+the elimination is fraction-free in the manner of Bareiss: ``reduce``
+scales by the lcm of the hit rows' denominators, ``insert`` divides by the
+pivot numerator and rewrites other rows by cross-multiplying, and every
+result is brought back to lowest terms by one gcd.  The window test
+compares int weights (doubled on the fermion side) against a bound floored
+once per closure.  Fractions appear only where a coefficient is read out.
+
 :class:`SpanBasis` is the only Gaussian elimination here.  Its rows are
 the unique fully reduced echelon basis for a total order on keys, and the
 other exact questions are answered by eliminating under a derived order:
@@ -43,6 +52,7 @@ one vector type, :class:`SparseVec`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Any, Callable, Collection, Iterable, Mapping, Optional, Sequence
@@ -62,40 +72,78 @@ __all__ = [
 OpFamily = Sequence[tuple[str, Callable[[Any], Any]]]
 
 
+def _lifted(terms: dict[Any, int], k: int) -> dict[Any, int]:
+    """A copy of ``terms`` times the int k."""
+    return {st: n * k for st, n in terms.items()} if k != 1 else dict(terms)
+
+
+def _add_into(acc: dict[Any, int], k: int, terms: dict[Any, int]) -> None:
+    """acc += k * terms, dropping the entries that cancel."""
+    get = acc.get
+    for st, n in terms.items():
+        total = get(st, 0) + k * n
+        if total:
+            acc[st] = total
+        else:
+            del acc[st]
+
+
 class SparseVec:
     """Sparse rational linear combination of basis states.
 
-    ``terms`` maps each state to a nonzero ``Fraction``.  A state orders
+    ``terms`` maps each state to a nonzero int numerator, and ``den`` is one
+    positive int denominator: the coefficient of a state is
+    ``terms[state] / den``.  The form is canonical, with
+    gcd(den, *numerators) = 1 and the zero vector ``{}`` over 1, so equal
+    vectors have equal ``terms`` and ``den``.  The constructor takes any
+    mapping of rationals; ``coeff``, ``sorted_items`` and ``to_json_obj``
+    give Fractions back.  Operator actions sum int numerators and return
+    them through ``_canonical``, which divides out one gcd.  A state orders
     itself through ``sort_key()`` and prints through ``str``, which is all
     the sorted and JSON views need, so one class serves every space.
-    Equality compares coefficients only.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "den")
 
     def __init__(self, terms: Optional[Mapping[Any, Any]] = None):
-        data: dict[Any, Fraction] = {}
+        coeffs = []
         if terms:
             for st, c in terms.items():
                 c = c if isinstance(c, Fraction) else Fraction(c)
                 if c:
-                    data[st] = c
-        self.terms = data
+                    coeffs.append((st, c))
+        # over the lcm of lowest-terms denominators, the numerators share no
+        # prime with it: the coefficient whose denominator holds the highest
+        # power of a prime keeps a numerator prime to it
+        den = math.lcm(*(c.denominator for _, c in coeffs))
+        self.terms = {st: c.numerator * (den // c.denominator) for st, c in coeffs}
+        self.den = den
 
     @classmethod
-    def _of(cls, terms: dict[Any, Fraction]) -> "SparseVec":
-        """Wrap a dict whose values are already nonzero Fractions."""
+    def _of(cls, terms: dict[Any, int], den: int) -> "SparseVec":
+        """Wrap nonzero int numerators over a den that are already canonical."""
         v = object.__new__(cls)
         v.terms = terms
+        v.den = den
         return v
 
     @classmethod
+    def _canonical(cls, terms: dict[Any, int], den: int) -> "SparseVec":
+        """Nonzero int numerators over a positive den, in lowest terms."""
+        if den != 1:
+            g = math.gcd(den, *terms.values())
+            if g != 1:
+                terms = {st: n // g for st, n in terms.items()}
+                den //= g
+        return cls._of(terms, den)
+
+    @classmethod
     def zero(cls) -> "SparseVec":
-        return cls()
+        return cls._of({}, 1)
 
     @classmethod
     def basis(cls, state) -> "SparseVec":
-        return cls._of({state: Fraction(1)})
+        return cls._of({state: 1}, 1)
 
     @classmethod
     def from_items(cls, items: Iterable[tuple[Any, Any]]) -> "SparseVec":
@@ -109,21 +157,13 @@ class SparseVec:
         return not self.terms
 
     def coeff(self, state) -> Fraction:
-        return self.terms.get(state, Fraction(0))
+        return Fraction(self.terms.get(state, 0), self.den)
 
     def _combined(self, other: "SparseVec", sign: int) -> "SparseVec":
-        data = dict(self.terms)
-        for st, c in other.terms.items():
-            prev = data.get(st)
-            if prev is None:
-                data[st] = c if sign > 0 else -c
-            else:
-                total = prev + c if sign > 0 else prev - c
-                if total:
-                    data[st] = total
-                else:
-                    del data[st]
-        return SparseVec._of(data)
+        den = math.lcm(self.den, other.den)
+        data = _lifted(self.terms, den // self.den)
+        _add_into(data, sign * (den // other.den), other.terms)
+        return SparseVec._canonical(data, den)
 
     def __add__(self, other: "SparseVec") -> "SparseVec":
         return self._combined(other, 1)
@@ -132,13 +172,16 @@ class SparseVec:
         return self._combined(other, -1)
 
     def __neg__(self) -> "SparseVec":
-        return SparseVec._of({st: -c for st, c in self.terms.items()})
+        return SparseVec._of({st: -n for st, n in self.terms.items()}, self.den)
 
     def _scaled(self, scalar) -> "SparseVec":
-        s = Fraction(scalar)
+        s = scalar if isinstance(scalar, Fraction) else Fraction(scalar)
         if not s:
-            return SparseVec()
-        return SparseVec._of({st: s * c for st, c in self.terms.items()})
+            return SparseVec.zero()
+        k = s.numerator
+        return SparseVec._canonical(
+            {st: k * n for st, n in self.terms.items()}, self.den * s.denominator
+        )
 
     def __mul__(self, scalar) -> "SparseVec":
         return self._scaled(scalar)
@@ -146,15 +189,17 @@ class SparseVec:
     __rmul__ = __mul__
 
     def __truediv__(self, scalar) -> "SparseVec":
-        return self._scaled(Fraction(1) / Fraction(scalar))
+        return self._scaled(1 / Fraction(scalar))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, SparseVec) and self.terms == other.terms
+        return isinstance(other, SparseVec) and self.den == other.den and self.terms == other.terms
 
     __hash__ = None  # type: ignore[assignment]
 
     def sorted_items(self) -> list[tuple[Any, Fraction]]:
-        return sorted(self.terms.items(), key=lambda kv: kv[0].sort_key())
+        den = self.den
+        items = sorted(self.terms.items(), key=lambda kv: kv[0].sort_key())
+        return [(st, Fraction(n, den)) for st, n in items]
 
     def to_json_obj(self) -> list[dict]:
         return [{"state": str(st), "value": format_rational(c)} for st, c in self.sorted_items()]
@@ -208,15 +253,28 @@ class ClosureConfig:
 
 @dataclass(frozen=True)
 class Space:
-    """Adapter describing a graded basis: weight, charge, total order."""
+    """Adapter describing a graded basis: weight, charge, total order.
+
+    ``weight_of`` is the exact weight.  ``int_weight_of`` is the int
+    ``weight_scale * weight_of``, which the window tests compare against a
+    bound floored once (doubled weights on the fermion side).
+    """
 
     weight_of: Callable[[Any], Fraction]
     charge_of: Callable[[Any], int]
     sort_key: Callable[[Any], Any]
+    int_weight_of: Callable[[Any], int]
+    weight_scale: int
+
+    def int_bound(self, weight) -> int:
+        """The largest int weight of a state of weight at most ``weight``."""
+        return math.floor(weight * self.weight_scale)
 
 
 class SpanBasis:
     """Fully reduced row-echelon basis with pivot coefficient 1.
+
+    A row is canonical, so pivot coefficient 1 reads ``terms[p] == den``.
 
     Rows are kept up to ``weight_cutoff + excursion``; reporting helpers
     describe the largest subspace supported inside the cutoff, which is
@@ -245,40 +303,51 @@ class SpanBasis:
         enough: row s holds its pivot s with coefficient 1 and no other
         pivot, so subtracting v[s]·row_s changes no other pivot's
         coefficient.  The remainder is v − Σ v[s]·row_s over the pivots s
-        in v's support, in any order.
+        in v's support, in any order.  Over L, the lcm of the hit rows'
+        denominators, it is (L·N − Σ N[s]·(L / d_s)·R_s) / (D·L) for
+        v = N / D and row_s = R_s / d_s: one int sum.
         """
         rows = self._rows
         terms = v.terms
         hits = [s for s in terms if s in rows]
         if not hits:
             return v
-        data = dict(terms)
+        lift = math.lcm(*(rows[s].den for s in hits))
+        data = _lifted(terms, lift)
         for s in hits:
-            c = terms[s]
-            for st, rc in rows[s].terms.items():
-                total = data.get(st, 0) - c * rc
-                if total:
-                    data[st] = total
-                else:
-                    del data[st]
-        return SparseVec._of(data)
+            row = rows[s]
+            _add_into(data, -terms[s] * (lift // row.den), row.terms)
+        return SparseVec._canonical(data, v.den * lift)
 
     def insert(self, v) -> bool:
         """Insert a vector, keeping full reduction; True if the span grew.
 
         A row it rewrites becomes a new object, and a call that does not
-        grow the span changes nothing; ``closure`` relies on both.
+        grow the span changes nothing; ``closure`` relies on both.  Dividing
+        N / D by its pivot coefficient N[p] / D gives N over N[p]; a row
+        R / e holding c = R[p] becomes (R·d − c·N') / (e·d), with N' over d
+        the new row.
         """
         v = self.reduce(v)
-        if v.is_zero():
+        terms = v.terms
+        if not terms:
             return False
         p = self._pivot(v)
-        v = v * (Fraction(1) / v.terms[p])
-        for q, row in list(self._rows.items()):
+        lead = terms[p]
+        g = math.gcd(*terms.values())
+        if lead < 0:
+            g = -g
+        if g != 1:
+            terms = {st: n // g for st, n in terms.items()}
+        d = lead // g
+        rows = self._rows
+        for q, row in list(rows.items()):
             c = row.terms.get(p)
             if c:
-                self._rows[q] = row - c * v
-        self._rows[p] = v
+                data = _lifted(row.terms, d)
+                _add_into(data, -c, terms)
+                rows[q] = SparseVec._canonical(data, row.den * d)
+        rows[p] = SparseVec._of(terms, d)
         return True
 
     # -- queries ------------------------------------------------------
@@ -323,8 +392,8 @@ class SpanBasis:
         """
         if self.cfg is None:
             return self.rows()
-        w = self.cfg.weight_cutoff
-        weight_of, key = self.space.weight_of, self.space.sort_key
+        w = self.space.int_bound(self.cfg.weight_cutoff)
+        weight_of, key = self.space.int_weight_of, self.space.sort_key
         heavy_first = SpanBasis(replace(self.space, sort_key=lambda s: (weight_of(s) <= w, key(s))))
         for r in self._rows.values():
             heavy_first.insert(r)
@@ -351,11 +420,16 @@ class SpanBasis:
         }
 
 
-def _admissible(v, cfg: ClosureConfig, space: Space, bound: Fraction) -> bool:
+def _weight_bound(cfg: ClosureConfig, space: Space) -> int:
+    """The window's weight bound on ``space.int_weight_of``."""
+    return space.int_bound(cfg.weight_cutoff + cfg.excursion)
+
+
+def _admissible(v, cfg: ClosureConfig, space: Space, bound: int) -> bool:
+    """Does every state of v lie in the window?  ``bound`` is ``_weight_bound``."""
     lo, hi = cfg.charge_window
-    return all(
-        space.weight_of(s) <= bound and lo <= space.charge_of(s) <= hi for s in v.terms
-    )
+    weight_of, charge_of = space.int_weight_of, space.charge_of
+    return all(weight_of(s) <= bound and lo <= charge_of(s) <= hi for s in v.terms)
 
 
 def closure(
@@ -383,7 +457,7 @@ def closure(
     generators reach that state.
     """
     stop = frozenset(stop_at) if stop_at else None
-    bound = cfg.weight_cutoff + cfg.excursion
+    bound = _weight_bound(cfg, space)
     basis = SpanBasis(space, cfg)
     for g in generators:
         if not g.is_zero() and _admissible(g, cfg, space, bound):
@@ -436,20 +510,25 @@ def joint_kernel(ann_ops: OpFamily, piece: Sequence, space: Space) -> SpanBasis:
     whose pivot is a key of ``piece`` has no image part left, since a row's
     support lies at or above its pivot, and a combination with zero image
     is eliminated by such rows alone.  So those rows, with their tags
-    dropped, are the kernel's reduced echelon basis.
+    dropped, are the kernel's reduced echelon basis.  An augmented row is
+    over the lcm of its images' denominators, which keeps it canonical as
+    in the ``SparseVec`` constructor.
     """
     tag = len(ann_ops)
     # only the order of the augmented keys is read
     augmented = SpanBasis(replace(space, sort_key=lambda k: (k[0], space.sort_key(k[1]))))
     for s in piece:
         vec = SparseVec.basis(s)
-        terms = {(tag, s): Fraction(1)}
-        for j, (_, op) in enumerate(ann_ops):
-            for out, c in op(vec).terms.items():
-                terms[j, out] = c
-        augmented.insert(SparseVec._of(terms))
+        images = [op(vec) for _, op in ann_ops]
+        den = math.lcm(*(w.den for w in images))
+        terms = {(tag, s): den}
+        for j, w in enumerate(images):
+            lift = den // w.den
+            for out, n in w.terms.items():
+                terms[j, out] = n * lift
+        augmented.insert(SparseVec._of(terms, den))
     kernel = SpanBasis(space)
     for (j, s), row in augmented._rows.items():
         if j == tag:
-            kernel._rows[s] = SparseVec._of({st: c for (_, st), c in row.terms.items()})
+            kernel._rows[s] = SparseVec._of({st: n for (_, st), n in row.terms.items()}, row.den)
     return kernel

@@ -46,6 +46,7 @@ from .fock import (
     apply_psi_dmode,  # not called here: perfbench/tracer.py wraps superalg.apply_psi_dmode
     as_dmode,
     charge,
+    doubled_weight,
     fmt_halfodd,
     weight,
 )
@@ -70,7 +71,13 @@ __all__ = [
     "a_module_ops",
 ]
 
-FOCK_SPACE = Space(weight_of=weight, charge_of=charge, sort_key=FermionState.sort_key)
+FOCK_SPACE = Space(
+    weight_of=weight,
+    charge_of=charge,
+    sort_key=FermionState.sort_key,
+    int_weight_of=doubled_weight,
+    weight_scale=2,
+)
 
 
 def apply_Gplus(i: int, v: SparseVec) -> SparseVec:
@@ -78,12 +85,12 @@ def apply_Gplus(i: int, v: SparseVec) -> SparseVec:
     if i == 0:
         return SparseVec.zero()
     d = 2 * i - 1
-    out: dict[FermionState, Fraction] = {}
-    for st, c in v.terms.items():
+    out: dict[FermionState, int] = {}
+    for st, n in v.terms.items():
         hit = _psi_core(+1, d, st)
         if hit is not None:
-            out[hit[0]] = c * (-i * hit[1])
-    return SparseVec._of(out)
+            out[hit[0]] = -i * hit[1] * n
+    return SparseVec._canonical(out, v.den)
 
 
 def apply_Gminus(i: int, v: SparseVec, chi: ChiSeries) -> SparseVec:
@@ -91,8 +98,8 @@ def apply_Gminus(i: int, v: SparseVec, chi: ChiSeries) -> SparseVec:
 
     The twist contributes one shifted ``Psi-`` mode per support index, so the
     sum below is finite and exact — no truncation is involved.  Components
-    that land on the same monomial are summed as ints over one common
-    denominator, so each output coefficient is a single Fraction.
+    that land on the same monomial are summed as ints: v's numerators times
+    chi's numerators, over v's denominator times chi's.
     """
     terms = v.terms
     if not terms:
@@ -101,20 +108,19 @@ def apply_Gminus(i: int, v: SparseVec, chi: ChiSeries) -> SparseVec:
     # (doubled mode, component coefficient * chi.denominator)
     parts = [(2 * i - 1, nums.get(0, 0) - i * chi.denominator)]
     parts += [(2 * (i - m) - 1, x) for m, x in nums.items() if m]
-    den = math.lcm(*(c.denominator for c in terms.values()))
-    scaled = [(st, c.numerator * (den // c.denominator)) for st, c in terms.items()]
     acc: dict[FermionState, int] = {}
     get = acc.get
     for d, k in parts:
         if not k:
             continue
-        for st, p in scaled:
+        for st, p in terms.items():
             hit = _psi_core(-1, d, st)
             if hit is not None:
                 out = hit[0]
                 acc[out] = get(out, 0) + hit[1] * k * p
-    den *= chi.denominator
-    return SparseVec._of({st: Fraction(num, den) for st, num in acc.items() if num})
+    return SparseVec._canonical(
+        {st: n for st, n in acc.items() if n}, v.den * chi.denominator
+    )
 
 
 def scalar_T(n: int, chi: ChiSeries) -> Fraction:

@@ -140,7 +140,13 @@ def weyl_charge(state: WeylState) -> int:
 WeylVec = SparseVec
 
 
-WEYL_SPACE = Space(weight_of=weyl_weight, charge_of=weyl_charge, sort_key=WeylState.sort_key)
+WEYL_SPACE = Space(
+    weight_of=weyl_weight,
+    charge_of=weyl_charge,
+    sort_key=WeylState.sort_key,
+    int_weight_of=weyl_weight,
+    weight_scale=1,
+)
 
 
 def weyl_vacuum_vec() -> WeylVec:
@@ -309,9 +315,10 @@ class WeylAction:
     monomial for h, and -sum_j chi_j a*(n-j) on it for f.  The scale is
     chi's common denominator when the mode has a twist, else 1.  Relation
     suites and closure probes revisit the same monomials many times, so
-    ``_core`` is one sum of cached images, and ``apply`` wraps it for
-    rational vectors, each output coefficient a single Fraction.  The
-    tables live and die with the action; they are not shared across twists.
+    ``_core`` is one sum of cached images.  ``apply`` feeds it a vector's
+    int numerators and puts the sum over the vector's denominator times the
+    scale, in lowest terms.  The tables live and die with the action; they
+    are not shared across twists.
     """
 
     _RAW = {"e": _a_core, "h": _h_core, "f": _f_core}
@@ -377,13 +384,10 @@ class WeylAction:
     def apply(self, kind: str, n: int, v: WeylVec) -> WeylVec:
         terms = v.terms
         if not terms:
-            return WeylVec()
-        den = math.lcm(*(c.denominator for c in terms.values()))
+            return WeylVec.zero()
         acc: dict[WeylState, int] = {}
-        den *= self._core(
-            kind, n, [(st, c.numerator * (den // c.denominator)) for st, c in terms.items()], acc
-        )
-        return WeylVec._of({st: Fraction(num, den) for st, num in acc.items() if num})
+        scale = self._core(kind, n, terms.items(), acc)
+        return WeylVec._canonical({st: x for st, x in acc.items() if x}, v.den * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -435,15 +439,14 @@ def affine_relation_check(
 
     The twist comes from ``action``.  ``chi`` is unused; it stays because the
     benchmark's relations workload passes all five arguments by position.
-    Everything acts on D v, with D the common denominator of v's
-    coefficients.  Each first-level image (e, h, f at m, n and m + n) is
-    computed once, and its zero entries are dropped before the second
-    level.  Each relation [x, y] = rhs is then one integer sum: x(y D v),
-    -y(x D v) and -rhs, each scaled to a common denominator, must vanish.
+    Every relation is linear in v, so everything acts on D v, the int
+    numerators ``v.terms`` of v over its denominator D.  Each first-level
+    image (e, h, f at m, n and m + n) is computed once, and its zero entries
+    are dropped before the second level.  Each relation [x, y] = rhs is then
+    one integer sum: x(y D v), -y(x D v) and -rhs, each scaled to a common
+    denominator, must vanish.
     """
-    terms = v.terms
-    den = math.lcm(*(c.denominator for c in terms.values()))
-    dv = {st: c.numerator * (den // c.denominator) for st, c in terms.items()}
+    dv = v.terms
     core = action._core
     first: dict[tuple[str, int], tuple[dict[WeylState, int], int]] = {}
     for key in (("e", n), ("h", m), ("f", n), ("e", m), ("h", n), ("f", m),

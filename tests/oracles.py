@@ -20,7 +20,10 @@ every row until a sweep adds nothing), kept as references for the one-pass
 ``ordered_f_core`` is the cubic f core summed over ordered triples of
 modes, the reference for the engine's ``_f_core`` over unordered a* pairs.
 ``apply_relation_check`` is the relation suite over rational vectors, the
-reference for the integer ``affine_relation_check``.  ``seeded_twist``
+reference for the integer ``affine_relation_check``.  ``FractionRows`` and
+the ``dict_*`` helpers are vector algebra and elimination over plain
+Fraction dicts, the reference for ``SparseVec``'s int numerators over one
+denominator and the fraction-free ``SpanBasis``.  ``seeded_twist``
 draws a twist of each of the classifier's five cases for the tests that
 compare against these.
 
@@ -41,7 +44,7 @@ from typing import NamedTuple, Optional
 from wakimoto.fock import MINUS, VACUUM, apply_psi_dmode, fmt_halfodd
 from wakimoto.scalars import ChiSeries, ell_of, pole_order
 from wakimoto.schur import schur_at_minus_chi
-from wakimoto.span import SpanBasis, SparseVec, _admissible
+from wakimoto.span import SpanBasis, SparseVec, _admissible, _weight_bound
 from wakimoto.superalg import OperatorWord, apply_Gminus, apply_Gplus, apply_word, omega
 from wakimoto.weyl import WeylState, WeylVec, _astar_core, _items, _with, _without
 
@@ -101,7 +104,7 @@ def fermion_state_word(state):
 
 
 def fermion_vec_as_dict(v):
-    return {(st.lam, st.mu): c for st, c in v.terms.items()}
+    return {(st.lam, st.mu): c for st, c in v.sorted_items()}
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +161,7 @@ def boson_state_word(state):
 
 
 def boson_vec_as_dict(v):
-    return {(st.a_modes, st.astar_modes): c for st, c in v.terms.items()}
+    return {(st.a_modes, st.astar_modes): c for st, c in v.sorted_items()}
 
 
 def _no_product(factors, tail, coeff):
@@ -201,7 +204,7 @@ def oracle_f(n, state, chi):
 def rewrite_mode(kind, m, v):
     """a(m) or a*(m) on a vector, each monomial by the rewriting oracle."""
     acc = {}
-    for st, c in v.terms.items():
+    for st, c in v.sorted_items():
         word = ((kind, m),) + boson_state_word(st)
         for (a_modes, astar_modes), k in normal_order_boson(word, c).items():
             out = WeylState(a_modes, astar_modes)
@@ -241,7 +244,7 @@ def wick_apply(kind, n, v, chi):
     if kind == "e":
         return rewrite_mode("a", n, v)
     out = WeylVec.zero()
-    for st, c in v.terms.items():
+    for st, c in v.sorted_items():
         a_set = set(st.a_modes)
         s_set = set(st.astar_modes)
         base = WeylVec({st: c})
@@ -613,7 +616,7 @@ def solved_restricted_rows(basis):
         out.insert(r)
     constraints = {}
     for j, r in enumerate(tailed):
-        for s, c in r.terms.items():
+        for s, c in r.sorted_items():
             if space.weight_of(s) > w:
                 constraints.setdefault(s, {})[j] = c
     ordered = [constraints[s] for s in sorted(constraints, key=space.sort_key)]
@@ -629,7 +632,7 @@ def solved_joint_kernel(ann_ops, piece, space):
     for i, s in enumerate(cols):
         vec = SparseVec.basis(s)
         for j, (_, op) in enumerate(ann_ops):
-            for out, c in op(vec).terms.items():
+            for out, c in op(vec).sorted_items():
                 constraints.setdefault((j, out), {})[i] = c
     ordered = [
         constraints[k] for k in sorted(constraints, key=lambda k: (k[0], space.sort_key(k[1])))
@@ -638,6 +641,68 @@ def solved_joint_kernel(ann_ops, piece, space):
     for coeffs in solve_kernel(ordered, len(cols)):
         kernel.insert(SparseVec({cols[i]: q for i, q in coeffs.items()}))
     return kernel
+
+
+# ---------------------------------------------------------------------------
+# rational vectors as Fraction dicts
+# ---------------------------------------------------------------------------
+
+
+def as_fraction_dict(v):
+    """A SparseVec's coefficients, read out one by one."""
+    return {st: v.coeff(st) for st in v.terms}
+
+
+def _nonzero(d):
+    return {st: c for st, c in d.items() if c}
+
+
+def dict_add(a, b, sign=1):
+    out = dict(a)
+    for st, c in b.items():
+        out[st] = out.get(st, Fraction(0)) + sign * c
+    return _nonzero(out)
+
+
+def dict_scale(a, scalar):
+    return _nonzero({st: Fraction(scalar) * c for st, c in a.items()})
+
+
+def dict_from_items(items):
+    out = {}
+    for st, c in items:
+        out[st] = out.get(st, Fraction(0)) + Fraction(c)
+    return _nonzero(out)
+
+
+class FractionRows:
+    """``SpanBasis.reduce`` and ``insert`` over Fraction dicts.
+
+    The one-pass reduction and the insert that scales its pivot to 1 and
+    clears that pivot from every other row, with a Fraction per coefficient.
+    """
+
+    def __init__(self, sort_key):
+        self.sort_key = sort_key
+        self.rows = {}  # pivot -> {state: Fraction}
+
+    def reduce(self, v):
+        out = dict(v)
+        for s in [s for s in v if s in self.rows]:
+            out = dict_add(out, dict_scale(self.rows[s], v[s]), -1)
+        return out
+
+    def insert(self, v):
+        v = self.reduce(v)
+        if not v:
+            return False
+        p = min(v, key=self.sort_key)
+        v = dict_scale(v, 1 / v[p])
+        for q, row in list(self.rows.items()):
+            if p in row:
+                self.rows[q] = dict_add(row, dict_scale(v, row[p]), -1)
+        self.rows[p] = v
+        return True
 
 
 # ---------------------------------------------------------------------------
@@ -655,7 +720,7 @@ def ordered_reduce(basis, v):
         )
         if hit is None:
             return v
-        v = v - v.terms[hit] * basis._rows[hit]
+        v = v - v.coeff(hit) * basis._rows[hit]
     return v
 
 
@@ -670,7 +735,7 @@ def sweep_closure(generators, ops, cfg, space, stop_at=None):
     def reached():
         return any(basis.contains(u) for u in stop)
 
-    bound = cfg.weight_cutoff + cfg.excursion
+    bound = _weight_bound(cfg, space)
     basis = SpanBasis(space, cfg)
     for g in generators:
         if not g.is_zero() and _admissible(g, cfg, space, bound):
@@ -781,7 +846,7 @@ def extract_omega(v):
     image = apply_word(word, v)
     if set(image.terms) != {target}:
         raise RuntimeError(f"extraction inconsistency: image {image!r} is not a multiple of {target}")
-    return Extraction(word, index, image.terms[target])
+    return Extraction(word, index, image.coeff(target))
 
 
 def lowering_ladder_word(s, target):

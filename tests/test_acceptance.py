@@ -348,7 +348,7 @@ def test_criterion_09_witness_submodules_regenerate_generator():
                     else raising_ladder_word(landing, target)
                 )
                 image = apply_word(ladder, omega_vec(landing), chi)
-                constant = next(iter(image.terms.values()))
+                constant = image.coeff(next(iter(image.terms)))
                 assert constant != 0
                 assert image == constant * generator
 

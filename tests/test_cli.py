@@ -8,6 +8,12 @@ import pytest
 
 from wakimoto import DEFAULT_CFG, ClosureConfig, cli
 from wakimoto.cli import main
+from wakimoto.scalars import (
+    MAX_ENUM_WEIGHT,
+    MAX_ENUM_WINDOW,
+    MAX_RELATION_MODE,
+    MAX_RELATION_TRIALS,
+)
 
 CHI_SCHUR_NONZERO = json.dumps(
     {"coeffs": [{"m": 0, "value": "3"}, {"m": -2, "value": "1"}]}
@@ -161,6 +167,15 @@ MALFORMED_BOUNDS = [
     (["relations", "--suite", "clifford", "--trials", "0"], None, "--trials"),
     (["relations", "--suite", "affine", "--chi", CHI_POLE, "--trials", "-2"], None, "--trials"),
     (["relations", "--suite", "affine", "--chi", CHI_POLE, "--window", "-1"], None, "--window"),
+    # a window or suite past its size cap, which would hang or exhaust memory
+    (["enumerate", "--space", "weyl", "--max-weight", "1000"], None, "max-weight"),
+    (["enumerate", "--max-weight", "33/2"], None, "max-weight"),
+    (["enumerate", "--space", "weyl", "--window", "4"], None, "--window"),
+    (["enumerate", "--space", "weyl", "--window", "-1"], None, "--window"),
+    (["relations", "--suite", "affine", "--chi", CHI_POLE, "--window", "1000"], None, "--window"),
+    (["relations", "--suite", "affine", "--chi", CHI_POLE, "--weight", "17"], None, "weight"),
+    (["relations", "--suite", "clifford", "--max-mode", "5"], None, "--max-mode"),
+    (["relations", "--suite", "clifford", "--trials", "11"], None, "--trials"),
 ]
 
 
@@ -176,6 +191,20 @@ def test_malformed_bound_exits_two(capsys, tmp_path, argv, recorded, name):
     code, out, err = run_cli(capsys, argv)
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {name}: ") and err.count("\n") == 1, err
+
+
+def test_size_caps_are_inclusive(capsys):
+    # the fermion spaces and the Clifford suite stay small at the caps
+    argv = ["enumerate", "--max-weight", str(MAX_ENUM_WEIGHT), "--window", str(MAX_ENUM_WINDOW)]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["count"] == 2065
+    code, out, err = run_cli(capsys, [
+        "relations", "--suite", "clifford", "--weight", "1", "--window", str(MAX_ENUM_WINDOW),
+        "--max-mode", str(MAX_RELATION_MODE), "--trials", str(MAX_RELATION_TRIALS),
+    ])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["failures"] == []
 
 
 def test_start_weight_widens_the_probes(capsys, tmp_path):

@@ -1,11 +1,19 @@
+import fractions
 import importlib
+import math
 import random
+import sys
 from fractions import Fraction
 from functools import partial
 
 import pytest
 
 from oracles import (
+    FractionRows,
+    as_fraction_dict,
+    dict_add,
+    dict_from_items,
+    dict_scale,
     ordered_reduce,
     seeded_twist,
     solved_joint_kernel,
@@ -82,6 +90,172 @@ def _random_vec(rng, pool, n=3):
     )
 
 
+# -- int numerators over one denominator against Fraction dicts -------------
+
+
+def _assert_canonical(v):
+    assert type(v.den) is int and v.den > 0
+    assert all(type(n) is int and n != 0 for n in v.terms.values())
+    assert math.gcd(v.den, *v.terms.values()) == 1
+
+
+def _shared_factor_items(rng, pool, n):
+    # numerators and denominators share factors, so results must reduce
+    return [
+        (st, Fraction(rng.choice([-6, -4, -3, -2, -1, 1, 2, 3, 4, 6]), rng.choice([1, 2, 3, 4, 6])))
+        for st in rng.sample(pool, n)
+    ]
+
+
+VECTOR_POOLS = {
+    "fock": (FOCK_SPACE, enumerate_basis(Fraction(4))),
+    "weyl": (WEYL_SPACE, enumerate_weyl_basis(2, (-2, 2))),
+}
+
+
+@pytest.mark.parametrize("side", sorted(VECTOR_POOLS))
+def test_vector_algebra_matches_fraction_dicts(side):
+    space, pool = VECTOR_POOLS[side]
+    rng = random.Random(f"vector-algebra:{side}")
+    basis, ref = SpanBasis(space), FractionRows(space.sort_key)
+    reduced = 0
+    for _ in range(60):
+        items = _shared_factor_items(rng, pool, rng.randint(1, 6))
+        # repeated states add up, and may cancel
+        items += [(st, -c) for st, c in items[: rng.randint(0, 2)]]
+        items += _shared_factor_items(rng, pool, 2)
+        v, dv = SparseVec.from_items(items), dict_from_items(items)
+        dw = dict(_shared_factor_items(rng, pool, rng.randint(1, 5)))
+        w = SparseVec(dw)
+        scalar = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2, 4]))
+        remainder = basis.reduce(v)
+        reduced += remainder != v
+        for got, want in (
+            (v, dv),
+            (w, dw),
+            (v + w, dict_add(dv, dw)),
+            (v - w, dict_add(dv, dw, -1)),
+            (-v, dict_scale(dv, -1)),
+            (v * scalar, dict_scale(dv, scalar)),
+            (scalar * w, dict_scale(dw, scalar)),
+            (v / scalar, dict_scale(dv, 1 / scalar)),
+            (v * 0, {}),
+            (v - v, {}),
+            (remainder, ref.reduce(dv)),
+        ):
+            _assert_canonical(got)
+            assert as_fraction_dict(got) == want
+        assert basis.insert(w) == ref.insert(dw)
+        for p, row in basis._rows.items():
+            _assert_canonical(row)
+            assert row.terms[p] == row.den  # pivot coefficient 1
+        assert {p: as_fraction_dict(r) for p, r in basis._rows.items()} == ref.rows
+        # equal rationals built by different routes compare equal
+        assert (v + w) - w == v
+        assert v * scalar / scalar == v
+        assert v + v == 2 * v == v / Fraction(1, 2)
+        assert SparseVec({st: 2 * c for st, c in dv.items()}) * Fraction(1, 2) == v
+        assert SparseVec.from_items([*items, *((st, -c) for st, c in dv.items())]) == SparseVec()
+    st = pool[-1]
+    assert SparseVec({st: 2}) == SparseVec({st: Fraction(4, 2)}) == 2 * SparseVec.basis(st)
+    assert SparseVec({st: 0}) == SparseVec.zero() and SparseVec.zero().den == 1
+    # the comparison is not vacuous: the span grew and reduced most queries
+    assert basis.dimension() >= 15 and reduced >= 30
+
+
+# certify's window: weight cutoff 5, charge window [-3, 3], excursion 2
+CERTIFY_CFG = ClosureConfig(Fraction(5), (-3, 3), Fraction(2))
+# crosscheck's boson probe window
+CROSSCHECK_CFG = ClosureConfig(Fraction(2), (-2, 2), Fraction(1))
+
+
+def _profiled_engine(run):
+    """Run ``run()`` under ``sys.setprofile``.
+
+    Returns its result, the number of SpanBasis.reduce/insert calls, the
+    calls into fractions.py made inside them, and those made anywhere.
+    """
+    engine = {SpanBasis.reduce.__code__, SpanBasis.insert.__code__}
+    source = fractions.__file__
+    depth = entered = inside = anywhere = 0
+
+    def profile(frame, event, arg):
+        nonlocal depth, entered, inside, anywhere
+        code = frame.f_code
+        if event == "call":
+            if code in engine:
+                depth += 1
+                entered += 1
+            elif code.co_filename == source:
+                anywhere += 1
+                inside += depth > 0
+        elif event == "return" and code in engine:
+            depth -= 1
+
+    sys.setprofile(profile)
+    try:
+        result = run()
+    finally:
+        sys.setprofile(None)
+    return result, entered, inside, anywhere
+
+
+def _recording_closures(monkeypatch, owners):
+    """Every basis a closure or a joint kernel returns, appended to a list."""
+    bases = []
+
+    def recorded(fn):
+        def run(*args):
+            basis = fn(*args)
+            bases.append(basis)
+            return basis
+
+        return run
+
+    span = importlib.import_module("wakimoto.span")
+    close = recorded(span.closure)
+    monkeypatch.setattr(span, "closure", close)
+    for owner in owners:
+        if hasattr(owner, "closure"):
+            monkeypatch.setattr(owner, "closure", close)
+        if hasattr(owner, "joint_kernel"):
+            monkeypatch.setattr(owner, "joint_kernel", recorded(owner.joint_kernel))
+    return bases
+
+
+@pytest.mark.parametrize("side", ["fock", "weyl"])
+def test_engine_is_fraction_free(side, monkeypatch):
+    """Rows hold int numerators over an int den, and eliminating builds no
+    Fraction: classify then verify at certify's window on one twist of each
+    case, and the boson probe at crosscheck's window."""
+    classify_mod = importlib.import_module("wakimoto.classify")
+    weyl_mod = importlib.import_module("wakimoto.weyl")
+    rng = random.Random(1729)
+    twists = [seeded_twist(case, rng) for case in ("i", "ii", "iii", "schur_zero", "neg_ell")]
+    bases = _recording_closures(monkeypatch, [classify_mod if side == "fock" else weyl_mod])
+
+    def run():
+        for chi in twists:
+            if side == "fock":
+                verdict, cert = classify_mod.classify(chi, CERTIFY_CFG)
+                report = classify_mod.verify_certificate(
+                    chi, verdict, cert, start_weight=Fraction(7, 2)
+                )
+                assert report.ok
+            else:
+                weyl_mod.wakimoto_probe(chi, CROSSCHECK_CFG)
+
+    _, entered, inside, anywhere = _profiled_engine(run)
+    assert inside == 0
+    # not vacuous: the engine ran, and the profiler sees fractions.py
+    assert entered >= 1000 and anywhere > 0
+    rows = [row for basis in bases for row in basis.rows()]
+    assert len(bases) >= 5 and len(rows) >= 100
+    for row in rows:
+        assert type(row.den) is int
+        assert all(type(n) is int for n in row.terms.values())
+
+
 class TestSpanBasis:
     def test_rref_invariants(self):
         rng = random.Random(17)
@@ -95,7 +269,7 @@ class TestSpanBasis:
         assert len(pivots) == basis.dimension()
         for row in basis.rows():
             p = min(row.terms, key=FOCK_SPACE.sort_key)
-            assert row.terms[p] == 1
+            assert row.coeff(p) == 1
             # full reduction: no other row's pivot appears in this row
             for q in pivots:
                 if q != p:
@@ -275,7 +449,7 @@ def test_restricted_rows_match_kernel_solve():
 def _linear_op(images):
     def op(v):
         out = SparseVec()
-        for s, c in v.terms.items():
+        for s, c in v.sorted_items():
             out = out + c * images.get(s, SparseVec())
         return out
 

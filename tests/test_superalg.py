@@ -74,7 +74,7 @@ def _oracle_image(components, v):
     """Sum of coefficient * rewriting-oracle image over (species, d, k)."""
     want = {}
     for species, d, k in components:
-        for st, c in v.terms.items():
+        for st, c in v.sorted_items():
             word = [(species, d), *fermion_state_word(st)]
             for key, q in normal_order_fermion(word, c * k).items():
                 want[key] = want.get(key, 0) + q

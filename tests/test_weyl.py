@@ -48,7 +48,7 @@ CHI = ChiSeries({1: Fraction(2), 0: Fraction(-3, 2), -2: Fraction(5)})
 def _single_mode(core, n, v):
     """One a or a* mode on a vector, through its single-monomial core."""
     acc = {}
-    for st, c in v.terms.items():
+    for st, c in v.sorted_items():
         for out, k in core(n, st):
             acc[out] = acc.get(out, 0) + c * k
     return WeylVec(acc)
