@@ -12,7 +12,8 @@ Subcommands:
 All output is JSON on stdout with sorted keys, so identical invocations
 produce byte-identical output.  Exit status: 0 on success, 1 when a check
 fails (verification, agreement, or relation failures), 2 on usage or parse
-errors, including a malformed or negative bound.
+errors, including a malformed or negative bound, a size past its cap (ell
+above ``MAX_ELL`` among them) and a result with a number too long to write.
 """
 
 from __future__ import annotations
@@ -35,11 +36,14 @@ from .classify import (
 )
 from .fock import apply_psi_dmode, enumerate_basis, fmt_halfodd
 from .scalars import (
+    MAX_ELL,
     MAX_ENUM_WEIGHT,
     MAX_ENUM_WINDOW,
     MAX_RELATION_MODE,
     MAX_RELATION_TRIALS,
     ChiParseError,
+    ChiSeries,
+    ell_of,
     format_rational,
     parse_chi,
     parse_rational,
@@ -71,6 +75,22 @@ def _chi_from_args(args):
         with open(args.chi_file, encoding="utf-8") as fh:
             return parse_chi(fh.read())
     return None
+
+
+def _ell_capped(chi: ChiSeries, field: str) -> ChiSeries:
+    """``chi``, unless ell = chi_0 - 1 exceeds ``MAX_ELL``."""
+    ell = ell_of(chi)
+    if ell is not None and ell > MAX_ELL:
+        raise ChiParseError(f"{field}: ell = chi_0 - 1 must be <= {MAX_ELL}, got {ell}")
+    return chi
+
+
+def _classified_twist(args) -> ChiSeries:
+    """The twist ``classify`` and ``probe-wakimoto`` read, ell inside its cap."""
+    chi = _chi_from_args(args)
+    if chi is None:
+        raise ChiParseError("a twist is required (--chi or --chi-file)")
+    return _ell_capped(chi, "--chi" if args.chi is not None else "--chi-file")
 
 
 def _cfg_from_args(args, base: ClosureConfig) -> ClosureConfig:
@@ -121,9 +141,7 @@ def _enum_window(weight_text: str, weight_field: str, window: int) -> tuple[Frac
 
 
 def _cmd_classify(args) -> int:
-    chi = _chi_from_args(args)
-    if chi is None:
-        raise ChiParseError("a twist is required (--chi or --chi-file)")
+    chi = _classified_twist(args)
     verdict, cert = classify(chi, _cfg_from_args(args, DEFAULT_CFG))
     _emit(
         {
@@ -146,7 +164,7 @@ def _cmd_verify(args) -> int:
     except json.JSONDecodeError as exc:
         raise ChiParseError(f"malformed certificate JSON: {exc}") from exc
     try:
-        chi = parse_chi(doc["chi"])
+        chi = _ell_capped(parse_chi(doc["chi"]), "chi")
         verdict = Verdict.from_json_obj(doc["verdict"])
         cert = Certificate.from_json_obj(doc["certificate"])
     except (KeyError, TypeError) as exc:
@@ -175,11 +193,15 @@ def _cmd_verify(args) -> int:
 def _cmd_schur(args) -> int:
     if args.ell < 0:
         raise ChiParseError(f"ell: must be >= 0, got {args.ell}")
+    _capped(args.ell, MAX_ELL, "ell")
     if args.at is not None:
         xs = [
             parse_rational(part.strip(), field=f"at[{i}]")
             for i, part in enumerate(args.at.split(","))
         ]
+        # S_0 reads no value, and --at cannot be empty
+        if args.ell >= 1 and len(xs) != args.ell:
+            raise ChiParseError(f"--at: expected {args.ell} values x_1..x_{args.ell}, got {len(xs)}")
         value = schur_rec(args.ell, xs)
         _emit({"ell": args.ell, "xs": [format_rational(x) for x in xs], "value": format_rational(value)})
         return 0
@@ -216,9 +238,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_probe(args) -> int:
-    chi = _chi_from_args(args)
-    if chi is None:
-        raise ChiParseError("a twist is required (--chi or --chi-file)")
+    chi = _classified_twist(args)
     cfg = _cfg_from_args(args, DEFAULT_PROBE_CFG)
     verdict, _ = classify(chi, cfg)
     evidence = wakimoto_probe(chi, cfg)
@@ -351,8 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("schur", parents=[chi_parent], help="evaluate the Schur polynomial")
-    p.add_argument("--ell", type=int, required=True, help="degree r of S_r")
-    p.add_argument("--at", default=None, help="comma-separated rationals x_1,...,x_r")
+    p.add_argument("--ell", type=int, required=True, help=f"degree r of S_r (at most {MAX_ELL})")
+    p.add_argument("--at", default=None, help="comma-separated rationals x_1,...,x_r (r of them)")
     p.set_defaults(func=_cmd_schur)
 
     p = sub.add_parser("enumerate", help="graded dimensions of a basis window")

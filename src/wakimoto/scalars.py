@@ -25,6 +25,7 @@ __all__ = [
     "ChiParseError",
     "ChiSeries",
     "MAX_CHI_INDEX",
+    "MAX_ELL",
     "MAX_ENUM_WEIGHT",
     "MAX_ENUM_WINDOW",
     "MAX_RELATION_MODE",
@@ -64,9 +65,23 @@ def parse_rational(text: str, field: str = "value") -> Fraction:
     return Fraction(n, d)
 
 
+# Most decimal digits format_rational writes for a numerator or denominator:
+# Python's own default cap on int -> str, fixed here so that whether a
+# number prints does not depend on the interpreter or its environment.
+_MAX_DIGITS = 4300
+_TOO_LONG = 10**_MAX_DIGITS
+
+
 def format_rational(q) -> str:
-    """Render a rational as ``"p"`` or ``"p/q"`` in lowest terms."""
-    return str(Fraction(q))
+    """Render a rational as ``"p"`` or ``"p/q"`` in lowest terms.
+
+    A numerator or denominator longer than ``_MAX_DIGITS`` digits raises
+    :class:`ChiParseError`, which the CLI turns into exit 2.
+    """
+    q = Fraction(q)
+    if q.denominator >= _TOO_LONG or abs(q.numerator) >= _TOO_LONG:
+        raise ChiParseError(f"output: a rational with more than {_MAX_DIGITS} digits")
+    return str(q)
 
 
 _ZERO = Fraction(0)
@@ -75,6 +90,13 @@ _ZERO = Fraction(0)
 # largest index (the boson side spans every mode up to it), so an absurd
 # index would ask for billions of operators before any work starts.
 MAX_CHI_INDEX = 1000
+
+# Largest ell = chi_0 - 1 that ``classify``, ``verify`` and
+# ``probe-wakimoto`` accept, and the largest ``schur --ell``.  The lowering
+# string applies ell modes to a staircase of ell factors, and the Schur
+# recurrence sums ell^2 terms: on a 2-vCPU Xeon one ``classify`` process
+# took 0.4 s at ell = 200 and 18-21 s at ell = 1000.
+MAX_ELL = 200
 
 # Largest weight and charge half-width of an enumerated basis window
 # (``enumerate --max-weight/--window``, ``relations --weight/--window``).

@@ -32,11 +32,10 @@ reference the acceptance tests check.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Optional
+from typing import Optional, Sequence
 
 from .fock import (
     PLUS,
@@ -57,6 +56,7 @@ __all__ = [
     "FOCK_SPACE",
     "apply_Gplus",
     "apply_Gminus",
+    "gminus_parts",
     "scalar_S",
     "scalar_T",
     "anticommutator_check",
@@ -93,26 +93,38 @@ def apply_Gplus(i: int, v: SparseVec) -> SparseVec:
     return SparseVec._canonical(out, v.den)
 
 
-def apply_Gminus(i: int, v: SparseVec, chi: ChiSeries) -> SparseVec:
+def gminus_parts(i: int, chi: ChiSeries) -> list[tuple[int, int]]:
+    """The nonzero components of ``G-(i - 1/2)`` as (doubled mode, int) pairs.
+
+    Component m is ``c_m Psi-(i - m - 1/2)``, with ``c_0 = chi_0 - i`` and
+    ``c_m = chi_m`` otherwise; its int is ``c_m * chi.denominator``.
+    """
+    nums = chi.numerators
+    parts = [(2 * i - 1, nums.get(0, 0) - i * chi.denominator)]
+    parts += [(2 * (i - m) - 1, x) for m, x in nums.items() if m]
+    return [(d, k) for d, k in parts if k]
+
+
+def apply_Gminus(
+    i: int, v: SparseVec, chi: ChiSeries, parts: Optional[Sequence[tuple[int, int]]] = None
+) -> SparseVec:
     """Apply ``G-(i - 1/2)`` twisted by chi.
 
     The twist contributes one shifted ``Psi-`` mode per support index, so the
     sum below is finite and exact — no truncation is involved.  Components
     that land on the same monomial are summed as ints: v's numerators times
-    chi's numerators, over v's denominator times chi's.
+    chi's numerators, over v's denominator times chi's.  ``parts`` is a
+    subset of ``gminus_parts(i, chi)`` to sum instead of all of them; the
+    closure family passes the components that can act on its window.
     """
     terms = v.terms
     if not terms:
         return SparseVec.zero()
-    nums = chi.numerators
-    # (doubled mode, component coefficient * chi.denominator)
-    parts = [(2 * i - 1, nums.get(0, 0) - i * chi.denominator)]
-    parts += [(2 * (i - m) - 1, x) for m, x in nums.items() if m]
+    if parts is None:
+        parts = gminus_parts(i, chi)
     acc: dict[FermionState, int] = {}
     get = acc.get
     for d, k in parts:
-        if not k:
-            continue
         for st, p in terms.items():
             hit = _psi_core(-1, d, st)
             if hit is not None:
@@ -261,29 +273,59 @@ def singular_w(ell: int, chi: ChiSeries) -> SparseVec:
 
 
 def a_module_ops(chi: ChiSeries, cfg: ClosureConfig) -> list[tuple[str, object]]:
-    """All odd modes that can act inside the truncation window.
+    """The odd modes, and the components of them, that can act in the window.
 
-    G+(i-1/2) shifts weight by 1/2 - i; G-(i-1/2) additionally carries the
-    twist-shifted components 1/2 - i + m for m in the support of chi.  Modes
-    whose every component shifts weight by more than the window's bound
-    send each vector of the window to zero or outside it, so they are
-    omitted.  S(n) and T(n) act as scalars and never enlarge a span, so they
-    are deliberately absent.
+    A closure applies its family to window vectors alone, and it drops an
+    image unless every monomial of it lies in the window.  Let B be the
+    window's weight bound, cutoff plus excursion.  Every factor of a window
+    monomial weighs at most B, because factors have positive weight.  A
+    single mode ``Psi±(d/2)`` annihilates a factor of weight d/2 (d > 0) or
+    creates one of weight -d/2 (d < 0).
+
+    * G+(i-1/2) = -i Psi+(i-1/2) is kept for i != 0 and |2i - 1| <= 2B:
+      a heavier annihilator kills every window monomial, and a heavier
+      creator puts a factor heavier than B into each image.
+    * G-(i-1/2) = sum_m c_m Psi-(i-m-1/2) (``gminus_parts``) is omitted
+      when one component with c_m != 0 *creates* a factor of weight
+      1/2 - (i - m) > B.  On window monomials that component is injective
+      with signs ±1: no window monomial holds a factor that heavy, so
+      nothing vanishes by exclusion, and removing the factor gives the
+      monomial back.  No other component produces a monomial holding that
+      factor: each other creator makes a factor of another mode, and an
+      annihilator makes none.  So the image of a nonzero window vector
+      keeps that component's terms, each heavier than B, and the closure
+      drops it.
+    * A kept G-(i-1/2) sums only its components that can act on a window
+      monomial.  A component that *annihilates* a factor heavier than B is
+      zero on the window, so leaving it out changes no image of a window
+      vector.  A mode with no component left is zero on the window and is
+      omitted.
+
+    Each kept component has |d| <= 2B, so a kept mode lies within B of
+    m + 1/2 for some m in {0} and the support of chi.  A tail index far
+    below the window adds no mode: near it, the component ``chi_0 - i``
+    creates a factor of weight 1/2 - i > B.  Every image the closure admits
+    is the same as under the whole family, so the span, its reports and
+    every certificate are unchanged.  S(n) and T(n) act as scalars and
+    never enlarge a span, so they are deliberately absent.  The G- ops still
+    call ``apply_Gminus``, with their parts bound.
     """
-    bound = cfg.weight_cutoff + cfg.excursion
-    half = Fraction(1, 2)
+    # the doubled weight bound: a factor weighs |d|/2 <= B iff |d| <= top
+    top = FOCK_SPACE.int_bound(cfg.weight_cutoff + cfg.excursion)
+    # the j with |2j - 1| <= top: ceil((1 - top) / 2) <= j <= floor((1 + top) / 2)
+    lo, hi = -((top - 1) // 2), (top + 1) // 2
     ops: list[tuple[str, object]] = []
-    lo_p = math.ceil(half - bound)
-    hi_p = math.floor(half + bound)
-    for i in range(lo_p, hi_p + 1):
-        if i == 0:
+    for i in range(lo, hi + 1):
+        if i:
+            ops.append((f"G+({fmt_halfodd(2 * i - 1)})", partial(apply_Gplus, i)))
+    candidates = sorted({m + k for m in {0, *chi.support} for k in range(lo, hi + 1)})
+    for i in candidates:
+        parts = gminus_parts(i, chi)
+        if any(d < -top for d, _ in parts):
             continue
-        ops.append((f"G+({fmt_halfodd(2 * i - 1)})", partial(apply_Gplus, i)))
-    # one small interval per index, not their hull: a far tail index adds
-    # its own few modes instead of every mode in between
-    modes: set[int] = set()
-    for m in {0} | set(chi.support):
-        modes.update(range(math.ceil(m + half - bound), math.floor(m + half + bound) + 1))
-    for i in sorted(modes):
-        ops.append((f"G-({fmt_halfodd(2 * i - 1)})", partial(apply_Gminus, i, chi=chi)))
+        parts = tuple((d, k) for d, k in parts if d <= top)
+        if parts:
+            ops.append(
+                (f"G-({fmt_halfodd(2 * i - 1)})", partial(apply_Gminus, i, chi=chi, parts=parts))
+            )
     return ops

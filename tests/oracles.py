@@ -9,7 +9,9 @@ normal-ordered enumerator for the boson currents, applies each single mode
 through the rewriting oracle, not through any package action.  Some
 oracles build on the package's own operators instead: ``hull_a_module_ops``
 and ``hull_wakimoto_ops`` span the whole hull of the twist-shifted mode
-ranges with its G modes and currents, and ``wide_probe_annihilators`` is
+ranges with its G modes and currents, ``interval_a_module_ops`` is the odd
+family before it dropped the G- modes and components that cannot act in
+the window, and ``wide_probe_annihilators`` is
 the probe's earlier, wider family of raising modes.  The exact kernel solve
 over column indices at the end is the reference for the span engine's
 restricted rows and joint kernels.  ``ordered_reduce`` and
@@ -493,16 +495,39 @@ def schur_det(r, xs):
 
 
 # ---------------------------------------------------------------------------
-# odd-mode family over the convex hull of the twist-shifted mode ranges
+# wider odd-mode families: whole G- modes around each index, and the hull
 # ---------------------------------------------------------------------------
+
+
+def interval_a_module_ops(chi, cfg):
+    """Every odd mode with some component within the window's weight bound.
+
+    One interval of G- modes around each support index and 0, each mode
+    with all of its components.  The engine's family drops from it the G-
+    modes whose image of a window vector always leaves the window and the
+    components that are zero on the window, so closures must come out the
+    same.
+    """
+    bound = cfg.weight_cutoff + cfg.excursion
+    half = Fraction(1, 2)
+    ops = []
+    for i in range(math.ceil(half - bound), math.floor(half + bound) + 1):
+        if i:
+            ops.append((f"G+({fmt_halfodd(2 * i - 1)})", partial(apply_Gplus, i)))
+    modes: set[int] = set()
+    for m in {0} | set(chi.support):
+        modes.update(range(math.ceil(m + half - bound), math.floor(m + half + bound) + 1))
+    for i in sorted(modes):
+        ops.append((f"G-({fmt_halfodd(2 * i - 1)})", partial(apply_Gminus, i, chi=chi)))
+    return ops
 
 
 def hull_a_module_ops(chi, cfg):
     """Every odd mode between the lowest and highest twist-shifted mode.
 
-    The engine's family keeps one small interval of G- modes per support
-    index; this superset spans their convex hull, so its size grows with
-    the largest |index|.  The extra modes only send window vectors to zero
+    ``interval_a_module_ops`` keeps one small interval of G- modes per
+    support index; this superset spans their convex hull, so its size grows
+    with the largest |index|.  The extra modes only send window vectors to zero
     or outside the window, so closures must come out the same.
     """
     bound = cfg.weight_cutoff + cfg.excursion

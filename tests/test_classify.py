@@ -1,10 +1,11 @@
 import importlib
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
-from oracles import hull_a_module_ops
+from oracles import hull_a_module_ops, interval_a_module_ops, seeded_twist
 from wakimoto import (
     DEFAULT_CFG,
     Certificate,
@@ -342,28 +343,55 @@ FAR_TAILS = [
 ]
 
 
+def _verified_json(chi, cfg, start_weight=None):
+    verdict, cert = classify(chi, cfg)
+    report = verify_certificate(chi, verdict, cert, start_weight=start_weight)
+    assert report.ok
+    return json.dumps([verdict.to_json_obj(), cert.to_json_obj(), report.to_json_obj()],
+                      sort_keys=True)
+
+
 @pytest.mark.parametrize("coeffs, cfg", FAR_TAILS)
 def test_family_matches_hull_family_on_far_tails(coeffs, cfg, monkeypatch):
     chi = ChiSeries(coeffs)
     union = {label for label, _ in a_module_ops(chi, cfg)}
     hull = {label for label, _ in hull_a_module_ops(chi, cfg)}
     assert union < hull
-
-    def run():
-        verdict, cert = classify(chi, cfg)
-        report = verify_certificate(chi, verdict, cert)
-        assert report.ok
-        objs = [verdict.to_json_obj(), cert.to_json_obj(), report.to_json_obj()]
-        return json.dumps(objs, sort_keys=True)
-
-    expected = run()
+    expected = _verified_json(chi, cfg)
     monkeypatch.setattr(importlib.import_module("wakimoto.classify"), "a_module_ops",
                         hull_a_module_ops)
-    assert run() == expected
+    assert _verified_json(chi, cfg) == expected
+
+
+# the certify benchmark's window and start weight
+CERTIFY_WINDOW = (ClosureConfig(Fraction(5), (-3, 3), Fraction(2)), Fraction(7, 2))
+FAMILY_TWISTS = [
+    *(seeded_twist(case, random.Random(f"family:{case}"))
+      for case in ("i", "ii", "iii", "schur_zero", "neg_ell")),
+    *(ChiSeries(coeffs) for coeffs, _ in FAR_TAILS),
+]
+
+
+@pytest.mark.parametrize("window", [(DEFAULT_CFG, None), CERTIFY_WINDOW],
+                         ids=["default", "certify"])
+@pytest.mark.parametrize("chi", FAMILY_TWISTS, ids=repr)
+def test_family_matches_interval_family(chi, window, monkeypatch):
+    # the family drops whole G- modes and components of kept ones, which
+    # must change no verdict, certificate or report
+    cfg, start_weight = window
+    kept = {label for label, _ in a_module_ops(chi, cfg)}
+    assert kept <= {label for label, _ in interval_a_module_ops(chi, cfg)}
+    expected = _verified_json(chi, cfg, start_weight)
+    monkeypatch.setattr(importlib.import_module("wakimoto.classify"), "a_module_ops",
+                        interval_a_module_ops)
+    assert _verified_json(chi, cfg, start_weight) == expected
 
 
 def test_far_tail_adds_only_its_own_modes():
     chi = ChiSeries({0: 2, -1000: 1})
-    # 11 G+ modes, then 12 G- modes around each of the indices 0 and -1000
-    assert len(a_module_ops(chi, DEFAULT_CFG)) == 35
+    # 11 G+ modes and 11 G- modes around index 0: near -1000 the component
+    # chi_0 - i creates a factor heavier than the window, and G-(3/2) is
+    # zero on it (chi_0 - 2 = 0, and Psi-(2003/2) annihilates nothing there)
+    assert len(a_module_ops(chi, DEFAULT_CFG)) == 22
+    assert len(interval_a_module_ops(chi, DEFAULT_CFG)) == 35
     assert len(hull_a_module_ops(chi, DEFAULT_CFG)) == 1023

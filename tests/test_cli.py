@@ -9,6 +9,7 @@ import pytest
 from wakimoto import DEFAULT_CFG, ClosureConfig, cli
 from wakimoto.cli import main
 from wakimoto.scalars import (
+    MAX_ELL,
     MAX_ENUM_WEIGHT,
     MAX_ENUM_WINDOW,
     MAX_RELATION_MODE,
@@ -30,6 +31,17 @@ CHI_MIXED = json.dumps(
     }
 )
 SMALL_CFG = ["--cutoff", "3", "--window", "2"]
+
+
+def twist_text(coeffs):
+    return json.dumps({"coeffs": [{"m": m, "value": str(v)} for m, v in coeffs.items()]})
+
+
+# ell = chi_0 - 1 one past its cap
+CHI_ELL_PAST_CAP = twist_text({0: MAX_ELL + 2, -1: "1/3"})
+# S_2(-chi) has about 6000 digits, S_MAX_ELL(-chi) about 5600
+CHI_LONG_TAIL = twist_text({0: 3, -1: "7" * 3000})
+CHI_HUGE_TAIL = twist_text({0: 2, -1: 10**30})
 
 
 def run_cli(capsys, argv):
@@ -176,6 +188,16 @@ MALFORMED_BOUNDS = [
     (["relations", "--suite", "affine", "--chi", CHI_POLE, "--weight", "17"], None, "weight"),
     (["relations", "--suite", "clifford", "--max-mode", "5"], None, "--max-mode"),
     (["relations", "--suite", "clifford", "--trials", "11"], None, "--trials"),
+    # ell past its cap, an --at list of the wrong length, a number too long to write
+    (["classify", "--chi", CHI_ELL_PAST_CAP], None, "--chi"),
+    (["probe-wakimoto", "--chi", CHI_ELL_PAST_CAP], None, "--chi"),
+    (["schur", "--ell", str(MAX_ELL + 1)], None, "ell"),
+    (["schur", "--ell", "100000", "--at", "1"], None, "ell"),
+    (["schur", "--ell", "2000", "--chi", twist_text({0: 2, -1: "3/7"})], None, "ell"),
+    (["schur", "--ell", "3", "--at", "1,2"], None, "--at"),
+    (["schur", "--ell", "2", "--at", "1,2,3,4"], None, "--at"),
+    (["classify", "--chi", CHI_LONG_TAIL], None, "output"),
+    (["schur", "--ell", str(MAX_ELL), "--chi", CHI_HUGE_TAIL], None, "output"),
 ]
 
 
@@ -205,6 +227,29 @@ def test_size_caps_are_inclusive(capsys):
     ])
     assert (code, err) == (0, "")
     assert json.loads(out)["failures"] == []
+
+
+def test_ell_cap_is_inclusive_and_read_from_every_source(capsys, tmp_path):
+    at_cap = twist_text({0: MAX_ELL + 1, -1: "1/3"})
+    path = tmp_path / "cert.json"
+    path.write_text(classify_document(capsys, at_cap, extra=[]), encoding="utf-8")
+    code, out, err = run_cli(capsys, ["verify", "--certificate", str(path)])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["verdict"]["data"]["ell"] == MAX_ELL
+    past = f"ell = chi_0 - 1 must be <= {MAX_ELL}, got {MAX_ELL + 1}\n"
+    # verify reads the twist of the certificate document
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["chi"] = json.loads(CHI_ELL_PAST_CAP)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(capsys, ["verify", "--certificate", str(path)])
+    assert (code, out, err) == (2, "", f"error: chi: {past}")
+    chi_file = tmp_path / "chi.json"
+    chi_file.write_text(CHI_ELL_PAST_CAP, encoding="utf-8")
+    for command in ("classify", "probe-wakimoto"):
+        code, out, err = run_cli(capsys, [command, "--chi-file", str(chi_file)])
+        assert (code, out, err) == (2, "", f"error: --chi-file: {past}")
+    code, out, err = run_cli(capsys, ["schur", "--ell", str(MAX_ELL), "--chi", at_cap])
+    assert (code, err) == (0, "")
 
 
 def test_start_weight_widens_the_probes(capsys, tmp_path):
@@ -370,6 +415,14 @@ class TestSchur:
         code, out, err = run_cli(capsys, ["schur", "--ell", "2", "--at", "bogus,1"])
         assert code == 2
         assert err == "error: at[0]: not a rational literal: 'bogus'\n"
+
+    def test_at_takes_ell_values(self, capsys):
+        # S_0 reads no value; from ell = 1 on --at holds x_1..x_ell (any
+        # other length exits 2, see MALFORMED_BOUNDS)
+        for ell, at, value in (("0", "5", "1"), ("1", "5", "5"), ("2", "1,1", "1")):
+            code, out, err = run_cli(capsys, ["schur", "--ell", ell, "--at", at])
+            assert (code, err) == (0, "")
+            assert json.loads(out)["value"] == value
 
     def test_requires_a_source(self, capsys):
         code, out, err = run_cli(capsys, ["schur", "--ell", "2"])

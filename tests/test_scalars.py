@@ -58,6 +58,15 @@ class TestParseRational:
         assert format_rational(Fraction(4, 8)) == "1/2"
         assert format_rational(Fraction(-6, 3)) == "-2"
 
+    def test_format_refuses_more_than_4300_digits(self):
+        # Python's default int -> str cap, held whatever the interpreter's
+        longest = 10**4300 - 1
+        assert format_rational(-longest) == "-" + "9" * 4300
+        assert format_rational(Fraction(1, longest)) == "1/" + "9" * 4300
+        for q in (10**4300, -(10**4300), Fraction(3, 10**4300)):
+            with pytest.raises(ChiParseError, match="^output: "):
+                format_rational(q)
+
 
 class TestChiSeries:
     def test_drops_zero_coefficients(self):

@@ -7,6 +7,7 @@ from oracles import (
     extract_omega,
     fermion_state_word,
     fermion_vec_as_dict,
+    interval_a_module_ops,
     lowering_ladder_word,
     normal_order_fermion,
     raising_ladder_word,
@@ -26,7 +27,9 @@ from wakimoto import (
     apply_Gplus,
     apply_psi_dmode,
     apply_word,
+    charge,
     enumerate_basis,
+    gminus_parts,
     gminus_string_on_omega,
     lowering_string,
     omega,
@@ -37,6 +40,7 @@ from wakimoto import (
     schur_at_minus_chi,
     singular_w,
     vacuum_vec,
+    weight,
 )
 
 POLE_TAIL = ChiSeries(
@@ -103,6 +107,19 @@ def test_g_modes_match_rewriting_oracle(chi):
             assert fermion_vec_as_dict(apply_Gplus(i, v)) == _oracle_image(plus, v), (v, i)
             got = apply_Gminus(i, v, chi)
             assert fermion_vec_as_dict(got) == _oracle_image(_gminus_components(i, chi), v), (v, i)
+
+
+@pytest.mark.parametrize("chi", [ChiSeries(), POLE_TAIL, CHI0_IS_I, CANCELLING])
+def test_gminus_parts_are_the_nonzero_components(chi):
+    v = SparseVec.from_items([(FermionState((3,), (5,)), 2), (FermionState((), (3,)), Fraction(-1, 2))])
+    for i in range(-4, 5):
+        comps = [c for c in _gminus_components(i, chi) if c[2]]
+        parts = gminus_parts(i, chi)
+        assert parts == [(d, k * chi.denominator) for _, d, k in comps]
+        # a subset of the parts sums just those components
+        for j in range(len(parts)):
+            got = apply_Gminus(i, v, chi, parts=parts[j:])
+            assert fermion_vec_as_dict(got) == _oracle_image(comps[j:], v), (i, j)
 
 
 def test_gminus_components_cancel_on_a_shared_state():
@@ -372,11 +389,71 @@ def test_a_module_ops_window():
     cfg = ClosureConfig(weight_cutoff=Fraction(1), charge_window=(-2, 2), excursion=Fraction(0))
     labels = [lbl for lbl, _ in a_module_ops(ChiSeries({0: 2}), cfg)]
     assert labels == ["G+(1/2)", "G-(-1/2)", "G-(1/2)"]
-    # a pole shifts the G- range upward
+    # a pole shifts the G- range upward; G-(-1/2) = Psi-(-3/2) creates a
+    # factor of weight 3/2, heavier than the window
     labels_pole = [lbl for lbl, _ in a_module_ops(ChiSeries({1: 1}), cfg)]
-    assert labels_pole == ["G+(1/2)", "G-(-1/2)", "G-(1/2)", "G-(3/2)"]
+    assert labels_pole == ["G+(1/2)", "G-(1/2)", "G-(3/2)"]
     # scalar modes never appear
     assert all(lbl.startswith("G") for lbl in labels_pole)
+
+
+# twists on which the family drops modes and components by both rules: a
+# pole, a tail, far tails, chi_0 = i for some kept mode; the default and
+# certify benchmark windows, and a half-odd bound 7/2, where a component
+# Psi-(7/2) still acts on the window state Psi+(-7/2)|0>
+PRUNED_TWISTS = [
+    ChiSeries({0: 2}),
+    ChiSeries({1: 1, -2: 3}),
+    ChiSeries({0: Fraction(5, 2), -1: 1}),
+    ChiSeries({0: 3, -1: Fraction(1, 2), -2: Fraction(2, 3)}),
+    ChiSeries({0: -3, -2: Fraction(5, 3)}),
+    ChiSeries({0: 2, -13: Fraction(-7, 2)}),
+    ChiSeries({1: 1, -40: 1}),
+    ChiSeries({0: 2, -1000: 1}),
+]
+PRUNED_WINDOWS = [
+    ClosureConfig(Fraction(4), (-3, 3), Fraction(2)),
+    ClosureConfig(Fraction(5), (-3, 3), Fraction(2)),
+    ClosureConfig(Fraction(5, 2), (-2, 2), Fraction(1)),
+]
+
+
+@pytest.mark.parametrize("cfg", PRUNED_WINDOWS, ids=["default", "certify", "half-odd"])
+@pytest.mark.parametrize("chi", PRUNED_TWISTS, ids=repr)
+def test_dropped_modes_and_components_never_act_in_the_window(chi, cfg):
+    bound = cfg.weight_cutoff + cfg.excursion
+    lo, hi = cfg.charge_window
+    states = [s for s in enumerate_basis(bound, ambient=True) if lo <= charge(s) <= hi]
+    rng = random.Random(f"pruned:{chi!r}:{bound}")
+    vecs = [SparseVec.basis(s) for s in states] + [
+        SparseVec({s: Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3))
+                   for s in rng.sample(states, rng.randint(2, 6))})
+        for _ in range(20)
+    ]
+    kept = {op.args[0]: op.keywords["parts"]
+            for lbl, op in a_module_ops(chi, cfg) if lbl.startswith("G-")}
+    wider = [op.args[0] for lbl, op in interval_a_module_ops(chi, cfg) if lbl.startswith("G-")]
+    assert set(kept) <= set(wider)
+    dropped_modes = dropped_parts = 0
+    for i in wider:
+        parts = gminus_parts(i, chi)
+        if i not in kept:
+            # a dropped mode sends every window vector outside the window,
+            # or is zero on all of them
+            dropped_modes += 1
+            images = [apply_Gminus(i, v, chi) for v in vecs]
+            leaves = [any(weight(s) > bound for s in w.terms) for w in images]
+            assert all(leaves) or all(w.is_zero() for w in images), i
+            continue
+        assert set(kept[i]) <= set(parts)
+        for d, _ in set(parts) - set(kept[i]):
+            # a dropped component is zero on every window vector
+            dropped_parts += 1
+            for v in vecs:
+                assert apply_psi_dmode(MINUS, d, v).is_zero(), (i, d, v)
+    assert dropped_modes
+    # some kept mode drops a component exactly when chi has an index other than 0
+    assert bool(dropped_parts) == any(m != 0 for m in chi.support)
 
 
 def test_a_module_ops_apply_within_window():
