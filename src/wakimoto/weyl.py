@@ -21,10 +21,12 @@ monomial only finitely many summands act nonzero.  The chi-free part of each
 mode (a(n), the quadratic of h, the cubic of f plus 2n a*(n)) is a *core*:
 a closed-form enumeration of exactly those summands on one monomial, split
 by which factors annihilate, with plain int coefficients; f's symmetric a*
-pair runs over unordered pairs.  ``WeylAction`` caches, per mode and
-monomial, one *twisted image*: the core plus the twist (-chi_n for h,
--sum_j chi_j a*(n-j) for f) as ints over chi's common denominator, so every
-action is computed exactly and the twist is added once per monomial.
+pair runs over unordered pairs.  chi enters only linearly, so with d chi's
+common denominator, d h(n) and d f(n) are int combinations of the cores h0,
+f0 and a*, and of the identity (``WeylAction``).  Every core's image on a
+monomial lives in one process-wide table, shared by every action and every
+twist; its output states are interned, and the table is cleared whole once
+it holds ``MAX_CORE_ENTRIES`` monomials, so its memory is bounded.
 ``affine_relation_check`` sums each bracket and its right-hand side into
 one integer vector that must vanish.  The relations hold with central
 scalar -2:
@@ -38,12 +40,11 @@ every small basis vector, and joint kernels of the raising modes in each
 graded piece.  ``evidence_agrees`` compares it with the classifier verdict.
 The cyclicity battery probes the monomials lighter first, and each probe
 stops at the first monomial already proved cyclic (``span.cyclic_probe``).
-On a 2-vCPU Xeon with Python 3.11.7, ``probe-wakimoto`` on {0: 2, -1: 1}
-takes 0.1 s at the default window and 0.2 s at cutoff 4 (1.2 s and 7.8 s
-when every probe had to reach the vacuum itself).  On the reducible
-{0: 2} it takes 1.0 s, 4.4 s and 17.6 s at cutoffs 3, 4 and 5 (was 1.7 s,
-9.9 s and 51.8 s): a monomial that is not cyclic reaches no stop state,
-so its closure runs to the end.
+On a 2-vCPU Xeon with Python 3.11.7, ``wakimoto_probe`` on {0: 2, -1: 1}
+takes 0.04 s at the default window and 0.1 s at cutoff 4.  On the
+reducible {0: 2} it takes 0.3 s, 1.6 s and 7.5 s at cutoffs 3, 4 and 5: a
+monomial that is not cyclic reaches no stop state, so its closure runs to
+the end.
 """
 
 from __future__ import annotations
@@ -300,6 +301,45 @@ def _f_core(n: int, st: WeylState) -> tuple[tuple[WeylState, int], ...]:
 
 
 # ---------------------------------------------------------------------------
+# the process-wide table of chi-free cores
+# ---------------------------------------------------------------------------
+
+#: Most monomials the core table holds, summed over every (core, mode).  When
+#: a new one would pass it, the table and the intern dict are cleared whole.
+#: Criterion 10 (ten twists, 151 monomials, |m|, |n| <= 3) needs about 47k
+#: entries; at 1 << 15 it recomputes cores over and over.
+MAX_CORE_ENTRIES = 1 << 16
+
+# (core function, mode) -> {monomial: the core's (state, int) pairs}.  Keyed
+# by the function object, so a core swapped into ``WeylAction._RAW`` never
+# reads rows another function computed.
+_CORES: dict[tuple[object, int], dict[WeylState, tuple]] = {}
+# every state the table holds, once: many stored pairs share an output state
+_STATES: dict[WeylState, WeylState] = {}
+# monomials held across all of ``_CORES``' tables
+_core_entries = 0
+
+
+def _store(table: dict, fn, n: int, st: WeylState) -> tuple:
+    """Compute fn(n, st) into ``table``, first clearing everything when full.
+
+    A clear keeps ``table`` itself, emptied and registered again under
+    (fn, n), since the caller goes on reading it.
+    """
+    global _core_entries
+    if _core_entries >= MAX_CORE_ENTRIES:
+        _CORES.clear()
+        _STATES.clear()
+        _core_entries = 0
+        table.clear()
+        _CORES[fn, n] = table
+    intern = _STATES.setdefault
+    items = table[intern(st, st)] = tuple([(intern(out, out), k) for out, k in fn(n, st)])
+    _core_entries += 1
+    return items
+
+
+# ---------------------------------------------------------------------------
 # the current action
 # ---------------------------------------------------------------------------
 
@@ -307,78 +347,68 @@ def _f_core(n: int, st: WeylState) -> tuple[tuple[WeylState, int], ...]:
 class WeylAction:
     """Mode operators for a fixed twist.
 
-    Each mode kind(n) has one table on this action: a scale, and for every
-    monomial met so far the *twisted image* of kind(n) on it, int pairs
-    over that scale.  The image is the chi-free core (``_RAW``: e, the
-    normal-ordered quadratic of h, the cubic of f plus 2n a*(n)), computed
-    once per monomial, times the scale, plus the twist: -chi_n times the
-    monomial for h, and -sum_j chi_j a*(n-j) on it for f.  The scale is
-    chi's common denominator when the mode has a twist, else 1.  Relation
-    suites and closure probes revisit the same monomials many times, so
-    ``_core`` is one sum of cached images.  ``apply`` feeds it a vector's
-    int numerators and puts the sum over the vector's denominator times the
-    scale, in lowest terms.  The tables live and die with the action; they
-    are not shared across twists.
+    chi enters only linearly, so with d chi's common denominator and
+    chi_j = x_j / d every mode is an int combination of chi-free cores:
+
+        d h(n) = d h0(n) - x_n id,
+        d f(n) = d f0(n) - sum_j x_j a*(n - j),
+
+    and e(n) = a(n) has no twist.  Here h0 is the normal-ordered quadratic
+    of h and f0 the cubic of f plus 2n a*(n).  Each core is read from the
+    process-wide table, so its image on a monomial is computed once for every
+    action and twist until the table fills (``MAX_CORE_ENTRIES``).  The
+    action keeps only chi and, per mode kind(n), a *plan*: the scale (d when
+    chi enters kind(n), else 1), the (core, mode, int coefficient) terms and
+    the coefficient of the identity.  ``_core`` adds c times the plan's sum
+    on int (state, numerator) pairs to an accumulator, and ``apply`` puts
+    that sum over the vector's denominator times the scale, in lowest terms.
     """
 
-    _RAW = {"e": _a_core, "h": _h_core, "f": _f_core}
+    _RAW = {"e": _a_core, "h": _h_core, "f": _f_core, "a*": _astar_core}
 
     def __init__(self, chi: ChiSeries):
         self.chi = chi
-        self._tables: dict[tuple[str, int], tuple[dict[WeylState, tuple], int]] = {}
-        # chi_j = _chi_num[j] / _chi_den, all over one denominator
-        self._chi_den = chi.denominator
-        self._chi_num = chi.numerators
+        self._plans: dict[tuple[str, int], tuple] = {}
 
-    def _table(self, kind: str, n: int) -> tuple[dict[WeylState, tuple], int]:
-        table = self._tables.get((kind, n))
-        if table is None:
-            table = self._tables[kind, n] = ({}, self._chi_den if self._twisted(kind, n) else 1)
-        return table
-
-    def _twisted(self, kind: str, n: int) -> bool:
-        """Does chi enter kind(n)?  Never for e, through chi_n for h, always for f."""
-        return bool(self._chi_num.get(n) if kind == "h" else kind == "f" and self._chi_num)
-
-    def _image(self, kind: str, n: int, st: WeylState, scale: int) -> tuple:
-        """The twisted image of kind(n) on st, over ``scale``.
-
-        The core's pairs and the twist's pairs are chained, not merged: a
-        state may appear twice, and every sum over the image adds both.
-        """
-        raw = self._RAW[kind](n, st)
-        if not self._twisted(kind, n):
-            return raw
-        if scale != 1:
-            raw = tuple([(out, scale * k) for out, k in raw])
-        if kind == "h":
-            return raw + ((st, -self._chi_num[n]),)
-        # -chi_j a*(n - j): creates a*(j - n) for j >= n, else contracts a(j - n)
-        _, a, s = st
-        twist = []
-        for j, x in self._chi_num.items():
-            if j >= n:
-                twist.append((_state(a, _with(s, j - n)), -x))
-            else:
-                mult = a.count(n - j)
-                if mult:
-                    twist.append((_state(_without(a, n - j), s), x * mult))
-        return raw + tuple(twist)
+    def _plan(self, kind: str, n: int) -> tuple:
+        """(scale, ((core name, mode, int coefficient), ...), identity coefficient)."""
+        den, nums = self.chi.denominator, self.chi.numerators
+        if kind == "h" and nums.get(n):
+            return den, (("h", n, den),), -nums[n]
+        if kind == "f" and nums:
+            # -x_j a*(n - j): creates a*(j - n) for j >= n, else contracts a(n - j)
+            return den, (("f", n, den), *(("a*", n - j, -x) for j, x in nums.items())), 0
+        return 1, ((kind, n, 1),), 0
 
     def _core(self, kind: str, n: int, pairs, acc: dict[WeylState, int], c: int = 1) -> int:
         """Add c * kind(n) on sum p * state, over the (state, int p) pairs, to acc.
 
-        Returns the scale: what was added is c * image / scale.
+        ``pairs`` is read once per term of the plan, so it must be a
+        collection, such as a dict's items.  Returns the scale: what was
+        added is c * kind(n) / scale.
         """
-        images, scale = self._table(kind, n)
+        plan = self._plans.get((kind, n))
+        if plan is None:
+            plan = self._plans[kind, n] = self._plan(kind, n)
+        scale, terms, ident = plan
         get = acc.get
-        for st, p in pairs:
-            items = images.get(st)
-            if items is None:
-                items = images[st] = self._image(kind, n, st, scale)
-            p *= c
-            for out, k in items:
-                acc[out] = get(out, 0) + p * k
+        for name, mode, k in terms:
+            fn = self._RAW[name]
+            table = _CORES.get((fn, mode))
+            if table is None:
+                table = _CORES[fn, mode] = {}
+            k *= c
+            for st, p in pairs:
+                items = table.get(st)
+                if items is None:
+                    items = _store(table, fn, mode, st)
+                p *= k
+                for out, x in items:
+                    acc[out] = get(out, 0) + p * x
+        if ident:
+            ident *= c
+            for st, p in pairs:
+                acc[st] = get(st, 0) + p * ident
         return scale
 
     def apply(self, kind: str, n: int, v: WeylVec) -> WeylVec:

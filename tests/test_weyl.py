@@ -204,7 +204,19 @@ def test_f_core_matches_ordered_triples():
             assert dict(got) == dict(ordered_f_core(n, st)), (n, str(st))
 
 
-def test_each_core_is_computed_once_per_action(monkeypatch):
+@pytest.fixture
+def empty_cores(monkeypatch):
+    """A fresh, empty process-wide core table for one test."""
+    monkeypatch.setattr(weyl, "_CORES", {})
+    monkeypatch.setattr(weyl, "_STATES", {})
+    monkeypatch.setattr(weyl, "_core_entries", 0)
+
+
+def _table_size():
+    return sum(len(table) for table in weyl._CORES.values())
+
+
+def test_each_core_is_computed_once_per_process(empty_cores, monkeypatch):
     raw_calls, requested = [], set()
 
     def counting(kind, raw):
@@ -225,18 +237,61 @@ def test_each_core_is_computed_once_per_action(monkeypatch):
 
     monkeypatch.setattr(WeylAction, "_core", recording)
     v = WeylVec({WeylState((1, 1), (0,)): Fraction(1, 2), WeylState((), (0, 0, 2)): -3})
-    action = WeylAction(CHI)
 
-    def one_pass():
+    def one_pass(chi):
+        action = WeylAction(chi)
         for m in range(-2, 3):
             for n in range(-2, 3):
-                assert all(ok for _, ok in affine_relation_check(m, n, v, CHI, action))
+                assert all(ok for _, ok in affine_relation_check(m, n, v, chi, action))
 
-    one_pass()
-    assert len(raw_calls) == len(requested) > 0
-    raw_calls.clear()
-    one_pass()
-    assert raw_calls == []
+    one_pass(CHI)
+    # the e, h and f cores are those requested; f's twist adds a* cores
+    assert {call for call in raw_calls if call[0] != "a*"} == requested
+    assert any(call[0] == "a*" for call in raw_calls)
+    assert len(set(raw_calls)) == len(raw_calls) == _table_size()
+    first = len(raw_calls)
+    one_pass(CHI)
+    assert len(raw_calls) == first
+    # another twist on the same support, and no twist, reuse every e, h, f core
+    for chi in (ChiSeries({1: Fraction(-7, 3), 0: 4, -2: Fraction(1, 5)}), ChiSeries()):
+        one_pass(chi)
+        assert [call for call in raw_calls[first:] if call[0] != "a*"] == []
+    assert len(set(raw_calls)) == len(raw_calls)
+
+
+def test_core_table_stays_within_its_bound(empty_cores, monkeypatch):
+    monkeypatch.setattr(weyl, "MAX_CORE_ENTRIES", 50)
+    chi = ChiSeries({1: Fraction(1, 3), 0: 3, -2: -5})
+    action = WeylAction(chi)
+    states = enumerate_weyl_basis(2, (-2, 2))
+    cleared = False
+    for kind in ("e", "h", "f"):
+        for n in range(-3, 4):
+            for st in states:
+                v = WeylVec.basis(st)
+                before = _table_size()
+                assert action.apply(kind, n, v) == wick_apply(kind, n, v, chi), (kind, n, str(st))
+                assert _table_size() <= 50
+                cleared |= _table_size() < before
+    assert cleared
+
+
+def test_swapped_core_reads_no_other_core_rows():
+    v = WeylVec({WeylState((1, 2), (0,)): 1, WeylState((), (1,)): Fraction(-2, 3)})
+    want = wick_apply("f", 1, v, CHI)
+    assert WeylAction(CHI).apply("f", 1, v) == want
+    raw = WeylAction._RAW["f"]
+
+    def perturbed(n, st):
+        return raw(n, st) + ((st, 1),)
+
+    WeylAction._RAW["f"] = perturbed
+    try:
+        # chi's denominator is 2, so f's core enters with scale 2
+        assert WeylAction(CHI).apply("f", 1, v) == want + v
+    finally:
+        WeylAction._RAW["f"] = raw
+    assert WeylAction(CHI).apply("f", 1, v) == want
 
 
 def test_affine_relations_on_mixed_vector():
@@ -306,8 +361,9 @@ def test_perturbed_core_fails_the_same_relations(kind, broken, monkeypatch):
 
 
 def test_relation_check_leaves_no_reference_cycle():
-    # the action and its caches must go with the last reference to it,
-    # without waiting for the cyclic garbage collector
+    # the action holds no cache, only chi and its per-mode plans; it must go
+    # with the last reference to it, without waiting for the cyclic garbage
+    # collector
     v = WeylVec.basis(WeylState((1,), (0,))) - 2 * WeylVec.basis(WeylState((), (2,)))
     enabled = gc.isenabled()
     gc.disable()
@@ -365,6 +421,35 @@ def test_cached_application_matches_fresh_action(coeffs):
             assert action.apply(kind, n, v) == first, (kind, n)
             assert WeylAction(chi).apply(kind, n, v) == first, (kind, n)
             assert first == wick_apply(kind, n, v, chi), (kind, n)
+
+
+def _seeded_coeffs(rng):
+    """Two to four coefficients on [-3, 3], over denominators 1 to 6."""
+    return {
+        m: Fraction(rng.choice([-5, -3, -2, -1, 1, 2, 4]), rng.choice([1, 2, 3, 4, 6]))
+        for m in rng.sample(range(-3, 4), rng.randint(2, 4))
+    }
+
+
+def test_action_is_affine_in_chi():
+    # A_{chi + chi'} - A_chi - A_chi' + A_0 = 0: the twist enters h and f
+    # only through int coefficients on chi-free cores
+    rng = random.Random("affine-in-chi")
+    states = enumerate_weyl_basis(3, (-3, 3))
+    assert len(states) == 72
+    for _ in range(2):
+        a, b = _seeded_coeffs(rng), _seeded_coeffs(rng)
+        both = {m: a.get(m, 0) + b.get(m, 0) for m in {*a, *b}}
+        chis = [ChiSeries(c) for c in (both, a, b)]
+        assert len({chi.denominator for chi in chis}) > 1
+        ap_sum, ap_a, ap_b = (WeylAction(chi).apply for chi in chis)
+        ap_0 = WeylAction(ChiSeries()).apply
+        for kind in ("h", "f"):
+            for n in range(-4, 5):
+                for st in states:
+                    v = WeylVec.basis(st)
+                    defect = ap_sum(kind, n, v) - ap_a(kind, n, v) - ap_b(kind, n, v) + ap_0(kind, n, v)
+                    assert defect.is_zero(), (a, b, kind, n, str(st))
 
 
 class TestEnumeration:
