@@ -29,6 +29,7 @@ __all__ = [
     "MAX_ENUM_WEIGHT",
     "MAX_ENUM_WINDOW",
     "MAX_RELATION_MODE",
+    "MAX_RELATION_POLE",
     "MAX_RELATION_TRIALS",
     "parse_rational",
     "format_rational",
@@ -111,6 +112,14 @@ MAX_ENUM_WINDOW = 3
 # ``relations --suite affine`` took about 10 s and 300 MB there.
 MAX_RELATION_MODE = 4
 MAX_RELATION_TRIALS = 10
+# Largest pole order (positive chi index) of an affine suite's twist.  Each
+# pole j puts a*(j - n) into f(n), so f0 then acts on a monomial of weight
+# j - n, and in [f, f] every twist term of f(m) acts on each a* mode a pole
+# of f(n) creates.  On a 2-vCPU Xeon at the default suite settings, a twist
+# with every index from -1000 to 32 takes about 20 s and one up to 64 about
+# 40 s; every index up to 1000 took 50 s and 270 MB at a single pair of
+# modes (--max-mode 0 --trials 1).
+MAX_RELATION_POLE = 32
 
 
 class ChiSeries:

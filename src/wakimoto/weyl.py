@@ -25,11 +25,20 @@ pair runs over unordered pairs.  chi enters only linearly, so with d chi's
 common denominator, d h(n) and d f(n) are int combinations of the cores h0,
 f0 and a*, and of the identity (``WeylAction``).  Every core's image on a
 monomial lives in one process-wide table, shared by every action and every
-twist; its output states are interned, and the table is cleared whole once
-it holds ``MAX_CORE_ENTRIES`` monomials, so its memory is bounded.
-``affine_relation_check`` sums each bracket and its right-hand side into
-one integer vector that must vanish.  The relations hold with central
-scalar -2:
+twist.
+
+``affine_relation_check`` evaluates each bracket by bilinearity: with
+s_x x = sum_i a_i X_i + alpha id over the cores X_i, and s_y y likewise,
+s_x s_y [x, y] = sum_ij a_i b_j [X_i, Y_j], since the identity terms cancel
+exactly.  A second process-wide table holds [X, Y] on one monomial for every
+pair with a chi-free core (h0, f0 or a) in it, so a fresh twist on a known
+support reads its brackets instead of composing x and y both ways; the
+a* x a* pairs have one-term images and are applied directly, which keeps
+that table linear in the size of chi's support.  Both tables intern their
+output states and are cleared whole, together, once they hold
+``MAX_CORE_ENTRIES`` monomials, so their memory is bounded.  Each bracket
+and its right-hand side sum to one integer vector that must vanish.  The
+relations hold with central scalar -2:
 
     [h(m), e(n)] = 2 e(m+n),         [h(m), f(n)] = -2 f(m+n),
     [e(m), f(n)] = h(m+n) - 2m delta_{m+n,0},
@@ -54,6 +63,7 @@ from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import chain, repeat
 from operator import itemgetter
 from typing import Iterator, Optional
 
@@ -301,42 +311,100 @@ def _f_core(n: int, st: WeylState) -> tuple[tuple[WeylState, int], ...]:
 
 
 # ---------------------------------------------------------------------------
-# the process-wide table of chi-free cores
+# the process-wide tables of chi-free cores and brackets
 # ---------------------------------------------------------------------------
 
-#: Most monomials the core table holds, summed over every (core, mode).  When
-#: a new one would pass it, the table and the intern dict are cleared whole.
-#: Criterion 10 (ten twists, 151 monomials, |m|, |n| <= 3) needs about 47k
-#: entries; at 1 << 15 it recomputes cores over and over.
-MAX_CORE_ENTRIES = 1 << 16
+#: Most monomials the core and bracket tables hold together, summed over
+#: every key.  When a new one would pass it, both tables and the intern dict
+#: are cleared whole.  Criterion 10 (ten twists, 151 monomials,
+#: |m|, |n| <= 3) needs about 8k core and 70k bracket entries, so that the
+#: last nine twists read every chi-free bracket; at 1 << 16 it clears
+#: before each twist is done and recomputes what it cleared, about three
+#: times slower.
+MAX_CORE_ENTRIES = 1 << 17
 
 # (core function, mode) -> {monomial: the core's (state, int) pairs}.  Keyed
 # by the function object, so a core swapped into ``WeylAction._RAW`` never
 # reads rows another function computed.
 _CORES: dict[tuple[object, int], dict[WeylState, tuple]] = {}
-# every state the table holds, once: many stored pairs share an output state
+# (core X, mode p, core Y, mode q) -> {monomial s: [X(p), Y(q)] s as a flat
+# (state, int, state, int, ...) tuple}, keyed by the function objects too
+_BRACKETS: dict[tuple[object, int, object, int], dict[WeylState, tuple]] = {}
+# every state the tables hold, once: many stored pairs share an output state
 _STATES: dict[WeylState, WeylState] = {}
-# monomials held across all of ``_CORES``' tables
+# monomials held across all of ``_CORES``' and ``_BRACKETS``' tables
 _core_entries = 0
 
 
-def _store(table: dict, fn, n: int, st: WeylState) -> tuple:
-    """Compute fn(n, st) into ``table``, first clearing everything when full.
+def _table(registry: dict, key) -> dict:
+    table = registry.get(key)
+    if table is None:
+        table = registry[key] = {}
+    return table
 
-    A clear keeps ``table`` itself, emptied and registered again under
-    (fn, n), since the caller goes on reading it.
+
+def _admit(registry: dict, key, table: dict) -> None:
+    """Make room for one more monomial in ``table``, clearing all when full.
+
+    A clear empties both registries and the intern dict.  The caller goes
+    on reading ``table``, so once a clear has dropped it (here, or while its
+    new entry was being computed) it is emptied and registered again.
     """
     global _core_entries
     if _core_entries >= MAX_CORE_ENTRIES:
         _CORES.clear()
+        _BRACKETS.clear()
         _STATES.clear()
         _core_entries = 0
+    if registry.get(key) is not table:
         table.clear()
-        _CORES[fn, n] = table
-    intern = _STATES.setdefault
-    items = table[intern(st, st)] = tuple([(intern(out, out), k) for out, k in fn(n, st)])
+        registry[key] = table
     _core_entries += 1
+
+
+def _store(table: dict, fn, n: int, st: WeylState) -> tuple:
+    """Compute fn(n, st) into ``table``, the (fn, n) table of ``_CORES``."""
+    items = fn(n, st)
+    _admit(_CORES, (fn, n), table)
+    intern = _STATES.setdefault
+    items = table[intern(st, st)] = tuple([(intern(out, out), k) for out, k in items])
     return items
+
+
+def _core_items(table: dict, fn, n: int, st: WeylState) -> tuple:
+    """fn(n, st) from ``table``, the (fn, n) table of ``_CORES``."""
+    items = table.get(st)
+    return _store(table, fn, n, st) if items is None else items
+
+
+def _store_bracket(table: dict, key: tuple, st: WeylState) -> tuple:
+    """Compute [X(p), Y(q)] st = X(Y st) - Y(X st) into ``table``.
+
+    ``key`` is (X, p, Y, q).  X st and Y st are read from the core table.
+    The second factor acts on their terms, monomials that only bracket
+    computations meet: it is read from the table when there and computed,
+    not stored, otherwise.  Stored, they filled most of the table: at the
+    relation suite's caps, 129k of 142k entries, against 1.2k cores and 12k
+    brackets without them.
+    """
+    fx, p, fy, q = key
+    x_rows, y_rows = _table(_CORES, (fx, p)), _table(_CORES, (fy, q))
+    acc: dict[WeylState, int] = {}
+    get = acc.get
+    for mid, c in _core_items(y_rows, fy, q, st):
+        items = x_rows.get(mid)
+        for out, k in fx(p, mid) if items is None else items:
+            acc[out] = get(out, 0) + c * k
+    for mid, c in _core_items(x_rows, fx, p, st):
+        items = y_rows.get(mid)
+        for out, k in fy(q, mid) if items is None else items:
+            acc[out] = get(out, 0) - c * k
+    _admit(_BRACKETS, key, table)
+    intern = _STATES.setdefault
+    flat = table[intern(st, st)] = tuple(
+        [y for out, k in acc.items() if k for y in (intern(out, out), k)]
+    )
+    return flat
 
 
 # ---------------------------------------------------------------------------
@@ -359,9 +427,11 @@ class WeylAction:
     action and twist until the table fills (``MAX_CORE_ENTRIES``).  The
     action keeps only chi and, per mode kind(n), a *plan*: the scale (d when
     chi enters kind(n), else 1), the (core, mode, int coefficient) terms and
-    the coefficient of the identity.  ``_core`` adds c times the plan's sum
-    on int (state, numerator) pairs to an accumulator, and ``apply`` puts
-    that sum over the vector's denominator times the scale, in lowest terms.
+    the coefficient of the identity; and, per (m, n) that
+    ``affine_relation_check`` met, its relations as integer data.  ``_core``
+    adds c times the plan's sum on int (state, numerator) pairs to an
+    accumulator, and ``apply`` puts that sum over the vector's denominator
+    times the scale, in lowest terms.
     """
 
     _RAW = {"e": _a_core, "h": _h_core, "f": _f_core, "a*": _astar_core}
@@ -369,6 +439,8 @@ class WeylAction:
     def __init__(self, chi: ChiSeries):
         self.chi = chi
         self._plans: dict[tuple[str, int], tuple] = {}
+        # (m, n) -> the relations at (m, n) as integer data (``_relation_plan``)
+        self._relations: dict[tuple[int, int], tuple] = {}
 
     def _plan(self, kind: str, n: int) -> tuple:
         """(scale, ((core name, mode, int coefficient), ...), identity coefficient)."""
@@ -462,6 +534,89 @@ def enumerate_weyl_basis(
 # ---------------------------------------------------------------------------
 
 
+def _relation_plan(action: WeylAction, m: int, n: int) -> tuple:
+    """The six relations at (m, n) as integer data, in the order checked.
+
+    Each is (name, brackets, twists, rest).  ``brackets`` holds
+    (X name, p, Y name, q, int coefficient) for every pair of plan terms
+    with a chi-free core in it, X(p) before Y(q) in one fixed order, since
+    [X, Y] = -[Y, X] lets one table entry serve both.  ``twists`` is
+    (x's a* terms, y's a* terms, coefficient) when both modes carry a twist,
+    else None.  ``rest`` holds the (int coefficient, kind) terms of -rhs:
+    kind at m + n on D v, or D v itself for kind None.  All coefficients
+    share one denominator: s_x s_y times the lift to the right-hand side's
+    scale.
+    """
+    plans = action._plans
+
+    def plan(kind: str, k: int) -> tuple:
+        got = plans.get((kind, k))
+        if got is None:
+            got = plans[kind, k] = action._plan(kind, k)
+        return got
+
+    m_delta = m if m + n == 0 else 0
+    relations = []
+    for name, x, y, rhs in (
+        ("[h,e]=2e", ("h", m), ("e", n), ((-2, "e"),)),
+        ("[h,f]=-2f", ("h", m), ("f", n), ((2, "f"),)),
+        ("[e,f]=h-2m*delta", ("e", m), ("f", n), ((-1, "h"), (2 * m_delta, None))),
+        ("[h,h]=-4m*delta", ("h", m), ("h", n), ((4 * m_delta, None),)),
+        ("[e,e]=0", ("e", m), ("e", n), ()),
+        ("[f,f]=0", ("f", m), ("f", n), ()),
+    ):
+        (x_scale, (x0, *x_twist), _), (y_scale, (y0, *y_twist), _) = plan(*x), plan(*y)
+        both = x_scale * y_scale
+        rhs = [(c, kind, plan(kind, m + n)[0] if kind else 1) for c, kind in rhs if c]
+        top = math.lcm(both, *(scale for _, _, scale in rhs))
+        lift = top // both
+        brackets = []
+        for (nx, p, a), (ny, q, b) in chain(
+            zip(repeat(x0), (y0, *y_twist)), zip(x_twist, repeat(y0))
+        ):
+            if (ny, q) < (nx, p):
+                nx, p, ny, q, a = ny, q, nx, p, -a
+            brackets.append((nx, p, ny, q, lift * a * b))
+        twists = (tuple(x_twist), tuple(y_twist), lift) if x_twist and y_twist else None
+        rest = tuple((c * (top // scale), kind) for c, kind, scale in rhs)
+        relations.append((name, tuple(brackets), twists, rest))
+    return tuple(relations)
+
+
+def _add_twist_bracket(
+    raw: dict, x_twist: tuple, y_twist: tuple, c: int, pairs, acc: dict
+) -> None:
+    """Add c (T_x T_y - T_y T_x) on the (state, int) pairs to acc.
+
+    T_x and T_y are the a* terms (core name, mode, int coefficient) of two
+    plans.  Each composition runs on merged sums: T_y on the pairs, with
+    its a* images read from the core table and stored there, then T_x on
+    that sum, with its a* images read from the table when there and
+    computed, not stored, otherwise.  Each such image has at most one term,
+    and storing them would grow the table with the square of chi's support.
+    """
+    get = acc.get
+    for first, then, sign in ((y_twist, x_twist, c), (x_twist, y_twist, -c)):
+        mid: dict[WeylState, int] = {}
+        mid_get = mid.get
+        for name, q, b in first:
+            fn = raw[name]
+            rows = _table(_CORES, (fn, q))
+            for st, w in pairs:
+                w *= b
+                for out, z in _core_items(rows, fn, q, st):
+                    mid[out] = mid_get(out, 0) + w * z
+        for name, p, a in then:
+            fn = raw[name]
+            rows = _CORES.get((fn, p), {})
+            a *= sign
+            for st, w in mid.items():
+                items = rows.get(st)
+                w *= a
+                for out, z in fn(p, st) if items is None else items:
+                    acc[out] = get(out, 0) + w * z
+
+
 def affine_relation_check(
     m: int, n: int, v: WeylVec, chi: ChiSeries, action: WeylAction
 ) -> list[tuple[str, bool]]:
@@ -470,47 +625,57 @@ def affine_relation_check(
     The twist comes from ``action``.  ``chi`` is unused; it stays because the
     benchmark's relations workload passes all five arguments by position.
     Every relation is linear in v, so everything acts on D v, the int
-    numerators ``v.terms`` of v over its denominator D.  Each first-level
-    image (e, h, f at m, n and m + n) is computed once, and its zero entries
-    are dropped before the second level.  Each relation [x, y] = rhs is then
-    one integer sum: x(y D v), -y(x D v) and -rhs, each scaled to a common
-    denominator, must vanish.
+    numerators ``v.terms`` of v over its denominator D.
+
+    Each bracket is evaluated by bilinearity.  The plan of x writes
+    s_x x = sum_i a_i X_i + alpha id, with X_i the chi-free core (h0, f0 or
+    a) and the twist's a*(n - j) terms, and likewise s_y y.  So
+
+        s_x s_y [x, y] = sum_ij a_i b_j [X_i, Y_j],
+
+    because the identity commutes with everything: its terms cancel
+    exactly, which is algebra and not a skipped check.  The sum is the
+    integer vector s_x x(s_y y D v) - s_y y(s_x x D v), so every verdict is
+    the one the two compositions give.  [X_i, Y_j] on one monomial is read
+    from the process-wide bracket table for every pair that holds a
+    chi-free core, so a twist drawn afresh reuses every chi-free bracket of
+    its support.  The a* x a* pairs are applied directly, as compositions
+    of merged sums (``_add_twist_bracket``), so both tables stay linear in
+    the size of chi's support.  Each relation [x, y] = rhs is then one
+    integer sum: the brackets and -rhs (e, h or f at m + n on D v, or D v),
+    each scaled to a common denominator, must vanish.
     """
-    dv = v.terms
-    core = action._core
-    first: dict[tuple[str, int], tuple[dict[WeylState, int], int]] = {}
-    for key in (("e", n), ("h", m), ("f", n), ("e", m), ("h", n), ("f", m),
-                ("e", m + n), ("h", m + n), ("f", m + n)):
-        if key not in first:
-            nums: dict[WeylState, int] = {}
-            scale = core(*key, dv.items(), nums)
-            first[key] = ({st: x for st, x in nums.items() if x}, scale)
-    m_delta = m if m + n == 0 else 0
-    # (name, x, y, the (c, numerators, scale) terms of -rhs)
-    relations = (
-        ("[h,e]=2e", ("h", m), ("e", n), [(-2, *first["e", m + n])]),
-        ("[h,f]=-2f", ("h", m), ("f", n), [(2, *first["f", m + n])]),
-        ("[e,f]=h-2m*delta", ("e", m), ("f", n), [(-1, *first["h", m + n]), (2 * m_delta, dv, 1)]),
-        ("[h,h]=-4m*delta", ("h", m), ("h", n), [(4 * m_delta, dv, 1)]),
-        ("[e,e]=0", ("e", m), ("e", n), []),
-        ("[f,f]=0", ("f", m), ("f", n), []),
-    )
+    relations = action._relations.get((m, n))
+    if relations is None:
+        relations = action._relations[m, n] = _relation_plan(action, m, n)
+    pairs = v.terms.items()
+    core, raw = action._core, action._RAW
     checks = []
-    for name, x, y, rest in relations:
-        (x_nums, x_scale), (y_nums, y_scale) = first[x], first[y]
-        both = x_scale * y_scale
-        top = math.lcm(both, *(scale for _, _, scale in rest))
-        lift = top // both
+    for name, brackets, twists, rest in relations:
         total: dict[WeylState, int] = {}
-        core(*x, y_nums.items(), total, lift)
-        core(*y, x_nums.items(), total, -lift)
         get = total.get
-        for c, nums, scale in rest:
-            if not c:
-                continue
-            c *= top // scale
-            for st, p in nums.items():
-                total[st] = get(st, 0) + c * p
+        for nx, p, ny, q, k in brackets:
+            key = (raw[nx], p, raw[ny], q)
+            table = _BRACKETS.get(key)
+            if table is None:
+                table = _BRACKETS[key] = {}
+            for st, w in pairs:
+                flat = table.get(st)
+                if flat is None:
+                    flat = _store_bracket(table, key, st)
+                if flat:
+                    w *= k
+                    it = iter(flat)
+                    for out, z in zip(it, it):
+                        total[out] = get(out, 0) + w * z
+        if twists:
+            _add_twist_bracket(raw, *twists, pairs, total)
+        for c, kind in rest:
+            if kind:
+                core(kind, m + n, pairs, total, c)
+            else:
+                for st, w in pairs:
+                    total[st] = get(st, 0) + c * w
         checks.append((name, not any(total.values())))
     return checks
 

@@ -13,6 +13,7 @@ from wakimoto.scalars import (
     MAX_ENUM_WEIGHT,
     MAX_ENUM_WINDOW,
     MAX_RELATION_MODE,
+    MAX_RELATION_POLE,
     MAX_RELATION_TRIALS,
 )
 
@@ -42,6 +43,9 @@ CHI_ELL_PAST_CAP = twist_text({0: MAX_ELL + 2, -1: "1/3"})
 # S_2(-chi) has about 6000 digits, S_MAX_ELL(-chi) about 5600
 CHI_LONG_TAIL = twist_text({0: 3, -1: "7" * 3000})
 CHI_HUGE_TAIL = twist_text({0: 2, -1: 10**30})
+# every index the parser takes: a tail of 1001 terms and 1000 poles
+CHI_EVERY_INDEX = twist_text({m: 1 for m in range(-1000, 1001)})
+CHI_WIDE_TAIL = twist_text({0: 2, **{-j: 1 for j in range(1, 1001)}})
 
 
 def run_cli(capsys, argv):
@@ -196,6 +200,11 @@ MALFORMED_BOUNDS = [
     (["schur", "--ell", "2000", "--chi", twist_text({0: 2, -1: "3/7"})], None, "ell"),
     (["schur", "--ell", "3", "--at", "1,2"], None, "--at"),
     (["schur", "--ell", "2", "--at", "1,2,3,4"], None, "--at"),
+    # an affine suite whose poles each put a heavy a* mode into f
+    (["relations", "--suite", "affine", "--chi", CHI_EVERY_INDEX, "--max-mode", "0",
+      "--trials", "1"], None, "--chi"),
+    (["relations", "--suite", "affine", "--chi", twist_text({MAX_RELATION_POLE + 1: 1})], None,
+     "--chi"),
     (["classify", "--chi", CHI_LONG_TAIL], None, "output"),
     (["schur", "--ell", str(MAX_ELL), "--chi", CHI_HUGE_TAIL], None, "output"),
 ]
@@ -227,6 +236,28 @@ def test_size_caps_are_inclusive(capsys):
     ])
     assert (code, err) == (0, "")
     assert json.loads(out)["failures"] == []
+
+
+def test_affine_suite_takes_a_wide_tail_and_poles_up_to_the_cap(capsys, tmp_path):
+    # f(n) carries 1001 twist terms; its bracket table stays linear in them
+    code, out, err = run_cli(capsys, [
+        "relations", "--suite", "affine", "--chi", CHI_WIDE_TAIL,
+        "--max-mode", "1", "--trials", "1",
+    ])
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"checked": 54, "failures": [], "seed": 0, "suite": "affine"}
+    at_cap = twist_text({m: 1 for m in range(-2, MAX_RELATION_POLE + 1)})
+    code, out, err = run_cli(capsys, [
+        "relations", "--suite", "affine", "--chi", at_cap, "--max-mode", "1", "--trials", "1",
+    ])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["failures"] == []
+    chi_file = tmp_path / "chi.json"
+    chi_file.write_text(twist_text({MAX_RELATION_POLE + 1: 1}), encoding="utf-8")
+    argv = ["relations", "--suite", "affine", "--chi-file", str(chi_file)]
+    code, out, err = run_cli(capsys, argv)
+    past = f"suite 'affine' takes a pole order <= {MAX_RELATION_POLE}, got {MAX_RELATION_POLE + 1}"
+    assert (code, out, err) == (2, "", f"error: --chi-file: {past}\n")
 
 
 def test_ell_cap_is_inclusive_and_read_from_every_source(capsys, tmp_path):

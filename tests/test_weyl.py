@@ -206,8 +206,9 @@ def test_f_core_matches_ordered_triples():
 
 @pytest.fixture
 def empty_cores(monkeypatch):
-    """A fresh, empty process-wide core table for one test."""
+    """Fresh, empty process-wide core and bracket tables for one test."""
     monkeypatch.setattr(weyl, "_CORES", {})
+    monkeypatch.setattr(weyl, "_BRACKETS", {})
     monkeypatch.setattr(weyl, "_STATES", {})
     monkeypatch.setattr(weyl, "_core_entries", 0)
 
@@ -216,26 +217,34 @@ def _table_size():
     return sum(len(table) for table in weyl._CORES.values())
 
 
-def test_each_core_is_computed_once_per_process(empty_cores, monkeypatch):
-    raw_calls, requested = [], set()
+def _bracket_size():
+    return sum(len(table) for table in weyl._BRACKETS.values())
 
-    def counting(kind, raw):
+
+def _recording(monkeypatch, name, calls):
+    """Record the arguments of each call of ``weyl.<name>`` but the table."""
+    fn = getattr(weyl, name)
+
+    def record(table, *args):
+        calls.append(args)
+        return fn(table, *args)
+
+    monkeypatch.setattr(weyl, name, record)
+
+
+def test_each_core_is_computed_once_per_process(empty_cores, monkeypatch):
+    raw_calls, stored, brackets = [], [], []
+
+    def counting(raw):
         def core(n, st):
-            raw_calls.append((kind, n, st))
+            raw_calls.append((raw, n, st))
             return raw(n, st)
         return core
 
-    monkeypatch.setattr(
-        WeylAction, "_RAW", {kind: counting(kind, raw) for kind, raw in WeylAction._RAW.items()}
-    )
-    core = WeylAction._core
-
-    def recording(self, kind, n, pairs, acc, c=1):
-        pairs = list(pairs)
-        requested.update((kind, n, st) for st, _ in pairs)
-        return core(self, kind, n, pairs, acc, c)
-
-    monkeypatch.setattr(WeylAction, "_core", recording)
+    counted = {kind: counting(raw) for kind, raw in WeylAction._RAW.items()}
+    monkeypatch.setattr(WeylAction, "_RAW", counted)
+    _recording(monkeypatch, "_store", stored)
+    _recording(monkeypatch, "_store_bracket", brackets)
     v = WeylVec({WeylState((1, 1), (0,)): Fraction(1, 2), WeylState((), (0, 0, 2)): -3})
 
     def one_pass(chi):
@@ -245,18 +254,24 @@ def test_each_core_is_computed_once_per_process(empty_cores, monkeypatch):
                 assert all(ok for _, ok in affine_relation_check(m, n, v, chi, action))
 
     one_pass(CHI)
-    # the e, h and f cores are those requested; f's twist adds a* cores
-    assert {call for call in raw_calls if call[0] != "a*"} == requested
-    assert any(call[0] == "a*" for call in raw_calls)
-    assert len(set(raw_calls)) == len(raw_calls) == _table_size()
-    first = len(raw_calls)
-    one_pass(CHI)
-    assert len(raw_calls) == first
-    # another twist on the same support, and no twist, reuse every e, h, f core
-    for chi in (ChiSeries({1: Fraction(-7, 3), 0: 4, -2: Fraction(1, 5)}), ChiSeries()):
+    # no (core pair, modes, monomial) bracket and no stored core twice
+    assert len(set(brackets)) == len(brackets) == _bracket_size() > 0
+    assert len(set(stored)) == len(stored) == _table_size() > 0
+    # the twist's a* terms are bracketed against the chi-free cores
+    a_star = WeylAction._RAW["a*"]
+    assert any(a_star in key for key, _ in brackets)
+    computed = len(raw_calls), len(stored), len(brackets)
+    # a second pass, and another twist on the same support, compute no
+    # bracket and no e, h or f core, and store nothing; the a* x a* part is
+    # applied directly, so a* acts afresh on its merged twist sums
+    for chi in (CHI, ChiSeries({1: Fraction(-7, 3), 0: 4, -2: Fraction(1, 5)})):
         one_pass(chi)
-        assert [call for call in raw_calls[first:] if call[0] != "a*"] == []
-    assert len(set(raw_calls)) == len(raw_calls)
+        assert (len(stored), len(brackets)) == computed[1:]
+        assert {raw for raw, _, _ in raw_calls[computed[0]:]} == {weyl._astar_core}
+        del raw_calls[computed[0]:]
+    # without a twist, nothing at all
+    one_pass(ChiSeries())
+    assert (len(raw_calls), len(stored), len(brackets)) == computed
 
 
 def test_core_table_stays_within_its_bound(empty_cores, monkeypatch):
@@ -358,6 +373,98 @@ def test_perturbed_core_fails_the_same_relations(kind, broken, monkeypatch):
             assert got == want
             failed.update(name for name, ok in got if not ok)
     assert failed == {broken}
+
+
+def _held_states():
+    """Every state the two tables hold, as a key or in a stored image."""
+    held = set()
+    for table in weyl._CORES.values():
+        for st, items in table.items():
+            held.add(st)
+            held.update(out for out, _ in items)
+    for table in weyl._BRACKETS.values():
+        for st, flat in table.items():
+            held.add(st)
+            held.update(flat[::2])
+    return held
+
+
+def test_both_tables_stay_within_one_bound(empty_cores, monkeypatch):
+    monkeypatch.setattr(weyl, "MAX_CORE_ENTRIES", 200)
+    rng = random.Random("one bound")
+    entries, cleared = 0, False
+    for case in RELATION_CASES:
+        chi = seeded_twist(case, rng)
+        for got, want in _both_relation_checks(chi, _mixed_vectors(rng, 1)):
+            assert got == want
+            before, entries = entries, _table_size() + _bracket_size()
+            # the count covers both tables, and a clear empties both and the
+            # intern dict: nothing survives it uncounted
+            assert entries == weyl._core_entries <= 200
+            assert set(weyl._STATES) <= _held_states()
+            cleared |= entries < before
+    assert cleared and weyl._BRACKETS
+
+
+def test_perturbed_core_fails_after_warm_brackets():
+    chi = ChiSeries({1: Fraction(1, 3), 0: 3, -2: -5})
+    vectors = _mixed_vectors(random.Random("warm brackets"), 2)
+
+    def verdicts():
+        failed = set()
+        for got, want in _both_relation_checks(chi, vectors):
+            assert got == want
+            failed.update(name for name, ok in got if not ok)
+        return failed
+
+    assert verdicts() == set()
+    raw = WeylAction._RAW["f"]
+
+    def perturbed(n, st):
+        # f(n) gains a*(0), which commutes with no h or f mode
+        _, a, s = st
+        return raw(n, st) + ((WeylState(a, tuple(sorted((0, *s)))), 1),)
+
+    WeylAction._RAW["f"] = perturbed
+    try:
+        assert {"[h,f]=-2f", "[f,f]=0"} <= verdicts()
+    finally:
+        WeylAction._RAW["f"] = raw
+    assert verdicts() == set()
+
+
+def test_warm_brackets_serve_a_twist_of_another_support(empty_cores):
+    vectors = _mixed_vectors(random.Random("another support"), 2)
+    warm = ChiSeries({1: Fraction(1, 3), 0: 3, -2: -5})
+    other = ChiSeries({2: Fraction(-7, 4), 0: 2, -1: Fraction(5, 6)})
+    assert other.support != warm.support and other.denominator != warm.denominator
+    for chi in (warm, other):
+        keys = set(weyl._BRACKETS)
+        for got, want in _both_relation_checks(chi, vectors):
+            assert got == want
+            assert all(ok for _, ok in got)
+    # the second twist added only brackets against its own a* terms
+    a_star = WeylAction._RAW["a*"]
+    assert all(a_star in key for key in set(weyl._BRACKETS) - keys)
+
+
+def test_bracket_table_is_linear_in_the_support(empty_cores):
+    v = WeylVec({WeylState((1,), (0, 2)): 1, WeylState((1, 1), ()): Fraction(-1, 2)})
+    a_star = WeylAction._RAW["a*"]
+    sizes = []
+    for width in (8, 16, 32, 64):
+        for table in (weyl._CORES, weyl._BRACKETS, weyl._STATES):
+            table.clear()
+        weyl._core_entries = 0
+        # a pole, chi_0 and a tail: f(n) carries width + 2 twist terms
+        chi = ChiSeries({2: 1, **{-j: Fraction(1, j + 1) for j in range(width + 1)}})
+        assert all(ok for _, ok in affine_relation_check(2, -1, v, chi, WeylAction(chi)))
+        assert not any(key[0] is a_star and key[2] is a_star for key in weyl._BRACKETS)
+        sizes.append(_bracket_size())
+    steps = [b - a for a, b in zip(sizes, sizes[1:])]
+    # each added index adds the same entries: four brackets on each monomial
+    # ([h0, a*], [a, a*] and both orders of [f0, a*] in [f, f])
+    assert steps == [8 * 4 * 2, 16 * 4 * 2, 32 * 4 * 2]
 
 
 def test_relation_check_leaves_no_reference_cycle():
