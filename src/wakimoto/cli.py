@@ -40,7 +40,7 @@ from .scalars import (
     MAX_ENUM_WEIGHT,
     MAX_ENUM_WINDOW,
     MAX_RELATION_MODE,
-    MAX_RELATION_POLE,
+    MAX_RELATION_POLE_WEIGHT,
     MAX_RELATION_TRIALS,
     ChiParseError,
     ChiSeries,
@@ -48,7 +48,6 @@ from .scalars import (
     format_rational,
     parse_chi,
     parse_rational,
-    pole_order,
 )
 from .schur import schur_rec, schur_at_minus_chi
 from .span import ClosureConfig, SparseVec
@@ -321,11 +320,12 @@ def _cmd_relations(args) -> int:
     else:  # affine
         if chi is None:
             raise ChiParseError("suite 'affine' needs a twist (--chi/--chi-file)")
-        if pole_order(chi) > MAX_RELATION_POLE:
+        pole_weight = sum(j for j in chi.support if j > 0)
+        if pole_weight > MAX_RELATION_POLE_WEIGHT:
             field = "--chi" if args.chi is not None else "--chi-file"
             raise ChiParseError(
-                f"{field}: suite 'affine' takes a pole order <= {MAX_RELATION_POLE},"
-                f" got {pole_order(chi)}"
+                f"{field}: suite 'affine' takes poles summing to <= {MAX_RELATION_POLE_WEIGHT},"
+                f" got {pole_weight}"
             )
         action = WeylAction(chi)
         states = enumerate_weyl_basis(bound, (-window, window))

@@ -29,7 +29,7 @@ __all__ = [
     "MAX_ENUM_WEIGHT",
     "MAX_ENUM_WINDOW",
     "MAX_RELATION_MODE",
-    "MAX_RELATION_POLE",
+    "MAX_RELATION_POLE_WEIGHT",
     "MAX_RELATION_TRIALS",
     "parse_rational",
     "format_rational",
@@ -112,14 +112,16 @@ MAX_ENUM_WINDOW = 3
 # ``relations --suite affine`` took about 10 s and 300 MB there.
 MAX_RELATION_MODE = 4
 MAX_RELATION_TRIALS = 10
-# Largest pole order (positive chi index) of an affine suite's twist.  Each
-# pole j puts a*(j - n) into f(n), so f0 then acts on a monomial of weight
-# j - n, and in [f, f] every twist term of f(m) acts on each a* mode a pole
-# of f(n) creates.  On a 2-vCPU Xeon at the default suite settings, a twist
-# with every index from -1000 to 32 takes about 20 s and one up to 64 about
-# 40 s; every index up to 1000 took 50 s and 270 MB at a single pair of
-# modes (--max-mode 0 --trials 1).
-MAX_RELATION_POLE = 32
+# Largest pole weight, the sum of the positive chi indices, of an affine
+# suite's twist.  Each pole j puts a*(j - n) into every f(n), and f0's bracket
+# against it has about (j - n)/2 terms on every sampled monomial, so time and
+# the bracket table's memory grow with the sum of the poles, not with the
+# largest one or with the tail.  On a 2-vCPU Xeon at all four caps above, a
+# lone pole at 1000 takes 7.5 s and 84 MB, fourteen poles 9, 18, ..., 126 with
+# a tail of 1001 terms 19 s and 83 MB, and poles 1..300 (weight 45150) 50 s
+# and 194 MB; every index from -1000 to 1000 (weight 500500) took 200 s and
+# 447 MB at the default settings.
+MAX_RELATION_POLE_WEIGHT = 1024
 
 
 class ChiSeries:

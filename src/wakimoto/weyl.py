@@ -30,15 +30,17 @@ twist.
 ``affine_relation_check`` evaluates each bracket by bilinearity: with
 s_x x = sum_i a_i X_i + alpha id over the cores X_i, and s_y y likewise,
 s_x s_y [x, y] = sum_ij a_i b_j [X_i, Y_j], since the identity terms cancel
-exactly.  A second process-wide table holds [X, Y] on one monomial for every
-pair with a chi-free core (h0, f0 or a) in it, so a fresh twist on a known
-support reads its brackets instead of composing x and y both ways; the
-a* x a* pairs have one-term images and are applied directly, which keeps
-that table linear in the size of chi's support.  Both tables intern their
-output states and are cleared whole, together, once they hold
-``MAX_CORE_ENTRIES`` monomials, so their memory is bounded.  Each bracket
-and its right-hand side sum to one integer vector that must vanish.  The
-relations hold with central scalar -2:
+exactly and [a*(p), a*(q)] = 0.  A second process-wide table holds [X, Y]
+on one monomial for every other pair, each with a chi-free core (h0, f0 or
+a) in it, so a fresh twist on a known support reads its brackets instead of
+composing x and y both ways, and that table grows linearly in the size of
+chi's support.  Both tables intern their output states and are cleared
+whole, together, once they hold ``MAX_CORE_ENTRIES`` monomials.  An image
+grows with the weight of its monomial: a pole j puts a*(j - n) into f(n),
+and f0's bracket against it has about j/2 terms, so the relation suite
+bounds the sum of a twist's poles (``scalars.MAX_RELATION_POLE_WEIGHT``).
+Each bracket and its right-hand side sum to one integer vector that must
+vanish.  The relations hold with central scalar -2:
 
     [h(m), e(n)] = 2 e(m+n),         [h(m), f(n)] = -2 f(m+n),
     [e(m), f(n)] = h(m+n) - 2m delta_{m+n,0},
@@ -336,13 +338,6 @@ _STATES: dict[WeylState, WeylState] = {}
 _core_entries = 0
 
 
-def _table(registry: dict, key) -> dict:
-    table = registry.get(key)
-    if table is None:
-        table = registry[key] = {}
-    return table
-
-
 def _admit(registry: dict, key, table: dict) -> None:
     """Make room for one more monomial in ``table``, clearing all when full.
 
@@ -380,25 +375,29 @@ def _core_items(table: dict, fn, n: int, st: WeylState) -> tuple:
 def _store_bracket(table: dict, key: tuple, st: WeylState) -> tuple:
     """Compute [X(p), Y(q)] st = X(Y st) - Y(X st) into ``table``.
 
-    ``key`` is (X, p, Y, q).  X st and Y st are read from the core table.
-    The second factor acts on their terms, monomials that only bracket
-    computations meet: it is read from the table when there and computed,
-    not stored, otherwise.  Stored, they filled most of the table: at the
-    relation suite's caps, 129k of 142k entries, against 1.2k cores and 12k
-    brackets without them.
+    ``key`` is (X, p, Y, q).  X st and Y st are read from the core table
+    first.  The second factor acts on their terms, monomials that only
+    bracket computations meet: it is read from the table when there and
+    computed, not stored, otherwise, so another bracket may compute it
+    again.  Stored, they fill most of the table: at the relation suite's
+    caps, peak RSS rose from 42 to 129 MB and the table cleared repeatedly.
     """
     fx, p, fy, q = key
-    x_rows, y_rows = _table(_CORES, (fx, p)), _table(_CORES, (fy, q))
+    x_rows = _CORES.get((fx, p))
+    if x_rows is None:
+        x_rows = _CORES[fx, p] = {}
+    y_rows = _CORES.get((fy, q))
+    if y_rows is None:
+        y_rows = _CORES[fy, q] = {}
+    y_st, x_st = _core_items(y_rows, fy, q, st), _core_items(x_rows, fx, p, st)
     acc: dict[WeylState, int] = {}
     get = acc.get
-    for mid, c in _core_items(y_rows, fy, q, st):
-        items = x_rows.get(mid)
-        for out, k in fx(p, mid) if items is None else items:
-            acc[out] = get(out, 0) + c * k
-    for mid, c in _core_items(x_rows, fx, p, st):
-        items = y_rows.get(mid)
-        for out, k in fy(q, mid) if items is None else items:
-            acc[out] = get(out, 0) - c * k
+    for rows, fn, mode, first, sign in ((x_rows, fx, p, y_st, 1), (y_rows, fy, q, x_st, -1)):
+        for mid, c in first:
+            items = rows.get(mid)
+            c *= sign
+            for out, k in fn(mode, mid) if items is None else items:
+                acc[out] = get(out, 0) + c * k
     _admit(_BRACKETS, key, table)
     intern = _STATES.setdefault
     flat = table[intern(st, st)] = tuple(
@@ -537,15 +536,14 @@ def enumerate_weyl_basis(
 def _relation_plan(action: WeylAction, m: int, n: int) -> tuple:
     """The six relations at (m, n) as integer data, in the order checked.
 
-    Each is (name, brackets, twists, rest).  ``brackets`` holds
+    Each is (name, brackets, rest).  ``brackets`` holds
     (X name, p, Y name, q, int coefficient) for every pair of plan terms
     with a chi-free core in it, X(p) before Y(q) in one fixed order, since
-    [X, Y] = -[Y, X] lets one table entry serve both.  ``twists`` is
-    (x's a* terms, y's a* terms, coefficient) when both modes carry a twist,
-    else None.  ``rest`` holds the (int coefficient, kind) terms of -rhs:
-    kind at m + n on D v, or D v itself for kind None.  All coefficients
-    share one denominator: s_x s_y times the lift to the right-hand side's
-    scale.
+    [X, Y] = -[Y, X] lets one table entry serve both; the a* x a* pairs are
+    left out, as a* modes commute.  ``rest`` holds the (int coefficient,
+    kind) terms of -rhs: kind at m + n on D v, or D v itself for kind None.
+    All coefficients share one denominator: s_x s_y times the lift to the
+    right-hand side's scale.
     """
     plans = action._plans
 
@@ -577,44 +575,9 @@ def _relation_plan(action: WeylAction, m: int, n: int) -> tuple:
             if (ny, q) < (nx, p):
                 nx, p, ny, q, a = ny, q, nx, p, -a
             brackets.append((nx, p, ny, q, lift * a * b))
-        twists = (tuple(x_twist), tuple(y_twist), lift) if x_twist and y_twist else None
         rest = tuple((c * (top // scale), kind) for c, kind, scale in rhs)
-        relations.append((name, tuple(brackets), twists, rest))
+        relations.append((name, tuple(brackets), rest))
     return tuple(relations)
-
-
-def _add_twist_bracket(
-    raw: dict, x_twist: tuple, y_twist: tuple, c: int, pairs, acc: dict
-) -> None:
-    """Add c (T_x T_y - T_y T_x) on the (state, int) pairs to acc.
-
-    T_x and T_y are the a* terms (core name, mode, int coefficient) of two
-    plans.  Each composition runs on merged sums: T_y on the pairs, with
-    its a* images read from the core table and stored there, then T_x on
-    that sum, with its a* images read from the table when there and
-    computed, not stored, otherwise.  Each such image has at most one term,
-    and storing them would grow the table with the square of chi's support.
-    """
-    get = acc.get
-    for first, then, sign in ((y_twist, x_twist, c), (x_twist, y_twist, -c)):
-        mid: dict[WeylState, int] = {}
-        mid_get = mid.get
-        for name, q, b in first:
-            fn = raw[name]
-            rows = _table(_CORES, (fn, q))
-            for st, w in pairs:
-                w *= b
-                for out, z in _core_items(rows, fn, q, st):
-                    mid[out] = mid_get(out, 0) + w * z
-        for name, p, a in then:
-            fn = raw[name]
-            rows = _CORES.get((fn, p), {})
-            a *= sign
-            for st, w in mid.items():
-                items = rows.get(st)
-                w *= a
-                for out, z in fn(p, st) if items is None else items:
-                    acc[out] = get(out, 0) + w * z
 
 
 def affine_relation_check(
@@ -634,14 +597,17 @@ def affine_relation_check(
         s_x s_y [x, y] = sum_ij a_i b_j [X_i, Y_j],
 
     because the identity commutes with everything: its terms cancel
-    exactly, which is algebra and not a skipped check.  The sum is the
+    exactly, which is algebra and not a skipped check.  So do the a* x a*
+    pairs, since [a*(p), a*(q)] = 0: on the Fock space a*(p) with p <= 0
+    multiplies by the creation variable a*(p), and with p >= 1 it is minus
+    the derivative in a(-p), and such operators commute.  The sum is the
     integer vector s_x x(s_y y D v) - s_y y(s_x x D v), so every verdict is
-    the one the two compositions give.  [X_i, Y_j] on one monomial is read
-    from the process-wide bracket table for every pair that holds a
-    chi-free core, so a twist drawn afresh reuses every chi-free bracket of
-    its support.  The a* x a* pairs are applied directly, as compositions
-    of merged sums (``_add_twist_bracket``), so both tables stay linear in
-    the size of chi's support.  Each relation [x, y] = rhs is then one
+    the one the two compositions give whenever the a* core is right (it is
+    tested against the rewriting oracle on its own).  [X_i, Y_j] on one
+    monomial is read from the process-wide bracket table for every other
+    pair, each holding a chi-free core, so a twist drawn afresh reuses every
+    chi-free bracket of its support and the table grows linearly in the
+    size of chi's support.  Each relation [x, y] = rhs is then one
     integer sum: the brackets and -rhs (e, h or f at m + n on D v, or D v),
     each scaled to a common denominator, must vanish.
     """
@@ -651,7 +617,7 @@ def affine_relation_check(
     pairs = v.terms.items()
     core, raw = action._core, action._RAW
     checks = []
-    for name, brackets, twists, rest in relations:
+    for name, brackets, rest in relations:
         total: dict[WeylState, int] = {}
         get = total.get
         for nx, p, ny, q, k in brackets:
@@ -668,8 +634,6 @@ def affine_relation_check(
                     it = iter(flat)
                     for out, z in zip(it, it):
                         total[out] = get(out, 0) + w * z
-        if twists:
-            _add_twist_bracket(raw, *twists, pairs, total)
         for c, kind in rest:
             if kind:
                 core(kind, m + n, pairs, total, c)

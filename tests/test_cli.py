@@ -13,7 +13,7 @@ from wakimoto.scalars import (
     MAX_ENUM_WEIGHT,
     MAX_ENUM_WINDOW,
     MAX_RELATION_MODE,
-    MAX_RELATION_POLE,
+    MAX_RELATION_POLE_WEIGHT,
     MAX_RELATION_TRIALS,
 )
 
@@ -46,6 +46,8 @@ CHI_HUGE_TAIL = twist_text({0: 2, -1: 10**30})
 # every index the parser takes: a tail of 1001 terms and 1000 poles
 CHI_EVERY_INDEX = twist_text({m: 1 for m in range(-1000, 1001)})
 CHI_WIDE_TAIL = twist_text({0: 2, **{-j: 1 for j in range(1, 1001)}})
+# two poles, each below the affine suite's pole weight cap, summing past it
+CHI_POLES_PAST_CAP = twist_text({1000: 1, MAX_RELATION_POLE_WEIGHT - 999: 1})
 
 
 def run_cli(capsys, argv):
@@ -203,8 +205,7 @@ MALFORMED_BOUNDS = [
     # an affine suite whose poles each put a heavy a* mode into f
     (["relations", "--suite", "affine", "--chi", CHI_EVERY_INDEX, "--max-mode", "0",
       "--trials", "1"], None, "--chi"),
-    (["relations", "--suite", "affine", "--chi", twist_text({MAX_RELATION_POLE + 1: 1})], None,
-     "--chi"),
+    (["relations", "--suite", "affine", "--chi", CHI_POLES_PAST_CAP], None, "--chi"),
     (["classify", "--chi", CHI_LONG_TAIL], None, "output"),
     (["schur", "--ell", str(MAX_ELL), "--chi", CHI_HUGE_TAIL], None, "output"),
 ]
@@ -246,17 +247,26 @@ def test_affine_suite_takes_a_wide_tail_and_poles_up_to_the_cap(capsys, tmp_path
     ])
     assert (code, err) == (0, "")
     assert json.loads(out) == {"checked": 54, "failures": [], "seed": 0, "suite": "affine"}
-    at_cap = twist_text({m: 1 for m in range(-2, MAX_RELATION_POLE + 1)})
-    code, out, err = run_cli(capsys, [
-        "relations", "--suite", "affine", "--chi", at_cap, "--max-mode", "1", "--trials", "1",
-    ])
-    assert (code, err) == (0, "")
-    assert json.loads(out)["failures"] == []
+    # the cap is on the sum of the poles: a lone pole at the largest index
+    # passes, and so do poles summing to the cap beside a wide tail
+    lone = twist_text({1000: 1})
+    at_cap = twist_text({
+        1000: 1, MAX_RELATION_POLE_WEIGHT - 1000: 1, **{-j: 1 for j in range(200)},
+    })
+    for chi in (lone, at_cap):
+        code, out, err = run_cli(capsys, [
+            "relations", "--suite", "affine", "--chi", chi, "--max-mode", "1", "--trials", "1",
+        ])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["failures"] == []
     chi_file = tmp_path / "chi.json"
-    chi_file.write_text(twist_text({MAX_RELATION_POLE + 1: 1}), encoding="utf-8")
+    chi_file.write_text(CHI_POLES_PAST_CAP, encoding="utf-8")
     argv = ["relations", "--suite", "affine", "--chi-file", str(chi_file)]
     code, out, err = run_cli(capsys, argv)
-    past = f"suite 'affine' takes a pole order <= {MAX_RELATION_POLE}, got {MAX_RELATION_POLE + 1}"
+    past = (
+        f"suite 'affine' takes poles summing to <= {MAX_RELATION_POLE_WEIGHT},"
+        f" got {MAX_RELATION_POLE_WEIGHT + 1}"
+    )
     assert (code, out, err) == (2, "", f"error: --chi-file: {past}\n")
 
 
