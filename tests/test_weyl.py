@@ -254,6 +254,16 @@ def test_each_core_is_computed_once_per_process(empty_cores, monkeypatch):
     monkeypatch.setattr(WeylAction, "_RAW", counted)
     _recording(monkeypatch, "_store", stored)
     _recording(monkeypatch, "_store_bracket", brackets)
+    requested = set()
+    core = WeylAction._core
+
+    def requesting(self, kind, n, pairs, acc, c=1):
+        scale = core(self, kind, n, pairs, acc, c)
+        for name, mode, _ in self._plans[kind, n][1]:
+            requested.update((self._RAW[name], mode, st) for st, _ in pairs)
+        return scale
+
+    monkeypatch.setattr(WeylAction, "_core", requesting)
     v = WeylVec({WeylState((1, 1), (0,)): Fraction(1, 2), WeylState((), (0, 0, 2)): -3})
 
     def one_pass(chi):
@@ -266,6 +276,10 @@ def test_each_core_is_computed_once_per_process(empty_cores, monkeypatch):
     # no (core pair, modes, monomial) bracket and no stored core twice
     assert len(set(brackets)) == len(brackets) == _bracket_size() > 0
     assert len(set(stored)) == len(stored) == _table_size() > 0
+    # the cores stored are exactly those requested: by ``_core`` for the
+    # right-hand sides, and as the first factors of the brackets computed
+    first = {(fn, mode, st) for (fx, p, fy, q), st in brackets for fn, mode in ((fx, p), (fy, q))}
+    assert set(stored) == requested | first
     # every core on a monomial of v is computed once, and stored; only a
     # bracket's second factor, on the terms of a first, is left unstored
     on_v = [call for call in raw_calls if call[2] in v.terms]
