@@ -379,8 +379,9 @@ def _store_bracket(table: dict, key: tuple, st: WeylState) -> tuple:
     first.  The second factor acts on their terms, monomials that only
     bracket computations meet: it is read from the table when there and
     computed, not stored, otherwise, so another bracket may compute it
-    again.  Stored, they fill most of the table: at the relation suite's
-    caps, peak RSS rose from 42 to 129 MB and the table cleared repeatedly.
+    again.  Stored, they fill most of the table: on three twists at the
+    relation suite's caps, peak RSS rose from 42 to 129 MB and the table
+    cleared repeatedly.
     """
     fx, p, fy, q = key
     x_rows = _CORES.get((fx, p))
