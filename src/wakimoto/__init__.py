@@ -18,6 +18,7 @@ from .scalars import (
     pole_order,
 )
 from .fock import (
+    FOCK_SPACE,
     MINUS,
     PLUS,
     VACUUM,
@@ -35,7 +36,6 @@ from .fock import (
 from .schur import schur_at_minus_chi, schur_rec
 from .span import ClosureConfig, Space, SpanBasis, SparseVec, closure, cyclic_probe, joint_kernel
 from .superalg import (
-    FOCK_SPACE,
     OperatorWord,
     a_module_ops,
     anticommutator_check,
@@ -75,9 +75,7 @@ from .weyl import (
     evidence_agrees,
     wakimoto_ops,
     wakimoto_probe,
-    weyl_charge,
     weyl_vacuum_vec,
-    weyl_weight,
 )
 
 __version__ = "0.1.0"

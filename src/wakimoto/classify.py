@@ -30,6 +30,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .fock import (
+    FOCK_SPACE,
     VACUUM,
     FermionState,
     charge,
@@ -44,7 +45,6 @@ from .scalars import ChiParseError, ChiSeries, ell_of, format_rational, pole_ord
 from .schur import schur_at_minus_chi
 from .span import ClosureConfig, SpanBasis, SparseVec, closure, cyclic_probe
 from .superalg import (
-    FOCK_SPACE,
     a_module_ops,
     apply_Gminus,
     apply_Gplus,

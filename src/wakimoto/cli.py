@@ -34,7 +34,7 @@ from .classify import (
     recorded_cfg,
     verify_certificate,
 )
-from .fock import apply_psi_dmode, enumerate_basis, fmt_halfodd
+from .fock import FOCK_SPACE, apply_psi_dmode, enumerate_basis, fmt_halfodd
 from .scalars import (
     MAX_ELL,
     MAX_ENUM_WEIGHT,
@@ -51,7 +51,7 @@ from .scalars import (
 )
 from .schur import schur_rec, schur_at_minus_chi
 from .span import ClosureConfig, SparseVec
-from .superalg import FOCK_SPACE, anticommutator_check, same_species_anticommutator
+from .superalg import anticommutator_check, same_species_anticommutator
 from .weyl import (
     DEFAULT_PROBE_CFG,
     WEYL_SPACE,
@@ -69,12 +69,20 @@ def _emit(doc) -> None:
     print(json.dumps(doc, sort_keys=True, indent=2))
 
 
+def _read_text(path: str, flag: str) -> str:
+    """The UTF-8 text of the file at ``path``; unreadable input names ``flag``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ChiParseError(f"{flag}: {exc}") from None
+
+
 def _chi_from_args(args):
     if getattr(args, "chi", None) is not None:
         return parse_chi(args.chi)
     if getattr(args, "chi_file", None) is not None:
-        with open(args.chi_file, encoding="utf-8") as fh:
-            return parse_chi(fh.read())
+        return parse_chi(_read_text(args.chi_file, "--chi-file"))
     return None
 
 
@@ -158,8 +166,7 @@ def _cmd_verify(args) -> int:
     if args.certificate == "-":
         text = sys.stdin.read()
     else:
-        with open(args.certificate, encoding="utf-8") as fh:
-            text = fh.read()
+        text = _read_text(args.certificate, "--certificate")
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -222,7 +229,7 @@ def _cmd_enumerate(args) -> int:
     else:
         states = enumerate_basis(max_weight, ambient=args.space == "ambient")
         space = FOCK_SPACE
-    graded = Counter((Fraction(space.weight_of(st)), space.charge_of(st)) for st in states)
+    graded = Counter((space.weight_of(st), space.charge_of(st)) for st in states)
     doc = {
         "space": args.space,
         "max_weight": format_rational(max_weight),
@@ -439,9 +446,6 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ChiParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

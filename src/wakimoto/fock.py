@@ -19,7 +19,9 @@ support has a ``mu`` entry 1/2.  Vectors are the engine's
 :class:`~wakimoto.span.SparseVec`.
 
 Half-odd modes are stored as doubled odd integers so every index computation
-stays integral; weights are returned as exact ``Fraction`` values.
+stays integral.  So a monomial's int weight is its doubled weight, and
+``FOCK_SPACE`` has weight scale 2; weights are returned as exact
+``Fraction`` values.
 
 A single mode ``Psi±(r)`` acts on one monomial in closed form
 (``_psi_core``): an annihilator removes one entry from ``lam`` or ``mu``, a
@@ -37,18 +39,18 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Iterator, Optional, Union
 
-from .span import SparseVec
+from .span import Monomial, Space, SparseVec, charge
 
 __all__ = [
     "PLUS",
     "MINUS",
     "FermionState",
+    "FOCK_SPACE",
     "VACUUM",
     "vacuum_vec",
     "parse_state",
     "vec_from_json_obj",
     "weight",
-    "doubled_weight",
     "charge",
     "apply_psi_dmode",
     "enumerate_basis",
@@ -78,12 +80,12 @@ def fmt_halfodd(d: int) -> str:
 _FERMION_TAG = 1
 
 
-class FermionState(tuple):
+class FermionState(Monomial):
     """Canonical monomial ``(lam, mu)``: doubled, strictly decreasing, odd, >= 1.
 
-    A tagged tuple ``(1, lam, mu)``: hashing and equality are the tuple's
-    own, and the int tag keeps a fermion monomial apart from a boson
-    monomial or a bare tuple of modes.
+    The :class:`~wakimoto.span.Monomial` ``(1, lam, mu)``: ``lam`` holds
+    the Psi- modes and ``mu`` the Psi+ modes, so the charge is
+    ``len(mu) - len(lam)``.
     """
 
     __slots__ = ()
@@ -99,22 +101,11 @@ class FermionState(tuple):
                 last = d
         return tuple.__new__(cls, (_FERMION_TAG, lam, mu))
 
-    def __getnewargs__(self):
-        return self[1:]
-
     lam = property(itemgetter(1))
     mu = property(itemgetter(2))
 
     def __repr__(self) -> str:
         return f"FermionState(lam={self[1]!r}, mu={self[2]!r})"
-
-    def sort_key(self):
-        """Global basis order: weight, then charge, then lexicographic (lam, mu).
-
-        The weight enters doubled, as an int; the order is the same.
-        """
-        _, lam, mu = self
-        return (sum(lam) + sum(mu), len(mu) - len(lam), lam, mu)
 
     def __str__(self) -> str:
         parts = [f"Psi-(-{fmt_halfodd(d)})" for d in self.lam]
@@ -125,18 +116,9 @@ class FermionState(tuple):
 
 VACUUM = FermionState((), ())
 
+FOCK_SPACE = Space(2)
 
-def doubled_weight(state: FermionState) -> int:
-    """Twice the weight, as an int."""
-    return sum(state[1]) + sum(state[2])
-
-
-def weight(state: FermionState) -> Fraction:
-    return Fraction(doubled_weight(state), 2)
-
-
-def charge(state: FermionState) -> int:
-    return len(state[2]) - len(state[1])
+weight = FOCK_SPACE.weight_of
 
 
 def vacuum_vec() -> SparseVec:

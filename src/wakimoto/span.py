@@ -44,8 +44,13 @@ the subspace inside the weight cutoff (``restricted_rows``) by ordering the
 states above the cutoff first, and the joint kernel of a family of maps
 (``joint_kernel``) by ordering tagged images before the source keys.
 
-The engine is generic over the basis-key type via a :class:`Space` adapter
-supplying weight, charge and a global total order on keys.  All iteration is
+Both Fock spaces share one grading.  A basis monomial is a
+:class:`Monomial`, a tagged tuple ``(tag, lower, upper)`` of two int mode
+tuples: its int weight is the sum of all modes (``int_weight``), its charge
+``len(upper) - len(lower)`` (``charge``), and ``sort_key`` orders by the
+two, then by the modes.  A :class:`Space` says how much one unit of weight
+is in int weight (2 on the fermion side, whose half-odd modes are stored
+doubled) and which total order the elimination uses.  All iteration is
 sorted, so identical inputs produce identical bases.  Both Fock spaces share
 one vector type, :class:`SparseVec`.
 """
@@ -61,15 +66,47 @@ from .scalars import format_rational, parse_rational
 
 __all__ = [
     "ClosureConfig",
+    "Monomial",
     "Space",
     "SparseVec",
     "SpanBasis",
+    "charge",
     "closure",
     "cyclic_probe",
+    "int_weight",
     "joint_kernel",
 ]
 
 OpFamily = Sequence[tuple[str, Callable[[Any], Any]]]
+
+
+class Monomial(tuple):
+    """A basis monomial ``(tag, lower, upper)``: an int tag, two int mode tuples.
+
+    Hashing and equality are the tuple's own, and the tag keeps the
+    monomials of two spaces apart from each other and from a bare tuple of
+    modes.  A subclass sets the tag, validates its modes, and names and
+    prints them.
+    """
+
+    __slots__ = ()
+
+    def __getnewargs__(self):
+        return self[1:]
+
+    def sort_key(self):
+        """Basis order: int weight, then charge, then the two mode tuples."""
+        _, lower, upper = self
+        return (sum(lower) + sum(upper), len(upper) - len(lower), lower, upper)
+
+
+def int_weight(st: Monomial) -> int:
+    """The sum of a monomial's modes: its weight times its space's scale."""
+    return sum(st[1]) + sum(st[2])
+
+
+def charge(st: Monomial) -> int:
+    return len(st[2]) - len(st[1])
 
 
 def _lifted(terms: dict[Any, int], k: int) -> dict[Any, int]:
@@ -253,18 +290,23 @@ class ClosureConfig:
 
 @dataclass(frozen=True)
 class Space:
-    """Adapter describing a graded basis: weight, charge, total order.
+    """A graded basis of monomials: the weight scale and a total order.
 
     ``weight_of`` is the exact weight.  ``int_weight_of`` is the int
     ``weight_scale * weight_of``, which the window tests compare against a
-    bound floored once (doubled weights on the fermion side).
+    bound floored once (doubled weights on the fermion side).  ``sort_key``
+    is the order the elimination uses, replaced for the derived orders of
+    ``restricted_rows`` and ``joint_kernel``.
     """
 
-    weight_of: Callable[[Any], Fraction]
-    charge_of: Callable[[Any], int]
-    sort_key: Callable[[Any], Any]
-    int_weight_of: Callable[[Any], int]
     weight_scale: int
+    sort_key: Callable[[Any], Any] = Monomial.sort_key
+
+    int_weight_of = staticmethod(int_weight)
+    charge_of = staticmethod(charge)
+
+    def weight_of(self, st: Monomial) -> Fraction:
+        return Fraction(int_weight(st), self.weight_scale)
 
     def int_bound(self, weight) -> int:
         """The largest int weight of a state of weight at most ``weight``."""
@@ -421,15 +463,14 @@ class SpanBasis:
 
 
 def _weight_bound(cfg: ClosureConfig, space: Space) -> int:
-    """The window's weight bound on ``space.int_weight_of``."""
+    """The window's weight bound on ``int_weight``."""
     return space.int_bound(cfg.weight_cutoff + cfg.excursion)
 
 
-def _admissible(v, cfg: ClosureConfig, space: Space, bound: int) -> bool:
+def _admissible(v, cfg: ClosureConfig, bound: int) -> bool:
     """Does every state of v lie in the window?  ``bound`` is ``_weight_bound``."""
     lo, hi = cfg.charge_window
-    weight_of, charge_of = space.int_weight_of, space.charge_of
-    return all(weight_of(s) <= bound and lo <= charge_of(s) <= hi for s in v.terms)
+    return all(int_weight(s) <= bound and lo <= charge(s) <= hi for s in v.terms)
 
 
 def closure(
@@ -460,7 +501,7 @@ def closure(
     bound = _weight_bound(cfg, space)
     basis = SpanBasis(space, cfg)
     for g in generators:
-        if not g.is_zero() and _admissible(g, cfg, space, bound):
+        if not g.is_zero() and _admissible(g, cfg, bound):
             basis.insert(g)
     if stop and basis.holds_any(stop):
         return basis
@@ -476,7 +517,7 @@ def closure(
             expanded[pivot] = row
             for _, op in ops:
                 w = op(row)
-                if w.is_zero() or not _admissible(w, cfg, space, bound):
+                if w.is_zero() or not _admissible(w, cfg, bound):
                     continue
                 if basis.insert(w):
                     changed = True

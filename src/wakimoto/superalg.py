@@ -38,22 +38,19 @@ from functools import partial
 from typing import Optional, Sequence
 
 from .fock import (
+    FOCK_SPACE,
     PLUS,
     VACUUM,
     FermionState,
     _psi_core,
     apply_psi_dmode,  # not called here: perfbench/tracer.py wraps superalg.apply_psi_dmode
     as_dmode,
-    charge,
-    doubled_weight,
     fmt_halfodd,
-    weight,
 )
 from .scalars import ChiSeries, ell_of
-from .span import ClosureConfig, Space, SparseVec
+from .span import ClosureConfig, SparseVec
 
 __all__ = [
-    "FOCK_SPACE",
     "apply_Gplus",
     "apply_Gminus",
     "gminus_parts",
@@ -70,15 +67,6 @@ __all__ = [
     "singular_w",
     "a_module_ops",
 ]
-
-FOCK_SPACE = Space(
-    weight_of=weight,
-    charge_of=charge,
-    sort_key=FermionState.sort_key,
-    int_weight_of=doubled_weight,
-    weight_scale=2,
-)
-
 
 def apply_Gplus(i: int, v: SparseVec) -> SparseVec:
     """Apply ``G+(i - 1/2)``, which acts as ``-i Psi+(i - 1/2)``."""

@@ -51,11 +51,8 @@ every small basis vector, and joint kernels of the raising modes in each
 graded piece.  ``evidence_agrees`` compares it with the classifier verdict.
 The cyclicity battery probes the monomials lighter first, and each probe
 stops at the first monomial already proved cyclic (``span.cyclic_probe``).
-On a 2-vCPU Xeon with Python 3.11.7, ``wakimoto_probe`` on {0: 2, -1: 1}
-takes 0.04 s at the default window and 0.1 s at cutoff 4.  On the
-reducible {0: 2} it takes 0.3 s, 1.6 s and 7.5 s at cutoffs 3, 4 and 5: a
-monomial that is not cyclic reaches no stop state, so its closure runs to
-the end.
+On a reducible twist a monomial that is not cyclic reaches no stop state,
+so its closure runs to the end.
 """
 
 from __future__ import annotations
@@ -70,7 +67,7 @@ from operator import itemgetter
 from typing import Iterator, Optional
 
 from .scalars import ChiSeries, pole_order
-from .span import ClosureConfig, Space, SparseVec, cyclic_probe, joint_kernel
+from .span import ClosureConfig, Monomial, Space, SparseVec, cyclic_probe, joint_kernel
 
 __all__ = [
     "WeylState",
@@ -78,8 +75,6 @@ __all__ = [
     "WEYL_VACUUM",
     "WEYL_SPACE",
     "weyl_vacuum_vec",
-    "weyl_weight",
-    "weyl_charge",
     "WeylAction",
     "enumerate_weyl_basis",
     "affine_relation_check",
@@ -94,12 +89,11 @@ __all__ = [
 _WEYL_TAG = 0
 
 
-class WeylState(tuple):
+class WeylState(Monomial):
     """Canonical boson monomial; both mode multisets stored ascending.
 
-    A tagged tuple ``(0, a_modes, astar_modes)``: hashing and equality are
-    the tuple's own, and the int tag keeps a boson monomial apart from a
-    fermion monomial or a bare tuple of modes.
+    The :class:`~wakimoto.span.Monomial` ``(0, a_modes, astar_modes)``; a
+    has charge -1 and a* charge +1.
     """
 
     __slots__ = ()
@@ -113,19 +107,11 @@ class WeylState(tuple):
             raise ValueError("mode multisets must be sorted ascending")
         return tuple.__new__(cls, (_WEYL_TAG, a_modes, astar_modes))
 
-    def __getnewargs__(self):
-        return self[1:]
-
     a_modes = property(itemgetter(1))
     astar_modes = property(itemgetter(2))
 
     def __repr__(self) -> str:
         return f"WeylState(a_modes={self[1]!r}, astar_modes={self[2]!r})"
-
-    def sort_key(self):
-        """Basis order: weight, then charge, then the mode tuples."""
-        _, a, s = self
-        return (sum(a) + sum(s), len(s) - len(a), a, s)
 
     def __str__(self) -> str:
         parts = []
@@ -140,26 +126,10 @@ class WeylState(tuple):
 
 WEYL_VACUUM = WeylState((), ())
 
-
-def weyl_weight(state: WeylState) -> int:
-    return sum(state[1]) + sum(state[2])
-
-
-def weyl_charge(state: WeylState) -> int:
-    return len(state[2]) - len(state[1])
-
-
 # the benchmark workloads build boson vectors through ``weyl.WeylVec``
 WeylVec = SparseVec
 
-
-WEYL_SPACE = Space(
-    weight_of=weyl_weight,
-    charge_of=weyl_charge,
-    sort_key=WeylState.sort_key,
-    int_weight_of=weyl_weight,
-    weight_scale=1,
-)
+WEYL_SPACE = Space(1)
 
 
 def weyl_vacuum_vec() -> WeylVec:
@@ -412,6 +382,33 @@ def _store_bracket(table: dict, key: tuple, st: WeylState) -> tuple:
 # ---------------------------------------------------------------------------
 
 
+class _Plans(dict):
+    """(kind, n) -> the plan of kind(n) under the twist chi, made on first lookup.
+
+    A plan is (scale, ((core name, mode, int coefficient), ...), identity
+    coefficient).
+    """
+
+    __slots__ = ("chi",)
+
+    def __init__(self, chi: ChiSeries):
+        super().__init__()
+        self.chi = chi
+
+    def __missing__(self, key: tuple[str, int]) -> tuple:
+        kind, n = key
+        den, nums = self.chi.denominator, self.chi.numerators
+        if kind == "h" and nums.get(n):
+            plan = den, (("h", n, den),), -nums[n]
+        elif kind == "f" and nums:
+            # -x_j a*(n - j): creates a*(j - n) for j >= n, else contracts a(n - j)
+            plan = den, (("f", n, den), *(("a*", n - j, -x) for j, x in nums.items())), 0
+        else:
+            plan = 1, ((kind, n, 1),), 0
+        self[key] = plan
+        return plan
+
+
 class WeylAction:
     """Mode operators for a fixed twist.
 
@@ -425,9 +422,10 @@ class WeylAction:
     of h and f0 the cubic of f plus 2n a*(n).  Each core is read from the
     process-wide table, so its image on a monomial is computed once for every
     action and twist until the table fills (``MAX_CORE_ENTRIES``).  The
-    action keeps only chi and, per mode kind(n), a *plan*: the scale (d when
-    chi enters kind(n), else 1), the (core, mode, int coefficient) terms and
-    the coefficient of the identity; and, per (m, n) that
+    action keeps only chi and, per mode kind(n), a *plan* (``_Plans``, made
+    on the first lookup by ``_core`` or ``_relation_plan``): the scale (d
+    when chi enters kind(n), else 1), the (core, mode, int coefficient)
+    terms and the coefficient of the identity; and, per (m, n) that
     ``affine_relation_check`` met, its relations as integer data.  ``_core``
     adds c times the plan's sum on int (state, numerator) pairs to an
     accumulator, and ``apply`` puts that sum over the vector's denominator
@@ -438,19 +436,9 @@ class WeylAction:
 
     def __init__(self, chi: ChiSeries):
         self.chi = chi
-        self._plans: dict[tuple[str, int], tuple] = {}
+        self._plans = _Plans(chi)
         # (m, n) -> the relations at (m, n) as integer data (``_relation_plan``)
         self._relations: dict[tuple[int, int], tuple] = {}
-
-    def _plan(self, kind: str, n: int) -> tuple:
-        """(scale, ((core name, mode, int coefficient), ...), identity coefficient)."""
-        den, nums = self.chi.denominator, self.chi.numerators
-        if kind == "h" and nums.get(n):
-            return den, (("h", n, den),), -nums[n]
-        if kind == "f" and nums:
-            # -x_j a*(n - j): creates a*(j - n) for j >= n, else contracts a(n - j)
-            return den, (("f", n, den), *(("a*", n - j, -x) for j, x in nums.items())), 0
-        return 1, ((kind, n, 1),), 0
 
     def _core(self, kind: str, n: int, pairs, acc: dict[WeylState, int], c: int = 1) -> int:
         """Add c * kind(n) on sum p * state, over the (state, int p) pairs, to acc.
@@ -459,10 +447,7 @@ class WeylAction:
         collection, such as a dict's items.  Returns the scale: what was
         added is c * kind(n) / scale.
         """
-        plan = self._plans.get((kind, n))
-        if plan is None:
-            plan = self._plans[kind, n] = self._plan(kind, n)
-        scale, terms, ident = plan
+        scale, terms, ident = self._plans[kind, n]
         get = acc.get
         for name, mode, k in terms:
             fn = self._RAW[name]
@@ -547,13 +532,6 @@ def _relation_plan(action: WeylAction, m: int, n: int) -> tuple:
     right-hand side's scale.
     """
     plans = action._plans
-
-    def plan(kind: str, k: int) -> tuple:
-        got = plans.get((kind, k))
-        if got is None:
-            got = plans[kind, k] = action._plan(kind, k)
-        return got
-
     m_delta = m if m + n == 0 else 0
     relations = []
     for name, x, y, rhs in (
@@ -564,9 +542,9 @@ def _relation_plan(action: WeylAction, m: int, n: int) -> tuple:
         ("[e,e]=0", ("e", m), ("e", n), ()),
         ("[f,f]=0", ("f", m), ("f", n), ()),
     ):
-        (x_scale, (x0, *x_twist), _), (y_scale, (y0, *y_twist), _) = plan(*x), plan(*y)
+        (x_scale, (x0, *x_twist), _), (y_scale, (y0, *y_twist), _) = plans[x], plans[y]
         both = x_scale * y_scale
-        rhs = [(c, kind, plan(kind, m + n)[0] if kind else 1) for c, kind in rhs if c]
+        rhs = [(c, kind, plans[kind, m + n][0] if kind else 1) for c, kind in rhs if c]
         top = math.lcm(both, *(scale for _, _, scale in rhs))
         lift = top // both
         brackets = []
@@ -746,7 +724,8 @@ def wakimoto_probe(chi: ChiSeries, cfg: ClosureConfig = DEFAULT_PROBE_CFG) -> Ev
     ann = _probe_annihilators(chi, cfg, action)
     pieces: dict[tuple[int, int], list[WeylState]] = {}
     for st in states:
-        pieces.setdefault((weyl_weight(st), weyl_charge(st)), []).append(st)
+        # the weight scale is 1, so a piece's JSON weight is an int
+        pieces.setdefault((WEYL_SPACE.int_weight_of(st), WEYL_SPACE.charge_of(st)), []).append(st)
     candidates = []
     for (w, c), piece in sorted(pieces.items()):
         if (w, c) == (0, 0):

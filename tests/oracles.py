@@ -763,7 +763,7 @@ def sweep_closure(generators, ops, cfg, space, stop_at=None):
     bound = _weight_bound(cfg, space)
     basis = SpanBasis(space, cfg)
     for g in generators:
-        if not g.is_zero() and _admissible(g, cfg, space, bound):
+        if not g.is_zero() and _admissible(g, cfg, bound):
             basis.insert(g)
     if reached():
         return basis
@@ -775,7 +775,7 @@ def sweep_closure(generators, ops, cfg, space, stop_at=None):
             row = basis._rows[pivot]
             for _, op in ops:
                 w = op(row)
-                if w.is_zero() or not _admissible(w, cfg, space, bound):
+                if w.is_zero() or not _admissible(w, cfg, bound):
                     continue
                 if basis.insert(w):
                     changed = True

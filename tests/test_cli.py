@@ -119,13 +119,23 @@ class TestClassifyVerify:
             assert report["ok"] is False
             assert [c["name"] for c in report["checks"] if not c["passed"]] == failing
 
-    def test_missing_certificate_file(self, capsys, tmp_path):
-        code, out, err = run_cli(
-            capsys, ["verify", "--certificate", str(tmp_path / "absent.json")]
-        )
+    @pytest.mark.parametrize("kind", ["absent", "directory", "non-utf8"])
+    @pytest.mark.parametrize(
+        "command, flag", [("verify", "--certificate"), ("classify", "--chi-file")]
+    )
+    def test_unreadable_input_file(self, capsys, tmp_path, kind, command, flag):
+        # unreadable input is a usage error, exit 2; exit 1 means a check failed
+        path = tmp_path / "input.json"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "non-utf8":
+            path.write_bytes(b'{"coeffs": [\xff\xfe]}')
+        code, out, err = run_cli(capsys, [command, flag, str(path)])
         assert code == 2
-        assert err.startswith("error:")
-        assert "No such file" in err
+        assert out == ""
+        assert err.startswith(f"error: {flag}:")
+        if kind == "absent":
+            assert "No such file" in err
 
     def test_malformed_certificate_json(self, capsys, tmp_path):
         path = tmp_path / "garbage.json"

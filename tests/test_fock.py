@@ -22,7 +22,6 @@ from wakimoto import (
     SparseVec,
     apply_psi_dmode,
     as_dmode,
-    charge,
     enumerate_basis,
     fmt_halfodd,
     parse_state,
@@ -66,14 +65,6 @@ def test_state_copies_and_pickles(clone):
     assert (got.lam, got.mu) == ((5, 1), (7, 3))
     assert repr(got) == "FermionState(lam=(5, 1), mu=(7, 3))"
     assert got != ((5, 1), (7, 3))
-
-
-def test_weight_charge_and_order():
-    st = FermionState((3, 1), (5,))
-    assert weight(st) == Fraction(9, 2)
-    assert charge(st) == -1
-    assert weight(VACUUM) == 0 and charge(VACUUM) == 0
-    assert VACUUM.sort_key() < st.sort_key()
 
 
 def test_str_and_parse_state_round_trip():

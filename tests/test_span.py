@@ -32,6 +32,7 @@ from wakimoto import (
     VACUUM,
     WEYL_VACUUM,
     WeylAction,
+    WeylState,
     WeylVec,
     a_module_ops,
     apply_psi_dmode,
@@ -111,6 +112,27 @@ VECTOR_POOLS = {
     "fock": (FOCK_SPACE, enumerate_basis(Fraction(4))),
     "weyl": (WEYL_SPACE, enumerate_weyl_basis(2, (-2, 2))),
 }
+
+GRADED = {
+    # vacuum, then (monomial, weight, charge) triples
+    "fock": (VACUUM, [(FermionState((3, 1), (5,)), Fraction(9, 2), -1)]),
+    "weyl": (WEYL_VACUUM, [(WeylState((1, 3), (0, 2)), 6, 0), (WeylState((1,), ()), 1, -1)]),
+}
+
+
+@pytest.mark.parametrize("side", sorted(GRADED))
+def test_grading(side):
+    """Both spaces read weight, charge and order off the one monomial grading."""
+    (space, pool), (vacuum, graded) = VECTOR_POOLS[side], GRADED[side]
+    assert space.weight_of(vacuum) == 0 and space.charge_of(vacuum) == 0
+    for st, weight, ch in graded:
+        exact = space.weight_of(st)
+        assert type(exact) is Fraction and exact == weight
+        assert type(space.int_weight_of(st)) is int
+        assert space.int_weight_of(st) == space.weight_scale * exact
+        assert space.charge_of(st) == ch
+        assert vacuum.sort_key() < st.sort_key()
+    assert min(pool, key=space.sort_key) == vacuum == pool[0]
 
 
 @pytest.mark.parametrize("side", sorted(VECTOR_POOLS))

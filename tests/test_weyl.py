@@ -25,6 +25,7 @@ from oracles import (
 )
 from wakimoto import (
     VACUUM,
+    WEYL_SPACE,
     WEYL_VACUUM,
     ChiSeries,
     ClosureConfig,
@@ -37,9 +38,7 @@ from wakimoto import (
     evidence_agrees,
     wakimoto_ops,
     wakimoto_probe,
-    weyl_charge,
     weyl_vacuum_vec,
-    weyl_weight,
 )
 
 CHI = ChiSeries({1: Fraction(2), 0: Fraction(-3, 2), -2: Fraction(5)})
@@ -88,14 +87,6 @@ def test_state_copies_and_pickles(clone):
     assert got == st and hash(got) == hash(st)
     assert (got.a_modes, got.astar_modes) == ((1, 1, 2), (0, 3))
     assert repr(got) == "WeylState(a_modes=(1, 1, 2), astar_modes=(0, 3))"
-
-
-def test_grading():
-    st = WeylState((1, 3), (0, 2))
-    assert weyl_weight(st) == 6
-    assert weyl_charge(st) == 0
-    assert weyl_charge(WeylState((1,), ())) == -1
-    assert WEYL_VACUUM.sort_key() < st.sort_key()
 
 
 def test_annihilators_on_vacuum():
@@ -590,7 +581,7 @@ class TestEnumeration:
     def test_matches_generating_function(self):
         got = {}
         for st in enumerate_weyl_basis(Fraction(3), (-2, 2)):
-            key = (int(weyl_weight(st)), weyl_charge(st))
+            key = (int(WEYL_SPACE.weight_of(st)), WEYL_SPACE.charge_of(st))
             got[key] = got.get(key, 0) + 1
         assert got == boson_graded_dims(3, (-2, 2))
 
@@ -598,7 +589,8 @@ class TestEnumeration:
         states = enumerate_weyl_basis(Fraction(2), (-1, 3))
         keys = [s.sort_key() for s in states]
         assert keys == sorted(keys)
-        assert all(weyl_weight(s) <= 2 and -1 <= weyl_charge(s) <= 3 for s in states)
+        assert all(WEYL_SPACE.weight_of(s) <= 2 for s in states)
+        assert all(-1 <= WEYL_SPACE.charge_of(s) <= 3 for s in states)
 
 
 def test_wakimoto_ops_labels():
