@@ -59,6 +59,7 @@ from .classify import (
     Report,
     Verdict,
     classify,
+    decide,
     recorded_cfg,
     verify_certificate,
 )

@@ -2,8 +2,10 @@
 
 ``classify`` decides among five mutually exclusive cases by exact
 arithmetic on the twist series chi, emits a certificate and reads the
-verdict off it through one kind table.  ``verify_certificate`` re-derives
-every claim from chi and compares the record against it:
+verdict off it through one kind table.  ``decide`` reads the same verdict
+off the certificate's scalar fields alone, running no closure.
+``verify_certificate`` re-derives every claim from chi and compares the
+record against it:
 
 * case "i"   — chi has a pole (some chi_m != 0 with m > 0): irreducible.
 * case "ii"  — pole-free with chi_0 = 1 or chi_0 not an integer: irreducible.
@@ -62,6 +64,7 @@ __all__ = [
     "Check",
     "Report",
     "classify",
+    "decide",
     "recorded_cfg",
     "verify_certificate",
 ]
@@ -197,6 +200,34 @@ def _vacuum_closure(
     return excluded, basis.report(), full_dim
 
 
+def _scalar_kind(chi: ChiSeries) -> tuple[str, dict]:
+    """The certificate kind and the scalar fields its verdict repeats.
+
+    Exact arithmetic on chi alone: no closure and no fermion vector.
+    """
+    p = pole_order(chi)
+    ell = ell_of(chi)
+    if p >= 1:
+        return "pole", {"pole_order": p, "chi_p": format_rational(chi.coeff(p))}
+    if ell is None or ell == 0:
+        return "generic_weight", {"chi0": format_rational(chi.coeff(0))}
+    if ell >= 1:
+        sval = schur_at_minus_chi(ell, chi)
+        if sval != 0:
+            return "schur_nonzero", {"ell": ell, "schur_value": format_rational(sval)}
+        return "schur_zero", {"ell": ell}
+    return "neg_ell", {"ell": ell, "q": -ell - 1}
+
+
+def decide(chi: ChiSeries) -> Verdict:
+    """The verdict ``classify`` returns, without building its certificate.
+
+    It is read off a certificate that holds only the scalar fields, so the
+    reducible cases run no closure.
+    """
+    return _verdict_of(Certificate(*_scalar_kind(chi)))
+
+
 def classify(chi: ChiSeries, cfg: ClosureConfig = DEFAULT_CFG) -> tuple[Verdict, Certificate]:
     """Decide irreducibility of the twisted module and build a certificate.
 
@@ -204,45 +235,36 @@ def classify(chi: ChiSeries, cfg: ClosureConfig = DEFAULT_CFG) -> tuple[Verdict,
     reducible cases additionally run the span engine inside ``cfg`` to
     attach concrete witness data.  The verdict is read off the certificate.
     """
-    p = pole_order(chi)
-    ell = ell_of(chi)
-    if p >= 1:
-        kind, data = "pole", {"pole_order": p, "chi_p": format_rational(chi.coeff(p))}
-    elif ell is None or ell == 0:
-        kind, data = "generic_weight", {"chi0": format_rational(chi.coeff(0))}
-    elif ell >= 1 and (sval := schur_at_minus_chi(ell, chi)) != 0:
-        kind, data = "schur_nonzero", {
-            "ell": ell,
-            "schur_value": format_rational(sval),
-            "lowering_word": lowering_string(ell).to_json_obj(),
-            "vacuum_coefficient": format_rational(gminus_string_on_omega(ell, chi)),
-        }
-    elif ell >= 1:
+    kind, data = _scalar_kind(chi)
+    ell = data.get("ell")
+    if kind == "schur_nonzero":
+        data.update(
+            lowering_word=lowering_string(ell).to_json_obj(),
+            vacuum_coefficient=format_rational(gminus_string_on_omega(ell, chi)),
+        )
+    elif kind == "schur_zero":
         w = singular_w(ell, chi)
         nmax = max(4, ell + 2)
         basis, vacuum_excluded = _omega_closure(ell, chi, cfg)
-        kind, data = "schur_zero", {
-            "ell": ell,
-            "omega": str(omega(ell)),
-            "w": w.to_json_obj(),
-            "annihilation_range": nmax,
-            "annihilation_failures": _annihilation_failures(w, chi, nmax),
-            "vacuum_excluded": vacuum_excluded,
-            "closure": basis.report(),
-        }
-    else:
-        q = -ell - 1
+        data.update(
+            omega=str(omega(ell)),
+            w=w.to_json_obj(),
+            annihilation_range=nmax,
+            annihilation_failures=_annihilation_failures(w, chi, nmax),
+            vacuum_excluded=vacuum_excluded,
+            closure=basis.report(),
+        )
+    elif kind == "neg_ell":
+        q = data["q"]
         excluded_state = FermionState((2 * q + 1,), ())
         excluded, report, full_dim = _vacuum_closure(chi, cfg, excluded_state)
-        kind, data = "neg_ell", {
-            "ell": ell,
-            "q": q,
-            "excluded_state": str(excluded_state),
-            "excluded": excluded,
-            "closure_dimension": report["dimension"],
-            "full_dimension": full_dim,
-            "closure": report,
-        }
+        data.update(
+            excluded_state=str(excluded_state),
+            excluded=excluded,
+            closure_dimension=report["dimension"],
+            full_dimension=full_dim,
+            closure=report,
+        )
     cert = Certificate(kind, {**data, "cfg": cfg.to_json_obj()})
     return _verdict_of(cert), cert
 

@@ -9,6 +9,10 @@ Subcommands:
 * ``probe-wakimoto``  — boson-side evidence vs. the classifier verdict.
 * ``relations``       — randomized relation suites (clifford, super, affine).
 
+``main`` builds its argument parser on its first call and reuses it for
+every later call in the process; the parser is never changed after it is
+built.  ``build_parser()`` returns a fresh parser on each call.
+
 All output is JSON on stdout with sorted keys, so identical invocations
 produce byte-identical output.  Exit status: 0 on success, 1 when a check
 fails (verification, agreement, or relation failures), 2 on usage or parse
@@ -19,6 +23,7 @@ above ``MAX_ELL`` among them) and a result with a number too long to write.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -31,6 +36,7 @@ from .classify import (
     Certificate,
     Verdict,
     classify,
+    decide,
     recorded_cfg,
     verify_certificate,
 )
@@ -164,7 +170,10 @@ def _cmd_classify(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.certificate == "-":
-        text = sys.stdin.read()
+        try:
+            text = sys.stdin.read()
+        except UnicodeDecodeError as exc:
+            raise ChiParseError(f"--certificate: {exc}") from None
     else:
         text = _read_text(args.certificate, "--certificate")
     try:
@@ -248,7 +257,7 @@ def _cmd_enumerate(args) -> int:
 def _cmd_probe(args) -> int:
     chi = _classified_twist(args)
     cfg = _cfg_from_args(args, DEFAULT_PROBE_CFG)
-    verdict, _ = classify(chi, cfg)
+    verdict = decide(chi)
     evidence = wakimoto_probe(chi, cfg)
     agrees = evidence_agrees(verdict.status, evidence)
     _emit(
@@ -440,9 +449,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reads with, built on first use, not at import."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ChiParseError as exc:

@@ -14,6 +14,7 @@ from wakimoto import (
     Verdict,
     a_module_ops,
     classify,
+    decide,
     recorded_cfg,
     verify_certificate,
 )
@@ -94,6 +95,18 @@ class TestCertificatePayloads:
         verdict, cert = classify(ChiSeries())
         assert verdict.data == {"ell": -1, "q": 0}
         assert cert.data["excluded_state"] == "Psi-(-1/2) |0>"
+
+
+@pytest.mark.parametrize("case", ["i", "ii", "iii", "schur_zero", "neg_ell"])
+def test_decide_is_the_verdict_classify_returns(case):
+    rng = random.Random(f"decide:{case}")
+    cfg = ClosureConfig(Fraction(2), (-2, 2), Fraction(1))
+    for _ in range(4):
+        chi = seeded_twist(case, rng)
+        verdict, classified = decide(chi), classify(chi, cfg)[0]
+        assert verdict == classified and verdict.case == case
+        # the same fields, types and order
+        assert json.dumps(verdict.to_json_obj()) == json.dumps(classified.to_json_obj())
 
 
 CHIS_BY_KIND = {

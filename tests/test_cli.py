@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -136,6 +137,18 @@ class TestClassifyVerify:
         assert err.startswith(f"error: {flag}:")
         if kind == "absent":
             assert "No such file" in err
+
+    def test_non_utf8_stdin(self):
+        # a strict stdin raises while decoding, before any JSON is read
+        proc = subprocess.run(
+            [sys.executable, "-m", "wakimoto.cli", "verify", "--certificate", "-"],
+            input=b"\xff",
+            capture_output=True,
+            env={**os.environ, "PYTHONIOENCODING": "utf-8:strict"},
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr.startswith(b"error: --certificate: 'utf-8' codec can't decode")
 
     def test_malformed_certificate_json(self, capsys, tmp_path):
         path = tmp_path / "garbage.json"
@@ -715,6 +728,7 @@ class TestInterface:
             raise AssertionError("a capped twist must not reach the engine")
 
         monkeypatch.setattr(cli, "classify", never)
+        monkeypatch.setattr(cli, "decide", never)
         monkeypatch.setattr(cli, "wakimoto_probe", never)
         chi = json.dumps({"coeffs": [{"m": 0, "value": "2"}, {"m": -10**9, "value": "1"}]})
         code, out, err = run_cli(capsys, [command, "--chi", chi])
@@ -734,6 +748,34 @@ class TestInterface:
             main(["classify", "--chi", CHI_POLE, "--chi-file", str(path)])
         assert excinfo.value.code == 2
         capsys.readouterr()
+
+    def test_main_reuses_one_parser(self, capsys, monkeypatch):
+        built = []
+        fresh = cli.build_parser
+
+        def counted():
+            built.append(fresh())
+            return built[-1]
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        cli._parser.cache_clear()
+        try:
+            argv = ["schur", "--ell", "2", "--at", "1,1"]
+            assert run_cli(capsys, argv) == run_cli(capsys, argv)
+            assert len(built) == 1
+        finally:
+            cli._parser.cache_clear()
+        # a direct caller still gets a parser of its own
+        assert fresh() is not fresh()
+
+    def test_parser_is_not_built_at_import(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "from wakimoto import cli; print(cli._parser.cache_info().currsize)"],
+            capture_output=True,
+            text=True,
+        )
+        assert (proc.returncode, proc.stdout) == (0, "0\n")
 
     def test_module_invocation_smoke(self):
         proc = subprocess.run(

@@ -16,6 +16,7 @@ and says in its notes which entries changed and why.
 """
 
 import contextlib
+import importlib
 import io
 import json
 import sys
@@ -66,6 +67,61 @@ def test_corpus_covers_every_case_and_command():
     commands = {c["argv"][0] for c in CASES}
     assert commands == {"classify", "verify", "probe-wakimoto", "relations", "enumerate", "schur"}
     assert all(CASES[i - 1]["argv"][0] == "classify" for i, c in enumerate(CASES) if c.get("pipe"))
+
+
+def expect(index: int) -> tuple[int, str, str]:
+    return CASES[index]["code"], CASES[index]["stdout"], ""
+
+
+# one probe-wakimoto entry per classifier case
+PROBES = {
+    json.loads(c["stdout"])["verdict"]["case"]: i
+    for i, c in enumerate(CASES)
+    if c["argv"][0] == "probe-wakimoto"
+}
+
+
+@pytest.mark.parametrize("case", sorted(PROBES))
+def test_probe_builds_no_certificate(case, monkeypatch):
+    # the verdict holds scalar fields only, so no fermion-side engine runs
+    def engine(*args, **kwargs):
+        raise AssertionError("probe-wakimoto built a certificate")
+
+    module = importlib.import_module("wakimoto.classify")
+    for name in ("closure", "singular_w", "gminus_string_on_omega"):
+        monkeypatch.setattr(module, name, engine)
+    index = PROBES[case]
+    assert run(CASES[index]["argv"], "") == expect(index)
+
+
+def test_corpus_replays_in_reverse_order():
+    # one process, the reverse order: no output depends on an earlier call
+    for index in reversed(range(len(CASES))):
+        assert run(CASES[index]["argv"], piped_input(index)) == expect(index), index
+
+
+@pytest.mark.parametrize("bad", ["unknown-command", "chi-and-chi-file"])
+def test_argparse_exit_leaves_no_state(bad, tmp_path):
+    # argparse exits 2 through SystemExit mid-parse; the reused parser must
+    # read the next command as a fresh one would
+    argv = CASES[0]["argv"]
+    assert argv[:2] == ["classify", "--chi"] and CASES[1].get("pipe")
+    if bad == "unknown-command":
+        bad_argv = ["frobnicate", *argv[1:]]
+    else:
+        path = tmp_path / "chi.json"
+        path.write_text(argv[2], encoding="utf-8")
+        bad_argv = [*argv, "--chi-file", str(path)]
+    errors = []
+    for _ in range(2):
+        err = io.StringIO()
+        with pytest.raises(SystemExit) as excinfo, contextlib.redirect_stderr(err):
+            main(bad_argv)
+        assert excinfo.value.code == 2
+        errors.append(err.getvalue())
+        assert run(argv, "") == expect(0)
+        assert run(CASES[1]["argv"], piped_input(1)) == expect(1)
+    assert errors[0] == errors[1] and "error:" in errors[0]
 
 
 if __name__ == "__main__":
