@@ -16,7 +16,12 @@ itself (the pure-row lemma): reducing u subtracts that row alone, and
 nothing else can cancel u.  So the stop test is a dict lookup per stop
 state, not a reduction.  ``cyclic_probe`` stops at every monomial already
 proved cyclic, not at the vacuum alone: a row is an exact element of
-⟨v⟩, so u ∈ ⟨v⟩ and |0⟩ ∈ ⟨u⟩ give |0⟩ ∈ ⟨v⟩.
+⟨v⟩, so u ∈ ⟨v⟩ and |0⟩ ∈ ⟨u⟩ give |0⟩ ∈ ⟨v⟩.  Before any closure it
+tries a one-step proof: if v itself, or its image under one op, is c·u
+for a single monomial u already proved cyclic, and both v and c·u lie in
+the window, then u ∈ ⟨v⟩ exactly, and the closure, which expands v first
+with every op, would stop at that insert anyway.  Most probes of a
+battery end there.
 
 Scalar operators (e.g. central or diagonal mode actions) map a vector to a
 multiple of itself and can never enlarge a span, so operator families only
@@ -60,6 +65,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import chain
 from typing import Any, Callable, Collection, Iterable, Mapping, Optional, Sequence
 
 from .scalars import format_rational, parse_rational
@@ -535,7 +541,21 @@ def cyclic_probe(v, cyclic: Collection, ops: OpFamily, cfg: ClosureConfig, space
     |0⟩ ∈ ⟨v⟩; a negative answer is scoped to the window.
     A battery probes its states lighter first and adds each one it proves
     cyclic, so a later probe stops at the first proved state it reaches.
+
+    Most probes are settled in at most one step, before any closure: if v
+    lies in the window and v itself, or its image under one op, is c·u for
+    a single monomial u of ``cyclic`` inside the window, then u ∈ ⟨v⟩ and
+    the answer is True.  The closure would answer the same: it stops at
+    once when v is such a c·u, and otherwise expands the generator row
+    first, with every op in the family's order, inserts c·u, and stops once
+    u is a pure row.  A v or an image outside the window settles nothing,
+    since the closure drops it.
     """
+    bound = _weight_bound(cfg, space)
+    if _admissible(v, cfg, bound):
+        for w in chain([v], (op(v) for _, op in ops)):
+            if len(w.terms) == 1 and next(iter(w.terms)) in cyclic and _admissible(w, cfg, bound):
+                return True
     # positional, so a wrapper of ``closure`` with its own keyword names works
     return closure([v], ops, cfg, space, cyclic).holds_any(cyclic)
 

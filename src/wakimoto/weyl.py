@@ -51,6 +51,9 @@ every small basis vector, and joint kernels of the raising modes in each
 graded piece.  ``evidence_agrees`` compares it with the classifier verdict.
 The cyclicity battery probes the monomials lighter first, and each probe
 stops at the first monomial already proved cyclic (``span.cyclic_probe``).
+Most probes need no closure: one mode maps the monomial onto a multiple of
+a lighter one already proved cyclic, as e(n) = a(n) does when it removes a
+factor a*(-n) from a product of a* alone, and that one step is the proof.
 On a reducible twist a monomial that is not cyclic reaches no stop state,
 so its closure runs to the end.
 """

@@ -18,7 +18,9 @@ restricted rows and joint kernels.  ``ordered_reduce`` and
 ``sweep_closure`` are the span engine's earlier elimination (smallest pivot
 hit first, one hit per step) and full-sweep closure (every operator on
 every row until a sweep adds nothing), kept as references for the one-pass
-``SpanBasis.reduce`` and the closure that skips unchanged rows.
+``SpanBasis.reduce`` and the closure that skips unchanged rows;
+``closure_probe`` is the cyclicity probe that runs its closure every time,
+the reference for ``cyclic_probe``'s one-step proof.
 ``ordered_f_core`` is the cubic f core summed over ordered triples of
 modes, the reference for the engine's ``_f_core`` over unordered a* pairs.
 ``apply_relation_check`` is the relation suite over rational vectors, the
@@ -46,7 +48,7 @@ from typing import NamedTuple, Optional
 from wakimoto.fock import MINUS, VACUUM, apply_psi_dmode, fmt_halfodd
 from wakimoto.scalars import ChiSeries, ell_of, pole_order
 from wakimoto.schur import schur_at_minus_chi
-from wakimoto.span import SpanBasis, SparseVec, _admissible, _weight_bound
+from wakimoto.span import SpanBasis, SparseVec, _admissible, _weight_bound, closure
 from wakimoto.superalg import OperatorWord, apply_Gminus, apply_Gplus, apply_word, omega
 from wakimoto.weyl import WeylState, WeylVec, _astar_core, _items, _with, _without
 
@@ -782,6 +784,15 @@ def sweep_closure(generators, ops, cfg, space, stop_at=None):
                     if reached():
                         return basis
     return basis
+
+
+def closure_probe(v, cyclic, ops, cfg, space):
+    """``cyclic_probe`` without its one-step proof: the closure alone.
+
+    It runs the truncated closure of ``[v]`` on every call and answers
+    whether it reached a state of ``cyclic``.
+    """
+    return closure([v], ops, cfg, space, cyclic).holds_any(cyclic)
 
 
 # ---------------------------------------------------------------------------

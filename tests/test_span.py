@@ -11,6 +11,7 @@ import pytest
 from oracles import (
     FractionRows,
     as_fraction_dict,
+    closure_probe,
     dict_add,
     dict_from_items,
     dict_scale,
@@ -26,6 +27,7 @@ from wakimoto import (
     WEYL_SPACE,
     ChiSeries,
     ClosureConfig,
+    DEFAULT_PROBE_CFG,
     FermionState,
     SpanBasis,
     SparseVec,
@@ -249,7 +251,13 @@ def _recording_closures(monkeypatch, owners):
 def test_engine_is_fraction_free(side, monkeypatch):
     """Rows hold int numerators over an int den, and eliminating builds no
     Fraction: classify then verify at certify's window on one twist of each
-    case, and the boson probe at crosscheck's window."""
+    case, and the boson probe at crosscheck's window.
+
+    The batteries settle most probes without a closure, so each twist also
+    closes the vacuum under its family, in the same window: a closure that
+    always runs to its fixpoint.
+    """
+    span_mod = importlib.import_module("wakimoto.span")
     classify_mod = importlib.import_module("wakimoto.classify")
     weyl_mod = importlib.import_module("wakimoto.weyl")
     rng = random.Random(1729)
@@ -264,8 +272,13 @@ def test_engine_is_fraction_free(side, monkeypatch):
                     chi, verdict, cert, start_weight=Fraction(7, 2)
                 )
                 assert report.ok
+                cfg, space, vac = CERTIFY_CFG, FOCK_SPACE, vacuum_vec()
+                ops = a_module_ops(chi, cfg)
             else:
                 weyl_mod.wakimoto_probe(chi, CROSSCHECK_CFG)
+                cfg, space, vac = CROSSCHECK_CFG, WEYL_SPACE, weyl_vacuum_vec()
+                ops = wakimoto_ops(chi, cfg, WeylAction(chi))
+            span_mod.closure([vac], ops, cfg, space)
 
     _, entered, inside, anywhere = _profiled_engine(run)
     assert inside == 0
@@ -654,12 +667,13 @@ BATTERY_START_WEIGHT = Fraction(7, 2)
 
 
 def _battery(side, chi, monkeypatch):
-    """The battery's answer per probed state, and its op applications.
+    """The battery's answer per probed state, and its closures' op applications.
 
     Also returns the same states probed one by one with the vacuum as the
-    only stop state, and the op applications of those probes.  Every
-    closure counts its op applications through a wrapper on
-    ``span.closure``, which ``cyclic_probe`` calls.
+    only stop state, and the op applications of those probes' closures.
+    Every closure counts its op applications through a wrapper on
+    ``span.closure``, which ``cyclic_probe`` calls; the ops a one-step
+    proof applies before it are not counted.
     """
     span = importlib.import_module("wakimoto.span")
     owner = importlib.import_module("wakimoto.classify" if side == "fock" else "wakimoto.weyl")
@@ -720,3 +734,118 @@ def test_battery_reuses_proved_monomials(side, monkeypatch):
     answers, memo_applied, alone, alone_applied = _battery(side, chi, monkeypatch)
     assert all(answers.values())
     assert memo_applied < alone_applied
+
+
+
+# Windows of the one-step equivalence test: both benchmark windows, the
+# probe's default, and windows whose charges leave out 0, so the vacuum,
+# the first state proved cyclic, lies outside them.
+ONE_STEP_WINDOWS = [
+    ("fock", "certify", CERTIFY_CFG),
+    ("fock", "crosscheck", CROSSCHECK_CFG),
+    ("fock", "no_zero_charge", ClosureConfig(Fraction(4), (1, 3), Fraction(1))),
+    ("weyl", "crosscheck", CROSSCHECK_CFG),
+    ("weyl", "probe_default", DEFAULT_PROBE_CFG),
+    ("weyl", "no_zero_charge", ClosureConfig(Fraction(2), (1, 3), Fraction(1))),
+]
+
+
+def _probe_calls(side, chi, cfg, monkeypatch, probe=cyclic_probe):
+    """Run one battery with ``probe`` as its probe.
+
+    Returns (v, cyclic, ops, answer) for each probe, with ``cyclic`` copied
+    at the time of the call, and the number of closures ``span.closure``
+    ran.
+    """
+    span = importlib.import_module("wakimoto.span")
+    owner = importlib.import_module("wakimoto.classify" if side == "fock" else "wakimoto.weyl")
+    close = span.closure
+    calls = []
+    closures = [0]
+
+    def recording(v, cyclic, ops, cfg, space):
+        answer = probe(v, cyclic, ops, cfg, space)
+        calls.append((v, frozenset(cyclic), ops, answer))
+        return answer
+
+    def counting(*args):
+        closures[0] += 1
+        return close(*args)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(owner, "cyclic_probe", recording)
+        mp.setattr(span, "closure", counting)
+        if side == "fock":
+            owner._cyclic_probes(chi, cfg, BATTERY_START_WEIGHT)
+        else:
+            wakimoto_probe(chi, cfg)
+    return calls, closures[0]
+
+
+@pytest.mark.parametrize(
+    "side, window, cfg", ONE_STEP_WINDOWS, ids=[f"{s}-{w}" for s, w, _ in ONE_STEP_WINDOWS]
+)
+@pytest.mark.parametrize("case", ["i", "ii", "iii", "schur_zero", "neg_ell"])
+def test_one_step_proof_matches_closure(case, side, window, cfg, monkeypatch):
+    """Each probe of both batteries answers as the closure alone does."""
+    space = FOCK_SPACE if side == "fock" else WEYL_SPACE
+    chi = seeded_twist(case, random.Random(f"one-step:{case}"))
+    calls, _ = _probe_calls(side, chi, cfg, monkeypatch)
+    assert len(calls) > 1
+    for v, cyclic, ops, answer in calls:
+        assert answer == closure_probe(v, cyclic, ops, cfg, space), v
+    if window == "no_zero_charge":
+        # not vacuous: some op maps a probed state onto a multiple of the
+        # vacuum, which lies outside the window and must settle nothing
+        vacuum = VACUUM if side == "fock" else WEYL_VACUUM
+        assert any(set(op(v).terms) == {vacuum} for v, _, ops, _ in calls for _, op in ops)
+        assert not any(answer for *_, answer in calls)
+
+
+@pytest.mark.parametrize("side", ["fock", "weyl"])
+def test_state_outside_the_window_settles_nothing(side):
+    """A probed state outside the window proves nothing, even one that an op
+    maps onto the vacuum: the closure does not insert it."""
+    cfg = ClosureConfig(Fraction(2), (-2, 0), Fraction(1))
+    chi = seeded_twist("iii", random.Random("one-step:outside"))
+    if side == "fock":
+        ops, space, vac, vec = a_module_ops(chi, cfg), FOCK_SPACE, VACUUM, SparseVec.basis
+        states = enumerate_basis(cfg.weight_cutoff)
+    else:
+        ops, space, vac, vec = wakimoto_ops(chi, cfg, WeylAction(chi)), WEYL_SPACE, WEYL_VACUUM, WeylVec.basis
+        states = enumerate_weyl_basis(cfg.weight_cutoff, (1, 1))
+    outside = [
+        st for st in states
+        if charge(st) == 1 and any(set(op(vec(st)).terms) == {vac} for _, op in ops)
+    ]
+    assert outside
+    for st in outside:
+        assert not cyclic_probe(vec(st), {vac}, ops, cfg, space)
+        assert not closure_probe(vec(st), {vac}, ops, cfg, space)
+
+
+# twists of certify's ``pole2`` shape: chi_0 = 3 and free chi_2, chi_-1
+POLE2_TWISTS = [
+    ChiSeries({0: 3, 2: a, -1: b})
+    for a, b in [(Fraction(7, 3), Fraction(-5, 2)), (Fraction(-1, 2), 2), (4, Fraction(-2, 3))]
+]
+
+
+@pytest.mark.parametrize(
+    "side, twists",
+    [
+        ("weyl", [seeded_twist("i", random.Random(f"no-closure:i:{k}")) for k in range(3)]),
+        ("weyl", [seeded_twist("ii", random.Random(f"no-closure:ii:{k}")) for k in range(3)]),
+        ("fock", POLE2_TWISTS),
+    ],
+    ids=["weyl-i", "weyl-ii", "fock-pole2"],
+)
+def test_irreducible_battery_runs_no_closure(side, twists, monkeypatch):
+    """Every probe of these batteries is settled by its one-step proof, and
+    the battery makes as many probes as with the closure alone."""
+    cfg = BATTERY_CFG[side]
+    for chi in twists:
+        calls, closures = _probe_calls(side, chi, cfg, monkeypatch)
+        assert len(calls) > 1 and closures == 0
+        alone, _ = _probe_calls(side, chi, cfg, monkeypatch, closure_probe)
+        assert len(alone) == len(calls)
