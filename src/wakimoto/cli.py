@@ -257,6 +257,9 @@ def _cmd_enumerate(args) -> int:
 def _cmd_probe(args) -> int:
     chi = _classified_twist(args)
     cfg = _cfg_from_args(args, DEFAULT_PROBE_CFG)
+    # the probe enumerates its window and closes each state in it
+    _capped(cfg.weight_cutoff + cfg.excursion, MAX_ENUM_WEIGHT, "--cutoff + --excursion")
+    _capped(cfg.charge_window[1], MAX_ENUM_WINDOW, "--window")
     verdict = decide(chi)
     evidence = wakimoto_probe(chi, cfg)
     agrees = evidence_agrees(verdict.status, evidence)

@@ -27,6 +27,14 @@ Scalar operators (e.g. central or diagonal mode actions) map a vector to a
 multiple of itself and can never enlarge a span, so operator families only
 need the genuinely shifting modes.
 
+An op may declare how it moves the grading, through a :class:`GradedLabel`
+in place of its plain label: its charge shift, and the int weight it is
+sure to add to a vector's top weight.  The closure and the one-step proof
+then skip each (row, op) pair whose image must leave the window, without
+calling the op: every image they skip, they would have dropped.  The label
+is where the declaration lives because wrappers of an op family, the
+benchmark's tracer among them, rebuild the entries as ``(label, op')``.
+
 Each unit of work is done once.  The closure expands a row again only after
 an insert has rewritten it: the images of an unchanged row already lie in
 the span.  Rows are fully reduced, each holding its own pivot with
@@ -72,6 +80,7 @@ from .scalars import format_rational, parse_rational
 
 __all__ = [
     "ClosureConfig",
+    "GradedLabel",
     "Monomial",
     "Space",
     "SparseVec",
@@ -113,6 +122,26 @@ def int_weight(st: Monomial) -> int:
 
 def charge(st: Monomial) -> int:
     return len(st[2]) - len(st[1])
+
+
+class GradedLabel(str):
+    """An op's label that also declares how the op moves the grading.
+
+    It equals and prints as its text.  ``charge_shift`` is the charge every
+    image monomial has over its source: the op maps a monomial of charge c
+    into the span of monomials of charge c + charge_shift.  ``creates`` is
+    an int weight: when it is positive, the image of every nonzero vector
+    of top int weight t holds a monomial of int weight at least
+    t + creates.  ``closure`` and ``cyclic_probe`` read both to skip
+    images that must leave the window when every label of the family is
+    one; otherwise every op is applied.
+    """
+
+    def __new__(cls, text: str, charge_shift: int, creates: int):
+        label = super().__new__(cls, text)
+        label.charge_shift = charge_shift
+        label.creates = creates
+        return label
 
 
 def _lifted(terms: dict[Any, int], k: int) -> dict[Any, int]:
@@ -479,6 +508,30 @@ def _admissible(v, cfg: ClosureConfig, bound: int) -> bool:
     return all(int_weight(s) <= bound and lo <= charge(s) <= hi for s in v.terms)
 
 
+def _declared(ops: OpFamily) -> Optional[list]:
+    """(charge shift, creates, op) per op, or None unless every label declares them."""
+    if not all(isinstance(label, GradedLabel) for label, _ in ops):
+        return None
+    return [(label.charge_shift, label.creates, op) for label, op in ops]
+
+
+def _live(v, declared: list, cfg: ClosureConfig, bound: int) -> list:
+    """The ops of ``declared`` whose image of the nonzero v may fit the window.
+
+    An op is left out when its declaration proves that the image is zero
+    or holds a state outside the window (``closure`` has the argument).
+    """
+    lo, hi = cfg.charge_window
+    room = bound - max(map(int_weight, v.terms))
+    charges = set(map(charge, v.terms))
+    least, most = min(charges), max(charges)
+    return [
+        op
+        for shift, creates, op in declared
+        if creates <= room and most + shift >= lo and least + shift <= hi
+    ]
+
+
 def closure(
     generators: Iterable,
     ops: OpFamily,
@@ -496,6 +549,22 @@ def closure(
     would reduce to zero now and change nothing.  The inserts that grow
     the span, and the resulting basis, are those of the full sweep.
 
+    When every label of the family is a :class:`GradedLabel`, an op is not
+    applied to a row r whose image must be dropped (``_live``).  Let B be the weight bound,
+    t the top int weight of r and C its set of charges.  The charge rule:
+    the op maps a state of charge c to states of charge c + shift, and
+    states of distinct charges never cancel, so when c + shift lies
+    outside the charge window for every c in C, so does every state of
+    the image, which is zero or dropped.  The weight rule: when
+    creates > B - t, the image holds a state of int weight at least
+    t + creates > B, and is dropped.  The other ops are applied in the
+    family's order, so the inserts, and the basis, are those the closure
+    makes without the skip.  A family with a plain label skips nothing
+    and pays nothing per row.  For the boson family C is one charge when
+    each generator has one: an op image of such a row has one charge,
+    ``reduce`` subtracts only rows whose pivots lie in the vector's
+    support, and ``insert`` rewrites only rows that hold the new pivot.
+
     ``stop_at`` is a collection of basis states.  When it is given, the
     closure returns as soon as one of them lies in the span: after the
     generators are inserted and after every insert that grows the span.
@@ -505,6 +574,8 @@ def closure(
     """
     stop = frozenset(stop_at) if stop_at else None
     bound = _weight_bound(cfg, space)
+    declared = _declared(ops)
+    every_op = [op for _, op in ops]
     basis = SpanBasis(space, cfg)
     for g in generators:
         if not g.is_zero() and _admissible(g, cfg, bound):
@@ -521,7 +592,7 @@ def closure(
             if expanded.get(pivot) is row:
                 continue
             expanded[pivot] = row
-            for _, op in ops:
+            for op in every_op if declared is None else _live(row, declared, cfg, bound):
                 w = op(row)
                 if w.is_zero() or not _admissible(w, cfg, bound):
                     continue
@@ -549,11 +620,15 @@ def cyclic_probe(v, cyclic: Collection, ops: OpFamily, cfg: ClosureConfig, space
     once when v is such a c·u, and otherwise expands the generator row
     first, with every op in the family's order, inserts c·u, and stops once
     u is a pure row.  A v or an image outside the window settles nothing,
-    since the closure drops it.
+    since the closure drops it.  So the one step skips, by ``closure``'s
+    charge and weight rules, every op whose image of v must leave the
+    window: that image settles nothing, and the closure skips it too.
     """
     bound = _weight_bound(cfg, space)
-    if _admissible(v, cfg, bound):
-        for w in chain([v], (op(v) for _, op in ops)):
+    if not v.is_zero() and _admissible(v, cfg, bound):
+        declared = _declared(ops)
+        live = [op for _, op in ops] if declared is None else _live(v, declared, cfg, bound)
+        for w in chain([v], (op(v) for op in live)):
             if len(w.terms) == 1 and next(iter(w.terms)) in cyclic and _admissible(w, cfg, bound):
                 return True
     # positional, so a wrapper of ``closure`` with its own keyword names works

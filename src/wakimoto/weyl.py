@@ -55,7 +55,9 @@ Most probes need no closure: one mode maps the monomial onto a multiple of
 a lighter one already proved cyclic, as e(n) = a(n) does when it removes a
 factor a*(-n) from a product of a* alone, and that one step is the proof.
 On a reducible twist a monomial that is not cyclic reaches no stop state,
-so its closure runs to the end.
+so its closure runs to the end.  Each op of the family declares its charge
+shift and the weight it creates (``wakimoto_ops``), so those closures skip
+every op image that must leave the window.
 """
 
 from __future__ import annotations
@@ -70,7 +72,15 @@ from operator import itemgetter
 from typing import Iterator, Optional
 
 from .scalars import ChiSeries, pole_order
-from .span import ClosureConfig, Monomial, Space, SparseVec, cyclic_probe, joint_kernel
+from .span import (
+    ClosureConfig,
+    GradedLabel,
+    Monomial,
+    Space,
+    SparseVec,
+    cyclic_probe,
+    joint_kernel,
+)
 
 __all__ = [
     "WeylState",
@@ -631,6 +641,10 @@ def affine_relation_check(
 # ---------------------------------------------------------------------------
 
 
+#: the charge each kind of mode adds (a* has charge +1, a has -1)
+_CHARGE_SHIFT = {"e": -1, "h": 0, "f": 1}
+
+
 def wakimoto_ops(
     chi: ChiSeries, cfg: ClosureConfig, action: WeylAction
 ) -> list[tuple[str, object]]:
@@ -646,6 +660,32 @@ def wakimoto_ops(
     grows a span, and f's term -chi_j a*(n - j) vanishes when n - j > B and
     leaves the window when j - n > B, so for n > B it acts only when
     j - B <= n <= j + B, which needs j > 0.
+
+    Each label is a ``span.GradedLabel``: e(n), h(n) and f(n) shift the
+    charge by -1, 0 and +1 (an a* adds one, an a takes one away), and for
+    n < 0 they create weight -n.  That is, on a nonzero vector r of top
+    weight t the image holds a monomial of weight at least t - n, the same
+    argument as above, row by row.  Let r_t be r's part of weight t.  Every
+    chi-free term moves weight by exactly -n, so r_t alone gives the image's
+    part of weight t - n, save for the twist.  In r_t take the part of top
+    mode-degree D.  The all-creating part of the chi-free mode multiplies
+    it by a nonzero polynomial of the Fock space, a polynomial ring: a(n)
+    for e, -2 sum_{n<m<=0} a*(m) a(n-m) for h, and for f the cubic's sum
+    over m1 + m2 + k = n with m1, m2 <= 0 and k < 0, which holds
+    a*(0)^2 a(n).  The product is nonzero, of degree D + 1, D + 2 and D + 3,
+    and no other term reaches that degree on r_t: a term that contracts a
+    factor adds two fewer, the parts of r_t of lower degree stay lower, and
+    f's 2n a*(n) and chi_0's term -chi_0 a*(n), which lands at weight t - n
+    too, add one factor.  h's twist -chi_n is a scalar, which keeps weight
+    t, and f's tail terms -chi_j a*(n - j), j < 0, move weight by
+    j - n < -n, so on r they land below t - n.  So for e and h, and for f
+    on a twist with no pole, the image's part of weight t - n is nonzero.
+    On a twist with poles, let J be the largest pole index: f's term
+    -chi_J a*(n - J) creates a*(J - n) on r_t, at weight t + J - n, and no
+    other term reaches that weight, so the image holds a monomial heavier
+    still.  Either way it holds a monomial of weight at least t - n, and
+    ``span.closure`` skips the op on a row with t - n > B, as it skips one
+    whose charge leaves the window.
     """
     bound = math.floor(cfg.weight_cutoff + cfg.excursion)
     f_modes = set(range(-bound, bound + 1))
@@ -655,7 +695,8 @@ def wakimoto_ops(
     ops: list[tuple[str, object]] = []
     for n in sorted(f_modes):
         for kind in "ehf" if abs(n) <= bound else "f":
-            ops.append((f"{kind}({n})", partial(action.apply, kind, n)))
+            label = GradedLabel(f"{kind}({n})", _CHARGE_SHIFT[kind], max(0, -n))
+            ops.append((label, partial(action.apply, kind, n)))
     return ops
 
 

@@ -20,7 +20,8 @@ hit first, one hit per step) and full-sweep closure (every operator on
 every row until a sweep adds nothing), kept as references for the one-pass
 ``SpanBasis.reduce`` and the closure that skips unchanged rows;
 ``closure_probe`` is the cyclicity probe that runs its closure every time,
-the reference for ``cyclic_probe``'s one-step proof.
+the reference for ``cyclic_probe``'s one-step proof, and ``leaves_window``
+the exact window test for the op images both of them skip.
 ``ordered_f_core`` is the cubic f core summed over ordered triples of
 modes, the reference for the engine's ``_f_core`` over unordered a* pairs.
 ``apply_relation_check`` is the relation suite over rational vectors, the
@@ -784,6 +785,19 @@ def sweep_closure(generators, ops, cfg, space, stop_at=None):
                     if reached():
                         return basis
     return basis
+
+
+def leaves_window(w, cfg, space):
+    """Is w zero, or does it hold a state outside the window?
+
+    Exact weights against cutoff + excursion, with no int bound: the
+    reference for the images ``closure`` skips without applying their op.
+    """
+    bound = cfg.weight_cutoff + cfg.excursion
+    lo, hi = cfg.charge_window
+    return w.is_zero() or any(
+        space.weight_of(s) > bound or not lo <= space.charge_of(s) <= hi for s in w.terms
+    )
 
 
 def closure_probe(v, cyclic, ops, cfg, space):

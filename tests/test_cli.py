@@ -217,6 +217,11 @@ MALFORMED_BOUNDS = [
     (["relations", "--suite", "affine", "--chi", CHI_POLE, "--weight", "17"], None, "weight"),
     (["relations", "--suite", "clifford", "--max-mode", "5"], None, "--max-mode"),
     (["relations", "--suite", "clifford", "--trials", "11"], None, "--trials"),
+    (["probe-wakimoto", "--chi", CHI_POLE, "--cutoff", "1000"], None, "--cutoff + --excursion"),
+    (["probe-wakimoto", "--chi", CHI_POLE, "--cutoff", "14", "--excursion", "5/2"], None,
+     "--cutoff + --excursion"),
+    (["probe-wakimoto", "--chi", CHI_POLE, "--excursion", "14"], None, "--cutoff + --excursion"),
+    (["probe-wakimoto", "--chi", CHI_POLE, "--window", "4"], None, "--window"),
     # ell past its cap, an --at list of the wrong length, a number too long to write
     (["classify", "--chi", CHI_ELL_PAST_CAP], None, "--chi"),
     (["probe-wakimoto", "--chi", CHI_ELL_PAST_CAP], None, "--chi"),
@@ -260,6 +265,26 @@ def test_size_caps_are_inclusive(capsys):
     ])
     assert (code, err) == (0, "")
     assert json.loads(out)["failures"] == []
+
+
+def test_probe_caps_are_inclusive(capsys, monkeypatch):
+    # a probe at the caps would run for hours, so the engine is stubbed out
+    class Reached(Exception):
+        pass
+
+    windows = []
+
+    def recorded(chi, cfg):
+        windows.append(cfg)
+        raise Reached
+
+    monkeypatch.setattr(cli, "wakimoto_probe", recorded)
+    argv = ["probe-wakimoto", "--chi", CHI_POLE, "--cutoff", str(MAX_ENUM_WEIGHT - 2),
+            "--excursion", "2", "--window", str(MAX_ENUM_WINDOW)]
+    with pytest.raises(Reached):
+        main(argv)
+    assert windows == [ClosureConfig(
+        Fraction(MAX_ENUM_WEIGHT - 2), (-MAX_ENUM_WINDOW, MAX_ENUM_WINDOW), Fraction(2))]
 
 
 def test_affine_suite_takes_a_wide_tail_and_poles_up_to_the_cap(capsys, tmp_path):

@@ -15,6 +15,8 @@ from oracles import (
     dict_add,
     dict_from_items,
     dict_scale,
+    hull_wakimoto_ops,
+    leaves_window,
     ordered_reduce,
     seeded_twist,
     solved_joint_kernel,
@@ -849,3 +851,129 @@ def test_irreducible_battery_runs_no_closure(side, twists, monkeypatch):
         assert len(calls) > 1 and closures == 0
         alone, _ = _probe_calls(side, chi, cfg, monkeypatch, closure_probe)
         assert len(alone) == len(calls)
+
+
+# -- op images that must leave the window are not computed -------------------
+
+SPAN = importlib.import_module("wakimoto.span")
+CASES = ["i", "ii", "iii", "schur_zero", "neg_ell"]
+# seeded twists of all five cases (case i has a pole at 1), and two twists
+# with poles beside tails: at 1 and 2, and at 2 alone
+SKIP_TWISTS = [
+    *(seeded_twist(case, random.Random(f"skip:{case}")) for case in CASES),
+    ChiSeries({2: Fraction(1, 3), 1: -2, 0: 3, -1: 1}),
+    ChiSeries({2: -1, 0: Fraction(1, 2), -2: 2, -4: Fraction(-2, 3)}),
+]
+SKIP_WINDOWS = {
+    "crosscheck": CROSSCHECK_CFG,
+    "probe_default": DEFAULT_PROBE_CFG,
+    "narrow_charge": ClosureConfig(Fraction(3), (0, 1), Fraction(1)),
+}
+
+
+def _skipped(v, ops, cfg):
+    """The (label, op) pairs of ``ops`` that the engine does not apply to v."""
+    live = SPAN._live(v, SPAN._declared(ops), cfg, SPAN._weight_bound(cfg, WEYL_SPACE))
+    kept = {id(op) for op in live}
+    return [(label, op) for label, op in ops if id(op) not in kept]
+
+
+def _expanded_rows(generators, ops, cfg, monkeypatch):
+    """Every row version the closures of the generators expand, in order."""
+    rows = []
+    live = SPAN._live
+
+    def recording(v, declared, cfg, bound):
+        rows.append(v)
+        return live(v, declared, cfg, bound)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(SPAN, "_live", recording)
+        for g in generators:
+            closure([g], ops, cfg, WEYL_SPACE)
+    return rows
+
+
+@pytest.mark.parametrize("window", list(SKIP_WINDOWS))
+def test_skipped_images_leave_the_window(window, monkeypatch):
+    """Every (row, op) pair the engine skips has an image that is zero or
+    holds a state outside the window, on closure rows and on the monomials
+    a one-step proof tries."""
+    cfg = SKIP_WINDOWS[window]
+    states = enumerate_weyl_basis(cfg.weight_cutoff, cfg.charge_window)
+    by_charge = by_weight = 0
+    for k, chi in enumerate(SKIP_TWISTS):
+        ops = wakimoto_ops(chi, cfg, WeylAction(chi))
+        rng = random.Random(f"skip:{window}:{k}")
+        generators = [weyl_vacuum_vec(), WeylVec.basis(rng.choice(states))]
+        rows = _expanded_rows(generators, ops, cfg, monkeypatch)
+        assert len(rows) > len(generators)
+        for v in rows + [WeylVec.basis(st) for st in states]:
+            for label, op in _skipped(v, ops, cfg):
+                assert leaves_window(op(v), cfg, WEYL_SPACE), (chi, window, label, v)
+                # e/f with n >= 0 can be skipped for their charge alone, h
+                # for its weight alone
+                by_charge += label.creates == 0
+                by_weight += label.charge_shift == 0
+    assert by_charge and by_weight
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_boson_rows_have_one_charge(case, monkeypatch):
+    """A closure started from a monomial keeps one charge in every row it
+    expands, so the charge rule judges each row by that charge."""
+    chi = seeded_twist(case, random.Random(f"one-charge:{case}"))
+    longest = 0
+    for cfg in SKIP_WINDOWS.values():
+        ops = wakimoto_ops(chi, cfg, WeylAction(chi))
+        states = enumerate_weyl_basis(cfg.weight_cutoff, cfg.charge_window)
+        generators = [WeylVec.basis(st) for st in random.Random(case).sample(states, 3)]
+        for row in _expanded_rows(generators, ops, cfg, monkeypatch):
+            assert len({charge(s) for s in row.terms}) == 1
+            longest = max(longest, len(row.terms))
+    assert longest > 1
+
+
+def _applications(generators, ops, cfg, space):
+    """A closure's basis, and the (op index, row) of each op it applied."""
+    calls = []
+
+    def counted(i, op):
+        def apply(v):
+            calls.append((i, v))
+            return op(v)
+
+        return apply
+
+    basis = closure(generators, [(label, counted(i, op)) for i, (label, op) in enumerate(ops)],
+                    cfg, space)
+    return basis, calls
+
+
+@pytest.mark.parametrize("family", ["fock", "weyl_hull", "weyl_plain_labels"])
+@pytest.mark.parametrize("case", CASES)
+def test_family_that_declares_nothing_applies_every_op(case, family):
+    """A family of plain labels has every op applied to every row the
+    closure expands, in the family's order: nothing is skipped.  A boson
+    family gets the basis of the declared family, which applies fewer."""
+    rng = random.Random(f"declares-nothing:{case}")
+    chi = seeded_twist(case, rng)
+    space = FOCK_SPACE if family == "fock" else WEYL_SPACE
+    cfg, ops, _, generators = _generators(case, chi, space, rng)
+    if family == "weyl_hull":
+        ops = hull_wakimoto_ops(chi, cfg, WeylAction(chi))
+    elif family == "weyl_plain_labels":
+        ops = [(str(label), op) for label, op in ops]
+    assert all(type(label) is str for label, _ in ops)
+    for g in generators:
+        basis, calls = _applications([g], ops, cfg, space)
+        assert calls and len(calls) % len(ops) == 0
+        for start in range(0, len(calls), len(ops)):
+            block = calls[start : start + len(ops)]
+            assert [i for i, _ in block] == list(range(len(ops)))
+            assert all(v is block[0][1] for _, v in block)
+        if family != "fock":
+            declared = wakimoto_ops(chi, cfg, WeylAction(chi))
+            ours, fewer = _applications([g], declared, cfg, space)
+            assert ours.rows() == basis.rows()
+            assert len(fewer) < len(calls)
