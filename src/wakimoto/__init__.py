@@ -42,7 +42,7 @@ from .superalg import (
     apply_Gminus,
     apply_Gplus,
     apply_word,
-    gminus_parts,
+    g_parts,
     gminus_string_on_omega,
     lowering_string,
     omega,

@@ -114,6 +114,9 @@ def _cfg_from_args(args, base: ClosureConfig) -> ClosureConfig:
     The base is ``DEFAULT_CFG`` for ``classify``, ``DEFAULT_PROBE_CFG`` for
     the probe and the recorded window for ``verify``.  Each flag is applied
     on its own, so the error names the one that does not parse or fit.
+    Every command closes states up to cutoff + excursion, capped at
+    ``MAX_ENUM_WEIGHT``; without a weight flag only a recorded bound can
+    pass the cap, so the error names ``certificate.data.cfg``.
     """
     cfg = base
     for flag, field in (("cutoff", "weight_cutoff"), ("window", "charge_window"),
@@ -125,6 +128,9 @@ def _cfg_from_args(args, base: ClosureConfig) -> ClosureConfig:
             cfg = replace(cfg, **{field: (-value, value) if flag == "window" else value})
         except (ValueError, ZeroDivisionError):
             raise ChiParseError(f"--{flag}: not a valid window value: {value!r}") from None
+    flags = args.cutoff is not None or args.excursion is not None
+    _capped(cfg.weight_cutoff + cfg.excursion, MAX_ENUM_WEIGHT,
+            "--cutoff + --excursion" if flags else "certificate.data.cfg")
     return cfg
 
 
@@ -258,7 +264,6 @@ def _cmd_probe(args) -> int:
     chi = _classified_twist(args)
     cfg = _cfg_from_args(args, DEFAULT_PROBE_CFG)
     # the probe enumerates its window and closes each state in it
-    _capped(cfg.weight_cutoff + cfg.excursion, MAX_ENUM_WEIGHT, "--cutoff + --excursion")
     _capped(cfg.charge_window[1], MAX_ENUM_WINDOW, "--window")
     verdict = decide(chi)
     evidence = wakimoto_probe(chi, cfg)

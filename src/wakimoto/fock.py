@@ -26,10 +26,11 @@ stays integral.  So a monomial's int weight is its doubled weight, and
 A single mode ``Psi±(r)`` acts on one monomial in closed form
 (``_psi_core``): an annihilator removes one entry from ``lam`` or ``mu``, a
 creator inserts one, and the result is one monomial with an ``int`` sign, or
-zero.  Vectors are acted on term by term through that core
-(:func:`apply_psi_dmode`, which takes the doubled mode), on int numerators
-over the vector's denominator; the word rewriting oracle in the tests is its
-reference.
+zero.  One loop over that core (``_psi_sum``) applies an int combination of
+single modes to a vector, on int numerators over its denominator: one mode
+for :func:`apply_psi_dmode` (which takes the doubled mode), the components
+of a G± mode for ``superalg``.  The word rewriting oracle in the tests is
+its reference.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from operator import itemgetter
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .span import Monomial, Space, SparseVec, charge
 
@@ -160,8 +161,8 @@ def vec_from_json_obj(obj) -> SparseVec:
 # single-generator action on one monomial
 #
 # On a basis monomial a single Psi mode gives zero or one monomial with sign
-# +-1, and distinct monomials go to distinct monomials, so a vector's image
-# needs no accumulation.  The core works on the ``lam``/``mu`` tuples
+# +-1, and distinct monomials go to distinct monomials, so only a sum of
+# several modes needs accumulation.  The core works on the ``lam``/``mu`` tuples
 # directly; the word order is all of ``lam`` then all of ``mu``, and moving a
 # generator past a factor costs a sign.
 # ---------------------------------------------------------------------------
@@ -209,20 +210,40 @@ def _psi_core(sp: int, d: int, state: FermionState) -> Optional[tuple[FermionSta
     return _state(lam, grown), -1 if (len(lam) + i) & 1 else 1
 
 
+#: (doubled mode, int) components of a sum of single modes
+Parts = Sequence[tuple[int, int]]
+
+
+def _psi_sum(sp: int, parts: Parts, v: SparseVec, den: int = 1) -> SparseVec:
+    """``sum (k / den) Psi<sp>(d/2) v`` over the (doubled mode d, int k) parts.
+
+    Summed as ints: v's numerators times the parts' ints, over v's den times ``den``.
+    """
+    terms = v.terms
+    acc: dict[FermionState, int] = {}
+    for d, k in parts:
+        for st, n in terms.items():
+            hit = _psi_core(sp, d, st)
+            if hit is not None:
+                out, sign = hit
+                if out in acc:
+                    acc[out] += sign * k * n
+                else:
+                    acc[out] = sign * k * n
+    if len(parts) > 1:
+        # one mode maps distinct monomials to distinct ones; a sum can cancel
+        acc = {st: n for st, n in acc.items() if n}
+    # the surviving numerators may share a factor the lost ones did not
+    return SparseVec._canonical(acc, v.den * den)
+
+
 def apply_psi_dmode(species: str, dmode: int, v: SparseVec) -> SparseVec:
     """Apply ``Psi<species>(dmode/2)`` to a vector, in canonical form."""
     if species not in (PLUS, MINUS):
         raise ValueError(f"species must be '+' or '-', got {species!r}")
     if dmode % 2 == 0:
         raise ValueError(f"mode must be half-odd, got doubled value {dmode}")
-    sp = +1 if species == PLUS else -1
-    out: dict[FermionState, int] = {}
-    for st, n in v.terms.items():
-        hit = _psi_core(sp, dmode, st)
-        if hit is not None:
-            out[hit[0]] = n if hit[1] > 0 else -n
-    # the surviving numerators may share a factor the lost ones did not
-    return SparseVec._canonical(out, v.den)
+    return _psi_sum(+1 if species == PLUS else -1, ((dmode, 1),), v)
 
 
 # ---------------------------------------------------------------------------

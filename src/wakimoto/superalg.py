@@ -35,14 +35,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Optional, Sequence
+from typing import Optional
 
 from .fock import (
     FOCK_SPACE,
+    MINUS,
     PLUS,
     VACUUM,
     FermionState,
-    _psi_core,
+    Parts,
+    _psi_sum,
     apply_psi_dmode,  # not called here: perfbench/tracer.py wraps superalg.apply_psi_dmode
     as_dmode,
     fmt_halfodd,
@@ -53,7 +55,7 @@ from .span import ClosureConfig, SparseVec
 __all__ = [
     "apply_Gplus",
     "apply_Gminus",
-    "gminus_parts",
+    "g_parts",
     "scalar_S",
     "scalar_T",
     "anticommutator_check",
@@ -68,59 +70,43 @@ __all__ = [
     "a_module_ops",
 ]
 
-def apply_Gplus(i: int, v: SparseVec) -> SparseVec:
-    """Apply ``G+(i - 1/2)``, which acts as ``-i Psi+(i - 1/2)``."""
-    if i == 0:
-        return SparseVec.zero()
-    d = 2 * i - 1
-    out: dict[FermionState, int] = {}
-    for st, n in v.terms.items():
-        hit = _psi_core(+1, d, st)
-        if hit is not None:
-            out[hit[0]] = -i * hit[1] * n
-    return SparseVec._canonical(out, v.den)
+def g_parts(species: str, i: int, chi: Optional[ChiSeries]) -> list[tuple[int, int]]:
+    """The nonzero components of ``G<species>(i - 1/2)`` as (doubled mode, int) pairs.
 
-
-def gminus_parts(i: int, chi: ChiSeries) -> list[tuple[int, int]]:
-    """The nonzero components of ``G-(i - 1/2)`` as (doubled mode, int) pairs.
-
-    Component m is ``c_m Psi-(i - m - 1/2)``, with ``c_0 = chi_0 - i`` and
-    ``c_m = chi_m`` otherwise; its int is ``c_m * chi.denominator``.
+    G+(i - 1/2) is the single component ``-i Psi+(i - 1/2)``, its int -i
+    (none for i = 0); chi is not read.  Component m of G-(i - 1/2) is
+    ``c_m Psi-(i - m - 1/2)``, with ``c_0 = chi_0 - i`` and ``c_m = chi_m``
+    otherwise; its int is ``c_m * chi.denominator``.
     """
-    nums = chi.numerators
-    parts = [(2 * i - 1, nums.get(0, 0) - i * chi.denominator)]
-    parts += [(2 * (i - m) - 1, x) for m, x in nums.items() if m]
+    if species == PLUS:
+        parts = [(2 * i - 1, -i)]
+    else:
+        nums = chi.numerators
+        parts = [(2 * i - 1, nums.get(0, 0) - i * chi.denominator)]
+        parts += [(2 * (i - m) - 1, x) for m, x in nums.items() if m]
     return [(d, k) for d, k in parts if k]
 
 
-def apply_Gminus(
-    i: int, v: SparseVec, chi: ChiSeries, parts: Optional[Sequence[tuple[int, int]]] = None
-) -> SparseVec:
+def apply_Gplus(i: int, v: SparseVec, parts: Optional[Parts] = None) -> SparseVec:
+    """Apply ``G+(i - 1/2)``, which acts as ``-i Psi+(i - 1/2)``.
+
+    ``parts``, when given, is ``g_parts(PLUS, i, None)``, which the closure
+    family binds as it binds a G- mode's components.
+    """
+    return _psi_sum(+1, g_parts(PLUS, i, None) if parts is None else parts, v)
+
+
+def apply_Gminus(i: int, v: SparseVec, chi: ChiSeries, parts: Optional[Parts] = None) -> SparseVec:
     """Apply ``G-(i - 1/2)`` twisted by chi.
 
     The twist contributes one shifted ``Psi-`` mode per support index, so the
-    sum below is finite and exact — no truncation is involved.  Components
-    that land on the same monomial are summed as ints: v's numerators times
-    chi's numerators, over v's denominator times chi's.  ``parts`` is a
-    subset of ``gminus_parts(i, chi)`` to sum instead of all of them; the
+    sum is finite and exact — no truncation is involved.  ``parts`` is a
+    subset of ``g_parts(MINUS, i, chi)`` to sum instead of all of them; the
     closure family passes the components that can act on its window.
     """
-    terms = v.terms
-    if not terms:
-        return SparseVec.zero()
     if parts is None:
-        parts = gminus_parts(i, chi)
-    acc: dict[FermionState, int] = {}
-    get = acc.get
-    for d, k in parts:
-        for st, p in terms.items():
-            hit = _psi_core(-1, d, st)
-            if hit is not None:
-                out = hit[0]
-                acc[out] = get(out, 0) + hit[1] * k * p
-    return SparseVec._canonical(
-        {st: n for st, n in acc.items() if n}, v.den * chi.denominator
-    )
+        parts = g_parts(MINUS, i, chi)
+    return _psi_sum(-1, parts, v, chi.denominator)
 
 
 def scalar_T(n: int, chi: ChiSeries) -> Fraction:
@@ -149,11 +135,8 @@ def same_species_anticommutator(species: str, r, s, v: SparseVec, chi: ChiSeries
     """{G(species)(r), G(species)(s)} v — must vanish identically."""
     dr, ds = as_dmode(r), as_dmode(s)
     i, j = (dr + 1) // 2, (ds + 1) // 2
-    if species == PLUS:
-        return apply_Gplus(i, apply_Gplus(j, v)) + apply_Gplus(j, apply_Gplus(i, v))
-    return apply_Gminus(i, apply_Gminus(j, v, chi), chi) + apply_Gminus(
-        j, apply_Gminus(i, v, chi), chi
-    )
+    g = apply_Gplus if species == PLUS else partial(apply_Gminus, chi=chi)
+    return g(i, g(j, v)) + g(j, g(i, v))
 
 
 # ---------------------------------------------------------------------------
@@ -268,52 +251,52 @@ def a_module_ops(chi: ChiSeries, cfg: ClosureConfig) -> list[tuple[str, object]]
     window's weight bound, cutoff plus excursion.  Every factor of a window
     monomial weighs at most B, because factors have positive weight.  A
     single mode ``Psi±(d/2)`` annihilates a factor of weight d/2 (d > 0) or
-    creates one of weight -d/2 (d < 0).
+    creates one of weight -d/2 (d < 0).  Each odd mode is the sum of its
+    components ``g_parts``: G+(i-1/2) the single one -i Psi+(i-1/2), and
+    G-(i-1/2) the c_m Psi-(i-m-1/2).  One rule serves both species:
 
-    * G+(i-1/2) = -i Psi+(i-1/2) is kept for i != 0 and |2i - 1| <= 2B:
-      a heavier annihilator kills every window monomial, and a heavier
-      creator puts a factor heavier than B into each image.
-    * G-(i-1/2) = sum_m c_m Psi-(i-m-1/2) (``gminus_parts``) is omitted
-      when one component with c_m != 0 *creates* a factor of weight
-      1/2 - (i - m) > B.  On window monomials that component is injective
-      with signs ±1: no window monomial holds a factor that heavy, so
-      nothing vanishes by exclusion, and removing the factor gives the
-      monomial back.  No other component produces a monomial holding that
-      factor: each other creator makes a factor of another mode, and an
-      annihilator makes none.  So the image of a nonzero window vector
-      keeps that component's terms, each heavier than B, and the closure
-      drops it.
-    * A kept G-(i-1/2) sums only its components that can act on a window
+    * A mode is omitted when one component with a nonzero coefficient
+      *creates* a factor of weight -d/2 > B.  On window monomials that
+      component is injective with signs ±1: no window monomial holds a
+      factor that heavy, so nothing vanishes by exclusion, and removing
+      the factor gives the monomial back.  No other component produces a
+      monomial holding that factor: each other creator makes a factor of
+      another mode, and an annihilator makes none.  So the image of a
+      nonzero window vector keeps that component's terms, each heavier
+      than B, and the closure drops it.
+    * A kept mode sums only its components that can act on a window
       monomial.  A component that *annihilates* a factor heavier than B is
       zero on the window, so leaving it out changes no image of a window
       vector.  A mode with no component left is zero on the window and is
       omitted.
 
-    Each kept component has |d| <= 2B, so a kept mode lies within B of
-    m + 1/2 for some m in {0} and the support of chi.  A tail index far
-    below the window adds no mode: near it, the component ``chi_0 - i``
-    creates a factor of weight 1/2 - i > B.  Every image the closure admits
-    is the same as under the whole family, so the span, its reports and
-    every certificate are unchanged.  S(n) and T(n) act as scalars and
-    never enlarge a span, so they are deliberately absent.  The G- ops still
-    call ``apply_Gminus``, with their parts bound.
+    So G+(i-1/2) is kept exactly for i != 0 and |2i - 1| <= 2B.  Each kept
+    component has |d| <= 2B, so a kept mode lies within B of m + 1/2 for
+    some m in {0} and the support of chi, and only those are tried.  A tail
+    index far below the window adds no mode: near it, the component
+    ``chi_0 - i`` creates a factor of weight 1/2 - i > B.  Every image the
+    closure admits is the same as under the whole family, so the span, its
+    reports and every certificate are unchanged.  S(n) and T(n) act as
+    scalars and never enlarge a span, so they are deliberately absent.  The
+    ops still call ``apply_Gplus`` and ``apply_Gminus``, with their parts
+    bound.
     """
     # the doubled weight bound: a factor weighs |d|/2 <= B iff |d| <= top
     top = FOCK_SPACE.int_bound(cfg.weight_cutoff + cfg.excursion)
     # the j with |2j - 1| <= top: ceil((1 - top) / 2) <= j <= floor((1 + top) / 2)
-    lo, hi = -((top - 1) // 2), (top + 1) // 2
+    near = range(-((top - 1) // 2), (top + 1) // 2 + 1)
+    tried = sorted({m + k for m in {0, *chi.support} for k in near})
     ops: list[tuple[str, object]] = []
-    for i in range(lo, hi + 1):
-        if i:
-            ops.append((f"G+({fmt_halfodd(2 * i - 1)})", partial(apply_Gplus, i)))
-    candidates = sorted({m + k for m in {0, *chi.support} for k in range(lo, hi + 1)})
-    for i in candidates:
-        parts = gminus_parts(i, chi)
-        if any(d < -top for d, _ in parts):
-            continue
-        parts = tuple((d, k) for d, k in parts if d <= top)
-        if parts:
-            ops.append(
-                (f"G-({fmt_halfodd(2 * i - 1)})", partial(apply_Gminus, i, chi=chi, parts=parts))
-            )
+    for species, apply, modes in (
+        (PLUS, apply_Gplus, near),
+        (MINUS, partial(apply_Gminus, chi=chi), tried),
+    ):
+        for i in modes:
+            parts = g_parts(species, i, chi)
+            if any(d < -top for d, _ in parts):
+                continue
+            parts = tuple((d, k) for d, k in parts if d <= top)
+            if parts:
+                label = f"G{species}({fmt_halfodd(2 * i - 1)})"
+                ops.append((label, partial(apply, i, parts=parts)))
     return ops

@@ -47,8 +47,10 @@ vanish.  The relations hold with central scalar -2:
     [h(m), h(n)] = -4m delta_{m+n,0},   [e,e] = [f,f] = 0.
 
 ``wakimoto_probe`` gathers reducibility evidence on this side: cyclicity of
-every small basis vector, and joint kernels of the raising modes in each
-graded piece.  ``evidence_agrees`` compares it with the classifier verdict.
+every small basis vector, and joint kernels in each graded piece of the
+raising modes, a slice of the closure family picked by label.  On a twist
+with a pole every such kernel is 0, since f(p) acts injectively there, so
+none is taken.  ``evidence_agrees`` compares it with the classifier verdict.
 The cyclicity battery probes the monomials lighter first, and each probe
 stops at the first monomial already proved cyclic (``span.cyclic_probe``).
 Most probes need no closure: one mode maps the monomial onto a multiple of
@@ -729,32 +731,23 @@ class Evidence:
 DEFAULT_PROBE_CFG = ClosureConfig(Fraction(3), (-2, 2), Fraction(2))
 
 
-def _probe_annihilators(
-    chi: ChiSeries, cfg: ClosureConfig, action: WeylAction
-) -> list[tuple[str, object]]:
-    """Raising modes whose joint kernel the probe takes on each graded piece.
-
-    With C = floor(cutoff): e(0), then e(n), h(n) and f(n) for 1 <= n <= C,
-    then f(p) when the pole order p exceeds C.  Adding any raising mode
-    e/h/f(n), n >= 1, leaves every kernel as it is.  Every piece has weight
-    <= C.  For a pole-free chi a mode with n > C acts on a piece by zero:
-    its chi-free part lowers weight below zero, h's twist -chi_n is 0, and
-    f's twist -chi_j a*(n - j) has j <= 0, so a*(n - j) would contract an
-    a-mode heavier than the piece.  For p >= 1 the weight-preserving part
-    of f(p)v is -chi_p a*(0)v, nonzero for v != 0 since a*(0) maps distinct
-    monomials to distinct monomials; so every kernel is 0, whichever other
-    modes the family holds.
-    """
-    top = math.floor(cfg.weight_cutoff)
-    modes = [("e", 0)] + [(kind, n) for n in range(1, top + 1) for kind in "ehf"]
-    p = pole_order(chi)
-    if p > top:
-        modes.append(("f", p))
-    return [(f"{kind}({n})", partial(action.apply, kind, n)) for kind, n in modes]
-
-
 def wakimoto_probe(chi: ChiSeries, cfg: ClosureConfig = DEFAULT_PROBE_CFG) -> Evidence:
-    """Collect cyclicity and singular-candidate evidence within the window."""
+    """Collect cyclicity and singular-candidate evidence within the window.
+
+    The joint kernels are those of the raising slice of the closure family
+    (``wakimoto_ops``), picked by label: with C = floor(cutoff), e(0), then
+    e(n), h(n) and f(n) for 1 <= n <= C.  The family holds every one of
+    them, since its bound floor(cutoff + excursion) is at least C.  Every
+    piece has weight <= C, and adding any raising mode e/h/f(n), n >= 1,
+    leaves every kernel as it is.  For a pole-free chi a mode with n > C
+    acts on a piece by zero: its chi-free part lowers weight below zero,
+    h's twist -chi_n is 0, and f's twist -chi_j a*(n - j) has j <= 0, so
+    a*(n - j) would contract an a-mode heavier than the piece.  A twist
+    with pole order p >= 1 takes no kernel: the weight-preserving part of
+    f(p)v is -chi_p a*(0)v, nonzero for v != 0 since a*(0) maps distinct
+    monomials to distinct monomials, so every kernel of a family holding
+    f(p) is 0 and there is no candidate.
+    """
     action = WeylAction(chi)
     ops = wakimoto_ops(chi, cfg, action)
     states = enumerate_weyl_basis(cfg.weight_cutoff, cfg.charge_window)
@@ -765,9 +758,12 @@ def wakimoto_probe(chi: ChiSeries, cfg: ClosureConfig = DEFAULT_PROBE_CFG) -> Ev
             known.add(st)
         else:
             non_cyclic.append(str(st))
-    ann = _probe_annihilators(chi, cfg, action)
+    top = math.floor(cfg.weight_cutoff)
+    raising = {"e(0)", *(f"{kind}({n})" for n in range(1, top + 1) for kind in "ehf")}
+    ann = [(label, op) for label, op in ops if label in raising]
     pieces: dict[tuple[int, int], list[WeylState]] = {}
-    for st in states:
+    # on a twist with a pole every kernel is 0
+    for st in () if pole_order(chi) else states:
         # the weight scale is 1, so a piece's JSON weight is an int
         pieces.setdefault((WEYL_SPACE.int_weight_of(st), WEYL_SPACE.charge_of(st)), []).append(st)
     candidates = []
@@ -776,14 +772,8 @@ def wakimoto_probe(chi: ChiSeries, cfg: ClosureConfig = DEFAULT_PROBE_CFG) -> Ev
             continue
         kernel = joint_kernel(ann, piece, WEYL_SPACE)
         if kernel.dimension():
-            candidates.append(
-                {
-                    "weight": w,
-                    "charge": c,
-                    "dimension": kernel.dimension(),
-                    "vectors": [row.to_json_obj() for row in kernel.rows()],
-                }
-            )
+            candidates.append({"weight": w, "charge": c, "dimension": kernel.dimension(),
+                               "vectors": [row.to_json_obj() for row in kernel.rows()]})
     return Evidence(
         all_cyclic=not non_cyclic,
         non_cyclic=tuple(non_cyclic),

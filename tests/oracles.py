@@ -11,7 +11,8 @@ oracles build on the package's own operators instead: ``hull_a_module_ops``
 and ``hull_wakimoto_ops`` span the whole hull of the twist-shifted mode
 ranges with its G modes and currents, ``interval_a_module_ops`` is the odd
 family before it dropped the G- modes and components that cannot act in
-the window, and ``wide_probe_annihilators`` is
+the window, ``split_a_module_ops`` the family built by one rule for G+ and
+another for G-, and ``wide_probe_annihilators`` is
 the probe's earlier, wider family of raising modes.  The exact kernel solve
 over column indices at the end is the reference for the span engine's
 restricted rows and joint kernels.  ``ordered_reduce`` and
@@ -46,11 +47,18 @@ from fractions import Fraction
 from functools import partial
 from typing import NamedTuple, Optional
 
-from wakimoto.fock import MINUS, VACUUM, apply_psi_dmode, fmt_halfodd
+from wakimoto.fock import FOCK_SPACE, MINUS, VACUUM, apply_psi_dmode, fmt_halfodd
 from wakimoto.scalars import ChiSeries, ell_of, pole_order
 from wakimoto.schur import schur_at_minus_chi
 from wakimoto.span import SpanBasis, SparseVec, _admissible, _weight_bound, closure
-from wakimoto.superalg import OperatorWord, apply_Gminus, apply_Gplus, apply_word, omega
+from wakimoto.superalg import (
+    OperatorWord,
+    apply_Gminus,
+    apply_Gplus,
+    apply_word,
+    g_parts,
+    omega,
+)
 from wakimoto.weyl import WeylState, WeylVec, _astar_core, _items, _with, _without
 
 # ---------------------------------------------------------------------------
@@ -522,6 +530,34 @@ def interval_a_module_ops(chi, cfg):
         modes.update(range(math.ceil(m + half - bound), math.floor(m + half + bound) + 1))
     for i in sorted(modes):
         ops.append((f"G-({fmt_halfodd(2 * i - 1)})", partial(apply_Gminus, i, chi=chi)))
+    return ops
+
+
+def split_a_module_ops(chi, cfg):
+    """The odd family built by two rules, one per species.
+
+    G+(i-1/2) is kept for i != 0 and |2i - 1| <= 2B, and a G- mode by its
+    components: dropped when one creates a factor heavier than B, summing
+    only the components that can act on the window otherwise.  The engine
+    applies the G- rule to G+'s single component as well, so its family
+    must come out the same, label for label.
+    """
+    top = FOCK_SPACE.int_bound(cfg.weight_cutoff + cfg.excursion)
+    lo, hi = -((top - 1) // 2), (top + 1) // 2
+    ops = []
+    for i in range(lo, hi + 1):
+        if i:
+            ops.append((f"G+({fmt_halfodd(2 * i - 1)})", partial(apply_Gplus, i)))
+    candidates = sorted({m + k for m in {0, *chi.support} for k in range(lo, hi + 1)})
+    for i in candidates:
+        parts = g_parts(MINUS, i, chi)
+        if any(d < -top for d, _ in parts):
+            continue
+        parts = tuple((d, k) for d, k in parts if d <= top)
+        if parts:
+            ops.append(
+                (f"G-({fmt_halfodd(2 * i - 1)})", partial(apply_Gminus, i, chi=chi, parts=parts))
+            )
     return ops
 
 

@@ -222,6 +222,16 @@ MALFORMED_BOUNDS = [
      "--cutoff + --excursion"),
     (["probe-wakimoto", "--chi", CHI_POLE, "--excursion", "14"], None, "--cutoff + --excursion"),
     (["probe-wakimoto", "--chi", CHI_POLE, "--window", "4"], None, "--window"),
+    # a closure window past the same cap, from a flag or from the certificate
+    (["classify", "--chi", CHI_POLE, "--cutoff", "1000"], None, "--cutoff + --excursion"),
+    (["classify", "--chi", CHI_POLE, "--excursion", "13"], None, "--cutoff + --excursion"),
+    (["verify", "--cutoff", "1000"], None, "--cutoff + --excursion"),
+    (["verify", "--excursion", "20"], {"weight_cutoff": "2", "charge_window": [-2, 2],
+                                       "excursion": "2"}, "--cutoff + --excursion"),
+    (["verify"], {"weight_cutoff": "40", "charge_window": [-2, 2], "excursion": "2"},
+     "certificate.data.cfg"),
+    (["verify"], {"weight_cutoff": "29/2", "charge_window": [-2, 2], "excursion": "5/2"},
+     "certificate.data.cfg"),
     # ell past its cap, an --at list of the wrong length, a number too long to write
     (["classify", "--chi", CHI_ELL_PAST_CAP], None, "--chi"),
     (["probe-wakimoto", "--chi", CHI_ELL_PAST_CAP], None, "--chi"),
@@ -285,6 +295,32 @@ def test_probe_caps_are_inclusive(capsys, monkeypatch):
         main(argv)
     assert windows == [ClosureConfig(
         Fraction(MAX_ENUM_WEIGHT - 2), (-MAX_ENUM_WINDOW, MAX_ENUM_WINDOW), Fraction(2))]
+
+
+def test_closure_caps_are_inclusive(capsys, tmp_path, monkeypatch):
+    # classify and verify at the cap would run for seconds, so the engine is stubbed out
+    class Reached(Exception):
+        pass
+
+    windows = []
+
+    def recorded(*args, cfg=None, **kwargs):
+        windows.append(cfg if cfg is not None else args[1])
+        raise Reached
+
+    at_cap = ClosureConfig(Fraction(MAX_ENUM_WEIGHT - 2), (-2, 2), Fraction(2))
+    doc = json.loads(classify_document(capsys, CHI_POLE))
+    doc["certificate"]["data"]["cfg"] = at_cap.to_json_obj()
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    monkeypatch.setattr(cli, "classify", recorded)
+    monkeypatch.setattr(cli, "verify_certificate", recorded)
+    for argv in (["classify", "--chi", CHI_POLE, "--cutoff", str(MAX_ENUM_WEIGHT - 2),
+                  "--window", "2"],
+                 ["verify", "--certificate", str(path)]):
+        with pytest.raises(Reached):
+            main(argv)
+    assert windows == [at_cap, at_cap]
 
 
 def test_affine_suite_takes_a_wide_tail_and_poles_up_to_the_cap(capsys, tmp_path):

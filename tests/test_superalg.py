@@ -11,8 +11,11 @@ from oracles import (
     lowering_ladder_word,
     normal_order_fermion,
     raising_ladder_word,
+    seeded_twist,
+    split_a_module_ops,
     vacuum_filling_word,
 )
+from test_classify import FAR_TAILS
 from wakimoto import (
     MINUS,
     PLUS,
@@ -29,7 +32,7 @@ from wakimoto import (
     apply_word,
     charge,
     enumerate_basis,
-    gminus_parts,
+    g_parts,
     gminus_string_on_omega,
     lowering_string,
     omega,
@@ -110,11 +113,16 @@ def test_g_modes_match_rewriting_oracle(chi):
 
 
 @pytest.mark.parametrize("chi", [ChiSeries(), POLE_TAIL, CHI0_IS_I, CANCELLING])
-def test_gminus_parts_are_the_nonzero_components(chi):
+def test_g_parts_are_the_nonzero_components(chi):
     v = SparseVec.from_items([(FermionState((3,), (5,)), 2), (FermionState((), (3,)), Fraction(-1, 2))])
     for i in range(-4, 5):
+        # G+ has the single component -i Psi+(i - 1/2), none for i = 0
+        plus = g_parts(PLUS, i, chi)
+        assert plus == ([(2 * i - 1, -i)] if i else [])
+        assert fermion_vec_as_dict(apply_Gplus(i, v, parts=plus)) == _oracle_image(
+            [(PLUS, 2 * i - 1, Fraction(-i))], v), i
         comps = [c for c in _gminus_components(i, chi) if c[2]]
-        parts = gminus_parts(i, chi)
+        parts = g_parts(MINUS, i, chi)
         assert parts == [(d, k * chi.denominator) for _, d, k in comps]
         # a subset of the parts sums just those components
         for j in range(len(parts)):
@@ -436,7 +444,7 @@ def test_dropped_modes_and_components_never_act_in_the_window(chi, cfg):
     assert set(kept) <= set(wider)
     dropped_modes = dropped_parts = 0
     for i in wider:
-        parts = gminus_parts(i, chi)
+        parts = g_parts(MINUS, i, chi)
         if i not in kept:
             # a dropped mode sends every window vector outside the window,
             # or is zero on all of them
@@ -454,6 +462,29 @@ def test_dropped_modes_and_components_never_act_in_the_window(chi, cfg):
     assert dropped_modes
     # some kept mode drops a component exactly when chi has an index other than 0
     assert bool(dropped_parts) == any(m != 0 for m in chi.support)
+
+
+SPLIT_TWISTS = [
+    *(seeded_twist(case, random.Random(f"split:{case}"))
+      for case in ("i", "ii", "iii", "schur_zero", "neg_ell")),
+    *PRUNED_TWISTS,
+    *(ChiSeries(coeffs) for coeffs, _ in FAR_TAILS),
+]
+
+
+@pytest.mark.parametrize("cfg", PRUNED_WINDOWS, ids=["default", "certify", "half-odd"])
+@pytest.mark.parametrize("chi", SPLIT_TWISTS, ids=repr)
+def test_one_rule_family_is_the_split_family(chi, cfg):
+    # G+ under the components rule keeps exactly the modes the separate G+
+    # range kept, each with its whole single component
+    ours = a_module_ops(chi, cfg)
+    split = split_a_module_ops(chi, cfg)
+    assert [lbl for lbl, _ in ours] == [lbl for lbl, _ in split]
+    for (lbl, op), (_, ref) in zip(ours, split):
+        assert (op.func, op.args) == (ref.func, ref.args), lbl
+        i = op.args[0]
+        whole = tuple(g_parts(PLUS, i, chi)) if lbl.startswith("G+") else None
+        assert op.keywords["parts"] == ref.keywords.get("parts", whole), lbl
 
 
 def test_a_module_ops_apply_within_window():

@@ -3,6 +3,7 @@ import gc
 import pickle
 import random
 import weakref
+from dataclasses import replace
 from fractions import Fraction
 from functools import partial
 
@@ -36,6 +37,8 @@ from wakimoto import (
     affine_relation_check,
     enumerate_weyl_basis,
     evidence_agrees,
+    joint_kernel,
+    pole_order,
     wakimoto_ops,
     wakimoto_probe,
     weyl_vacuum_vec,
@@ -643,21 +646,45 @@ PROBE_TWISTS = [
 ]
 
 
-def test_probe_family_matches_wide_family(monkeypatch):
-    cfg = ClosureConfig(weight_cutoff=Fraction(2), charge_window=(-2, 2), excursion=Fraction(1))
-    ours = [wakimoto_probe(ChiSeries(coeffs), cfg) for coeffs in PROBE_TWISTS]
-    assert sum(bool(ev.candidates) for ev in ours) >= 3
-    monkeypatch.setattr(weyl, "_probe_annihilators", wide_probe_annihilators)
-    assert [wakimoto_probe(ChiSeries(coeffs), cfg) for coeffs in PROBE_TWISTS] == ours
+PROBE_CFG = ClosureConfig(weight_cutoff=Fraction(2), charge_window=(-2, 2), excursion=Fraction(1))
 
 
-def test_probe_family_labels():
-    cfg = ClosureConfig(weight_cutoff=Fraction(5, 2), charge_window=(-1, 1), excursion=Fraction(1))
-    inside = ["e(0)"] + [f"{k}({n})" for n in (1, 2) for k in "ehf"]
-    action = WeylAction(ChiSeries())
-    for coeffs, extra in (({0: 2, -9: 1}, []), ({2: 1}, []), ({1000: 1}, ["f(1000)"])):
-        labels = [lbl for lbl, _ in weyl._probe_annihilators(ChiSeries(coeffs), cfg, action)]
-        assert labels == inside + extra
+def _wide_kernels(chi, cfg):
+    """(weight, charge, kernel) of every piece but the vacuum line, under the wide family."""
+    ann = wide_probe_annihilators(chi, cfg, WeylAction(chi))
+    pieces = {}
+    for st in enumerate_weyl_basis(cfg.weight_cutoff, cfg.charge_window):
+        pieces.setdefault((WEYL_SPACE.int_weight_of(st), WEYL_SPACE.charge_of(st)), []).append(st)
+    return [(w, c, joint_kernel(ann, piece, WEYL_SPACE))
+            for (w, c), piece in sorted(pieces.items()) if (w, c) != (0, 0)]
+
+
+# at cutoff 1, f(1) alone keeps a(-1)|0> out of the kernels unless chi_0 = 2
+@pytest.mark.parametrize("cfg", [PROBE_CFG, replace(PROBE_CFG, weight_cutoff=Fraction(1))],
+                         ids=["cutoff2", "cutoff1"])
+@pytest.mark.parametrize("coeffs", [c for c in PROBE_TWISTS if not pole_order(ChiSeries(c))])
+def test_probe_kernels_match_wide_family(coeffs, cfg):
+    # the raising slice of the closure family gives the wide family's kernels
+    chi = ChiSeries(coeffs)
+    wide = [{"weight": w, "charge": c, "dimension": k.dimension(),
+             "vectors": [row.to_json_obj() for row in k.rows()]}
+            for w, c, k in _wide_kernels(chi, cfg) if k.dimension()]
+    assert list(wakimoto_probe(chi, cfg).candidates) == wide
+
+
+def test_some_pole_free_probe_twist_has_candidates():
+    pole_free = [c for c in PROBE_TWISTS if not pole_order(ChiSeries(c))]
+    assert sum(bool(wakimoto_probe(ChiSeries(c), PROBE_CFG).candidates) for c in pole_free) >= 3
+
+
+# poles below, at and above floor(cutoff) = 2
+@pytest.mark.parametrize("coeffs", [{1: 1}, {2: Fraction(1, 2), -4: 1}, {5: 1, 0: 2}, {40: 1}])
+def test_pole_twists_have_zero_kernels(coeffs):
+    # the probe takes no kernel on a twist with a pole: the wide family's
+    # are all zero, so skipping them drops no candidate
+    chi = ChiSeries(coeffs)
+    assert all(k.dimension() == 0 for _, _, k in _wide_kernels(chi, PROBE_CFG))
+    assert wakimoto_probe(chi, PROBE_CFG).candidates == ()
 
 
 class TestProbe:
