@@ -108,15 +108,15 @@ def _classified_twist(args) -> ChiSeries:
     return _ell_capped(chi, "--chi" if args.chi is not None else "--chi-file")
 
 
-def _cfg_from_args(args, base: ClosureConfig) -> ClosureConfig:
+def _cfg_from_args(args, base: ClosureConfig, recorded: bool = False) -> ClosureConfig:
     """``base`` with each of ``--cutoff/--window/--excursion`` given applied.
 
     The base is ``DEFAULT_CFG`` for ``classify``, ``DEFAULT_PROBE_CFG`` for
-    the probe and the recorded window for ``verify``.  Each flag is applied
-    on its own, so the error names the one that does not parse or fit.
-    Every command closes states up to cutoff + excursion, capped at
-    ``MAX_ENUM_WEIGHT``; without a weight flag only a recorded bound can
-    pass the cap, so the error names ``certificate.data.cfg``.
+    the probe and the ``recorded`` window for ``verify``.  Each flag is
+    applied on its own, so the error names the one that does not parse or
+    fit.  Every command closes states up to cutoff + excursion, capped at
+    ``MAX_ENUM_WEIGHT``; its error names each term by its flag, or by
+    ``certificate.data.cfg`` when the recorded value stands.
     """
     cfg = base
     for flag, field in (("cutoff", "weight_cutoff"), ("window", "charge_window"),
@@ -128,9 +128,9 @@ def _cfg_from_args(args, base: ClosureConfig) -> ClosureConfig:
             cfg = replace(cfg, **{field: (-value, value) if flag == "window" else value})
         except (ValueError, ZeroDivisionError):
             raise ChiParseError(f"--{flag}: not a valid window value: {value!r}") from None
-    flags = args.cutoff is not None or args.excursion is not None
-    _capped(cfg.weight_cutoff + cfg.excursion, MAX_ENUM_WEIGHT,
-            "--cutoff + --excursion" if flags else "certificate.data.cfg")
+    terms = [f"--{flag}" if getattr(args, flag) is not None or not recorded
+             else "certificate.data.cfg" for flag in ("cutoff", "excursion")]
+    _capped(cfg.weight_cutoff + cfg.excursion, MAX_ENUM_WEIGHT, " + ".join(dict.fromkeys(terms)))
     return cfg
 
 
@@ -192,7 +192,7 @@ def _cmd_verify(args) -> int:
         cert = Certificate.from_json_obj(doc["certificate"])
     except (KeyError, TypeError) as exc:
         raise ChiParseError(f"certificate document missing field: {exc}") from exc
-    cfg = _cfg_from_args(args, recorded_cfg(cert))
+    cfg = _cfg_from_args(args, recorded_cfg(cert), recorded=True)
     start = None
     if args.start_weight is not None:
         # the probes enumerate every state up to this weight

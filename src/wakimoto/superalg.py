@@ -79,24 +79,21 @@ def g_parts(species: str, i: int, chi: Optional[ChiSeries]) -> list[tuple[int, i
     otherwise; its int is ``c_m * chi.denominator``.
     """
     if species == PLUS:
-        parts = [(2 * i - 1, -i)]
-    else:
-        nums = chi.numerators
-        parts = [(2 * i - 1, nums.get(0, 0) - i * chi.denominator)]
-        parts += [(2 * (i - m) - 1, x) for m, x in nums.items() if m]
+        return [(2 * i - 1, -i)] if i else []
+    nums = chi.numerators
+    parts = [(2 * i - 1, nums.get(0, 0) - i * chi.denominator)]
+    parts += [(2 * (i - m) - 1, x) for m, x in nums.items() if m]
     return [(d, k) for d, k in parts if k]
 
 
-def apply_Gplus(i: int, v: SparseVec, parts: Optional[Parts] = None) -> SparseVec:
-    """Apply ``G+(i - 1/2)``, which acts as ``-i Psi+(i - 1/2)``.
-
-    ``parts``, when given, is ``g_parts(PLUS, i, None)``, which the closure
-    family binds as it binds a G- mode's components.
-    """
-    return _psi_sum(+1, g_parts(PLUS, i, None) if parts is None else parts, v)
+def apply_Gplus(i: int, v: SparseVec) -> SparseVec:
+    """Apply ``G+(i - 1/2)``, which acts as ``-i Psi+(i - 1/2)``."""
+    return _psi_sum(+1, g_parts(PLUS, i, None), v)
 
 
-def apply_Gminus(i: int, v: SparseVec, chi: ChiSeries, parts: Optional[Parts] = None) -> SparseVec:
+def apply_Gminus(
+    i: int, v: SparseVec, chi: ChiSeries, parts: Optional[Parts] = None
+) -> SparseVec:
     """Apply ``G-(i - 1/2)`` twisted by chi.
 
     The twist contributes one shifted ``Psi-`` mode per support index, so the
@@ -270,16 +267,16 @@ def a_module_ops(chi: ChiSeries, cfg: ClosureConfig) -> list[tuple[str, object]]
       vector.  A mode with no component left is zero on the window and is
       omitted.
 
-    So G+(i-1/2) is kept exactly for i != 0 and |2i - 1| <= 2B.  Each kept
-    component has |d| <= 2B, so a kept mode lies within B of m + 1/2 for
-    some m in {0} and the support of chi, and only those are tried.  A tail
-    index far below the window adds no mode: near it, the component
-    ``chi_0 - i`` creates a factor of weight 1/2 - i > B.  Every image the
-    closure admits is the same as under the whole family, so the span, its
-    reports and every certificate are unchanged.  S(n) and T(n) act as
-    scalars and never enlarge a span, so they are deliberately absent.  The
-    ops still call ``apply_Gplus`` and ``apply_Gminus``, with their parts
-    bound.
+    So G+(i-1/2) is kept exactly for i != 0 and |2i - 1| <= 2B, with its
+    single component whole.  Each kept component has |d| <= 2B, so a kept
+    mode lies within B of m + 1/2 for some m in {0} and the support of chi,
+    and only those are tried.  A tail index far below the window adds no
+    mode: near it, the component ``chi_0 - i`` creates a factor of weight
+    1/2 - i > B.  Every image the closure admits is the same as under the
+    whole family, so the span, its reports and every certificate are
+    unchanged.  S(n) and T(n) act as scalars and never enlarge a span, so
+    they are deliberately absent.  The ops still call ``apply_Gplus`` and
+    ``apply_Gminus``, the G- ops with their parts bound.
     """
     # the doubled weight bound: a factor weighs |d|/2 <= B iff |d| <= top
     top = FOCK_SPACE.int_bound(cfg.weight_cutoff + cfg.excursion)
@@ -287,16 +284,16 @@ def a_module_ops(chi: ChiSeries, cfg: ClosureConfig) -> list[tuple[str, object]]
     near = range(-((top - 1) // 2), (top + 1) // 2 + 1)
     tried = sorted({m + k for m in {0, *chi.support} for k in near})
     ops: list[tuple[str, object]] = []
-    for species, apply, modes in (
-        (PLUS, apply_Gplus, near),
-        (MINUS, partial(apply_Gminus, chi=chi), tried),
+    for species, bind in (
+        (PLUS, lambda i, parts: partial(apply_Gplus, i)),
+        (MINUS, lambda i, parts: partial(apply_Gminus, i, chi=chi, parts=parts)),
     ):
-        for i in modes:
+        for i in tried:
             parts = g_parts(species, i, chi)
-            if any(d < -top for d, _ in parts):
+            # the lowest doubled mode: does a component create a factor heavier than B?
+            if not parts or min(parts)[0] < -top:
                 continue
             parts = tuple((d, k) for d, k in parts if d <= top)
             if parts:
-                label = f"G{species}({fmt_halfodd(2 * i - 1)})"
-                ops.append((label, partial(apply, i, parts=parts)))
+                ops.append((f"G{species}({fmt_halfodd(2 * i - 1)})", bind(i, parts)))
     return ops

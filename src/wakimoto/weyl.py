@@ -772,8 +772,14 @@ def wakimoto_probe(chi: ChiSeries, cfg: ClosureConfig = DEFAULT_PROBE_CFG) -> Ev
             continue
         kernel = joint_kernel(ann, piece, WEYL_SPACE)
         if kernel.dimension():
-            candidates.append({"weight": w, "charge": c, "dimension": kernel.dimension(),
-                               "vectors": [row.to_json_obj() for row in kernel.rows()]})
+            candidates.append(
+                {
+                    "weight": w,
+                    "charge": c,
+                    "dimension": kernel.dimension(),
+                    "vectors": [row.to_json_obj() for row in kernel.rows()],
+                }
+            )
     return Evidence(
         all_cyclic=not non_cyclic,
         non_cyclic=tuple(non_cyclic),

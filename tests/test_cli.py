@@ -225,9 +225,13 @@ MALFORMED_BOUNDS = [
     # a closure window past the same cap, from a flag or from the certificate
     (["classify", "--chi", CHI_POLE, "--cutoff", "1000"], None, "--cutoff + --excursion"),
     (["classify", "--chi", CHI_POLE, "--excursion", "13"], None, "--cutoff + --excursion"),
-    (["verify", "--cutoff", "1000"], None, "--cutoff + --excursion"),
+    # each term is named by its flag, or by the certificate when the recorded value stands
+    (["verify", "--cutoff", "1000"], None, "--cutoff + certificate.data.cfg"),
+    (["verify", "--cutoff", "2"], {"weight_cutoff": "2", "charge_window": [-2, 2],
+                                   "excursion": "20"}, "--cutoff + certificate.data.cfg"),
     (["verify", "--excursion", "20"], {"weight_cutoff": "2", "charge_window": [-2, 2],
-                                       "excursion": "2"}, "--cutoff + --excursion"),
+                                       "excursion": "2"}, "certificate.data.cfg + --excursion"),
+    (["verify", "--cutoff", "10", "--excursion", "10"], None, "--cutoff + --excursion"),
     (["verify"], {"weight_cutoff": "40", "charge_window": [-2, 2], "excursion": "2"},
      "certificate.data.cfg"),
     (["verify"], {"weight_cutoff": "29/2", "charge_window": [-2, 2], "excursion": "5/2"},

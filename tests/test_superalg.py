@@ -119,8 +119,8 @@ def test_g_parts_are_the_nonzero_components(chi):
         # G+ has the single component -i Psi+(i - 1/2), none for i = 0
         plus = g_parts(PLUS, i, chi)
         assert plus == ([(2 * i - 1, -i)] if i else [])
-        assert fermion_vec_as_dict(apply_Gplus(i, v, parts=plus)) == _oracle_image(
-            [(PLUS, 2 * i - 1, Fraction(-i))], v), i
+        got = apply_Gplus(i, v)
+        assert fermion_vec_as_dict(got) == _oracle_image([(PLUS, d, k) for d, k in plus], v), i
         comps = [c for c in _gminus_components(i, chi) if c[2]]
         parts = g_parts(MINUS, i, chi)
         assert parts == [(d, k * chi.denominator) for _, d, k in comps]
@@ -476,15 +476,12 @@ SPLIT_TWISTS = [
 @pytest.mark.parametrize("chi", SPLIT_TWISTS, ids=repr)
 def test_one_rule_family_is_the_split_family(chi, cfg):
     # G+ under the components rule keeps exactly the modes the separate G+
-    # range kept, each with its whole single component
+    # range kept, and every op is bound as the two rules bound it
     ours = a_module_ops(chi, cfg)
     split = split_a_module_ops(chi, cfg)
     assert [lbl for lbl, _ in ours] == [lbl for lbl, _ in split]
     for (lbl, op), (_, ref) in zip(ours, split):
-        assert (op.func, op.args) == (ref.func, ref.args), lbl
-        i = op.args[0]
-        whole = tuple(g_parts(PLUS, i, chi)) if lbl.startswith("G+") else None
-        assert op.keywords["parts"] == ref.keywords.get("parts", whole), lbl
+        assert (op.func, op.args, op.keywords) == (ref.func, ref.args, ref.keywords), lbl
 
 
 def test_a_module_ops_apply_within_window():
