@@ -21,7 +21,11 @@ record against it:
   graded dimension is strictly smaller than the full space in the window.
 
 Positive closure facts (memberships) are exact proofs; negative facts are
-evidence scoped to the closure window recorded in the certificate.
+evidence scoped to the closure window recorded in the certificate.  Each
+reducible kind derives its closure facts once, in one function: ``classify``
+records them and the verifier derives them again.  A fact the window cannot
+show (a closure that never admitted Omega_ell, a state past the window's
+reach) is recorded false, never vacuously true.
 """
 
 from __future__ import annotations
@@ -169,35 +173,55 @@ class Report:
 # ---------------------------------------------------------------------------
 
 
-def _annihilation_failures(w: SparseVec, chi: ChiSeries, nmax: int) -> list[str]:
-    bad = []
+def _schur_zero_facts(
+    ell: int, chi: ChiSeries, cfg: ClosureConfig, w: SparseVec
+) -> tuple[SpanBasis, dict]:
+    """The closure of Omega_ell and the facts a schur_zero certificate records.
+
+    The facts are ``annihilation_range``, the G± modes n = 1..range checked
+    on the witness ``w``, the ``annihilation_failures`` among them, and
+    ``vacuum_excluded``.  A closure that never admitted Omega_ell, because
+    Omega_ell lies outside the window, excludes nothing, so
+    ``vacuum_excluded`` is false on it.
+    """
+    nmax = max(4, ell + 2)
+    failures = []
     for n in range(1, nmax + 1):
         if not apply_Gplus(n, w).is_zero():
-            bad.append(f"G+({fmt_halfodd(2 * n - 1)})")
+            failures.append(f"G+({fmt_halfodd(2 * n - 1)})")
         if not apply_Gminus(n, w, chi).is_zero():
-            bad.append(f"G-({fmt_halfodd(2 * n - 1)})")
-    return bad
-
-
-def _omega_closure(ell: int, chi: ChiSeries, cfg: ClosureConfig) -> tuple[SpanBasis, bool]:
-    """Truncated closure of Omega_ell and whether it excludes the vacuum."""
+            failures.append(f"G-({fmt_halfodd(2 * n - 1)})")
     basis = closure([omega_vec(ell)], a_module_ops(chi, cfg), cfg, FOCK_SPACE)
-    return basis, not basis.contains(vacuum_vec())
+    return basis, {
+        "annihilation_range": nmax,
+        "annihilation_failures": failures,
+        "vacuum_excluded": basis.dimension() > 0 and not basis.contains(vacuum_vec()),
+    }
 
 
-def _vacuum_closure(
-    chi: ChiSeries, cfg: ClosureConfig, state: FermionState
-) -> tuple[bool, dict, int]:
-    """Truncated closure of the vacuum for the neg_ell case.
+def _neg_ell_facts(q: int, chi: ChiSeries, cfg: ClosureConfig) -> tuple[bool, dict]:
+    """Is Psi-(-q-1/2)|0> heavier than the window?  And the neg_ell facts.
 
-    Returns whether it excludes ``state``, its report, and the dimension of
-    the charged window up to the cutoff.
+    The facts are the ``excluded_state``, whether the truncated closure of
+    the vacuum misses it (``excluded``), the dimensions of that closure and
+    of the charged window up to the cutoff, and the closure's report.  A
+    state heavier than the window is never reached, so that shows nothing:
+    ``excluded`` is false for it.
     """
+    state = FermionState((2 * q + 1,), ())
+    heavy = weight(state) > cfg.bound
     basis = closure([vacuum_vec()], a_module_ops(chi, cfg), cfg, FOCK_SPACE)
-    excluded = not basis.contains(SparseVec.basis(state))
+    excluded = not basis.contains(SparseVec.basis(state)) and not heavy
     lo, hi = cfg.charge_window
     full_dim = sum(1 for st in enumerate_basis(cfg.weight_cutoff) if lo <= charge(st) <= hi)
-    return excluded, basis.report(), full_dim
+    report = basis.report()
+    return heavy, {
+        "excluded_state": str(state),
+        "excluded": excluded,
+        "closure_dimension": report["dimension"],
+        "full_dimension": full_dim,
+        "closure": report,
+    }
 
 
 def _scalar_kind(chi: ChiSeries) -> tuple[str, dict]:
@@ -244,27 +268,10 @@ def classify(chi: ChiSeries, cfg: ClosureConfig = DEFAULT_CFG) -> tuple[Verdict,
         )
     elif kind == "schur_zero":
         w = singular_w(ell, chi)
-        nmax = max(4, ell + 2)
-        basis, vacuum_excluded = _omega_closure(ell, chi, cfg)
-        data.update(
-            omega=str(omega(ell)),
-            w=w.to_json_obj(),
-            annihilation_range=nmax,
-            annihilation_failures=_annihilation_failures(w, chi, nmax),
-            vacuum_excluded=vacuum_excluded,
-            closure=basis.report(),
-        )
+        basis, facts = _schur_zero_facts(ell, chi, cfg, w)
+        data.update(facts, omega=str(omega(ell)), w=w.to_json_obj(), closure=basis.report())
     elif kind == "neg_ell":
-        q = data["q"]
-        excluded_state = FermionState((2 * q + 1,), ())
-        excluded, report, full_dim = _vacuum_closure(chi, cfg, excluded_state)
-        data.update(
-            excluded_state=str(excluded_state),
-            excluded=excluded,
-            closure_dimension=report["dimension"],
-            full_dimension=full_dim,
-            closure=report,
-        )
+        data.update(_neg_ell_facts(data["q"], chi, cfg)[1])
     cert = Certificate(kind, {**data, "cfg": cfg.to_json_obj()})
     return _verdict_of(cert), cert
 
@@ -333,9 +340,9 @@ def _witness_checks(add, chi: ChiSeries, cert: Certificate, cfg: ClosureConfig, 
         f"{len(recorded_w.terms)} terms",
     )
     # the verifier, not the certificate, sets the range it checks
-    nmax = max(4, ell + 2)
+    basis, facts = _schur_zero_facts(ell, chi, cfg, recorded_w)
+    nmax, failures = facts["annihilation_range"], facts["annihilation_failures"]
     recorded_range = cert.data.get("annihilation_range")
-    failures = _annihilation_failures(recorded_w, chi, nmax)
     add(
         "witness_annihilated",
         not failures,
@@ -343,11 +350,9 @@ def _witness_checks(add, chi: ChiSeries, cert: Certificate, cfg: ClosureConfig, 
         + (f"; failing: {failures}" if failures else "")
         + ("" if recorded_range == nmax else f"; recorded range {recorded_range!r} ignored"),
     )
-    basis, excluded = _omega_closure(ell, chi, cfg)
-    # an empty closure never admitted Omega_ell, so it excludes nothing
     add(
         "vacuum_excluded",
-        basis.dimension() > 0 and excluded and cert.data.get("vacuum_excluded") is True,
+        facts["vacuum_excluded"] and cert.data.get("vacuum_excluded") is True,
         f"closure dimension {basis.dimension()}",
     )
 
@@ -357,24 +362,17 @@ def _excluded_state_checks(add, chi: ChiSeries, cert: Certificate, cfg: ClosureC
     q = -ell - 1
     add("q", _is_int(cert.data.get("q"), q), f"q={q}")
     try:
-        excluded_state = parse_state(cert.data.get("excluded_state", ""))
+        recorded_state = parse_state(cert.data.get("excluded_state", ""))
     except ValueError as exc:
         add("excluded_state", False, f"unreadable state: {exc}")
         return
-    add(
-        "excluded_state",
-        excluded_state == FermionState((2 * q + 1,), ()),
-        str(excluded_state),
-    )
-    excluded, report, full_dim = _vacuum_closure(chi, cfg, excluded_state)
-    # a state heavier than the window is never reached, so that shows nothing
-    bound = cfg.weight_cutoff + cfg.excursion
-    heavy = weight(excluded_state) > bound
+    heavy, facts = _neg_ell_facts(q, chi, cfg)
+    add("excluded_state", str(recorded_state) == facts["excluded_state"], str(recorded_state))
     detail = f"weight {fmt_halfodd(2 * q + 1)} monomial not reached"
     if heavy:
-        detail += f"; heavier than the window bound {format_rational(bound)}"
-    add("state_excluded", excluded and not heavy, detail)
-    closure_dim = report["dimension"]
+        detail += f"; heavier than the window bound {format_rational(cfg.bound)}"
+    add("state_excluded", facts["excluded"] and cert.data.get("excluded") is True, detail)
+    closure_dim, full_dim = facts["closure_dimension"], facts["full_dimension"]
     add(
         "proper_within_window",
         closure_dim < full_dim

@@ -114,23 +114,23 @@ def _cfg_from_args(args, base: ClosureConfig, recorded: bool = False) -> Closure
     The base is ``DEFAULT_CFG`` for ``classify``, ``DEFAULT_PROBE_CFG`` for
     the probe and the ``recorded`` window for ``verify``.  Each flag is
     applied on its own, so the error names the one that does not parse or
-    fit.  Every command closes states up to cutoff + excursion, capped at
-    ``MAX_ENUM_WEIGHT``; its error names each term by its flag, or by
-    ``certificate.data.cfg`` when the recorded value stands.
+    fit: ``--cutoff`` and ``--excursion`` are rationals p or p/q, >= 0, as
+    every other bound.  Every command closes states up to the window's
+    ``bound``, capped at ``MAX_ENUM_WEIGHT``; its error names each term by
+    its flag, or by ``certificate.data.cfg`` when the recorded value stands.
     """
     cfg = base
-    for flag, field in (("cutoff", "weight_cutoff"), ("window", "charge_window"),
-                        ("excursion", "excursion")):
-        value = getattr(args, flag)
-        if value is None:
-            continue
-        try:
-            cfg = replace(cfg, **{field: (-value, value) if flag == "window" else value})
-        except (ValueError, ZeroDivisionError):
-            raise ChiParseError(f"--{flag}: not a valid window value: {value!r}") from None
+    if args.cutoff is not None:
+        cfg = replace(cfg, weight_cutoff=_bound(args.cutoff, "--cutoff"))
+    if args.window is not None:
+        if args.window < 0:
+            raise ChiParseError(f"--window: must be >= 0, got {args.window}")
+        cfg = replace(cfg, charge_window=(-args.window, args.window))
+    if args.excursion is not None:
+        cfg = replace(cfg, excursion=_bound(args.excursion, "--excursion"))
     terms = [f"--{flag}" if getattr(args, flag) is not None or not recorded
              else "certificate.data.cfg" for flag in ("cutoff", "excursion")]
-    _capped(cfg.weight_cutoff + cfg.excursion, MAX_ENUM_WEIGHT, " + ".join(dict.fromkeys(terms)))
+    _capped(cfg.bound, MAX_ENUM_WEIGHT, " + ".join(dict.fromkeys(terms)))
     return cfg
 
 
@@ -384,9 +384,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     # omitted flags keep the command's base window (see _cfg_from_args)
     cfg_parent = argparse.ArgumentParser(add_help=False)
-    cfg_parent.add_argument("--cutoff", help="weight cutoff (rational)")
+    cfg_parent.add_argument("--cutoff", help="weight cutoff (rational p or p/q, >= 0)")
     cfg_parent.add_argument("--window", type=int, help="half-width of the charge window")
-    cfg_parent.add_argument("--excursion", help="extra exploration headroom (rational)")
+    cfg_parent.add_argument("--excursion", help="extra exploration headroom (rational p or p/q)")
 
     parser = argparse.ArgumentParser(
         prog="wakimoto",

@@ -2,12 +2,12 @@
 
 The engine maintains a row-echelon basis of a subspace spanned by repeatedly
 applying a finite family of mode operators to some generators, inside a
-finite window: total weight at most ``weight_cutoff + excursion`` and charge
-inside ``charge_window``.  An operator result is admitted only when *every*
-monomial of the result fits in the window, so each stored row is an exact
-element of the module generated by the inputs — membership answers are never
-polluted by dropped terms.  Consequently a positive membership answer is a
-proof, while a negative answer is evidence scoped to the configuration.
+finite window: total weight at most ``bound``, cutoff plus excursion, and
+charge inside ``charge_window``.  An operator result is admitted only when
+*every* monomial of the result fits in the window, so each stored row is an
+exact element of the module generated by the inputs — membership answers are
+never polluted by dropped terms.  Consequently a positive membership answer
+is a proof, while a negative answer is evidence scoped to the configuration.
 
 A closure can stop early.  Its ``stop_at`` is a set of basis states, and
 the closure returns as soon as one of them lies in the span.  In a fully
@@ -288,8 +288,8 @@ class ClosureConfig:
     """Truncation window for closures.
 
     ``weight_cutoff`` bounds the reported span; exploration is allowed the
-    extra ``excursion`` headroom; ``charge_window`` is an inclusive (lo, hi)
-    pair.
+    extra ``excursion`` headroom, so ``bound`` is the window's reach;
+    ``charge_window`` is an inclusive (lo, hi) pair.
     """
 
     weight_cutoff: Fraction = Fraction(4)
@@ -302,6 +302,11 @@ class ClosureConfig:
         lo, hi = self.charge_window
         if self.weight_cutoff < 0 or self.excursion < 0 or lo > hi:
             raise ValueError(f"bad closure config: {self}")
+
+    @property
+    def bound(self) -> Fraction:
+        """The window's reach: no closure explores a state heavier than this."""
+        return self.weight_cutoff + self.excursion
 
     def to_json_obj(self) -> dict:
         return {
@@ -353,7 +358,7 @@ class SpanBasis:
 
     A row is canonical, so pivot coefficient 1 reads ``terms[p] == den``.
 
-    Rows are kept up to ``weight_cutoff + excursion``; reporting helpers
+    Rows are kept up to the window's ``bound``; reporting helpers
     describe the largest subspace supported inside the cutoff, which is
     representative-independent.  ``contains`` reduces a query against every
     row, which is sound because each row is an exact member of the
@@ -497,13 +502,8 @@ class SpanBasis:
         }
 
 
-def _weight_bound(cfg: ClosureConfig, space: Space) -> int:
-    """The window's weight bound on ``int_weight``."""
-    return space.int_bound(cfg.weight_cutoff + cfg.excursion)
-
-
 def _admissible(v, cfg: ClosureConfig, bound: int) -> bool:
-    """Does every state of v lie in the window?  ``bound`` is ``_weight_bound``."""
+    """Does every state of v lie in the window?  ``bound`` is ``int_bound(cfg.bound)``."""
     lo, hi = cfg.charge_window
     return all(int_weight(s) <= bound and lo <= charge(s) <= hi for s in v.terms)
 
@@ -573,7 +573,7 @@ def closure(
     generators reach that state.
     """
     stop = frozenset(stop_at) if stop_at else None
-    bound = _weight_bound(cfg, space)
+    bound = space.int_bound(cfg.bound)
     declared = _declared(ops)
     every_op = [op for _, op in ops]
     basis = SpanBasis(space, cfg)
@@ -624,7 +624,7 @@ def cyclic_probe(v, cyclic: Collection, ops: OpFamily, cfg: ClosureConfig, space
     charge and weight rules, every op whose image of v must leave the
     window: that image settles nothing, and the closure skips it too.
     """
-    bound = _weight_bound(cfg, space)
+    bound = space.int_bound(cfg.bound)
     if not v.is_zero() and _admissible(v, cfg, bound):
         declared = _declared(ops)
         live = [op for _, op in ops] if declared is None else _live(v, declared, cfg, bound)

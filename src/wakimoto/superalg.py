@@ -245,8 +245,8 @@ def a_module_ops(chi: ChiSeries, cfg: ClosureConfig) -> list[tuple[str, object]]
 
     A closure applies its family to window vectors alone, and it drops an
     image unless every monomial of it lies in the window.  Let B be the
-    window's weight bound, cutoff plus excursion.  Every factor of a window
-    monomial weighs at most B, because factors have positive weight.  A
+    window's reach ``cfg.bound``, cutoff plus excursion.  Every factor of a
+    window monomial weighs at most B, since factors have positive weight.  A
     single mode ``Psi±(d/2)`` annihilates a factor of weight d/2 (d > 0) or
     creates one of weight -d/2 (d < 0).  Each odd mode is the sum of its
     components ``g_parts``: G+(i-1/2) the single one -i Psi+(i-1/2), and
@@ -279,7 +279,7 @@ def a_module_ops(chi: ChiSeries, cfg: ClosureConfig) -> list[tuple[str, object]]
     ``apply_Gminus``, the G- ops with their parts bound.
     """
     # the doubled weight bound: a factor weighs |d|/2 <= B iff |d| <= top
-    top = FOCK_SPACE.int_bound(cfg.weight_cutoff + cfg.excursion)
+    top = FOCK_SPACE.int_bound(cfg.bound)
     # the j with |2j - 1| <= top: ceil((1 - top) / 2) <= j <= floor((1 + top) / 2)
     near = range(-((top - 1) // 2), (top + 1) // 2 + 1)
     tried = sorted({m + k for m in {0, *chi.support} for k in near})

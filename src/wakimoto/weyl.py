@@ -689,7 +689,7 @@ def wakimoto_ops(
     ``span.closure`` skips the op on a row with t - n > B, as it skips one
     whose charge leaves the window.
     """
-    bound = math.floor(cfg.weight_cutoff + cfg.excursion)
+    bound = WEYL_SPACE.int_bound(cfg.bound)
     f_modes = set(range(-bound, bound + 1))
     for j in chi.support:
         if j > 0:
@@ -737,7 +737,7 @@ def wakimoto_probe(chi: ChiSeries, cfg: ClosureConfig = DEFAULT_PROBE_CFG) -> Ev
     The joint kernels are those of the raising slice of the closure family
     (``wakimoto_ops``), picked by label: with C = floor(cutoff), e(0), then
     e(n), h(n) and f(n) for 1 <= n <= C.  The family holds every one of
-    them, since its bound floor(cutoff + excursion) is at least C.  Every
+    them, since its bound floor(cfg.bound) is at least C.  Every
     piece has weight <= C, and adding any raising mode e/h/f(n), n >= 1,
     leaves every kernel as it is.  For a pole-free chi a mode with n > C
     acts on a piece by zero: its chi-free part lowers weight below zero,

@@ -50,7 +50,7 @@ from typing import NamedTuple, Optional
 from wakimoto.fock import FOCK_SPACE, MINUS, VACUUM, apply_psi_dmode, fmt_halfodd
 from wakimoto.scalars import ChiSeries, ell_of, pole_order
 from wakimoto.schur import schur_at_minus_chi
-from wakimoto.span import SpanBasis, SparseVec, _admissible, _weight_bound, closure
+from wakimoto.span import SpanBasis, SparseVec, _admissible, closure
 from wakimoto.superalg import (
     OperatorWord,
     apply_Gminus,
@@ -519,7 +519,7 @@ def interval_a_module_ops(chi, cfg):
     components that are zero on the window, so closures must come out the
     same.
     """
-    bound = cfg.weight_cutoff + cfg.excursion
+    bound = cfg.bound
     half = Fraction(1, 2)
     ops = []
     for i in range(math.ceil(half - bound), math.floor(half + bound) + 1):
@@ -542,7 +542,7 @@ def split_a_module_ops(chi, cfg):
     applies the G- rule to G+'s single component as well, so its family
     must come out the same, label for label.
     """
-    top = FOCK_SPACE.int_bound(cfg.weight_cutoff + cfg.excursion)
+    top = FOCK_SPACE.int_bound(cfg.bound)
     lo, hi = -((top - 1) // 2), (top + 1) // 2
     ops = []
     for i in range(lo, hi + 1):
@@ -569,7 +569,7 @@ def hull_a_module_ops(chi, cfg):
     with the largest |index|.  The extra modes only send window vectors to zero
     or outside the window, so closures must come out the same.
     """
-    bound = cfg.weight_cutoff + cfg.excursion
+    bound = cfg.bound
     half = Fraction(1, 2)
     ops = []
     for i in range(math.ceil(half - bound), math.floor(half + bound) + 1):
@@ -605,7 +605,7 @@ def hull_wakimoto_ops(chi, cfg, action):
     the twist.  The engine's family keeps f's intervals around the pole
     indices only; the extra modes here never add a row to a closure.
     """
-    bound = math.floor(cfg.weight_cutoff + cfg.excursion)
+    bound = math.floor(cfg.bound)
     pad = max((abs(j) for j in chi.support), default=0)
     return [
         (f"{kind}({n})", partial(action.apply, kind, n))
@@ -799,7 +799,7 @@ def sweep_closure(generators, ops, cfg, space, stop_at=None):
     def reached():
         return any(basis.contains(u) for u in stop)
 
-    bound = _weight_bound(cfg, space)
+    bound = space.int_bound(cfg.bound)
     basis = SpanBasis(space, cfg)
     for g in generators:
         if not g.is_zero() and _admissible(g, cfg, bound):
@@ -829,7 +829,7 @@ def leaves_window(w, cfg, space):
     Exact weights against cutoff + excursion, with no int bound: the
     reference for the images ``closure`` skips without applying their op.
     """
-    bound = cfg.weight_cutoff + cfg.excursion
+    bound = cfg.bound
     lo, hi = cfg.charge_window
     return w.is_zero() or any(
         space.weight_of(s) > bound or not lo <= space.charge_of(s) <= hi for s in w.terms

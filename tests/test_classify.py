@@ -16,8 +16,12 @@ from wakimoto import (
     classify,
     decide,
     recorded_cfg,
+    schur_at_minus_chi,
+    vec_from_json_obj,
     verify_certificate,
 )
+
+CLASSIFY = importlib.import_module("wakimoto.classify")
 
 
 def classify_case(coeffs):
@@ -301,6 +305,24 @@ class TestTampering:
         report = verify_certificate(chi, verdict, Certificate(cert.kind, data))
         assert "excluded_state" in _failed_names(report)
 
+    def test_state_excluded_reads_the_derived_state(self):
+        # the vacuum's closure reaches the forged Psi-(-1/2)|0>, but the
+        # verifier checks the state it derives from q, not the recorded one
+        chi = CHIS_BY_KIND["neg_ell"]
+        verdict, cert = classify(chi)
+        data = dict(cert.data, excluded_state="Psi-(-1/2) |0>")
+        report = verify_certificate(chi, verdict, Certificate(cert.kind, data))
+        assert _failed_names(report) == ["excluded_state"]
+        assert _check(report, "state_excluded").detail == "weight 7/2 monomial not reached"
+
+    def test_recorded_exclusion_must_hold(self):
+        chi = CHIS_BY_KIND["neg_ell"]
+        verdict, cert = classify(chi)
+        for recorded in (False, None, 1):
+            data = dict(cert.data, excluded=recorded)
+            report = verify_certificate(chi, verdict, Certificate(cert.kind, data))
+            assert _failed_names(report) == ["state_excluded"]
+
     def test_forged_lowering_word_fails(self):
         # Psi-(3/2) sends Omega_1 to the vacuum with the honest coefficient,
         # but a bare fermion mode is not an element of the algebra
@@ -408,3 +430,73 @@ def test_far_tail_adds_only_its_own_modes():
     assert len(a_module_ops(chi, DEFAULT_CFG)) == 22
     assert len(interval_a_module_ops(chi, DEFAULT_CFG)) == 35
     assert len(hull_a_module_ops(chi, DEFAULT_CFG)) == 1023
+
+
+# -- each recorded closure fact is the one the verifier derives --------------
+
+
+def _schur_zero_twist(ell, coeffs):
+    """chi_0 = ell + 1 with chi_-ell solved onto the zero locus of S_ell(-chi).
+
+    S_ell is x_ell / ell plus a polynomial in x_1..x_{ell-1}, with x_ell = -chi_-ell.
+    """
+    coeffs = {0: ell + 1, **coeffs}
+    coeffs[-ell] = ell * schur_at_minus_chi(ell, ChiSeries(coeffs))
+    chi = ChiSeries(coeffs)
+    assert schur_at_minus_chi(ell, chi) == 0
+    return chi
+
+
+FACT_TWISTS = [
+    _schur_zero_twist(1, {-2: Fraction(3, 2)}),
+    _schur_zero_twist(2, {-1: Fraction(-2, 3), -3: 1}),
+    *(ChiSeries({0: chi0}) for chi0 in (0, -1, -3, -5)),
+]
+FACT_WINDOWS = {
+    "default": DEFAULT_CFG,
+    "certify": ClosureConfig(Fraction(5), (-3, 3), Fraction(2)),
+    "small": ClosureConfig(Fraction(2), (-2, 2), Fraction(1)),
+}
+
+
+@pytest.mark.parametrize("cfg", FACT_WINDOWS.values(), ids=FACT_WINDOWS)
+@pytest.mark.parametrize("chi", FACT_TWISTS, ids=repr)
+def test_recorded_facts_are_the_derived_ones(chi, cfg):
+    verdict, cert = classify(chi, cfg)
+    data = cert.data
+    if cert.kind == "schur_zero":
+        w = vec_from_json_obj(data["w"])
+        basis, facts = CLASSIFY._schur_zero_facts(data["ell"], chi, cfg, w)
+        assert data["closure"] == basis.report()
+        passed = {"witness_annihilated": not facts["annihilation_failures"],
+                  "vacuum_excluded": facts["vacuum_excluded"]}
+    else:
+        assert cert.kind == "neg_ell"
+        _, facts = CLASSIFY._neg_ell_facts(data["q"], chi, cfg)
+        passed = {"state_excluded": facts["excluded"],
+                  "proper_within_window": facts["closure_dimension"] < facts["full_dimension"]}
+    assert {name: data[name] for name in facts} == facts
+    # the verifier's checks pass exactly when the derived facts hold
+    report = verify_certificate(chi, verdict, cert)
+    assert {c.name: c.passed for c in report.checks if c.name in passed} == passed
+
+
+@pytest.mark.parametrize("chi0", [4, 5])
+def test_classify_records_no_vacuous_vacuum_exclusion(chi0):
+    # Omega_3 and Omega_4 weigh 15/2 and 12, past the default window's reach 6
+    chi = ChiSeries({0: chi0})
+    verdict, cert = classify(chi)
+    assert cert.data["vacuum_excluded"] is False
+    assert cert.data["closure"]["dimension"] == 0
+    check = _check(verify_certificate(chi, verdict, cert), "vacuum_excluded")
+    assert (check.passed, check.detail) == (False, "closure dimension 0")
+
+
+@pytest.mark.parametrize("chi0, weight", [(-6, "13/2"), (-7, "15/2")])
+def test_classify_records_no_vacuous_state_exclusion(chi0, weight):
+    chi = ChiSeries({0: chi0})
+    verdict, cert = classify(chi)
+    assert cert.data["excluded"] is False
+    check = _check(verify_certificate(chi, verdict, cert), "state_excluded")
+    assert not check.passed
+    assert check.detail == f"weight {weight} monomial not reached; heavier than the window bound 6"

@@ -176,6 +176,11 @@ MALFORMED_BOUNDS = [
     (["classify", "--chi", CHI_POLE, "--excursion=-1/2"], None, "--excursion"),
     (["probe-wakimoto", "--chi", CHI_POLE, "--cutoff", "x"], None, "--cutoff"),
     (["probe-wakimoto", "--chi", CHI_POLE, "--window", "-1"], None, "--window"),
+    # --cutoff and --excursion read p or p/q, as every other bound does
+    *(([command, *chi, f"--{flag}", text], None, f"--{flag}")
+      for command, chi in (("classify", ["--chi", CHI_POLE]), ("verify", []),
+                           ("probe-wakimoto", ["--chi", CHI_POLE]))
+      for flag in ("cutoff", "excursion") for text in ("1e1", "2.5", "1_0", "1e10000000")),
     (["verify", "--cutoff", "-1"], None, "--cutoff"),
     (["verify", "--window", "-2"], None, "--window"),
     (["verify"], {"charge_window": [-2, 2]}, "certificate.data.cfg"),
@@ -399,7 +404,7 @@ def test_start_weight_widens_the_probes(capsys, tmp_path):
 def test_window_flags_fill_from_the_base(capsys):
     base = ClosureConfig(Fraction(5), (-1, 2), Fraction(3))
     parse = cli.build_parser().parse_args
-    args = parse(["verify", "--certificate", "-", "--excursion", "2.5"])
+    args = parse(["verify", "--certificate", "-", "--excursion", "5/2"])
     assert cli._cfg_from_args(args, base) == ClosureConfig(Fraction(5), (-1, 2), Fraction(5, 2))
     args = parse(["probe-wakimoto", "--window", "4", "--cutoff", "7/2"])
     assert cli._cfg_from_args(args, base) == ClosureConfig(Fraction(7, 2), (-4, 4), Fraction(3))

@@ -65,6 +65,7 @@ class TestClosureConfig:
         cfg = ClosureConfig(weight_cutoff="5/2", excursion=1)
         assert cfg.weight_cutoff == Fraction(5, 2)
         assert cfg.excursion == Fraction(1)
+        assert cfg.bound == Fraction(7, 2)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -639,7 +640,7 @@ def test_pure_row_is_membership(case, space):
     rng = random.Random(f"pure:{case}:{space is FOCK_SPACE}")
     chi = seeded_twist(case, rng)
     cfg, ops, _, generators = _generators(case, chi, space, rng)
-    top = cfg.weight_cutoff + cfg.excursion
+    top = cfg.bound
     lo, hi = cfg.charge_window
     if space is FOCK_SPACE:
         window = [st for st in enumerate_basis(top, ambient=True) if lo <= charge(st) <= hi]
@@ -873,7 +874,7 @@ SKIP_WINDOWS = {
 
 def _skipped(v, ops, cfg):
     """The (label, op) pairs of ``ops`` that the engine does not apply to v."""
-    live = SPAN._live(v, SPAN._declared(ops), cfg, SPAN._weight_bound(cfg, WEYL_SPACE))
+    live = SPAN._live(v, SPAN._declared(ops), cfg, WEYL_SPACE.int_bound(cfg.bound))
     kept = {id(op) for op in live}
     return [(label, op) for label, op in ops if id(op) not in kept]
 

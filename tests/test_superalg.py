@@ -429,7 +429,7 @@ PRUNED_WINDOWS = [
 @pytest.mark.parametrize("cfg", PRUNED_WINDOWS, ids=["default", "certify", "half-odd"])
 @pytest.mark.parametrize("chi", PRUNED_TWISTS, ids=repr)
 def test_dropped_modes_and_components_never_act_in_the_window(chi, cfg):
-    bound = cfg.weight_cutoff + cfg.excursion
+    bound = cfg.bound
     lo, hi = cfg.charge_window
     states = [s for s in enumerate_basis(bound, ambient=True) if lo <= charge(s) <= hi]
     rng = random.Random(f"pruned:{chi!r}:{bound}")
