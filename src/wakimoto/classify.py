@@ -4,8 +4,8 @@
 arithmetic on the twist series chi, emits a certificate and reads the
 verdict off it through one kind table.  ``decide`` reads the same verdict
 off the certificate's scalar fields alone, running no closure.
-``verify_certificate`` re-derives every claim from chi and compares the
-record against it:
+``verify_certificate`` re-derives every claim from chi, in the window the
+certificate records, and compares the record against it:
 
 * case "i"   — chi has a pole (some chi_m != 0 with m > 0): irreducible.
 * case "ii"  — pole-free with chi_0 = 1 or chi_0 not an integer: irreducible.
@@ -30,6 +30,7 @@ reach) is recorded false, never vacuously true.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,7 +48,7 @@ from .fock import (
     vec_from_json_obj,
     weight,
 )
-from .scalars import ChiParseError, ChiSeries, ell_of, format_rational, pole_order
+from .scalars import MAX_ENUM_WEIGHT, ChiParseError, ChiSeries, ell_of, format_rational, pole_order
 from .schur import schur_at_minus_chi
 from .span import ClosureConfig, SpanBasis, SparseVec, closure, cyclic_probe
 from .superalg import (
@@ -136,14 +137,15 @@ def _verdict_of(cert: Certificate) -> Optional[Verdict]:
     return Verdict(status, case, {name: cert.data.get(name) for name in fields})
 
 
-def _is_int(value, want: int) -> bool:
-    """Is a recorded JSON value the integer ``want``, and not a boolean?"""
-    return type(value) is int and value == want
+def _same_json(recorded, derived) -> bool:
+    """Are two values the same JSON text, so that ``true`` never stands in for 1?"""
+    texts = [json.dumps(value, sort_keys=True, default=repr) for value in (recorded, derived)]
+    return texts[0] == texts[1]
 
 
-def _same_types(a: dict, b: dict) -> bool:
-    """Do equal data hold equal types, so no boolean stands in for an integer?"""
-    return all(type(value) is type(b[name]) for name, value in a.items())
+def _recorded(cert: Certificate, facts: dict, *names: str) -> bool:
+    """Does the certificate record each named fact as its derived JSON value?"""
+    return all(_same_json(cert.data.get(name), facts[name]) for name in names)
 
 
 @dataclass(frozen=True)
@@ -178,11 +180,11 @@ def _schur_zero_facts(
 ) -> tuple[SpanBasis, dict]:
     """The closure of Omega_ell and the facts a schur_zero certificate records.
 
-    The facts are ``annihilation_range``, the G± modes n = 1..range checked
-    on the witness ``w``, the ``annihilation_failures`` among them, and
-    ``vacuum_excluded``.  A closure that never admitted Omega_ell, because
-    Omega_ell lies outside the window, excludes nothing, so
-    ``vacuum_excluded`` is false on it.
+    They are ``annihilation_range``, the G± modes n = 1..range checked on
+    the witness ``w``, the ``annihilation_failures`` among them, ``omega``,
+    ``vacuum_excluded`` and the report of Omega_ell's ``closure``.  A
+    closure that never admitted Omega_ell, because Omega_ell lies outside
+    the window, excludes nothing, so ``vacuum_excluded`` is false on it.
     """
     nmax = max(4, ell + 2)
     failures = []
@@ -195,7 +197,9 @@ def _schur_zero_facts(
     return basis, {
         "annihilation_range": nmax,
         "annihilation_failures": failures,
+        "omega": str(omega(ell)),
         "vacuum_excluded": basis.dimension() > 0 and not basis.contains(vacuum_vec()),
+        "closure": basis.report(),
     }
 
 
@@ -268,8 +272,7 @@ def classify(chi: ChiSeries, cfg: ClosureConfig = DEFAULT_CFG) -> tuple[Verdict,
         )
     elif kind == "schur_zero":
         w = singular_w(ell, chi)
-        basis, facts = _schur_zero_facts(ell, chi, cfg, w)
-        data.update(facts, omega=str(omega(ell)), w=w.to_json_obj(), closure=basis.report())
+        data.update(_schur_zero_facts(ell, chi, cfg, w)[1], w=w.to_json_obj())
     elif kind == "neg_ell":
         data.update(_neg_ell_facts(data["q"], chi, cfg)[1])
     cert = Certificate(kind, {**data, "cfg": cfg.to_json_obj()})
@@ -307,22 +310,30 @@ def _cyclic_probes(chi: ChiSeries, cfg: ClosureConfig, start_weight: Fraction) -
 
 
 def recorded_cfg(cert: Certificate) -> ClosureConfig:
-    """The window recorded in the certificate, or ``DEFAULT_CFG`` if none is.
+    """The window recorded in the certificate: the one window verify checks in.
 
-    A malformed or inverted record raises ``ChiParseError`` naming it.
+    A missing, malformed or inverted record raises ``ChiParseError`` naming
+    ``certificate.data.cfg``, and so does a window whose reach (cutoff +
+    excursion) exceeds ``MAX_ENUM_WEIGHT``.
     """
-    recorded = cert.data.get("cfg")
+    if "cfg" not in cert.data:
+        raise ChiParseError("certificate.data.cfg: missing; verify reads no other window")
     try:
-        return DEFAULT_CFG if recorded is None else ClosureConfig.from_json_obj(recorded)
+        cfg = ClosureConfig.from_json_obj(cert.data["cfg"])
     except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ChiParseError(f"certificate.data.cfg: not a valid window: {exc!r}") from None
+    if cfg.bound > MAX_ENUM_WEIGHT:
+        raise ChiParseError(
+            f"certificate.data.cfg: must be <= {MAX_ENUM_WEIGHT}, got {format_rational(cfg.bound)}"
+        )
+    return cfg
 
 
 def _ell_fits(kind: str, p: int, ell: Optional[int], recorded) -> bool:
     """Is chi pole-free with ell on the kind's side, and is ell recorded?"""
     if p != 0 or ell is None:
         return False
-    return (ell <= -1 if kind == "neg_ell" else ell >= 1) and _is_int(recorded, ell)
+    return (ell <= -1 if kind == "neg_ell" else ell >= 1) and _same_json(recorded, ell)
 
 
 def _witness_checks(add, chi: ChiSeries, cert: Certificate, cfg: ClosureConfig, ell: int) -> None:
@@ -334,25 +345,24 @@ def _witness_checks(add, chi: ChiSeries, cert: Certificate, cfg: ClosureConfig, 
     except (ValueError, KeyError, TypeError) as exc:
         add("witness_matches", False, f"unreadable witness: {exc}")
         return
-    add(
-        "witness_matches",
-        not recorded_w.is_zero() and recorded_w == singular_w(ell, chi),
-        f"{len(recorded_w.terms)} terms",
-    )
     # the verifier, not the certificate, sets the range it checks
     basis, facts = _schur_zero_facts(ell, chi, cfg, recorded_w)
-    nmax, failures = facts["annihilation_range"], facts["annihilation_failures"]
-    recorded_range = cert.data.get("annihilation_range")
+    add(
+        "witness_matches",
+        _recorded(cert, facts, "omega") and not recorded_w.is_zero()
+        and recorded_w == singular_w(ell, chi),
+        f"{len(recorded_w.terms)} terms",
+    )
+    failures = facts["annihilation_failures"]
     add(
         "witness_annihilated",
-        not failures,
-        f"modes n=1..{nmax}"
-        + (f"; failing: {failures}" if failures else "")
-        + ("" if recorded_range == nmax else f"; recorded range {recorded_range!r} ignored"),
+        not failures and _recorded(cert, facts, "annihilation_range", "annihilation_failures"),
+        f"modes n=1..{facts['annihilation_range']}"
+        + (f"; failing: {failures}" if failures else ""),
     )
     add(
         "vacuum_excluded",
-        facts["vacuum_excluded"] and cert.data.get("vacuum_excluded") is True,
+        facts["vacuum_excluded"] and _recorded(cert, facts, "vacuum_excluded", "closure"),
         f"closure dimension {basis.dimension()}",
     )
 
@@ -360,7 +370,7 @@ def _witness_checks(add, chi: ChiSeries, cert: Certificate, cfg: ClosureConfig, 
 def _excluded_state_checks(add, chi: ChiSeries, cert: Certificate, cfg: ClosureConfig, ell: int) -> None:
     """neg_ell: the vacuum's closure misses Psi-(-q-1/2)|0> and is proper."""
     q = -ell - 1
-    add("q", _is_int(cert.data.get("q"), q), f"q={q}")
+    add("q", _same_json(cert.data.get("q"), q), f"q={q}")
     try:
         recorded_state = parse_state(cert.data.get("excluded_state", ""))
     except ValueError as exc:
@@ -371,34 +381,28 @@ def _excluded_state_checks(add, chi: ChiSeries, cert: Certificate, cfg: ClosureC
     detail = f"weight {fmt_halfodd(2 * q + 1)} monomial not reached"
     if heavy:
         detail += f"; heavier than the window bound {format_rational(cfg.bound)}"
-    add("state_excluded", facts["excluded"] and cert.data.get("excluded") is True, detail)
+    add("state_excluded", facts["excluded"] and _recorded(cert, facts, "excluded"), detail)
     closure_dim, full_dim = facts["closure_dimension"], facts["full_dimension"]
     add(
         "proper_within_window",
         closure_dim < full_dim
-        and _is_int(cert.data.get("closure_dimension"), closure_dim)
-        and _is_int(cert.data.get("full_dimension"), full_dim),
+        and _recorded(cert, facts, "closure_dimension", "full_dimension", "closure"),
         f"closure {closure_dim} < full {full_dim}",
     )
 
 
 def verify_certificate(
-    chi: ChiSeries,
-    verdict: Verdict,
-    cert: Certificate,
-    cfg: Optional[ClosureConfig] = None,
-    start_weight: Optional[Fraction] = None,
+    chi: ChiSeries, verdict: Verdict, cert: Certificate, start_weight: Optional[Fraction] = None
 ) -> Report:
-    """Re-derive every certificate claim from chi alone.
+    """Re-derive every certificate claim from chi, in the recorded window.
 
     Never raises on a failing claim — each one becomes a failed check in the
-    report.  ``cfg`` defaults to ``recorded_cfg(cert)``, which raises
-    ``ChiParseError`` on a malformed record; ``start_weight`` bounds the
-    generators probed for cyclicity in the irreducible cases (default:
-    min(5/2, weight cutoff)).
+    report.  The window is ``recorded_cfg(cert)``, which raises
+    ``ChiParseError`` on a missing, malformed or oversized record;
+    ``start_weight`` bounds the generators probed for cyclicity in the
+    irreducible cases (default: min(5/2, weight cutoff)).
     """
-    if cfg is None:
-        cfg = recorded_cfg(cert)
+    cfg = recorded_cfg(cert)
     if start_weight is None:
         start_weight = min(Fraction(5, 2), cfg.weight_cutoff)
     checks: list[Check] = []
@@ -412,7 +416,7 @@ def verify_certificate(
     detail = f"kind={kind}, case={verdict.case}, status={verdict.status}"
     add(
         "verdict_matches_certificate",
-        verdict == derived and _same_types(verdict.data, derived.data),
+        verdict == derived and _same_json(verdict.data, derived.data),
         detail,
     )
     if derived is None:
@@ -422,7 +426,7 @@ def verify_certificate(
     ell = ell_of(chi)
 
     if kind == "pole":
-        ok_p = p >= 1 and _is_int(cert.data.get("pole_order"), p)
+        ok_p = p >= 1 and _same_json(cert.data.get("pole_order"), p)
         add("pole_order", ok_p, f"pole_order={p}")
         lead = chi.coeff(p) if p >= 1 else Fraction(0)
         add(

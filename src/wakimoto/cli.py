@@ -3,7 +3,7 @@
 Subcommands:
 
 * ``classify``        — classify a twist and emit a certificate document.
-* ``verify``          — re-check a certificate document from scratch.
+* ``verify``          — re-check a certificate document in its recorded window.
 * ``schur``           — evaluate the Schur polynomial S_r.
 * ``enumerate``       — graded dimensions of the fermion or boson spaces.
 * ``probe-wakimoto``  — boson-side evidence vs. the classifier verdict.
@@ -108,16 +108,14 @@ def _classified_twist(args) -> ChiSeries:
     return _ell_capped(chi, "--chi" if args.chi is not None else "--chi-file")
 
 
-def _cfg_from_args(args, base: ClosureConfig, recorded: bool = False) -> ClosureConfig:
+def _cfg_from_args(args, base: ClosureConfig) -> ClosureConfig:
     """``base`` with each of ``--cutoff/--window/--excursion`` given applied.
 
-    The base is ``DEFAULT_CFG`` for ``classify``, ``DEFAULT_PROBE_CFG`` for
-    the probe and the ``recorded`` window for ``verify``.  Each flag is
-    applied on its own, so the error names the one that does not parse or
-    fit: ``--cutoff`` and ``--excursion`` are rationals p or p/q, >= 0, as
-    every other bound.  Every command closes states up to the window's
-    ``bound``, capped at ``MAX_ENUM_WEIGHT``; its error names each term by
-    its flag, or by ``certificate.data.cfg`` when the recorded value stands.
+    The base is ``DEFAULT_CFG`` for ``classify`` and ``DEFAULT_PROBE_CFG``
+    for the probe.  Each flag is applied on its own, so the error names the
+    one that does not parse or fit: ``--cutoff`` and ``--excursion`` are
+    rationals p or p/q, >= 0, as every other bound.  Both commands close
+    states up to the window's ``bound``, capped at ``MAX_ENUM_WEIGHT``.
     """
     cfg = base
     if args.cutoff is not None:
@@ -128,9 +126,7 @@ def _cfg_from_args(args, base: ClosureConfig, recorded: bool = False) -> Closure
         cfg = replace(cfg, charge_window=(-args.window, args.window))
     if args.excursion is not None:
         cfg = replace(cfg, excursion=_bound(args.excursion, "--excursion"))
-    terms = [f"--{flag}" if getattr(args, flag) is not None or not recorded
-             else "certificate.data.cfg" for flag in ("cutoff", "excursion")]
-    _capped(cfg.bound, MAX_ENUM_WEIGHT, " + ".join(dict.fromkeys(terms)))
+    _capped(cfg.bound, MAX_ENUM_WEIGHT, "--cutoff + --excursion")
     return cfg
 
 
@@ -192,7 +188,7 @@ def _cmd_verify(args) -> int:
         cert = Certificate.from_json_obj(doc["certificate"])
     except (KeyError, TypeError) as exc:
         raise ChiParseError(f"certificate document missing field: {exc}") from exc
-    cfg = _cfg_from_args(args, recorded_cfg(cert), recorded=True)
+    cfg = recorded_cfg(cert)
     start = None
     if args.start_weight is not None:
         # the probes enumerate every state up to this weight
@@ -202,7 +198,7 @@ def _cmd_verify(args) -> int:
                 f"--start-weight: must not exceed the weight cutoff "
                 f"{format_rational(cfg.weight_cutoff)}, got {args.start_weight!r}"
             )
-    report = verify_certificate(chi, verdict, cert, cfg=cfg, start_weight=start)
+    report = verify_certificate(chi, verdict, cert, start_weight=start)
     _emit(
         {
             "chi": chi.to_json_obj(),
@@ -397,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", parents=[chi_parent, cfg_parent], help="classify a twist")
     p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("verify", parents=[cfg_parent], help="re-check a certificate document")
+    p = sub.add_parser("verify", help="re-check a certificate document in its recorded window")
     p.add_argument("--certificate", required=True, help="certificate JSON path ('-' for stdin)")
     p.add_argument("--start-weight", default=None, help="max weight of cyclicity generators")
     p.set_defaults(func=_cmd_verify)

@@ -1,6 +1,8 @@
 import importlib
 import json
 import random
+import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,6 +11,7 @@ from oracles import hull_a_module_ops, interval_a_module_ops, seeded_twist
 from wakimoto import (
     DEFAULT_CFG,
     Certificate,
+    ChiParseError,
     ChiSeries,
     ClosureConfig,
     Verdict,
@@ -146,18 +149,32 @@ def test_verify_report_json_shape():
 
 def test_verify_with_explicit_small_window():
     chi = ChiSeries({1: 1})
-    verdict, cert = classify(chi)
     cfg = ClosureConfig(weight_cutoff=Fraction(5, 2), charge_window=(-2, 2), excursion=Fraction(2))
-    report = verify_certificate(chi, verdict, cert, cfg=cfg)
+    verdict, cert = classify(chi, cfg)
+    report = verify_certificate(chi, verdict, cert)
     assert report.ok
 
 
-def test_recorded_window_else_default():
+def test_recorded_window_else_refusal():
     cfg = ClosureConfig(weight_cutoff=Fraction(5, 2), charge_window=(-1, 2), excursion=Fraction(1))
-    _, cert = classify(ChiSeries({1: 1}), cfg)
+    verdict, cert = classify(ChiSeries({1: 1}), cfg)
     assert recorded_cfg(cert) == cfg
+    # verify reads no other window, so a certificate that records none is refused
     data = {k: v for k, v in cert.data.items() if k != "cfg"}
-    assert recorded_cfg(Certificate(cert.kind, data)) == DEFAULT_CFG
+    for call in (recorded_cfg, lambda c: verify_certificate(ChiSeries({1: 1}), verdict, c)):
+        with pytest.raises(ChiParseError, match=r"^certificate\.data\.cfg: missing"):
+            call(Certificate(cert.kind, data))
+
+
+def test_recorded_window_is_capped_before_any_work():
+    # cutoff 40 + excursion 2: verify would run for minutes in that window
+    chi = CHIS_BY_KIND["schur_zero"]
+    verdict, cert = classify(chi)
+    data = dict(cert.data, cfg=dict(cert.data["cfg"], weight_cutoff="40"))
+    start = time.perf_counter()
+    with pytest.raises(ChiParseError, match=r"^certificate\.data\.cfg: must be <= 16, got 42$"):
+        verify_certificate(chi, verdict, Certificate(cert.kind, data))
+    assert time.perf_counter() - start < 1
 
 
 def _failed_names(report):
@@ -221,15 +238,14 @@ class TestTampering:
 
     @pytest.mark.parametrize("recorded", [4, 0, -5, 10**9])
     def test_verifier_sets_the_annihilation_range(self, recorded):
+        # the verifier checks n = 1..max(4, ell + 2), and any other recorded range fails
         chi = CHIS_BY_KIND["schur_zero"]
         verdict, cert = classify(chi)
         assert cert.data["annihilation_range"] == 4
         data = dict(cert.data, annihilation_range=recorded)
         check = _check(verify_certificate(chi, verdict, Certificate(cert.kind, data)),
                        "witness_annihilated")
-        assert check.passed
-        note = "" if recorded == 4 else f"; recorded range {recorded!r} ignored"
-        assert check.detail == "modes n=1..4" + note  # unchanged when honest
+        assert (check.passed, check.detail) == (recorded == 4, "modes n=1..4")
         data["w"] = [{"state": "Psi+(-5/2) |0>", "value": "1"}]
         check = _check(verify_certificate(chi, verdict, Certificate(cert.kind, data)),
                        "witness_annihilated")
@@ -467,7 +483,7 @@ def test_recorded_facts_are_the_derived_ones(chi, cfg):
     if cert.kind == "schur_zero":
         w = vec_from_json_obj(data["w"])
         basis, facts = CLASSIFY._schur_zero_facts(data["ell"], chi, cfg, w)
-        assert data["closure"] == basis.report()
+        assert facts["closure"] == basis.report()
         passed = {"witness_annihilated": not facts["annihilation_failures"],
                   "vacuum_excluded": facts["vacuum_excluded"]}
     else:
@@ -500,3 +516,51 @@ def test_classify_records_no_vacuous_state_exclusion(chi0, weight):
     check = _check(verify_certificate(chi, verdict, cert), "state_excluded")
     assert not check.passed
     assert check.detail == f"weight {weight} monomial not reached; heavier than the window bound 6"
+
+
+# -- every recorded field is held to its derivation -------------------------
+
+FORGERY_TWISTS = [
+    *CHIS_BY_KIND.values(),
+    _schur_zero_twist(2, {-1: Fraction(-2, 3), -3: 1}),
+    ChiSeries({0: -2}),  # neg_ell with q = 2
+]
+
+
+def _other(value):
+    """Another value of the same JSON type."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, (int, str)):
+        return value + type(value)(1)
+    if isinstance(value, list):
+        return value[:-1] if value else ["G+(99/2)"]
+    key = min(value)
+    return dict(value, **{key: _other(value[key])})
+
+
+def _nested_bit_as_bool(value):
+    """``value`` with its first nested 0 or 1 written as false or true, or None."""
+    text = json.dumps(value, sort_keys=True)
+    forged = re.sub(r'(": )([01])\b', lambda m: m[1] + ["false", "true"][int(m[2])], text,
+                    count=1)
+    return None if forged == text else json.loads(forged)
+
+
+@pytest.mark.parametrize("window", ["default", "certify"])
+@pytest.mark.parametrize("chi", FORGERY_TWISTS, ids=repr)
+def test_every_forged_record_fails(chi, window):
+    verdict, cert = classify(chi, FACT_WINDOWS[window])
+    assert verify_certificate(chi, verdict, cert).ok
+    forgeries = []
+    for name, value in cert.data.items():
+        if name != "cfg":
+            forgeries.append((name, _other(value)))
+            if _nested_bit_as_bool(value) is not None:
+                forgeries.append((name, _nested_bit_as_bool(value)))
+    # every field but cfg, and an integer inside the closure report as a boolean
+    assert len(forgeries) == len(cert.data) - 1 + ("closure" in cert.data)
+    for name, forged in forgeries:
+        data = dict(cert.data, **{name: forged})
+        report = verify_certificate(chi, verdict, Certificate(cert.kind, data))
+        assert not report.ok, (name, forged)

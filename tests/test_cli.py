@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from wakimoto import DEFAULT_CFG, ClosureConfig, cli
+from wakimoto import DEFAULT_CFG, ClosureConfig, cli, recorded_cfg
 from wakimoto.cli import main
 from wakimoto.scalars import (
     MAX_ELL,
@@ -177,12 +177,9 @@ MALFORMED_BOUNDS = [
     (["probe-wakimoto", "--chi", CHI_POLE, "--cutoff", "x"], None, "--cutoff"),
     (["probe-wakimoto", "--chi", CHI_POLE, "--window", "-1"], None, "--window"),
     # --cutoff and --excursion read p or p/q, as every other bound does
-    *(([command, *chi, f"--{flag}", text], None, f"--{flag}")
-      for command, chi in (("classify", ["--chi", CHI_POLE]), ("verify", []),
-                           ("probe-wakimoto", ["--chi", CHI_POLE]))
+    *(([command, "--chi", CHI_POLE, f"--{flag}", text], None, f"--{flag}")
+      for command in ("classify", "probe-wakimoto")
       for flag in ("cutoff", "excursion") for text in ("1e1", "2.5", "1_0", "1e10000000")),
-    (["verify", "--cutoff", "-1"], None, "--cutoff"),
-    (["verify", "--window", "-2"], None, "--window"),
     (["verify"], {"charge_window": [-2, 2]}, "certificate.data.cfg"),
     (["verify"], "4", "certificate.data.cfg"),
     (["verify"], [], "certificate.data.cfg"),
@@ -190,14 +187,15 @@ MALFORMED_BOUNDS = [
      "certificate.data.cfg"),
     (["verify"], {"weight_cutoff": "1/0", "charge_window": [-2, 2], "excursion": "2"},
      "certificate.data.cfg"),
-    (["verify", "--cutoff", "3"], {"weight_cutoff": "3", "charge_window": 2, "excursion": "2"},
+    (["verify"], {"weight_cutoff": "3", "charge_window": 2, "excursion": "2"},
      "certificate.data.cfg"),
     (["enumerate", "--max-weight", "-1"], None, "max-weight"),
     (["relations", "--suite", "clifford", "--weight", "-1"], None, "weight"),
     (["schur", "--ell", "-1", "--at", "1"], None, "ell"),
     (["verify", "--start-weight", "-1"], None, "--start-weight"),
     (["verify", "--start-weight", "100"], None, "--start-weight"),
-    (["verify", "--cutoff", "2", "--start-weight", "5/2"], None, "--start-weight"),
+    (["verify", "--start-weight", "5/2"], {"weight_cutoff": "2", "charge_window": [-2, 2],
+                                           "excursion": "2"}, "--start-weight"),
     (["verify", "--start-weight", "1" + "0" * 5000], None, "--start-weight"),
     # a recorded window holds rational strings and two JSON ints, nothing it could be read as
     *((["verify"], {"weight_cutoff": "3", "charge_window": [-2, 2], "excursion": "2", **bad},
@@ -230,13 +228,8 @@ MALFORMED_BOUNDS = [
     # a closure window past the same cap, from a flag or from the certificate
     (["classify", "--chi", CHI_POLE, "--cutoff", "1000"], None, "--cutoff + --excursion"),
     (["classify", "--chi", CHI_POLE, "--excursion", "13"], None, "--cutoff + --excursion"),
-    # each term is named by its flag, or by the certificate when the recorded value stands
-    (["verify", "--cutoff", "1000"], None, "--cutoff + certificate.data.cfg"),
-    (["verify", "--cutoff", "2"], {"weight_cutoff": "2", "charge_window": [-2, 2],
-                                   "excursion": "20"}, "--cutoff + certificate.data.cfg"),
-    (["verify", "--excursion", "20"], {"weight_cutoff": "2", "charge_window": [-2, 2],
-                                       "excursion": "2"}, "certificate.data.cfg + --excursion"),
-    (["verify", "--cutoff", "10", "--excursion", "10"], None, "--cutoff + --excursion"),
+    (["verify"], {"weight_cutoff": "2", "charge_window": [-2, 2], "excursion": "20"},
+     "certificate.data.cfg"),
     (["verify"], {"weight_cutoff": "40", "charge_window": [-2, 2], "excursion": "2"},
      "certificate.data.cfg"),
     (["verify"], {"weight_cutoff": "29/2", "charge_window": [-2, 2], "excursion": "5/2"},
@@ -313,8 +306,12 @@ def test_closure_caps_are_inclusive(capsys, tmp_path, monkeypatch):
 
     windows = []
 
-    def recorded(*args, cfg=None, **kwargs):
-        windows.append(cfg if cfg is not None else args[1])
+    def classified(chi, cfg):
+        windows.append(cfg)
+        raise Reached
+
+    def verified(chi, verdict, cert, **kwargs):
+        windows.append(recorded_cfg(cert))
         raise Reached
 
     at_cap = ClosureConfig(Fraction(MAX_ENUM_WEIGHT - 2), (-2, 2), Fraction(2))
@@ -322,8 +319,8 @@ def test_closure_caps_are_inclusive(capsys, tmp_path, monkeypatch):
     doc["certificate"]["data"]["cfg"] = at_cap.to_json_obj()
     path = tmp_path / "cert.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    monkeypatch.setattr(cli, "classify", recorded)
-    monkeypatch.setattr(cli, "verify_certificate", recorded)
+    monkeypatch.setattr(cli, "classify", classified)
+    monkeypatch.setattr(cli, "verify_certificate", verified)
     for argv in (["classify", "--chi", CHI_POLE, "--cutoff", str(MAX_ENUM_WEIGHT - 2),
                   "--window", "2"],
                  ["verify", "--certificate", str(path)]):
@@ -404,13 +401,22 @@ def test_start_weight_widens_the_probes(capsys, tmp_path):
 def test_window_flags_fill_from_the_base(capsys):
     base = ClosureConfig(Fraction(5), (-1, 2), Fraction(3))
     parse = cli.build_parser().parse_args
-    args = parse(["verify", "--certificate", "-", "--excursion", "5/2"])
+    args = parse(["classify", "--excursion", "5/2"])
     assert cli._cfg_from_args(args, base) == ClosureConfig(Fraction(5), (-1, 2), Fraction(5, 2))
     args = parse(["probe-wakimoto", "--window", "4", "--cutoff", "7/2"])
     assert cli._cfg_from_args(args, base) == ClosureConfig(Fraction(7, 2), (-4, 4), Fraction(3))
     assert cli._cfg_from_args(parse(["classify"]), base) == base
     doc = json.loads(classify_document(capsys, CHI_POLE, extra=[]))
     assert doc["certificate"]["data"]["cfg"] == DEFAULT_CFG.to_json_obj()
+
+
+def test_verify_takes_no_window_flag(capsys):
+    # verify checks in the window the certificate records and nowhere else
+    for flag in ("--cutoff", "--window", "--excursion"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--certificate", "-", flag, "2"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
 
 
 CHI_NEG_ELL = json.dumps({"coeffs": [{"m": 0, "value": "-1"}]})
@@ -438,6 +444,11 @@ MALFORMED_INPUTS = [
     (CHI_SCHUR_NONZERO, ("verdict", "data"), [["ell", 2]], 2, "verdict.data"),
     (CHI_SCHUR_NONZERO, ("verdict", "status"), 5, 2, "verdict.status"),
     (CHI_SCHUR_NONZERO, ("verdict", "case"), None, 2, "verdict.case"),
+    # verify reads no window but the recorded one
+    (CHI_SCHUR_NONZERO, ("certificate", "data"),
+     {"ell": 2, "schur_value": "-1/2", "vacuum_coefficient": "-1",
+      "lowering_word": [{"op": "G-", "mode": "1/2"}, {"op": "G-", "mode": "3/2"}]},
+     2, "certificate.data.cfg"),
 ]
 
 
