@@ -350,7 +350,7 @@ def _witness_checks(add, chi: ChiSeries, cert: Certificate, cfg: ClosureConfig, 
     add(
         "witness_matches",
         _recorded(cert, facts, "omega") and not recorded_w.is_zero()
-        and recorded_w == singular_w(ell, chi),
+        and _same_json(cert.data.get("w"), singular_w(ell, chi).to_json_obj()),
         f"{len(recorded_w.terms)} terms",
     )
     failures = facts["annihilation_failures"]
@@ -377,7 +377,7 @@ def _excluded_state_checks(add, chi: ChiSeries, cert: Certificate, cfg: ClosureC
         add("excluded_state", False, f"unreadable state: {exc}")
         return
     heavy, facts = _neg_ell_facts(q, chi, cfg)
-    add("excluded_state", str(recorded_state) == facts["excluded_state"], str(recorded_state))
+    add("excluded_state", _recorded(cert, facts, "excluded_state"), str(recorded_state))
     detail = f"weight {fmt_halfodd(2 * q + 1)} monomial not reached"
     if heavy:
         detail += f"; heavier than the window bound {format_rational(cfg.bound)}"

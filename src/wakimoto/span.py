@@ -28,12 +28,19 @@ multiple of itself and can never enlarge a span, so operator families only
 need the genuinely shifting modes.
 
 An op may declare how it moves the grading, through a :class:`GradedLabel`
-in place of its plain label: its charge shift, and the int weight it is
-sure to add to a vector's top weight.  The closure and the one-step proof
-then skip each (row, op) pair whose image must leave the window, without
-calling the op: every image they skip, they would have dropped.  The label
-is where the declaration lives because wrappers of an op family, the
-benchmark's tracer among them, rebuild the entries as ``(label, op')``.
+in place of its plain label: its charge shift, and either the int weight
+it is sure to add to a vector's top weight (the boson family) or the
+doubled modes of the single exterior modes it sums (the fermion family).
+The closure and the one-step proof then skip each (row, op) pair whose
+image must be zero or leave the window, without calling the op: every
+image they skip, they would have dropped.  Three rules prove it (``closure``
+has the arguments): the charge rule, the weight rule for ``creates``, and
+for exterior modes a zero rule (every component annihilates a factor no
+state of the row holds) and a top-component rule (the lowest component
+creates a factor too heavy for the window on a top state that holds no
+such factor yet).  The label is where the declaration lives because
+wrappers of an op family, the benchmark's tracer among them, rebuild the
+entries as ``(label, op')``.
 
 Each unit of work is done once.  The closure expands a row again only after
 an insert has rewritten it: the images of an unchanged row already lie in
@@ -74,7 +81,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain
-from typing import Any, Callable, Collection, Iterable, Mapping, Optional, Sequence
+from typing import Any, Callable, Collection, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .scalars import format_rational, parse_rational
 
@@ -132,15 +139,31 @@ class GradedLabel(str):
     into the span of monomials of charge c + charge_shift.  ``creates`` is
     an int weight: when it is positive, the image of every nonzero vector
     of top int weight t holds a monomial of int weight at least
-    t + creates.  ``closure`` and ``cyclic_probe`` read both to skip
-    images that must leave the window when every label of the family is
-    one; otherwise every op is applied.
+    t + creates.
+
+    ``modes``, when given, says that the op is an int combination, with
+    nonzero coefficients, of single exterior modes of one species, and
+    lists their doubled modes; ``charge_shift`` is then +1 or -1.  A single
+    exterior mode of doubled mode d acts on a monomial ``(tag, lower,
+    upper)`` of strictly decreasing tuples as ``fock._psi_core`` does: for
+    shift +1 (Psi+) it removes the factor d from ``lower`` when d > 0 and
+    inserts the factor -d into ``upper`` when d < 0; for shift -1 (Psi-)
+    it removes d from ``upper`` or inserts -d into ``lower``.  It is zero
+    on a monomial that lacks the factor it removes or already holds the
+    factor it inserts (it is *killed* there), and otherwise gives one
+    monomial with sign ±1, int weight t - d from int weight t, and distinct
+    monomials to distinct ones.
+
+    ``closure`` and ``cyclic_probe`` read each label that is a
+    ``GradedLabel`` to skip images that must be zero or leave the window;
+    an op with a plain label is always applied.
     """
 
-    def __new__(cls, text: str, charge_shift: int, creates: int):
+    def __new__(cls, text: str, charge_shift: int, creates: int = 0, modes: Iterable[int] = ()):
         label = super().__new__(cls, text)
         label.charge_shift = charge_shift
         label.creates = creates
+        label.modes = tuple(sorted(modes))
         return label
 
 
@@ -508,28 +531,53 @@ def _admissible(v, cfg: ClosureConfig, bound: int) -> bool:
     return all(int_weight(s) <= bound and lo <= charge(s) <= hi for s in v.terms)
 
 
-def _declared(ops: OpFamily) -> Optional[list]:
-    """(charge shift, creates, op) per op, or None unless every label declares them."""
-    if not all(isinstance(label, GradedLabel) for label, _ in ops):
-        return None
-    return [(label.charge_shift, label.creates, op) for label, op in ops]
+def _exterior_facts(v, top: int) -> dict[int, tuple[set, set]]:
+    """Per charge shift s of an exterior mode: (the factors that some state
+    of v holds where a mode of shift s removes one, the factors that every
+    state of v of int weight ``top`` holds where such a mode inserts one)."""
+    lower: set = set()
+    upper: set = set()
+    top_lower = top_upper = None
+    for st in v.terms:
+        _, low, up = st
+        lower.update(low)
+        upper.update(up)
+        if int_weight(st) == top:
+            top_lower = set(low) if top_lower is None else top_lower.intersection(low)
+            top_upper = set(up) if top_upper is None else top_upper.intersection(up)
+    return {1: (lower, top_upper), -1: (upper, top_lower)}
 
 
-def _live(v, declared: list, cfg: ClosureConfig, bound: int) -> list:
-    """The ops of ``declared`` whose image of the nonzero v may fit the window.
+def _live(v, ops: OpFamily, cfg: ClosureConfig, bound: int) -> Iterator:
+    """The ops whose image of the nonzero window vector v may fit the window.
 
-    An op is left out when its declaration proves that the image is zero
-    or holds a state outside the window (``closure`` has the argument).
+    Lazily, in the family's order: each label is read only when it is
+    reached.  An op is left out when its ``GradedLabel`` proves that the
+    image is zero or holds a state outside the window (``closure`` has the
+    arguments).  ``room`` is at least 0, since v lies in the window.
     """
     lo, hi = cfg.charge_window
-    room = bound - max(map(int_weight, v.terms))
+    top = max(map(int_weight, v.terms))
+    room = bound - top
     charges = set(map(charge, v.terms))
     least, most = min(charges), max(charges)
-    return [
-        op
-        for shift, creates, op in declared
-        if creates <= room and most + shift >= lo and least + shift <= hi
-    ]
+    facts = None
+    for label, op in ops:
+        if isinstance(label, GradedLabel):
+            shift = label.charge_shift
+            if label.creates > room or most + shift < lo or least + shift > hi:
+                continue
+            modes = label.modes
+            if modes:
+                if facts is None:
+                    facts = _exterior_facts(v, top)
+                held, kept = facts[shift]
+                d = modes[0]
+                if d > 0 and held.isdisjoint(modes):  # the zero rule
+                    continue
+                if -d > room and -d not in kept:  # the top-component rule
+                    continue
+        yield op
 
 
 def closure(
@@ -549,19 +597,36 @@ def closure(
     would reduce to zero now and change nothing.  The inserts that grow
     the span, and the resulting basis, are those of the full sweep.
 
-    When every label of the family is a :class:`GradedLabel`, an op is not
-    applied to a row r whose image must be dropped (``_live``).  Let B be the weight bound,
-    t the top int weight of r and C its set of charges.  The charge rule:
-    the op maps a state of charge c to states of charge c + shift, and
-    states of distinct charges never cancel, so when c + shift lies
-    outside the charge window for every c in C, so does every state of
-    the image, which is zero or dropped.  The weight rule: when
-    creates > B - t, the image holds a state of int weight at least
-    t + creates > B, and is dropped.  The other ops are applied in the
-    family's order, so the inserts, and the basis, are those the closure
-    makes without the skip.  A family with a plain label skips nothing
-    and pays nothing per row.  For the boson family C is one charge when
-    each generator has one: an op image of such a row has one charge,
+    An op whose label is a :class:`GradedLabel` is not applied to a row r
+    whose image must be zero or dropped (``_live``).  Let B be the int
+    weight bound, t the top int weight of r and C its set of charges.
+
+    * The charge rule: the op maps a state of charge c to states of charge
+      c + shift, and states of distinct charges never cancel, so when
+      c + shift lies outside the charge window for every c in C, so does
+      every state of the image, which is zero or dropped.
+    * The weight rule: when creates > B - t, the image holds a state of
+      int weight at least t + creates > B, and is dropped.
+    * The zero rule, for exterior modes: when every component annihilates
+      (d > 0) and no state of r holds a factor one of them removes, every
+      component is zero on every state of r, so the image is 0.
+    * The top-component rule, for exterior modes: let d0 be the least
+      doubled mode among the components.  When t - d0 > B and some state
+      of r of int weight t is not killed by the component of mode d0, the
+      image holds a state of int weight t - d0 > B, and is dropped.  That
+      component maps the weight-t part of r to int weight t - d0, one
+      state for each state it does not kill, with a nonzero coefficient
+      times ±1, and distinct states to distinct ones, so no two of them
+      cancel.  No other term reaches that weight: the same component on a
+      lighter state lands lighter, and a component of mode d > d0 sends a
+      state of int weight s <= t to s - d < t - d0.  As B - t >= 0, only
+      a creator (d0 < 0) can meet t - d0 > B, and a creator is killed on
+      exactly the states that already hold its factor.
+
+    The other ops are applied in the family's order, so the inserts, and
+    the basis, are those the closure makes without the skip.  An op with
+    a plain label is always applied.  For both families C is one charge
+    when each generator has one: an op image of such a row has one charge,
     ``reduce`` subtracts only rows whose pivots lie in the vector's
     support, and ``insert`` rewrites only rows that hold the new pivot.
 
@@ -574,8 +639,6 @@ def closure(
     """
     stop = frozenset(stop_at) if stop_at else None
     bound = space.int_bound(cfg.bound)
-    declared = _declared(ops)
-    every_op = [op for _, op in ops]
     basis = SpanBasis(space, cfg)
     for g in generators:
         if not g.is_zero() and _admissible(g, cfg, bound):
@@ -592,7 +655,7 @@ def closure(
             if expanded.get(pivot) is row:
                 continue
             expanded[pivot] = row
-            for op in every_op if declared is None else _live(row, declared, cfg, bound):
+            for op in _live(row, ops, cfg, bound):
                 w = op(row)
                 if w.is_zero() or not _admissible(w, cfg, bound):
                     continue
@@ -621,14 +684,14 @@ def cyclic_probe(v, cyclic: Collection, ops: OpFamily, cfg: ClosureConfig, space
     first, with every op in the family's order, inserts c·u, and stops once
     u is a pure row.  A v or an image outside the window settles nothing,
     since the closure drops it.  So the one step skips, by ``closure``'s
-    charge and weight rules, every op whose image of v must leave the
-    window: that image settles nothing, and the closure skips it too.
+    rules, every op whose image of v must be zero or leave the window:
+    that image settles nothing, and the closure skips it too.  Each label
+    is read only when the proof reaches it, so a proof that ends at the
+    first ops reads no more of the family.
     """
     bound = space.int_bound(cfg.bound)
     if not v.is_zero() and _admissible(v, cfg, bound):
-        declared = _declared(ops)
-        live = [op for _, op in ops] if declared is None else _live(v, declared, cfg, bound)
-        for w in chain([v], (op(v) for op in live)):
+        for w in chain([v], (op(v) for op in _live(v, ops, cfg, bound))):
             if len(w.terms) == 1 and next(iter(w.terms)) in cyclic and _admissible(w, cfg, bound):
                 return True
     # positional, so a wrapper of ``closure`` with its own keyword names works

@@ -50,7 +50,7 @@ from .fock import (
     fmt_halfodd,
 )
 from .scalars import ChiSeries, ell_of
-from .span import ClosureConfig, SparseVec
+from .span import ClosureConfig, GradedLabel, SparseVec
 
 __all__ = [
     "apply_Gplus",
@@ -277,6 +277,22 @@ def a_module_ops(chi: ChiSeries, cfg: ClosureConfig) -> list[tuple[str, object]]
     unchanged.  S(n) and T(n) act as scalars and never enlarge a span, so
     they are deliberately absent.  The ops still call ``apply_Gplus`` and
     ``apply_Gminus``, the G- ops with their parts bound.
+
+    Each label is a ``span.GradedLabel`` built from the bound components:
+    charge shift +1 for G+ and -1 for G- (every Psi± component moves the
+    charge by ±1), and the components' doubled modes.  With them the
+    closure skips a row r on which the op is useless, by two rules that
+    ``span.closure`` proves.  Zero rule: when every component annihilates
+    and no monomial of r holds a factor one removes (in ``lam`` for Psi+,
+    in ``mu`` for Psi-), the image is 0.  Top-component rule: let d0 be
+    the least doubled mode, t the top int weight of r and B the doubled
+    bound.  When t - d0 > B and the creator Psi±(d0/2) is not killed on
+    some weight-t monomial of r (it is killed where its factor is already
+    present), it maps the weight-t part of r injectively, with signs ±1,
+    to int weight t - d0, and no other component reaches that weight from
+    a monomial of r: the image holds a monomial heavier than B.  No
+    ``creates`` is declared: a creator kills the monomials that hold its
+    factor, so the image of a vector need not be heavier than the vector.
     """
     # the doubled weight bound: a factor weighs |d|/2 <= B iff |d| <= top
     top = FOCK_SPACE.int_bound(cfg.bound)
@@ -284,9 +300,9 @@ def a_module_ops(chi: ChiSeries, cfg: ClosureConfig) -> list[tuple[str, object]]
     near = range(-((top - 1) // 2), (top + 1) // 2 + 1)
     tried = sorted({m + k for m in {0, *chi.support} for k in near})
     ops: list[tuple[str, object]] = []
-    for species, bind in (
-        (PLUS, lambda i, parts: partial(apply_Gplus, i)),
-        (MINUS, lambda i, parts: partial(apply_Gminus, i, chi=chi, parts=parts)),
+    for species, shift, bind in (
+        (PLUS, 1, lambda i, parts: partial(apply_Gplus, i)),
+        (MINUS, -1, lambda i, parts: partial(apply_Gminus, i, chi=chi, parts=parts)),
     ):
         for i in tried:
             parts = g_parts(species, i, chi)
@@ -295,5 +311,7 @@ def a_module_ops(chi: ChiSeries, cfg: ClosureConfig) -> list[tuple[str, object]]
                 continue
             parts = tuple((d, k) for d, k in parts if d <= top)
             if parts:
-                ops.append((f"G{species}({fmt_halfodd(2 * i - 1)})", bind(i, parts)))
+                label = GradedLabel(f"G{species}({fmt_halfodd(2 * i - 1)})", shift,
+                                    modes=(d for d, _ in parts))
+                ops.append((label, bind(i, parts)))
     return ops

@@ -560,6 +560,14 @@ def test_every_forged_record_fails(chi, window):
                 forgeries.append((name, _nested_bit_as_bool(value)))
     # every field but cfg, and an integer inside the closure report as a boolean
     assert len(forgeries) == len(cert.data) - 1 + ("closure" in cert.data)
+    # the same state and the same rationals, written as other text
+    if "excluded_state" in cert.data:
+        spaced = " " + cert.data["excluded_state"].replace(" ", "   ") + " "
+        forgeries.append(("excluded_state", spaced))
+    if "w" in cert.data:
+        head, *rest = cert.data["w"]
+        c = Fraction(head["value"])
+        forgeries.append(("w", [dict(head, value=f"{2 * c.numerator}/{2 * c.denominator}"), *rest]))
     for name, forged in forgeries:
         data = dict(cert.data, **{name: forged})
         report = verify_certificate(chi, verdict, Certificate(cert.kind, data))

@@ -29,6 +29,7 @@ from wakimoto import (
     WEYL_SPACE,
     ChiSeries,
     ClosureConfig,
+    DEFAULT_CFG,
     DEFAULT_PROBE_CFG,
     FermionState,
     SpanBasis,
@@ -52,6 +53,7 @@ from wakimoto import (
     wakimoto_probe,
     weyl_vacuum_vec,
 )
+from test_classify import FAR_TAILS
 
 
 class TestClosureConfig:
@@ -872,26 +874,25 @@ SKIP_WINDOWS = {
 }
 
 
-def _skipped(v, ops, cfg):
+def _skipped(v, ops, cfg, space=WEYL_SPACE):
     """The (label, op) pairs of ``ops`` that the engine does not apply to v."""
-    live = SPAN._live(v, SPAN._declared(ops), cfg, WEYL_SPACE.int_bound(cfg.bound))
-    kept = {id(op) for op in live}
+    kept = {id(op) for op in SPAN._live(v, ops, cfg, space.int_bound(cfg.bound))}
     return [(label, op) for label, op in ops if id(op) not in kept]
 
 
-def _expanded_rows(generators, ops, cfg, monkeypatch):
+def _expanded_rows(generators, ops, cfg, monkeypatch, space=WEYL_SPACE):
     """Every row version the closures of the generators expand, in order."""
     rows = []
     live = SPAN._live
 
-    def recording(v, declared, cfg, bound):
+    def recording(v, ops, cfg, bound):
         rows.append(v)
-        return live(v, declared, cfg, bound)
+        return live(v, ops, cfg, bound)
 
     with monkeypatch.context() as mp:
         mp.setattr(SPAN, "_live", recording)
         for g in generators:
-            closure([g], ops, cfg, WEYL_SPACE)
+            closure([g], ops, cfg, space)
     return rows
 
 
@@ -951,20 +952,21 @@ def _applications(generators, ops, cfg, space):
     return basis, calls
 
 
-@pytest.mark.parametrize("family", ["fock", "weyl_hull", "weyl_plain_labels"])
+@pytest.mark.parametrize("family", ["fock_plain_labels", "weyl_hull", "weyl_plain_labels"])
 @pytest.mark.parametrize("case", CASES)
-def test_family_that_declares_nothing_applies_every_op(case, family):
+def test_family_that_declares_nothing_applies_every_op(case, family, monkeypatch):
     """A family of plain labels has every op applied to every row the
-    closure expands, in the family's order: nothing is skipped.  A boson
-    family gets the basis of the declared family, which applies fewer."""
+    closure expands, in the family's order: nothing is skipped.  The
+    declared family gets the same basis and report, and applies fewer ops;
+    with the same ops, it makes the same growing inserts."""
     rng = random.Random(f"declares-nothing:{case}")
     chi = seeded_twist(case, rng)
-    space = FOCK_SPACE if family == "fock" else WEYL_SPACE
-    cfg, ops, _, generators = _generators(case, chi, space, rng)
+    space = FOCK_SPACE if family.startswith("fock") else WEYL_SPACE
+    cfg, declared, _, generators = _generators(case, chi, space, rng)
     if family == "weyl_hull":
         ops = hull_wakimoto_ops(chi, cfg, WeylAction(chi))
-    elif family == "weyl_plain_labels":
-        ops = [(str(label), op) for label, op in ops]
+    else:
+        ops = [(str(label), op) for label, op in declared]
     assert all(type(label) is str for label, _ in ops)
     for g in generators:
         basis, calls = _applications([g], ops, cfg, space)
@@ -973,8 +975,74 @@ def test_family_that_declares_nothing_applies_every_op(case, family):
             block = calls[start : start + len(ops)]
             assert [i for i, _ in block] == list(range(len(ops)))
             assert all(v is block[0][1] for _, v in block)
-        if family != "fock":
-            declared = wakimoto_ops(chi, cfg, WeylAction(chi))
-            ours, fewer = _applications([g], declared, cfg, space)
-            assert ours.rows() == basis.rows()
-            assert len(fewer) < len(calls)
+        ours, grown, applied = _recorded(closure, [g], declared, cfg, space, None, monkeypatch)
+        assert ours.rows() == basis.rows()
+        assert ours.report() == basis.report()
+        assert applied < len(calls)
+        if family != "weyl_hull":
+            _, plain_grown, _ = _recorded(closure, [g], ops, cfg, space, None, monkeypatch)
+            assert grown == plain_grown
+
+
+# -- the fermion family: the zero rule and the top-component rule ------------
+
+FERMION_SKIP_TWISTS = [*SKIP_TWISTS, *(ChiSeries(coeffs) for coeffs, _ in FAR_TAILS)]
+FERMION_SKIP_WINDOWS = {
+    "default": DEFAULT_CFG,
+    "certify": CERTIFY_CFG,
+    "small": ClosureConfig(Fraction(2), (-2, 2), Fraction(1)),
+}
+
+
+@pytest.mark.parametrize("window", list(FERMION_SKIP_WINDOWS))
+def test_skipped_fermion_images_are_zero_or_leave_the_window(window, monkeypatch):
+    """Every (row, op) pair the engine skips for ``a_module_ops`` has an
+    image that is zero or holds a state outside the window, on closure rows
+    and on single monomials.  A skipped pair that the charge rule does not
+    cover was skipped by the zero rule, and its image is 0, or by the
+    top-component rule, and its image is heavier than the bound; both
+    rules fire."""
+    cfg = FERMION_SKIP_WINDOWS[window]
+    lo, hi = cfg.charge_window
+    states = [st for st in enumerate_basis(cfg.bound) if lo <= charge(st) <= hi]
+    zero = heavy = 0
+    for k, chi in enumerate(FERMION_SKIP_TWISTS):
+        ops = a_module_ops(chi, cfg)
+        rng = random.Random(f"fermion-skip:{window}:{k}")
+        generators = [vacuum_vec(), SparseVec.basis(rng.choice(states))]
+        rows = _expanded_rows(generators, ops, cfg, monkeypatch, FOCK_SPACE)
+        assert len(rows) > len(generators)
+        for v in rows + [SparseVec.basis(st) for st in states]:
+            charges = {charge(s) for s in v.terms}
+            for label, op in _skipped(v, ops, cfg, FOCK_SPACE):
+                w = op(v)
+                assert leaves_window(w, cfg, FOCK_SPACE), (chi, window, label, v)
+                if not any(lo <= c + label.charge_shift <= hi for c in charges):
+                    continue
+                if label.modes[0] > 0:
+                    assert w.is_zero(), (chi, window, label, v)
+                    zero += 1
+                else:
+                    assert any(FOCK_SPACE.weight_of(s) > cfg.bound for s in w.terms)
+                    heavy += 1
+    assert zero and heavy
+
+
+def test_top_component_rule_reads_the_kill():
+    """The row's top state already holds the factor that G+(-3/2) creates,
+    so the op kills it, and the image of the lighter vacuum fits the
+    window: the engine applies the op.  The top weight alone, 2 plus 3/2
+    past the bound 3, would skip it."""
+    cfg = FERMION_SKIP_WINDOWS["small"]
+    ops = a_module_ops(ChiSeries({0: 2, -1: 1}), cfg)
+    label, op = next((label, op) for label, op in ops if label == "G+(-3/2)")
+    assert label.modes == (-3,)
+    top = FermionState((1,), (3,))  # Psi-(-1/2) Psi+(-3/2) |0>
+    row = SparseVec.basis(top) + vacuum_vec()
+    assert FOCK_SPACE.int_weight_of(top) - label.modes[0] > FOCK_SPACE.int_bound(cfg.bound)
+    image = op(row)
+    assert image == op(vacuum_vec()) and not leaves_window(image, cfg, FOCK_SPACE)
+    assert label not in [label for label, _ in _skipped(row, ops, cfg, FOCK_SPACE)]
+    basis = closure([row], ops, cfg, FOCK_SPACE)
+    assert basis.contains(image)
+    assert basis.rows() == closure([row], [(str(lbl), o) for lbl, o in ops], cfg, FOCK_SPACE).rows()
