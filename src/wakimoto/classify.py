@@ -32,9 +32,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Optional
 
 from .fock import (
     FOCK_SPACE,
@@ -91,11 +90,9 @@ def _read_part(obj, part: str, fields: tuple[str, ...]) -> tuple:
     return (*values, dict(data))
 
 
-@dataclass(frozen=True)
-class Verdict:
-    status: str  # "irreducible" | "reducible"
-    case: str  # "i" | "ii" | "iii" | "schur_zero" | "neg_ell"
-    data: dict
+class Verdict(namedtuple("Verdict", "status case data")):
+    # status "irreducible" | "reducible"; case "i" | "ii" | "iii" | "schur_zero" | "neg_ell"
+    __slots__ = ()
 
     def to_json_obj(self) -> dict:
         return {"status": self.status, "case": self.case, "data": dict(self.data)}
@@ -105,10 +102,8 @@ class Verdict:
         return cls(*_read_part(obj, "verdict", ("status", "case")))
 
 
-@dataclass(frozen=True)
-class Certificate:
-    kind: str
-    data: dict
+class Certificate(namedtuple("Certificate", "kind data")):
+    __slots__ = ()
 
     def to_json_obj(self) -> dict:
         return {"kind": self.kind, "data": dict(self.data)}
@@ -128,7 +123,7 @@ _KINDS = {
 }
 
 
-def _verdict_of(cert: Certificate) -> Optional[Verdict]:
+def _verdict_of(cert: Certificate) -> Verdict | None:
     """The verdict a certificate supports, or None for an unknown kind."""
     entry = _KINDS.get(cert.kind)
     if entry is None:
@@ -148,19 +143,15 @@ def _recorded(cert: Certificate, facts: dict, *names: str) -> bool:
     return all(_same_json(cert.data.get(name), facts[name]) for name in names)
 
 
-@dataclass(frozen=True)
-class Check:
-    name: str
-    passed: bool
-    detail: str = ""
+class Check(namedtuple("Check", "name passed detail", defaults=("",))):
+    __slots__ = ()
 
     def to_json_obj(self) -> dict:
         return {"name": self.name, "passed": self.passed, "detail": self.detail}
 
 
-@dataclass(frozen=True)
-class Report:
-    checks: tuple[Check, ...]
+class Report(namedtuple("Report", "checks")):
+    __slots__ = ()  # checks: a tuple of Check
 
     @property
     def ok(self) -> bool:
@@ -329,7 +320,7 @@ def recorded_cfg(cert: Certificate) -> ClosureConfig:
     return cfg
 
 
-def _ell_fits(kind: str, p: int, ell: Optional[int], recorded) -> bool:
+def _ell_fits(kind: str, p: int, ell: int | None, recorded) -> bool:
     """Is chi pole-free with ell on the kind's side, and is ell recorded?"""
     if p != 0 or ell is None:
         return False
@@ -392,7 +383,7 @@ def _excluded_state_checks(add, chi: ChiSeries, cert: Certificate, cfg: ClosureC
 
 
 def verify_certificate(
-    chi: ChiSeries, verdict: Verdict, cert: Certificate, start_weight: Optional[Fraction] = None
+    chi: ChiSeries, verdict: Verdict, cert: Certificate, start_weight: Fraction | None = None
 ) -> Report:
     """Re-derive every certificate claim from chi, in the recorded window.
 

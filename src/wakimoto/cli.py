@@ -28,7 +28,6 @@ import json
 import random
 import sys
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 
 from .classify import (
@@ -45,6 +44,7 @@ from .scalars import (
     MAX_ELL,
     MAX_ENUM_WEIGHT,
     MAX_ENUM_WINDOW,
+    MAX_PROBE_SUPPORT,
     MAX_RELATION_MODE,
     MAX_RELATION_POLE_WEIGHT,
     MAX_RELATION_TRIALS,
@@ -112,20 +112,21 @@ def _cfg_from_args(args, base: ClosureConfig) -> ClosureConfig:
     """``base`` with each of ``--cutoff/--window/--excursion`` given applied.
 
     The base is ``DEFAULT_CFG`` for ``classify`` and ``DEFAULT_PROBE_CFG``
-    for the probe.  Each flag is applied on its own, so the error names the
+    for the probe.  Each flag is read on its own, so the error names the
     one that does not parse or fit: ``--cutoff`` and ``--excursion`` are
     rationals p or p/q, >= 0, as every other bound.  Both commands close
     states up to the window's ``bound``, capped at ``MAX_ENUM_WEIGHT``.
     """
-    cfg = base
+    cutoff, window, excursion = base
     if args.cutoff is not None:
-        cfg = replace(cfg, weight_cutoff=_bound(args.cutoff, "--cutoff"))
+        cutoff = _bound(args.cutoff, "--cutoff")
     if args.window is not None:
         if args.window < 0:
             raise ChiParseError(f"--window: must be >= 0, got {args.window}")
-        cfg = replace(cfg, charge_window=(-args.window, args.window))
+        window = (-args.window, args.window)
     if args.excursion is not None:
-        cfg = replace(cfg, excursion=_bound(args.excursion, "--excursion"))
+        excursion = _bound(args.excursion, "--excursion")
+    cfg = ClosureConfig(cutoff, window, excursion)
     _capped(cfg.bound, MAX_ENUM_WEIGHT, "--cutoff + --excursion")
     return cfg
 
@@ -258,6 +259,12 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_probe(args) -> int:
     chi = _classified_twist(args)
+    if len(chi.support) > MAX_PROBE_SUPPORT:
+        field = "--chi" if args.chi is not None else "--chi-file"
+        raise ChiParseError(
+            f"{field}: a probe takes at most {MAX_PROBE_SUPPORT} nonzero coefficients,"
+            f" got {len(chi.support)}"
+        )
     cfg = _cfg_from_args(args, DEFAULT_PROBE_CFG)
     # the probe enumerates its window and closes each state in it
     _capped(cfg.charge_window[1], MAX_ENUM_WINDOW, "--window")

@@ -36,9 +36,9 @@ its reference.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from operator import itemgetter
-from typing import Iterator, Optional, Sequence, Union
 
 from .span import Monomial, Space, SparseVec, charge
 
@@ -63,7 +63,7 @@ PLUS = "+"
 MINUS = "-"
 
 
-def as_dmode(mode: Union[Fraction, int, str]) -> int:
+def as_dmode(mode: Fraction | int | str) -> int:
     """Convert a half-odd mode to its doubled-integer representation."""
     if isinstance(mode, str):
         mode = Fraction(mode)
@@ -175,7 +175,7 @@ def _state(lam: tuple[int, ...], mu: tuple[int, ...]) -> FermionState:
     return _tuple_new(FermionState, (_FERMION_TAG, lam, mu))
 
 
-def _psi_core(sp: int, d: int, state: FermionState) -> Optional[tuple[FermionState, int]]:
+def _psi_core(sp: int, d: int, state: FermionState) -> tuple[FermionState, int] | None:
     """``Psi+(d/2)`` (sp = +1) or ``Psi-(d/2)`` (sp = -1) on one monomial.
 
     Returns ``(monomial, sign)`` or None for zero.  An annihilator (d > 0)

@@ -15,8 +15,8 @@ The classifier evaluates S_ell at the negated tail of a twist:
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .scalars import ChiSeries
 

@@ -78,10 +78,10 @@ one vector type, :class:`SparseVec`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
+from collections.abc import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from itertools import chain
-from typing import Any, Callable, Collection, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .scalars import format_rational, parse_rational
 
@@ -99,7 +99,7 @@ __all__ = [
     "joint_kernel",
 ]
 
-OpFamily = Sequence[tuple[str, Callable[[Any], Any]]]
+OpFamily = Sequence[tuple[str, Callable[[object], object]]]
 
 
 class Monomial(tuple):
@@ -167,12 +167,12 @@ class GradedLabel(str):
         return label
 
 
-def _lifted(terms: dict[Any, int], k: int) -> dict[Any, int]:
+def _lifted(terms: dict[object, int], k: int) -> dict[object, int]:
     """A copy of ``terms`` times the int k."""
     return {st: n * k for st, n in terms.items()} if k != 1 else dict(terms)
 
 
-def _add_into(acc: dict[Any, int], k: int, terms: dict[Any, int]) -> None:
+def _add_into(acc: dict[object, int], k: int, terms: dict[object, int]) -> None:
     """acc += k * terms, dropping the entries that cancel."""
     get = acc.get
     for st, n in terms.items():
@@ -200,7 +200,7 @@ class SparseVec:
 
     __slots__ = ("terms", "den")
 
-    def __init__(self, terms: Optional[Mapping[Any, Any]] = None):
+    def __init__(self, terms: Mapping[object, object] | None = None):
         coeffs = []
         if terms:
             for st, c in terms.items():
@@ -215,7 +215,7 @@ class SparseVec:
         self.den = den
 
     @classmethod
-    def _of(cls, terms: dict[Any, int], den: int) -> "SparseVec":
+    def _of(cls, terms: dict[object, int], den: int) -> "SparseVec":
         """Wrap nonzero int numerators over a den that are already canonical."""
         v = object.__new__(cls)
         v.terms = terms
@@ -223,7 +223,7 @@ class SparseVec:
         return v
 
     @classmethod
-    def _canonical(cls, terms: dict[Any, int], den: int) -> "SparseVec":
+    def _canonical(cls, terms: dict[object, int], den: int) -> "SparseVec":
         """Nonzero int numerators over a positive den, in lowest terms."""
         if den != 1:
             g = math.gcd(den, *terms.values())
@@ -241,9 +241,9 @@ class SparseVec:
         return cls._of({state: 1}, 1)
 
     @classmethod
-    def from_items(cls, items: Iterable[tuple[Any, Any]]) -> "SparseVec":
+    def from_items(cls, items: Iterable[tuple[object, object]]) -> "SparseVec":
         """Sum (state, coefficient) pairs; repeated states add up."""
-        acc: dict[Any, Fraction] = {}
+        acc: dict[object, Fraction] = {}
         for st, c in items:
             acc[st] = acc.get(st, 0) + Fraction(c)
         return cls(acc)
@@ -291,7 +291,7 @@ class SparseVec:
 
     __hash__ = None  # type: ignore[assignment]
 
-    def sorted_items(self) -> list[tuple[Any, Fraction]]:
+    def sorted_items(self) -> list[tuple[object, Fraction]]:
         den = self.den
         items = sorted(self.terms.items(), key=lambda kv: kv[0].sort_key())
         return [(st, Fraction(n, den)) for st, n in items]
@@ -306,8 +306,7 @@ class SparseVec:
         return f"SparseVec({body})"
 
 
-@dataclass(frozen=True)
-class ClosureConfig:
+class ClosureConfig(namedtuple("ClosureConfig", "weight_cutoff charge_window excursion")):
     """Truncation window for closures.
 
     ``weight_cutoff`` bounds the reported span; exploration is allowed the
@@ -315,16 +314,18 @@ class ClosureConfig:
     ``charge_window`` is an inclusive (lo, hi) pair.
     """
 
-    weight_cutoff: Fraction = Fraction(4)
-    charge_window: tuple[int, int] = (-3, 3)
-    excursion: Fraction = Fraction(2)
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "weight_cutoff", Fraction(self.weight_cutoff))
-        object.__setattr__(self, "excursion", Fraction(self.excursion))
-        lo, hi = self.charge_window
+    def __new__(cls, weight_cutoff=Fraction(4), charge_window=(-3, 3), excursion=Fraction(2)):
+        self = super().__new__(cls, Fraction(weight_cutoff), charge_window, Fraction(excursion))
+        lo, hi = charge_window
         if self.weight_cutoff < 0 or self.excursion < 0 or lo > hi:
             raise ValueError(f"bad closure config: {self}")
+        return self
+
+    @classmethod
+    def _make(cls, fields):  # and so _replace, which copies through it
+        return cls(*fields)
 
     @property
     def bound(self) -> Fraction:
@@ -351,8 +352,7 @@ class ClosureConfig:
         )
 
 
-@dataclass(frozen=True)
-class Space:
+class Space(namedtuple("Space", "weight_scale sort_key", defaults=(Monomial.sort_key,))):
     """A graded basis of monomials: the weight scale and a total order.
 
     ``weight_of`` is the exact weight.  ``int_weight_of`` is the int
@@ -362,9 +362,7 @@ class Space:
     ``restricted_rows`` and ``joint_kernel``.
     """
 
-    weight_scale: int
-    sort_key: Callable[[Any], Any] = Monomial.sort_key
-
+    __slots__ = ()
     int_weight_of = staticmethod(int_weight)
     charge_of = staticmethod(charge)
 
@@ -388,10 +386,10 @@ class SpanBasis:
     underlying module.
     """
 
-    def __init__(self, space: Space, cfg: Optional[ClosureConfig] = None):
+    def __init__(self, space: Space, cfg: ClosureConfig | None = None):
         self.space = space
         self.cfg = cfg
-        self._rows: dict[Any, Any] = {}  # pivot key -> vector
+        self._rows: dict[object, object] = {}  # pivot key -> vector
 
     # -- construction -------------------------------------------------
 
@@ -499,7 +497,7 @@ class SpanBasis:
             return self.rows()
         w = self.space.int_bound(self.cfg.weight_cutoff)
         weight_of, key = self.space.int_weight_of, self.space.sort_key
-        heavy_first = SpanBasis(replace(self.space, sort_key=lambda s: (weight_of(s) <= w, key(s))))
+        heavy_first = SpanBasis(self.space._replace(sort_key=lambda s: (weight_of(s) <= w, key(s))))
         for r in self._rows.values():
             heavy_first.insert(r)
         return [heavy_first._rows[p] for p in heavy_first.pivots() if weight_of(p) <= w]
@@ -585,7 +583,7 @@ def closure(
     ops: OpFamily,
     cfg: ClosureConfig,
     space: Space,
-    stop_at: Optional[Collection] = None,
+    stop_at: Collection | None = None,
 ) -> SpanBasis:
     """Least fixpoint of the operator family inside the truncation window.
 
@@ -645,7 +643,7 @@ def closure(
             basis.insert(g)
     if stop and basis.holds_any(stop):
         return basis
-    expanded: dict[Any, Any] = {}  # pivot -> the row object last expanded
+    expanded: dict[object, object] = {}  # pivot -> the row object last expanded
     changed = True
     while changed:
         changed = False
@@ -715,7 +713,7 @@ def joint_kernel(ann_ops: OpFamily, piece: Sequence, space: Space) -> SpanBasis:
     """
     tag = len(ann_ops)
     # only the order of the augmented keys is read
-    augmented = SpanBasis(replace(space, sort_key=lambda k: (k[0], space.sort_key(k[1]))))
+    augmented = SpanBasis(space._replace(sort_key=lambda k: (k[0], space.sort_key(k[1]))))
     for s in piece:
         vec = SparseVec.basis(s)
         images = [op(vec) for _, op in ann_ops]

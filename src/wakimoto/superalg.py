@@ -32,10 +32,9 @@ reference the acceptance tests check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import partial
-from typing import Optional
 
 from .fock import (
     FOCK_SPACE,
@@ -70,7 +69,7 @@ __all__ = [
     "a_module_ops",
 ]
 
-def g_parts(species: str, i: int, chi: Optional[ChiSeries]) -> list[tuple[int, int]]:
+def g_parts(species: str, i: int, chi: ChiSeries | None) -> list[tuple[int, int]]:
     """The nonzero components of ``G<species>(i - 1/2)`` as (doubled mode, int) pairs.
 
     G+(i - 1/2) is the single component ``-i Psi+(i - 1/2)``, its int -i
@@ -92,7 +91,7 @@ def apply_Gplus(i: int, v: SparseVec) -> SparseVec:
 
 
 def apply_Gminus(
-    i: int, v: SparseVec, chi: ChiSeries, parts: Optional[Parts] = None
+    i: int, v: SparseVec, chi: ChiSeries, parts: Parts | None = None
 ) -> SparseVec:
     """Apply ``G-(i - 1/2)`` twisted by chi.
 
@@ -159,21 +158,25 @@ def omega_vec(s: int) -> SparseVec:
 _WORD_OPS = ("G+", "G-")
 
 
-@dataclass(frozen=True)
-class OperatorWord:
+class OperatorWord(namedtuple("OperatorWord", "ops")):
     """A product of odd modes of the algebra, applied right to left.
 
     Entries are (label, doubled mode) pairs with label "G+" or "G-".
     """
 
-    ops: tuple[tuple[str, int], ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        for label, d in self.ops:
+    def __new__(cls, ops=()):
+        for label, d in ops:
             if label not in _WORD_OPS:
                 raise ValueError(f"unknown operator label {label!r}")
             if not isinstance(d, int) or d % 2 == 0:
                 raise ValueError(f"mode must be a doubled odd integer, got {d!r}")
+        return super().__new__(cls, ops)
+
+    @classmethod
+    def _make(cls, fields):  # and so _replace, which copies through it
+        return cls(*fields)
 
     def to_json_obj(self) -> list[dict]:
         return [{"op": label, "mode": fmt_halfodd(d)} for label, d in self.ops]
@@ -184,7 +187,7 @@ class OperatorWord:
         return " ".join(f"{label}({fmt_halfodd(d)})" for label, d in self.ops)
 
 
-def apply_word(word: OperatorWord, v: SparseVec, chi: Optional[ChiSeries] = None) -> SparseVec:
+def apply_word(word: OperatorWord, v: SparseVec, chi: ChiSeries | None = None) -> SparseVec:
     """Apply an operator word (rightmost factor first)."""
     for label, d in reversed(word.ops):
         if label == "G+":

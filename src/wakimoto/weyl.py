@@ -66,12 +66,12 @@ from __future__ import annotations
 
 import math
 from bisect import insort
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import partial
 from itertools import chain, repeat
 from operator import itemgetter
-from typing import Iterator, Optional
 
 from .scalars import ChiSeries, pole_order
 from .span import (
@@ -497,7 +497,7 @@ class WeylAction:
 # ---------------------------------------------------------------------------
 
 
-def _bounded_partitions(budget: int, max_part: Optional[int] = None) -> Iterator[tuple[int, ...]]:
+def _bounded_partitions(budget: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
     """All multisets of positive integers with sum <= budget, ascending."""
     yield ()
     top = budget if max_part is None else min(max_part, budget)
@@ -702,8 +702,7 @@ def wakimoto_ops(
     return ops
 
 
-@dataclass(frozen=True)
-class Evidence:
+class Evidence(namedtuple("Evidence", "all_cyclic non_cyclic candidates probed cfg")):
     """Reducibility evidence from the boson side.
 
     ``all_cyclic`` — every probed basis vector regenerates the vacuum inside
@@ -712,11 +711,7 @@ class Evidence:
     candidates (their existence alone does not decide reducibility).
     """
 
-    all_cyclic: bool
-    non_cyclic: tuple[str, ...]
-    candidates: tuple[dict, ...]
-    probed: int
-    cfg: ClosureConfig
+    __slots__ = ()
 
     def to_json_obj(self) -> dict:
         return {

@@ -13,6 +13,7 @@ from wakimoto.scalars import (
     MAX_ELL,
     MAX_ENUM_WEIGHT,
     MAX_ENUM_WINDOW,
+    MAX_PROBE_SUPPORT,
     MAX_RELATION_MODE,
     MAX_RELATION_POLE_WEIGHT,
     MAX_RELATION_TRIALS,
@@ -246,6 +247,9 @@ MALFORMED_BOUNDS = [
     (["relations", "--suite", "affine", "--chi", CHI_EVERY_INDEX, "--max-mode", "0",
       "--trials", "1"], None, "--chi"),
     (["relations", "--suite", "affine", "--chi", CHI_POLES_PAST_CAP], None, "--chi"),
+    # a probe whose every f(n) would carry thousands of a* terms
+    (["probe-wakimoto", "--chi", CHI_EVERY_INDEX], None, "--chi"),
+    (["probe-wakimoto", "--chi", CHI_WIDE_TAIL], None, "--chi"),
     (["classify", "--chi", CHI_LONG_TAIL], None, "output"),
     (["schur", "--ell", str(MAX_ELL), "--chi", CHI_HUGE_TAIL], None, "output"),
 ]
@@ -297,6 +301,11 @@ def test_probe_caps_are_inclusive(capsys, monkeypatch):
         main(argv)
     assert windows == [ClosureConfig(
         Fraction(MAX_ENUM_WEIGHT - 2), (-MAX_ENUM_WINDOW, MAX_ENUM_WINDOW), Fraction(2))]
+    # a twist of MAX_PROBE_SUPPORT indices, poles among them, reaches the probe
+    at_cap = twist_text({m: 1 for m in range(1 - MAX_PROBE_SUPPORT // 2, MAX_PROBE_SUPPORT // 2 + 1)})
+    with pytest.raises(Reached):
+        main(["probe-wakimoto", "--chi", at_cap])
+    assert len(windows) == 2
 
 
 def test_closure_caps_are_inclusive(capsys, tmp_path, monkeypatch):

@@ -3,7 +3,6 @@ import gc
 import pickle
 import random
 import weakref
-from dataclasses import replace
 from fractions import Fraction
 from functools import partial
 
@@ -660,7 +659,7 @@ def _wide_kernels(chi, cfg):
 
 
 # at cutoff 1, f(1) alone keeps a(-1)|0> out of the kernels unless chi_0 = 2
-@pytest.mark.parametrize("cfg", [PROBE_CFG, replace(PROBE_CFG, weight_cutoff=Fraction(1))],
+@pytest.mark.parametrize("cfg", [PROBE_CFG, PROBE_CFG._replace(weight_cutoff=Fraction(1))],
                          ids=["cutoff2", "cutoff1"])
 @pytest.mark.parametrize("coeffs", [c for c in PROBE_TWISTS if not pole_order(ChiSeries(c))])
 def test_probe_kernels_match_wide_family(coeffs, cfg):
