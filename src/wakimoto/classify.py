@@ -2,10 +2,14 @@
 
 ``classify`` decides among five mutually exclusive cases by exact
 arithmetic on the twist series chi, emits a certificate and reads the
-verdict off it through one kind table.  ``decide`` reads the same verdict
-off the certificate's scalar fields alone, running no closure.
-``verify_certificate`` re-derives every claim from chi, in the window the
-certificate records, and compares the record against it:
+verdict off it through one kind table.  Each certificate kind has one
+derivation, ``_claims``: the claims such a certificate makes, in check
+order, each with its condition on chi and the recorded fields it stands
+on.  ``classify`` records those fields; ``decide`` takes only the scalar
+claims, so it runs no closure; ``verify_certificate`` is one loop over the
+claims of the certificate's kind, in the window the certificate records,
+and a check passes when its condition holds and each of its fields is
+recorded as derived:
 
 * case "i"   — chi has a pole (some chi_m != 0 with m > 0): irreducible.
 * case "ii"  — pole-free with chi_0 = 1 or chi_0 not an integer: irreducible.
@@ -21,11 +25,9 @@ certificate records, and compares the record against it:
   graded dimension is strictly smaller than the full space in the window.
 
 Positive closure facts (memberships) are exact proofs; negative facts are
-evidence scoped to the closure window recorded in the certificate.  Each
-reducible kind derives its closure facts once, in one function: ``classify``
-records them and the verifier derives them again.  A fact the window cannot
-show (a closure that never admitted Omega_ell, a state past the window's
-reach) is recorded false, never vacuously true.
+evidence scoped to the closure window recorded in the certificate.  A fact
+the window cannot show (a closure that never admitted Omega_ell, a state
+past the window's reach) is recorded false, never vacuously true.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from .fock import (
     charge,
     enumerate_basis,
     fmt_halfodd,
-    parse_state,
     vacuum_vec,
     vec_from_json_obj,
     weight,
@@ -138,9 +139,9 @@ def _same_json(recorded, derived) -> bool:
     return texts[0] == texts[1]
 
 
-def _recorded(cert: Certificate, facts: dict, *names: str) -> bool:
-    """Does the certificate record each named fact as its derived JSON value?"""
-    return all(_same_json(cert.data.get(name), facts[name]) for name in names)
+def _recorded(cert: Certificate, fields: dict) -> bool:
+    """Does the certificate record each field as its derived JSON value?"""
+    return all(_same_json(cert.data.get(name), value) for name, value in fields.items())
 
 
 class Check(namedtuple("Check", "name passed detail", defaults=("",))):
@@ -219,53 +220,137 @@ def _neg_ell_facts(q: int, chi: ChiSeries, cfg: ClosureConfig) -> tuple[bool, di
     }
 
 
-def _scalar_kind(chi: ChiSeries) -> tuple[str, dict]:
-    """The certificate kind and the scalar fields its verdict repeats.
+def _kind(chi: ChiSeries) -> tuple[str, Fraction | None]:
+    """The kind of chi's certificate, and S_ell(-chi) when ell >= 1 (else None).
 
-    Exact arithmetic on chi alone: no closure and no fermion vector.
+    Exact arithmetic on chi alone.  This is the one evaluation of S_ell(-chi)
+    in a call: ``_claims`` reads it from here.
     """
-    p = pole_order(chi)
-    ell = ell_of(chi)
+    p, ell = pole_order(chi), ell_of(chi)
     if p >= 1:
-        return "pole", {"pole_order": p, "chi_p": format_rational(chi.coeff(p))}
-    if ell is None or ell == 0:
-        return "generic_weight", {"chi0": format_rational(chi.coeff(0))}
-    if ell >= 1:
-        sval = schur_at_minus_chi(ell, chi)
-        if sval != 0:
-            return "schur_nonzero", {"ell": ell, "schur_value": format_rational(sval)}
-        return "schur_zero", {"ell": ell}
-    return "neg_ell", {"ell": ell, "q": -ell - 1}
+        return "pole", None
+    if not ell:
+        return "generic_weight", None
+    if ell <= -1:
+        return "neg_ell", None
+    sval = schur_at_minus_chi(ell, chi)
+    return ("schur_nonzero" if sval != 0 else "schur_zero"), sval
+
+
+def _pick(facts: dict, *names: str) -> dict:
+    return {name: facts[name] for name in names}
+
+
+def _claims(
+    kind: str, chi: ChiSeries, cfg: ClosureConfig, record: dict | None, sval: Fraction | None
+):
+    """The claims a certificate of ``kind`` makes about chi, in check order.
+
+    Each claim is (name, holds, detail, fields): ``holds`` is its condition
+    on chi, and ``fields`` maps each recorded field the claim stands on to
+    its derivation.  Together the fields are everything such a certificate
+    records.  ``sval`` is S_ell(-chi) as ``_kind`` evaluates it.  The
+    schur_zero witness is checked as ``record`` holds it (as derived when
+    ``record`` is None).  Claims are derived as they are taken, so the
+    scalar ones come before any closure runs.
+    """
+    p, ell = pole_order(chi), ell_of(chi)
+    if kind == "pole":
+        # chi_p != 0 once p >= 1: chi holds no zero coefficient
+        lead = format_rational(chi.coeff(p))
+        yield "pole_order", p >= 1, f"pole_order={p}", {"pole_order": p}
+        yield "pole_coefficient", p >= 1, f"chi_{p}={lead}", {"pole_order": p, "chi_p": lead}
+        return
+    if kind == "generic_weight":
+        chi0 = chi.coeff(0)
+        yield "pole_free", p == 0, f"pole_order={p}", {}
+        yield (
+            "weight_generic", chi0 == 1 or chi0.denominator != 1,
+            f"chi0={format_rational(chi0)}", {"chi0": format_rational(chi0)},
+        )
+        return
+    # the other three kinds rest on ell = chi_0 - 1 and claim nothing else without it
+    fits = ell is not None and (ell <= -1 if kind == "neg_ell" else ell >= 1)
+    yield "ell", fits, f"ell={ell}", {"ell": ell}
+    if not fits:
+        return
+    if kind == "neg_ell":
+        q = -ell - 1
+        yield "q", True, f"q={q}", {"q": q}
+        heavy, facts = _neg_ell_facts(q, chi, cfg)
+        yield "excluded_state", True, facts["excluded_state"], _pick(facts, "excluded_state")
+        detail = f"weight {fmt_halfodd(2 * q + 1)} monomial not reached"
+        if heavy:
+            detail += f"; heavier than the window bound {format_rational(cfg.bound)}"
+        yield "state_excluded", facts["excluded"], detail, _pick(facts, "excluded")
+        closure_dim, full_dim = facts["closure_dimension"], facts["full_dimension"]
+        yield (
+            "proper_within_window", closure_dim < full_dim, f"closure {closure_dim} < full {full_dim}",
+            _pick(facts, "closure_dimension", "full_dimension", "closure"),
+        )
+        return
+    schur = f"S_{ell}(-chi)={format_rational(sval)}"
+    if kind == "schur_nonzero":
+        yield "schur_nonzero", sval != 0, schur, {"schur_value": format_rational(sval)}
+        coeff = gminus_string_on_omega(ell, chi)
+        yield (
+            "lowering_word_reaches_vacuum",
+            coeff != 0 and coeff == math.factorial(ell) * (-1) ** ell * sval,
+            f"coefficient={format_rational(coeff)}",
+            {"lowering_word": lowering_string(ell).to_json_obj(),
+             "vacuum_coefficient": format_rational(coeff)},
+        )
+        return
+    yield "schur_vanishes", sval == 0, schur, {}
+    derived_w = singular_w(ell, chi).to_json_obj()
+    try:
+        w = vec_from_json_obj(derived_w if record is None else record.get("w", []))
+    except (ValueError, KeyError, TypeError) as exc:
+        yield "witness_matches", False, f"unreadable witness: {exc}", {"w": derived_w}
+        return
+    # the verifier, not the certificate, sets the range it checks
+    basis, facts = _schur_zero_facts(ell, chi, cfg, w)
+    yield (
+        "witness_matches", not w.is_zero(), f"{len(w.terms)} terms",
+        {"omega": facts["omega"], "w": derived_w},
+    )
+    failures = facts["annihilation_failures"]
+    yield (
+        "witness_annihilated", not failures,
+        f"modes n=1..{facts['annihilation_range']}" + (f"; failing: {failures}" if failures else ""),
+        _pick(facts, "annihilation_range", "annihilation_failures"),
+    )
+    yield (
+        "vacuum_excluded", facts["vacuum_excluded"], f"closure dimension {basis.dimension()}",
+        _pick(facts, "vacuum_excluded", "closure"),
+    )
 
 
 def decide(chi: ChiSeries) -> Verdict:
     """The verdict ``classify`` returns, without building its certificate.
 
-    It is read off a certificate that holds only the scalar fields, so the
+    It takes the claims only until they hold the verdict's fields, so the
     reducible cases run no closure.
     """
-    return _verdict_of(Certificate(*_scalar_kind(chi)))
+    kind, sval = _kind(chi)
+    data = {}
+    for *_, fields in _claims(kind, chi, DEFAULT_CFG, None, sval):
+        data.update(fields)
+        if data.keys() >= set(_KINDS[kind][2]):
+            return _verdict_of(Certificate(kind, data))
 
 
 def classify(chi: ChiSeries, cfg: ClosureConfig = DEFAULT_CFG) -> tuple[Verdict, Certificate]:
     """Decide irreducibility of the twisted module and build a certificate.
 
-    The irreducible cases are settled by scalar arithmetic alone; the
-    reducible cases additionally run the span engine inside ``cfg`` to
-    attach concrete witness data.  The verdict is read off the certificate.
+    The certificate records every field its kind's claims derive: the
+    irreducible cases by scalar arithmetic alone, the reducible cases with
+    closures inside ``cfg``.  The verdict is read off the certificate.
     """
-    kind, data = _scalar_kind(chi)
-    ell = data.get("ell")
-    if kind == "schur_nonzero":
-        data.update(
-            lowering_word=lowering_string(ell).to_json_obj(),
-            vacuum_coefficient=format_rational(gminus_string_on_omega(ell, chi)),
-        )
-    elif kind == "schur_zero":
-        w = singular_w(ell, chi)
-        data.update(_schur_zero_facts(ell, chi, cfg, w)[1], w=w.to_json_obj())
-    elif kind == "neg_ell":
-        data.update(_neg_ell_facts(data["q"], chi, cfg)[1])
+    kind, sval = _kind(chi)
+    data = {}
+    for *_, fields in _claims(kind, chi, cfg, None, sval):
+        data.update(fields)
     cert = Certificate(kind, {**data, "cfg": cfg.to_json_obj()})
     return _verdict_of(cert), cert
 
@@ -320,143 +405,39 @@ def recorded_cfg(cert: Certificate) -> ClosureConfig:
     return cfg
 
 
-def _ell_fits(kind: str, p: int, ell: int | None, recorded) -> bool:
-    """Is chi pole-free with ell on the kind's side, and is ell recorded?"""
-    if p != 0 or ell is None:
-        return False
-    return (ell <= -1 if kind == "neg_ell" else ell >= 1) and _same_json(recorded, ell)
-
-
-def _witness_checks(add, chi: ChiSeries, cert: Certificate, cfg: ClosureConfig, ell: int) -> None:
-    """schur_zero: S_ell(-chi) vanishes, and the recorded w is singular."""
-    sval = schur_at_minus_chi(ell, chi)
-    add("schur_vanishes", sval == 0, f"S_{ell}(-chi)={format_rational(sval)}")
-    try:
-        recorded_w = vec_from_json_obj(cert.data.get("w", []))
-    except (ValueError, KeyError, TypeError) as exc:
-        add("witness_matches", False, f"unreadable witness: {exc}")
-        return
-    # the verifier, not the certificate, sets the range it checks
-    basis, facts = _schur_zero_facts(ell, chi, cfg, recorded_w)
-    add(
-        "witness_matches",
-        _recorded(cert, facts, "omega") and not recorded_w.is_zero()
-        and _same_json(cert.data.get("w"), singular_w(ell, chi).to_json_obj()),
-        f"{len(recorded_w.terms)} terms",
-    )
-    failures = facts["annihilation_failures"]
-    add(
-        "witness_annihilated",
-        not failures and _recorded(cert, facts, "annihilation_range", "annihilation_failures"),
-        f"modes n=1..{facts['annihilation_range']}"
-        + (f"; failing: {failures}" if failures else ""),
-    )
-    add(
-        "vacuum_excluded",
-        facts["vacuum_excluded"] and _recorded(cert, facts, "vacuum_excluded", "closure"),
-        f"closure dimension {basis.dimension()}",
-    )
-
-
-def _excluded_state_checks(add, chi: ChiSeries, cert: Certificate, cfg: ClosureConfig, ell: int) -> None:
-    """neg_ell: the vacuum's closure misses Psi-(-q-1/2)|0> and is proper."""
-    q = -ell - 1
-    add("q", _same_json(cert.data.get("q"), q), f"q={q}")
-    try:
-        recorded_state = parse_state(cert.data.get("excluded_state", ""))
-    except ValueError as exc:
-        add("excluded_state", False, f"unreadable state: {exc}")
-        return
-    heavy, facts = _neg_ell_facts(q, chi, cfg)
-    add("excluded_state", _recorded(cert, facts, "excluded_state"), str(recorded_state))
-    detail = f"weight {fmt_halfodd(2 * q + 1)} monomial not reached"
-    if heavy:
-        detail += f"; heavier than the window bound {format_rational(cfg.bound)}"
-    add("state_excluded", facts["excluded"] and _recorded(cert, facts, "excluded"), detail)
-    closure_dim, full_dim = facts["closure_dimension"], facts["full_dimension"]
-    add(
-        "proper_within_window",
-        closure_dim < full_dim
-        and _recorded(cert, facts, "closure_dimension", "full_dimension", "closure"),
-        f"closure {closure_dim} < full {full_dim}",
-    )
-
-
 def verify_certificate(
     chi: ChiSeries, verdict: Verdict, cert: Certificate, start_weight: Fraction | None = None
 ) -> Report:
-    """Re-derive every certificate claim from chi, in the recorded window.
+    """Check each claim of the certificate's kind on chi, in the recorded window.
 
-    Never raises on a failing claim — each one becomes a failed check in the
-    report.  The window is ``recorded_cfg(cert)``, which raises
-    ``ChiParseError`` on a missing, malformed or oversized record;
-    ``start_weight`` bounds the generators probed for cyclicity in the
-    irreducible cases (default: min(5/2, weight cutoff)).
+    A claim passes when its condition holds and the certificate records each
+    of its fields as derived.  Never raises on a failing claim — each one
+    becomes a failed check in the report.  The window is
+    ``recorded_cfg(cert)``, which raises ``ChiParseError`` on a missing,
+    malformed or oversized record; ``start_weight`` bounds the generators
+    probed for cyclicity in the irreducible cases (default: min(5/2, weight
+    cutoff)), and one below 0 or above the weight cutoff raises
+    ``ChiParseError`` before any work.
     """
     cfg = recorded_cfg(cert)
     if start_weight is None:
         start_weight = min(Fraction(5, 2), cfg.weight_cutoff)
-    checks: list[Check] = []
-
-    def add(name: str, passed, detail: str = "") -> bool:
-        checks.append(Check(name, bool(passed), detail))
-        return bool(passed)
-
-    kind = cert.kind
+    elif not 0 <= start_weight <= cfg.weight_cutoff:
+        # the probes enumerate every state up to this weight
+        raise ChiParseError(
+            f"--start-weight: must be >= 0 and must not exceed the weight cutoff "
+            f"{format_rational(cfg.weight_cutoff)}, got {format_rational(start_weight)}"
+        )
     derived = _verdict_of(cert)
-    detail = f"kind={kind}, case={verdict.case}, status={verdict.status}"
-    add(
+    checks = [Check(
         "verdict_matches_certificate",
         verdict == derived and _same_json(verdict.data, derived.data),
-        detail,
-    )
+        f"kind={cert.kind}, case={verdict.case}, status={verdict.status}",
+    )]
     if derived is None:
         return Report(tuple(checks))
-
-    p = pole_order(chi)
-    ell = ell_of(chi)
-
-    if kind == "pole":
-        ok_p = p >= 1 and _same_json(cert.data.get("pole_order"), p)
-        add("pole_order", ok_p, f"pole_order={p}")
-        lead = chi.coeff(p) if p >= 1 else Fraction(0)
-        add(
-            "pole_coefficient",
-            ok_p and lead != 0 and format_rational(lead) == cert.data.get("chi_p"),
-            f"chi_{p}={format_rational(lead)}",
-        )
-    elif kind == "generic_weight":
-        add("pole_free", p == 0, f"pole_order={p}")
-        chi0 = chi.coeff(0)
-        add(
-            "weight_generic",
-            format_rational(chi0) == cert.data.get("chi0")
-            and (chi0 == 1 or chi0.denominator != 1),
-            f"chi0={format_rational(chi0)}",
-        )
-    # the other three kinds rest on ell = chi_0 - 1 and check nothing else without it
-    elif add("ell", _ell_fits(kind, p, ell, cert.data.get("ell")), f"ell={ell}"):
-        if kind == "schur_zero":
-            _witness_checks(add, chi, cert, cfg, ell)
-        elif kind == "neg_ell":
-            _excluded_state_checks(add, chi, cert, cfg, ell)
-        else:
-            sval = schur_at_minus_chi(ell, chi)
-            add(
-                "schur_nonzero",
-                sval != 0 and format_rational(sval) == cert.data.get("schur_value"),
-                f"S_{ell}(-chi)={format_rational(sval)}",
-            )
-            coeff = gminus_string_on_omega(ell, chi)
-            recorded = cert.data.get("vacuum_coefficient")
-            add(
-                "lowering_word_reaches_vacuum",
-                cert.data.get("lowering_word") == lowering_string(ell).to_json_obj()
-                and coeff != 0
-                and coeff == math.factorial(ell) * (-1) ** ell * sval
-                and recorded == format_rational(coeff),
-                f"coefficient={recorded}",
-            )
+    for name, holds, detail, fields in _claims(cert.kind, chi, cfg, cert.data, _kind(chi)[1]):
+        checks.append(Check(name, bool(holds) and _recorded(cert, fields), detail))
     # an irreducible verdict is only as good as the cyclicity it shows
     if derived.status == "irreducible":
         checks.append(_cyclic_probes(chi, cfg, start_weight))

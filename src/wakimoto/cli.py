@@ -36,7 +36,6 @@ from .classify import (
     Verdict,
     classify,
     decide,
-    recorded_cfg,
     verify_certificate,
 )
 from .fock import FOCK_SPACE, apply_psi_dmode, enumerate_basis, fmt_halfodd
@@ -84,12 +83,13 @@ def _read_text(path: str, flag: str) -> str:
         raise ChiParseError(f"{flag}: {exc}") from None
 
 
-def _chi_from_args(args):
+def _chi_from_args(args) -> tuple[ChiSeries | None, str | None]:
+    """The twist of ``--chi`` or ``--chi-file`` and that flag, which its errors name."""
     if getattr(args, "chi", None) is not None:
-        return parse_chi(args.chi)
+        return parse_chi(args.chi), "--chi"
     if getattr(args, "chi_file", None) is not None:
-        return parse_chi(_read_text(args.chi_file, "--chi-file"))
-    return None
+        return parse_chi(_read_text(args.chi_file, "--chi-file")), "--chi-file"
+    return None, None
 
 
 def _ell_capped(chi: ChiSeries, field: str) -> ChiSeries:
@@ -100,12 +100,12 @@ def _ell_capped(chi: ChiSeries, field: str) -> ChiSeries:
     return chi
 
 
-def _classified_twist(args) -> ChiSeries:
-    """The twist ``classify`` and ``probe-wakimoto`` read, ell inside its cap."""
-    chi = _chi_from_args(args)
+def _classified_twist(args) -> tuple[ChiSeries, str]:
+    """The twist ``classify`` and ``probe-wakimoto`` read, ell inside its cap, and its flag."""
+    chi, field = _chi_from_args(args)
     if chi is None:
         raise ChiParseError("a twist is required (--chi or --chi-file)")
-    return _ell_capped(chi, "--chi" if args.chi is not None else "--chi-file")
+    return _ell_capped(chi, field), field
 
 
 def _cfg_from_args(args, base: ClosureConfig) -> ClosureConfig:
@@ -159,7 +159,7 @@ def _enum_window(weight_text: str, weight_field: str, window: int) -> tuple[Frac
 
 
 def _cmd_classify(args) -> int:
-    chi = _classified_twist(args)
+    chi, _ = _classified_twist(args)
     verdict, cert = classify(chi, _cfg_from_args(args, DEFAULT_CFG))
     _emit(
         {
@@ -189,16 +189,7 @@ def _cmd_verify(args) -> int:
         cert = Certificate.from_json_obj(doc["certificate"])
     except (KeyError, TypeError) as exc:
         raise ChiParseError(f"certificate document missing field: {exc}") from exc
-    cfg = recorded_cfg(cert)
-    start = None
-    if args.start_weight is not None:
-        # the probes enumerate every state up to this weight
-        start = _bound(args.start_weight, "--start-weight")
-        if start > cfg.weight_cutoff:
-            raise ChiParseError(
-                f"--start-weight: must not exceed the weight cutoff "
-                f"{format_rational(cfg.weight_cutoff)}, got {args.start_weight!r}"
-            )
+    start = None if args.start_weight is None else _bound(args.start_weight, "--start-weight")
     report = verify_certificate(chi, verdict, cert, start_weight=start)
     _emit(
         {
@@ -225,7 +216,7 @@ def _cmd_schur(args) -> int:
         value = schur_rec(args.ell, xs)
         _emit({"ell": args.ell, "xs": [format_rational(x) for x in xs], "value": format_rational(value)})
         return 0
-    chi = _chi_from_args(args)
+    chi, _ = _chi_from_args(args)
     if chi is None:
         raise ChiParseError("schur needs --at or a twist (--chi/--chi-file)")
     value = schur_at_minus_chi(args.ell, chi)
@@ -258,9 +249,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_probe(args) -> int:
-    chi = _classified_twist(args)
+    chi, field = _classified_twist(args)
     if len(chi.support) > MAX_PROBE_SUPPORT:
-        field = "--chi" if args.chi is not None else "--chi-file"
         raise ChiParseError(
             f"{field}: a probe takes at most {MAX_PROBE_SUPPORT} nonzero coefficients,"
             f" got {len(chi.support)}"
@@ -309,7 +299,7 @@ def _cmd_relations(args) -> int:
         raise ChiParseError(f"--trials: must be >= 1, got {args.trials}")
     _capped(args.trials, MAX_RELATION_TRIALS, "--trials")
     modes = [2 * k - 1 for k in range(-args.max_mode + 1, args.max_mode + 1)]
-    chi = _chi_from_args(args)
+    chi, field = _chi_from_args(args)
     failures: list[str] = []
     checked = 0
     if args.suite == "clifford":
@@ -349,7 +339,6 @@ def _cmd_relations(args) -> int:
             raise ChiParseError("suite 'affine' needs a twist (--chi/--chi-file)")
         pole_weight = sum(j for j in chi.support if j > 0)
         if pole_weight > MAX_RELATION_POLE_WEIGHT:
-            field = "--chi" if args.chi is not None else "--chi-file"
             raise ChiParseError(
                 f"{field}: suite 'affine' takes poles summing to <= {MAX_RELATION_POLE_WEIGHT},"
                 f" got {pole_weight}"

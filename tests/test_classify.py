@@ -177,6 +177,26 @@ def test_recorded_window_is_capped_before_any_work():
     assert time.perf_counter() - start < 1
 
 
+def test_start_weight_is_bounded_by_the_verifier():
+    # at weight 24 the probes would enumerate some 18,000 states
+    chi = CHIS_BY_KIND["pole"]
+    verdict, cert = classify(chi)
+    for start_weight in (Fraction(24), Fraction(-1)):
+        start = time.perf_counter()
+        with pytest.raises(ChiParseError, match=r"^--start-weight: must be >= 0 and must not "
+                           r"exceed the weight cutoff 4, got -?\d+$"):
+            verify_certificate(chi, verdict, cert, start_weight=start_weight)
+        assert time.perf_counter() - start < 1
+    # both ends are inclusive
+    cfg = ClosureConfig(Fraction(2), (-2, 2), Fraction(1))
+    verdict, cert = classify(chi, cfg)
+    for start_weight in (Fraction(0), Fraction(2)):
+        check = _check(verify_certificate(chi, verdict, cert, start_weight=start_weight),
+                       "cyclic_probes")
+        assert check.detail.endswith("generators cyclic" if start_weight else
+                                     "; no generator besides the vacuum")
+
+
 def _failed_names(report):
     return [c.name for c in report.checks if not c.passed]
 
@@ -572,3 +592,59 @@ def test_every_forged_record_fails(chi, window):
         data = dict(cert.data, **{name: forged})
         report = verify_certificate(chi, verdict, Certificate(cert.kind, data))
         assert not report.ok, (name, forged)
+
+
+# -- one derivation per kind: classify records it, verify loops over it -----
+
+CLAIM_WINDOWS = {"default": DEFAULT_CFG, "certify": FACT_WINDOWS["certify"]}
+
+
+@pytest.mark.parametrize("window", sorted(CLAIM_WINDOWS))
+@pytest.mark.parametrize("kind", sorted(CHIS_BY_KIND))
+def test_claims_cover_every_recorded_field(kind, window):
+    chi, cfg = CHIS_BY_KIND[kind], CLAIM_WINDOWS[window]
+    _, cert = classify(chi, cfg)
+    claims = list(CLASSIFY._claims(kind, chi, cfg, cert.data, CLASSIFY._kind(chi)[1]))
+    fields = {}
+    for _, holds, _, claimed in claims:
+        assert holds
+        fields.update(claimed)
+    # no recorded field escapes comparison, and each is recorded as derived
+    assert set(fields) == set(cert.data) - {"cfg"}
+    for name, value in fields.items():
+        assert json.dumps(cert.data[name], sort_keys=True) == json.dumps(value, sort_keys=True)
+    report = verify_certificate(chi, *classify(chi, cfg))
+    assert [c.name for c in report.checks] == [
+        "verdict_matches_certificate", *(name for name, *_ in claims),
+        *(["cyclic_probes"] if kind in ("pole", "generic_weight", "schur_nonzero") else []),
+    ]
+
+
+def _counted(monkeypatch, name):
+    calls = []
+    fn = getattr(CLASSIFY, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(CLASSIFY, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind", sorted(CHIS_BY_KIND))
+def test_each_call_derives_once(kind, monkeypatch):
+    # the cyclicity probes close through span.closure, so these count only
+    # the closures of the reducible kinds' facts
+    chi = CHIS_BY_KIND[kind]
+    closures = _counted(monkeypatch, "closure")
+    schur = _counted(monkeypatch, "schur_at_minus_chi")
+    want = (int(kind in ("schur_zero", "neg_ell")), int(kind.startswith("schur")))
+    verdict, cert = classify(chi)
+    assert (len(closures), len(schur)) == want
+    closures.clear(), schur.clear()
+    assert verify_certificate(chi, verdict, cert).ok
+    assert (len(closures), len(schur)) == want
+    closures.clear(), schur.clear()
+    assert decide(chi) == verdict
+    assert (len(closures), len(schur)) == (0, want[1])
