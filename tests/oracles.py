@@ -21,8 +21,14 @@ hit first, one hit per step) and full-sweep closure (every operator on
 every row until a sweep adds nothing), kept as references for the one-pass
 ``SpanBasis.reduce`` and the closure that skips unchanged rows;
 ``closure_probe`` is the cyclicity probe that runs its closure every time,
-the reference for ``cyclic_probe``'s one-step proof, and ``leaves_window``
-the exact window test for the op images both of them skip.
+the reference for ``cyclic_probe``'s one-step proof, ``leaves_window``
+the exact window test for the op images both of them skip, and
+``fermion_battery`` the fermion-side battery of probes.
+``psi_minus_series`` solves each Psi- mode as a finite series of G- modes
+(the triangular inversion that proves the irreducible verdicts, with
+``u_chi_coefficient`` the functional that blocks it on reducible twists);
+its G- components come from chi as the paper writes them, not from
+``g_parts``.
 ``ordered_f_core`` is the cubic f core summed over ordered triples of
 modes, the reference for the engine's ``_f_core`` over unordered a* pairs.
 ``apply_relation_check`` is the relation suite over rational vectors, the
@@ -47,12 +53,21 @@ from fractions import Fraction
 from functools import partial
 from typing import NamedTuple, Optional
 
-from wakimoto.fock import FOCK_SPACE, MINUS, VACUUM, apply_psi_dmode, fmt_halfodd
+from wakimoto.fock import (
+    FOCK_SPACE,
+    MINUS,
+    VACUUM,
+    apply_psi_dmode,
+    charge,
+    enumerate_basis,
+    fmt_halfodd,
+)
 from wakimoto.scalars import ChiSeries, ell_of, pole_order
 from wakimoto.schur import schur_at_minus_chi
-from wakimoto.span import SpanBasis, SparseVec, _admissible, closure
+from wakimoto.span import SpanBasis, SparseVec, _admissible, closure, cyclic_probe
 from wakimoto.superalg import (
     OperatorWord,
+    a_module_ops,
     apply_Gminus,
     apply_Gplus,
     apply_word,
@@ -843,6 +858,95 @@ def closure_probe(v, cyclic, ops, cfg, space):
     whether it reached a state of ``cyclic``.
     """
     return closure([v], ops, cfg, space, cyclic).holds_any(cyclic)
+
+
+def fermion_battery(chi, cfg, start_weight, probe=cyclic_probe, family=a_module_ops):
+    """The fermion cyclicity battery: each probed state's answer, in probe order.
+
+    It probes every charged monomial of weight <= start_weight whose charge
+    lies in the window, lighter first, under ``family(chi, cfg)``, and
+    passes every monomial proved cyclic so far, the vacuum first, as the
+    stop set: the fermion twin of ``wakimoto_probe``'s battery, which the
+    ``cyclic_probe`` tests drive on the fermion side.
+    """
+    ops = family(chi, cfg)
+    lo, hi = cfg.charge_window
+    known = {VACUUM}
+    answers = {}
+    for st in enumerate_basis(start_weight):
+        if lo <= charge(st) <= hi:
+            answers[st] = probe(SparseVec.basis(st), known, ops, cfg, FOCK_SPACE)
+            if answers[st]:
+                known.add(st)
+    return answers
+
+
+# ---------------------------------------------------------------------------
+# triangular inversion of G-: each Psi- mode as a finite series of G- modes
+# ---------------------------------------------------------------------------
+
+
+def u_chi_coefficient(d, chi):
+    """lambda_{-d/2}, the coefficient of Psi+(-d/2) in u = sum_k S_k(-chi) Psi+(k + 1/2 - chi_0).
+
+    For a pole-free chi with integer chi_0; S_k by the series exponential.
+    u anticommutes with every G- mode and {u, Psi-(d/2)} = lambda_{-d/2}, so
+    no series of G- modes reaches a Psi- mode that u sees.
+    """
+    k = (2 * int(chi.coeff(0)) - 1 - d) // 2
+    if k < 0:
+        return Fraction(0)
+    return schur_series_exp(k, [-chi.coeff(-j) for j in range(1, k + 1)])
+
+
+def psi_minus_series(d, chi, top):
+    """Psi-(d/2) as G- modes on the charged vectors of doubled weight <= top.
+
+    Returns (beta, gamma) with Psi-(d/2) v = sum_i beta[i] G-(i-1/2) v +
+    gamma Psi-(1/2) v for every such v, where the last term is 0 on the
+    charged subspace; or None when the solve is blocked.  The components
+    of G-(i-1/2) are read off chi as the paper writes them, c_0 = chi_0 - i
+    and c_m = chi_m on Psi-(i-m-1/2), not through ``g_parts``.  The lowest
+    is m = p, the pole order, so Psi-(t/2) is solved from G-(i-1/2) with
+    2(i-p) - 1 = t, lowest pending mode first; each step adds only higher
+    modes, and a mode above top kills every such v.  The lead coefficient
+    chi_p, or chi_0 - i at p = 0, vanishes only at i = chi_0:
+
+    * at chi_0 = 1 the mode is Psi-(1/2), and it moves into gamma;
+    * at chi_0 >= 2 gamma Psi-(1/2) is taken off first, with gamma =
+      lambda_{-d/2} / lambda_{-1/2} and lambda_{-1/2} = S_ell(-chi), so the
+      rest has lambda 0 and meets Psi-(chi_0 - 1/2) with coefficient 0;
+    * otherwise (S_ell(-chi) = 0, or chi_0 <= 0) the solve is blocked
+      exactly when lambda_{-d/2} != 0 and chi_0 - 1/2 <= top/2.
+    """
+    p, chi0 = pole_order(chi), chi.coeff(0)
+    support = sorted({0, *chi.support})
+    pending = {d: Fraction(1)}
+    gamma = Fraction(0)
+    # lambda_{-1/2} = S_ell(-chi) where ell = chi_0 - 1 >= 1, and 0 elsewhere
+    half = u_chi_coefficient(1, chi) if p == 0 and chi0.denominator == 1 and chi0 >= 2 else 0
+    if half:
+        gamma = u_chi_coefficient(d, chi) / half
+        pending[1] = pending.get(1, 0) - gamma
+    beta = {}
+    while pending and min(pending) <= top:
+        t = min(pending)
+        c = pending.pop(t)
+        if not c:
+            continue
+        i = (t + 1) // 2 + p
+        lead = chi.coeff(p) if p else chi0 - i
+        if not lead:
+            if t != 1:
+                return None
+            gamma += c
+            continue
+        beta[i] = c / lead
+        for m in support:
+            if m != p:
+                c_m = chi0 - i if m == 0 else chi.coeff(m)
+                pending[2 * (i - m) - 1] = pending.get(2 * (i - m) - 1, 0) - beta[i] * c_m
+    return beta, gamma
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import hull_a_module_ops, interval_a_module_ops, seeded_twist
+from oracles import fermion_battery, hull_a_module_ops, interval_a_module_ops, seeded_twist
 from wakimoto import (
     DEFAULT_CFG,
     Certificate,
@@ -144,7 +144,7 @@ def test_verify_report_json_shape():
     assert obj["ok"] is True
     assert all(set(c) == {"name", "passed", "detail"} for c in obj["checks"])
     names = [c["name"] for c in obj["checks"]]
-    assert names == ["verdict_matches_certificate", "pole_order", "pole_coefficient", "cyclic_probes"]
+    assert names == ["verdict_matches_certificate", "pole_order", "pole_coefficient"]
 
 
 def test_verify_with_explicit_small_window():
@@ -178,7 +178,7 @@ def test_recorded_window_is_capped_before_any_work():
 
 
 def test_start_weight_is_bounded_by_the_verifier():
-    # at weight 24 the probes would enumerate some 18,000 states
+    # it bounds nothing, but a value out of range is still refused
     chi = CHIS_BY_KIND["pole"]
     verdict, cert = classify(chi)
     for start_weight in (Fraction(24), Fraction(-1)):
@@ -187,14 +187,13 @@ def test_start_weight_is_bounded_by_the_verifier():
                            r"exceed the weight cutoff 4, got -?\d+$"):
             verify_certificate(chi, verdict, cert, start_weight=start_weight)
         assert time.perf_counter() - start < 1
-    # both ends are inclusive
+    # both ends are inclusive, and neither changes the report
     cfg = ClosureConfig(Fraction(2), (-2, 2), Fraction(1))
     verdict, cert = classify(chi, cfg)
+    report = verify_certificate(chi, verdict, cert)
+    assert report.ok
     for start_weight in (Fraction(0), Fraction(2)):
-        check = _check(verify_certificate(chi, verdict, cert, start_weight=start_weight),
-                       "cyclic_probes")
-        assert check.detail.endswith("generators cyclic" if start_weight else
-                                     "; no generator besides the vacuum")
+        assert verify_certificate(chi, verdict, cert, start_weight=start_weight) == report
 
 
 def _failed_names(report):
@@ -281,25 +280,6 @@ class TestTampering:
         check = _check(report, "vacuum_excluded")
         assert not check.passed
         assert check.detail == "closure dimension 0"
-        assert not report.ok
-
-    @pytest.mark.parametrize(
-        "coeffs, window, detail",
-        [
-            ({0: 3, -2: 1}, [-3, 3], "1/1 generators cyclic"),
-            ({1: 1}, [-3, 3], "1/1 generators cyclic"),
-            ({0: Fraction(1, 2)}, [1, 2], "0/0 generators cyclic"),
-        ],
-    )
-    def test_vacuum_alone_proves_no_cyclicity(self, coeffs, window, detail):
-        chi = ChiSeries(coeffs)
-        verdict, cert = classify(chi)
-        data = dict(cert.data)
-        data["cfg"] = dict(data["cfg"], weight_cutoff="0", charge_window=window)
-        report = verify_certificate(chi, verdict, Certificate(cert.kind, data))
-        check = _check(report, "cyclic_probes")
-        assert not check.passed
-        assert check.detail == detail + "; no generator besides the vacuum"
         assert not report.ok
 
     def test_state_heavier_than_the_window_is_not_excluded(self):
@@ -415,11 +395,18 @@ FAR_TAILS = [
 
 
 def _verified_json(chi, cfg, start_weight=None):
+    """Verdict, certificate and report, and on an irreducible twist the
+    cyclicity battery's answers under the family ``classify`` holds."""
     verdict, cert = classify(chi, cfg)
     report = verify_certificate(chi, verdict, cert, start_weight=start_weight)
     assert report.ok
-    return json.dumps([verdict.to_json_obj(), cert.to_json_obj(), report.to_json_obj()],
-                      sort_keys=True)
+    battery = {}
+    if verdict.status == "irreducible":
+        top = start_weight or min(Fraction(5, 2), cfg.weight_cutoff)
+        battery = fermion_battery(chi, cfg, top, family=CLASSIFY.a_module_ops)
+        assert len(battery) > 1 and all(battery.values())
+    return json.dumps([verdict.to_json_obj(), cert.to_json_obj(), report.to_json_obj(),
+                       [str(st) for st in battery]], sort_keys=True)
 
 
 @pytest.mark.parametrize("coeffs, cfg", FAR_TAILS)
@@ -448,7 +435,7 @@ FAMILY_TWISTS = [
 @pytest.mark.parametrize("chi", FAMILY_TWISTS, ids=repr)
 def test_family_matches_interval_family(chi, window, monkeypatch):
     # the family drops whole G- modes and components of kept ones, which
-    # must change no verdict, certificate or report
+    # must change no verdict, certificate, report or battery answer
     cfg, start_weight = window
     kept = {label for label, _ in a_module_ops(chi, cfg)}
     assert kept <= {label for label, _ in interval_a_module_ops(chi, cfg)}
@@ -615,8 +602,7 @@ def test_claims_cover_every_recorded_field(kind, window):
         assert json.dumps(cert.data[name], sort_keys=True) == json.dumps(value, sort_keys=True)
     report = verify_certificate(chi, *classify(chi, cfg))
     assert [c.name for c in report.checks] == [
-        "verdict_matches_certificate", *(name for name, *_ in claims),
-        *(["cyclic_probes"] if kind in ("pole", "generic_weight", "schur_nonzero") else []),
+        "verdict_matches_certificate", *(name for name, *_ in claims)
     ]
 
 
@@ -634,17 +620,18 @@ def _counted(monkeypatch, name):
 
 @pytest.mark.parametrize("kind", sorted(CHIS_BY_KIND))
 def test_each_call_derives_once(kind, monkeypatch):
-    # the cyclicity probes close through span.closure, so these count only
-    # the closures of the reducible kinds' facts
+    # the irreducible kinds build no op family and run no closure at all
     chi = CHIS_BY_KIND[kind]
     closures = _counted(monkeypatch, "closure")
+    families = _counted(monkeypatch, "a_module_ops")
     schur = _counted(monkeypatch, "schur_at_minus_chi")
-    want = (int(kind in ("schur_zero", "neg_ell")), int(kind.startswith("schur")))
+    reducible = int(kind in ("schur_zero", "neg_ell"))
+    want = (reducible, reducible, int(kind.startswith("schur")))
     verdict, cert = classify(chi)
-    assert (len(closures), len(schur)) == want
-    closures.clear(), schur.clear()
+    assert (len(closures), len(families), len(schur)) == want
+    closures.clear(), families.clear(), schur.clear()
     assert verify_certificate(chi, verdict, cert).ok
-    assert (len(closures), len(schur)) == want
-    closures.clear(), schur.clear()
+    assert (len(closures), len(families), len(schur)) == want
+    closures.clear(), families.clear(), schur.clear()
     assert decide(chi) == verdict
-    assert (len(closures), len(schur)) == (0, want[1])
+    assert (len(closures), len(families), len(schur)) == (0, 0, want[2])

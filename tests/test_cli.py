@@ -1,9 +1,11 @@
+import importlib
 import io
 import json
 import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -92,7 +94,6 @@ class TestClassifyVerify:
             "ell",
             "schur_nonzero",
             "lowering_word_reaches_vacuum",
-            "cyclic_probes",
         ]
         assert all(c["passed"] for c in doc["report"]["checks"])
 
@@ -392,19 +393,50 @@ def test_ell_cap_is_inclusive_and_read_from_every_source(capsys, tmp_path):
     assert (code, err) == (0, "")
 
 
-def test_start_weight_widens_the_probes(capsys, tmp_path):
-    # the certify benchmark's window: cutoff 5, start weight 7/2
-    path = tmp_path / "cert.json"
-    path.write_text(classify_document(
-        capsys, CHI_POLE, extra=["--cutoff", "5", "--window", "3", "--excursion", "2"]))
-    probes = {}
-    for extra in ([], ["--start-weight", "7/2"]):
-        code, out, err = run_cli(capsys, ["verify", "--certificate", str(path), *extra])
-        assert (code, err) == (0, "")
-        checks = json.loads(out)["report"]["checks"]
-        probes[len(extra)] = next(c["detail"] for c in checks if c["name"] == "cyclic_probes")
-    # `enumerate` counts 8 charged states up to weight 5/2 and 14 up to 7/2
-    assert probes == {0: "8/8 generators cyclic", 2: "14/14 generators cyclic"}
+# one twist of each irreducible kind; its scalar claims hold in no window
+IRREDUCIBLE_TWISTS = {
+    "pole": CHI_POLE,
+    "generic_weight": twist_text({0: "1/2", -1: 2}),
+    "schur_nonzero": CHI_SCHUR_NONZERO,
+}
+# cutoff, charge half-width, excursion
+ROUND_TRIP_GRID = [
+    (cutoff, window, excursion)
+    for cutoff in ("0", "1/2", "3") for window in ("0", "2") for excursion in ("0", "1/2", "2")
+]
+
+
+@pytest.mark.parametrize("windows", ["window0", "cutoff0", "grid"])
+@pytest.mark.parametrize("kind", sorted(IRREDUCIBLE_TWISTS))
+def test_irreducible_round_trip_at_every_window(capsys, monkeypatch, kind, windows):
+    """classify | verify exits 0 at any window, the empty ones included: the
+    verdict rests on scalar claims, and the window bounds no probe."""
+    if windows == "grid":
+        flags = [["--cutoff", c, "--window", w, "--excursion", e] for c, w, e in ROUND_TRIP_GRID]
+    else:
+        flags = [["--window", "0"] if windows == "window0" else ["--cutoff", "0"]]
+    for extra in flags:
+        doc = classify_document(capsys, IRREDUCIBLE_TWISTS[kind], extra)
+        assert json.loads(doc)["certificate"]["kind"] == kind
+        monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
+        code, out, err = run_cli(capsys, ["verify", "--certificate", "-"])
+        report = json.loads(out)["report"]
+        assert (code, err, report["ok"]) == (0, "", True), (extra, report)
+
+
+def test_benchmark_start_weight_verifies_every_certify_shape(monkeypatch):
+    """The certify benchmark's own call, ``verify --start-weight 7/2`` at its
+    window, exits 0 and checks out on one twist of every certify shape."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    assert workloads.CERTIFY_START_WEIGHT == "7/2"
+    runner = workloads.Runner("certify")
+    items = workloads.Inputs("certify", 1).next_round()
+    assert [shape.name for shape, *_ in items] == [shape.name for shape in workloads.CERTIFY]
+    for item in items:
+        result = runner.run(item)
+        assert (result["code"], result["vcode"]) == (0, 0), item[0].name
+        assert workloads.check("certify", item, result) == [], item[0].name
 
 
 def test_window_flags_fill_from_the_base(capsys):

@@ -15,6 +15,7 @@ from oracles import (
     dict_add,
     dict_from_items,
     dict_scale,
+    fermion_battery,
     hull_wakimoto_ops,
     leaves_window,
     ordered_reduce,
@@ -258,9 +259,10 @@ def test_engine_is_fraction_free(side, monkeypatch):
     Fraction: classify then verify at certify's window on one twist of each
     case, and the boson probe at crosscheck's window.
 
-    The batteries settle most probes without a closure, so each twist also
-    closes the vacuum under its family, in the same window: a closure that
-    always runs to its fixpoint.
+    Verify runs no closure on an irreducible twist, and the boson battery
+    settles most probes without one, so each twist also closes the vacuum
+    under its family, in the same window: a closure that always runs to its
+    fixpoint.
     """
     span_mod = importlib.import_module("wakimoto.span")
     classify_mod = importlib.import_module("wakimoto.classify")
@@ -681,7 +683,6 @@ def _battery(side, chi, monkeypatch):
     proof applies before it are not counted.
     """
     span = importlib.import_module("wakimoto.span")
-    owner = importlib.import_module("wakimoto.classify" if side == "fock" else "wakimoto.weyl")
     cfg = BATTERY_CFG[side]
     applied = [0]
     answers = {}
@@ -704,12 +705,10 @@ def _battery(side, chi, monkeypatch):
 
     with monkeypatch.context() as mp:
         mp.setattr(span, "closure", counting)
-        mp.setattr(owner, "cyclic_probe", recording)
         if side == "fock":
-            check = owner._cyclic_probes(chi, cfg, BATTERY_START_WEIGHT)
-            cyclic = sum(answers.values())
-            assert check.detail.startswith(f"{cyclic}/{len(answers)} generators cyclic")
+            assert fermion_battery(chi, cfg, BATTERY_START_WEIGHT, recording) == answers
         else:
+            mp.setattr(importlib.import_module("wakimoto.weyl"), "cyclic_probe", recording)
             evidence = wakimoto_probe(chi, cfg)
             assert evidence.non_cyclic == tuple(str(st) for st, ok in answers.items() if not ok)
             assert evidence.probed == len(answers)
@@ -763,7 +762,6 @@ def _probe_calls(side, chi, cfg, monkeypatch, probe=cyclic_probe):
     ran.
     """
     span = importlib.import_module("wakimoto.span")
-    owner = importlib.import_module("wakimoto.classify" if side == "fock" else "wakimoto.weyl")
     close = span.closure
     calls = []
     closures = [0]
@@ -778,11 +776,11 @@ def _probe_calls(side, chi, cfg, monkeypatch, probe=cyclic_probe):
         return close(*args)
 
     with monkeypatch.context() as mp:
-        mp.setattr(owner, "cyclic_probe", recording)
         mp.setattr(span, "closure", counting)
         if side == "fock":
-            owner._cyclic_probes(chi, cfg, BATTERY_START_WEIGHT)
+            fermion_battery(chi, cfg, BATTERY_START_WEIGHT, recording)
         else:
+            mp.setattr(importlib.import_module("wakimoto.weyl"), "cyclic_probe", recording)
             wakimoto_probe(chi, cfg)
     return calls, closures[0]
 

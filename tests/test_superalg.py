@@ -1,3 +1,4 @@
+import importlib
 import random
 from fractions import Fraction
 
@@ -10,9 +11,11 @@ from oracles import (
     interval_a_module_ops,
     lowering_ladder_word,
     normal_order_fermion,
+    psi_minus_series,
     raising_ladder_word,
     seeded_twist,
     split_a_module_ops,
+    u_chi_coefficient,
     vacuum_filling_word,
 )
 from test_classify import FAR_TAILS
@@ -31,6 +34,8 @@ from wakimoto import (
     apply_psi_dmode,
     apply_word,
     charge,
+    classify,
+    ell_of,
     enumerate_basis,
     g_parts,
     gminus_string_on_omega,
@@ -43,6 +48,7 @@ from wakimoto import (
     schur_at_minus_chi,
     singular_w,
     vacuum_vec,
+    verify_certificate,
     weight,
 )
 
@@ -490,3 +496,104 @@ def test_a_module_ops_apply_within_window():
     for lbl, op in a_module_ops(chi, cfg):
         out = op(omega_vec(1))
         assert isinstance(out, SparseVec)
+
+
+# -- triangular inversion of G-: the proof behind the irreducible verdicts ---
+
+SOLVE_TOP = 11  # doubled: every vector of weight <= 11/2
+SOLVE_STATES = [st for st in enumerate_basis(Fraction(SOLVE_TOP, 2)) if abs(charge(st)) <= 3]
+SOLVE_MODES = range(-11, 12, 2)
+
+
+def _seeded(cases, n=5):
+    """n distinct seeded twists of each case."""
+    twists = []
+    for case in cases:
+        rng, drawn = random.Random(f"solve:{case}"), []
+        while len(drawn) < n:
+            chi = seeded_twist(case, rng)
+            if chi not in drawn:
+                drawn.append(chi)
+        twists += drawn
+    return twists
+
+
+# five seeded twists per irreducible case, two at chi_0 = 1 (which no
+# seeded case ii draws) and ell = 1, whose lowering word cannot see c_0
+SOLVE_TWISTS = [
+    *_seeded(["i", "ii", "iii"]),
+    ChiSeries({0: 1}),
+    ChiSeries({0: 1, -1: 2, -2: Fraction(-1, 3)}),
+    ChiSeries({0: 2, -1: 1}),
+]
+
+
+def _series_misses(chi):
+    """The (doubled mode, monomial) pairs where Psi- is not its solved series."""
+    for d in SOLVE_MODES:
+        solved = psi_minus_series(d, chi, SOLVE_TOP)
+        if solved is None:
+            yield d, None
+            continue
+        beta, gamma = solved
+        for st in SOLVE_STATES:
+            v = SparseVec.basis(st)
+            series = gamma * apply_psi_dmode(MINUS, 1, v)
+            for i, b in beta.items():
+                series = series + b * apply_Gminus(i, v, chi)
+            if apply_psi_dmode(MINUS, d, v) != series:
+                yield d, st
+
+
+@pytest.mark.parametrize("chi", SOLVE_TWISTS, ids=repr)
+def test_psi_minus_is_a_series_of_g_minus(chi):
+    """Every Psi- mode acts on the charged window as a series of G- modes
+    (plus gamma Psi-(1/2), which is 0 there), so with G+ = -i Psi+ every
+    Clifford mode but the pair Psi±(∓1/2) lies in the algebra: the scalar
+    claims of the three irreducible kinds prove the whole module
+    irreducible."""
+    assert len(SOLVE_STATES) == 42
+    assert list(_series_misses(chi)) == []
+    solved = [psi_minus_series(d, chi, SOLVE_TOP) for d in SOLVE_MODES]
+    # not vacuous: the solve inverts a triangle (a diagonal when chi has no
+    # index but 0), and at chi_0 >= 2 it closes through Psi-(1/2), which it
+    # never needs off the integers
+    assert max(len(beta) for beta, _ in solved) >= (2 if set(chi.support) - {0} else 1)
+    ell = ell_of(chi)
+    if ell is None:
+        assert not any(gamma for _, gamma in solved)
+    elif ell >= 1:
+        assert any(gamma for beta, gamma in solved if beta)
+
+
+@pytest.mark.parametrize("case", ["schur_zero", "neg_ell"])
+def test_solve_is_blocked_where_u_chi_sees_the_mode(case):
+    """On a reducible twist u_chi anticommutes with every G- mode, so no
+    series reaches a Psi- mode it sees, and the solve stops there."""
+    for chi in _seeded([case]):
+        blocked = [d for d in SOLVE_MODES if psi_minus_series(d, chi, SOLVE_TOP) is None]
+        assert blocked == [d for d in SOLVE_MODES if u_chi_coefficient(d, chi)]
+        # the mode whose lead coefficient chi_0 - i vanishes, seen by S_0 = 1
+        assert 2 * int(chi.coeff(0)) - 1 in blocked
+
+
+def test_perturbed_component_breaks_the_series(monkeypatch):
+    """c_0 -> c_0 + 1 in ``g_parts`` changes G-, and the series no longer
+    holds on any twist; verify on an ell = 2 twist fails too."""
+    superalg = importlib.import_module("wakimoto.superalg")
+    parts = superalg.g_parts
+    ell_two = ChiSeries({0: 3, -2: 1})
+    verdict, cert = classify(ell_two)
+
+    def perturbed(species, i, chi):
+        if species == PLUS:
+            return parts(species, i, chi)
+        coeffs = dict(parts(species, i, chi))
+        coeffs[2 * i - 1] = coeffs.get(2 * i - 1, 0) + chi.denominator
+        return [(d, k) for d, k in coeffs.items() if k]
+
+    monkeypatch.setattr(superalg, "g_parts", perturbed)
+    for twist in SOLVE_TWISTS:
+        assert next(_series_misses(twist), None) is not None, twist
+    report = verify_certificate(ell_two, verdict, cert)
+    assert [c.name for c in report.checks if not c.passed] == ["lowering_word_reaches_vacuum"]
