@@ -21,7 +21,8 @@ tries a one-step proof: if v itself, or its image under one op, is c·u
 for a single monomial u already proved cyclic, and both v and c·u lie in
 the window, then u ∈ ⟨v⟩ exactly, and the closure, which expands v first
 with every op, would stop at that insert anyway.  Most probes of a
-battery end there.
+battery end there.  The one step applies no op whose image must be
+heavier than every proved state: such an image is no c·u.
 
 Scalar operators (e.g. central or diagonal mode actions) map a vector to a
 multiple of itself and can never enlarge a span, so operator families only
@@ -546,17 +547,23 @@ def _exterior_facts(v, top: int) -> dict[int, tuple[set, set]]:
     return {1: (lower, top_upper), -1: (upper, top_lower)}
 
 
-def _live(v, ops: OpFamily, cfg: ClosureConfig, bound: int) -> Iterator:
-    """The ops whose image of the nonzero window vector v may fit the window.
+def _live(v, ops: OpFamily, cfg: ClosureConfig, reach: int) -> Iterator:
+    """The ops whose image of the nonzero window vector v may matter.
 
-    Lazily, in the family's order: each label is read only when it is
-    reached.  An op is left out when its ``GradedLabel`` proves that the
-    image is zero or holds a state outside the window (``closure`` has the
-    arguments).  ``room`` is at least 0, since v lies in the window.
+    An image matters only when it lies in the charge window and weighs at
+    most ``reach``, an int weight no more than the window's bound: the
+    bound itself for a closure, less for a one-step proof
+    (``cyclic_probe``).  Lazily, in the family's order: each label is read
+    only when it is reached.  An op is left out when its ``GradedLabel``
+    proves that the image is zero or holds a state that does not matter
+    (``closure`` has the arguments, with ``reach`` for B).  ``room`` is
+    reach minus v's top weight, or 0 when v is heavier than reach: every
+    weight rule proves a state heavier than v, so an op that may lower the
+    weight is still applied.
     """
     lo, hi = cfg.charge_window
     top = max(map(int_weight, v.terms))
-    room = bound - top
+    room = max(0, reach - top)
     charges = set(map(charge, v.terms))
     least, most = min(charges), max(charges)
     facts = None
@@ -681,15 +688,25 @@ def cyclic_probe(v, cyclic: Collection, ops: OpFamily, cfg: ClosureConfig, space
     once when v is such a c·u, and otherwise expands the generator row
     first, with every op in the family's order, inserts c·u, and stops once
     u is a pure row.  A v or an image outside the window settles nothing,
-    since the closure drops it.  So the one step skips, by ``closure``'s
-    rules, every op whose image of v must be zero or leave the window:
-    that image settles nothing, and the closure skips it too.  Each label
-    is read only when the proof reaches it, so a proof that ends at the
-    first ops reads no more of the family.
+    since the closure drops it.  Nor does an image that holds a state
+    heavier than ``reach``, the least of the window's int bound B and the
+    heaviest int weight in ``cyclic``: c·u with u in ``cyclic`` inside the
+    window weighs at most that.  So the one step skips, by ``closure``'s
+    rules with ``reach`` for B, every op whose image of v must be zero,
+    leave the charge window or hold a state heavier than ``reach``; on a
+    battery that probes lighter states first, that is nearly every
+    creator.  An op that may lower the weight is still tried when v is
+    heavier than every state of ``cyclic`` (``_live`` keeps its room at
+    least 0), and an empty ``cyclic`` settles nothing and raises nothing.
+    The closure keeps the full bound B, so every answer, and every closure
+    run, is the one the window alone gives.  Each label is read only when
+    the proof reaches it, so a proof that ends at the first ops reads no
+    more of the family.
     """
     bound = space.int_bound(cfg.bound)
     if not v.is_zero() and _admissible(v, cfg, bound):
-        for w in chain([v], (op(v) for op in _live(v, ops, cfg, bound))):
+        reach = min(bound, max(map(int_weight, cyclic), default=0))
+        for w in chain([v], (op(v) for op in _live(v, ops, cfg, reach))):
             if len(w.terms) == 1 and next(iter(w.terms)) in cyclic and _admissible(w, cfg, bound):
                 return True
     # positional, so a wrapper of ``closure`` with its own keyword names works

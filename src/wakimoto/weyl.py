@@ -35,10 +35,11 @@ on one monomial for every other pair, each with a chi-free core (h0, f0 or
 a) in it, so a fresh twist on a known support reads its brackets instead of
 composing x and y both ways, and that table grows linearly in the size of
 chi's support.  Both tables intern their output states and are cleared
-whole, together, once they hold ``MAX_CORE_ENTRIES`` monomials.  An image
-grows with the weight of its monomial: a pole j puts a*(j - n) into f(n),
-and f0's bracket against it has about j/2 terms, so the relation suite
-bounds the sum of a twist's poles (``scalars.MAX_RELATION_POLE_WEIGHT``).
+whole, together, once their monomials and stored terms would number more
+than ``MAX_CORE_ENTRIES``.  An image grows with the weight of its
+monomial: a pole j puts a*(j - n) into f(n), and f0's bracket against it
+has about j/2 terms, so the relation suite bounds the sum of a twist's
+poles (``scalars.MAX_RELATION_POLE_WEIGHT``).
 Each bracket and its right-hand side sum to one integer vector that must
 vanish.  The relations hold with central scalar -2:
 
@@ -48,9 +49,10 @@ vanish.  The relations hold with central scalar -2:
 
 ``wakimoto_probe`` gathers reducibility evidence on this side: cyclicity of
 every small basis vector, and joint kernels in each graded piece of the
-raising modes, a slice of the closure family picked by label.  On a twist
-with a pole every such kernel is 0, since f(p) acts injectively there, so
-none is taken.  ``evidence_agrees`` compares it with the classifier verdict.
+raising modes.  e(0) and f(1) generate them all, so the kernels take those
+two, picked by label from the closure family.  On a twist with a pole every
+such kernel is 0, since f(p) acts injectively there, so none is taken.
+``evidence_agrees`` compares it with the classifier verdict.
 The cyclicity battery probes the monomials lighter first, and each probe
 stops at the first monomial already proved cyclic (``span.cyclic_probe``).
 Most probes need no closure: one mode maps the monomial onto a multiple of
@@ -59,7 +61,8 @@ factor a*(-n) from a product of a* alone, and that one step is the proof.
 On a reducible twist a monomial that is not cyclic reaches no stop state,
 so its closure runs to the end.  Each op of the family declares its charge
 shift and the weight it creates (``wakimoto_ops``), so those closures skip
-every op image that must leave the window.
+every op image that must leave the window, and the one step skips every op
+image that must be heavier than every monomial proved so far.
 """
 
 from __future__ import annotations
@@ -301,14 +304,16 @@ def _f_core(n: int, st: WeylState) -> tuple[tuple[WeylState, int], ...]:
 # the process-wide tables of chi-free cores and brackets
 # ---------------------------------------------------------------------------
 
-#: Most monomials the core and bracket tables hold together, summed over
-#: every key.  When a new one would pass it, both tables and the intern dict
-#: are cleared whole.  Criterion 10 (ten twists, 151 monomials,
-#: |m|, |n| <= 3) needs about 8k core and 70k bracket entries, so that the
-#: last nine twists read every chi-free bracket; at 1 << 16 it clears
-#: before each twist is done and recomputes what it cleared, about three
-#: times slower.
-MAX_CORE_ENTRIES = 1 << 17
+#: Most entries the core and bracket tables hold together: one per monomial
+#: and one per stored (state, int) pair, summed over every key.  An image
+#: grows with the weight of its monomial, so a count of monomials alone
+#: would bound no memory.  When a new entry would pass it, both tables and
+#: the intern dict, which holds no state the tables do not, are cleared
+#: whole.  Criterion 10 (ten twists, 151 monomials, |m|, |n| <= 3) stores
+#: about 78k monomials and 122k pairs, so that the last nine twists read
+#: every chi-free bracket, and the relations benchmark about 8.5k and 12k;
+#: neither clears.
+MAX_CORE_ENTRIES = 1 << 18
 
 # (core function, mode) -> {monomial: the core's (state, int) pairs}.  Keyed
 # by the function object, so a core swapped into ``WeylAction._RAW`` never
@@ -319,19 +324,23 @@ _CORES: dict[tuple[object, int], dict[WeylState, tuple]] = {}
 _BRACKETS: dict[tuple[object, int, object, int], dict[WeylState, tuple]] = {}
 # every state the tables hold, once: many stored pairs share an output state
 _STATES: dict[WeylState, WeylState] = {}
-# monomials held across all of ``_CORES``' and ``_BRACKETS``' tables
+# monomials and stored pairs held across all of ``_CORES``' and
+# ``_BRACKETS``' tables
 _core_entries = 0
 
 
-def _admit(registry: dict, key, table: dict) -> None:
-    """Make room for one more monomial in ``table``, clearing all when full.
+def _admit(registry: dict, key, table: dict, pairs: int) -> None:
+    """Make room in ``table`` for one monomial's image of ``pairs`` terms.
 
-    A clear empties both registries and the intern dict.  The caller goes
-    on reading ``table``, so once a clear has dropped it (here, or while its
-    new entry was being computed) it is emptied and registered again.
+    The entry counts 1 + pairs.  When the count would pass
+    ``MAX_CORE_ENTRIES``, all is cleared first: both registries and the
+    intern dict.  The caller goes on reading ``table``, so once a clear has
+    dropped it (here, or while its new entry was being computed) it is
+    emptied and registered again.
     """
     global _core_entries
-    if _core_entries >= MAX_CORE_ENTRIES:
+    size = 1 + pairs
+    if _core_entries + size > MAX_CORE_ENTRIES:
         _CORES.clear()
         _BRACKETS.clear()
         _STATES.clear()
@@ -339,13 +348,13 @@ def _admit(registry: dict, key, table: dict) -> None:
     if registry.get(key) is not table:
         table.clear()
         registry[key] = table
-    _core_entries += 1
+    _core_entries += size
 
 
 def _store(table: dict, fn, n: int, st: WeylState) -> tuple:
     """Compute fn(n, st) into ``table``, the (fn, n) table of ``_CORES``."""
     items = fn(n, st)
-    _admit(_CORES, (fn, n), table)
+    _admit(_CORES, (fn, n), table, len(items))
     intern = _STATES.setdefault
     items = table[intern(st, st)] = tuple([(intern(out, out), k) for out, k in items])
     return items
@@ -384,11 +393,10 @@ def _store_bracket(table: dict, key: tuple, st: WeylState) -> tuple:
             c *= sign
             for out, k in fn(mode, mid) if items is None else items:
                 acc[out] = get(out, 0) + c * k
-    _admit(_BRACKETS, key, table)
+    terms = [(out, k) for out, k in acc.items() if k]
+    _admit(_BRACKETS, key, table, len(terms))
     intern = _STATES.setdefault
-    flat = table[intern(st, st)] = tuple(
-        [y for out, k in acc.items() if k for y in (intern(out, out), k)]
-    )
+    flat = table[intern(st, st)] = tuple([y for out, k in terms for y in (intern(out, out), k)])
     return flat
 
 
@@ -729,19 +737,26 @@ DEFAULT_PROBE_CFG = ClosureConfig(Fraction(3), (-2, 2), Fraction(2))
 def wakimoto_probe(chi: ChiSeries, cfg: ClosureConfig = DEFAULT_PROBE_CFG) -> Evidence:
     """Collect cyclicity and singular-candidate evidence within the window.
 
-    The joint kernels are those of the raising slice of the closure family
-    (``wakimoto_ops``), picked by label: with C = floor(cutoff), e(0), then
-    e(n), h(n) and f(n) for 1 <= n <= C.  The family holds every one of
-    them, since its bound floor(cfg.bound) is at least C.  Every
-    piece has weight <= C, and adding any raising mode e/h/f(n), n >= 1,
-    leaves every kernel as it is.  For a pole-free chi a mode with n > C
-    acts on a piece by zero: its chi-free part lowers weight below zero,
-    h's twist -chi_n is 0, and f's twist -chi_j a*(n - j) has j <= 0, so
-    a*(n - j) would contract an a-mode heavier than the piece.  A twist
-    with pole order p >= 1 takes no kernel: the weight-preserving part of
-    f(p)v is -chi_p a*(0)v, nonzero for v != 0 since a*(0) maps distinct
-    monomials to distinct monomials, so every kernel of a family holding
-    f(p) is 0 and there is no candidate.
+    The joint kernels are those of the raising modes n+: e(n) for n >= 0,
+    h(n) and f(n) for n >= 1.  Two of them give every kernel, e(0) and
+    f(1), picked by label from the closure family (``wakimoto_ops``).  A
+    vector killed by two modes is killed by their bracket, and for modes
+    summing to at least 1 the relations have no central term:
+
+        [e(0), f(n)] = h(n),  [h(1), e(n)] = 2 e(n+1),  [h(1), f(n)] = -2 f(n+1).
+
+    So a vector that e(0) and f(1) kill is killed by h(1), then by every
+    e(n) and f(n), by induction on n, and by every h(n).  The relations
+    hold on the Fock space for every twist (``affine_relation_check``
+    tests them), so ker{e(0), f(1)} = ker(n+) on every piece.  The family holds f(1) once
+    its bound floor(cfg.bound) is at least 1.  Below that every piece has
+    weight 0, and f(1) acts on it by zero: its chi-free part would lower
+    the weight below zero, and on a pole-free twist its twist terms
+    -chi_j a*(1 - j), j <= 0, contract a-modes the piece does not hold.
+    A twist with pole order p >= 1 takes no kernel: the weight-preserving
+    part of f(p)v is -chi_p a*(0)v, nonzero for v != 0 since a*(0) maps
+    distinct monomials to distinct monomials, so ker(n+) is 0 on every
+    piece and there is no candidate.
     """
     action = WeylAction(chi)
     ops = wakimoto_ops(chi, cfg, action)
@@ -753,9 +768,7 @@ def wakimoto_probe(chi: ChiSeries, cfg: ClosureConfig = DEFAULT_PROBE_CFG) -> Ev
             known.add(st)
         else:
             non_cyclic.append(str(st))
-    top = math.floor(cfg.weight_cutoff)
-    raising = {"e(0)", *(f"{kind}({n})" for n in range(1, top + 1) for kind in "ehf")}
-    ann = [(label, op) for label, op in ops if label in raising]
+    ann = [(label, op) for label, op in ops if label in ("e(0)", "f(1)")]
     pieces: dict[tuple[int, int], list[WeylState]] = {}
     # on a twist with a pole every kernel is 0
     for st in () if pole_order(chi) else states:

@@ -1044,3 +1044,128 @@ def test_top_component_rule_reads_the_kill():
     basis = closure([row], ops, cfg, FOCK_SPACE)
     assert basis.contains(image)
     assert basis.rows() == closure([row], [(str(lbl), o) for lbl, o in ops], cfg, FOCK_SPACE).rows()
+
+
+# -- the one-step proof applies no op whose image is past every proved state --
+
+
+def _closures_run(monkeypatch):
+    """A one-item list that counts the closures ``span.closure`` runs from now on."""
+    count = [0]
+    close = SPAN.closure
+
+    def counting(*args):
+        count[0] += 1
+        return close(*args)
+
+    monkeypatch.setattr(SPAN, "closure", counting)
+    return count
+
+
+def test_creator_onto_a_heavier_proved_state_settles_the_probe(monkeypatch):
+    """A proved state heavier than v, which only a creator maps v onto,
+    proves v in one step: the reach skips only creators whose image is
+    heavier than every proved state, not every creator."""
+    chi = seeded_twist("iii", random.Random("reach:creator"))
+    ops = wakimoto_ops(chi, CROSSCHECK_CFG, WeylAction(chi))
+    v = WeylVec.basis(WeylState((), (0,)))  # a*(0)|0>
+    u = WeylState((1,), (0,))  # a(-1) a*(0)|0>, one heavier
+    onto_u = [label for label, op in ops if set(op(v).terms) == {u}]
+    assert onto_u and all(label.creates > 0 for label in onto_u)
+    closures = _closures_run(monkeypatch)
+    assert cyclic_probe(v, {u}, ops, CROSSCHECK_CFG, WEYL_SPACE)
+    assert closures[0] == 0
+
+
+def test_lowering_op_is_tried_past_every_proved_state(monkeypatch):
+    """v is heavier than every proved state, and e(1) maps it onto the
+    vacuum: the op that lowers the weight is still tried, so the one step
+    proves v with no closure."""
+    chi = seeded_twist("iii", random.Random("reach:lowering"))
+    ops = wakimoto_ops(chi, CROSSCHECK_CFG, WeylAction(chi))
+    v = WeylVec.basis(WeylState((), (1,)))  # a*(-1)|0>
+    assert dict(ops)["e(1)"](v) == weyl_vacuum_vec()
+    closures = _closures_run(monkeypatch)
+    assert cyclic_probe(v, {WEYL_VACUUM}, ops, CROSSCHECK_CFG, WEYL_SPACE)
+    assert closures[0] == 0
+
+
+@pytest.mark.parametrize("side", ["fock", "weyl"])
+def test_empty_cyclic_settles_nothing(side):
+    cfg = ClosureConfig(Fraction(2), (-2, 2), Fraction(1))
+    chi = seeded_twist("iii", random.Random("reach:empty"))
+    if side == "fock":
+        ops, space, vac, vec = a_module_ops(chi, cfg), FOCK_SPACE, VACUUM, SparseVec.basis
+    else:
+        ops, space, vac, vec = wakimoto_ops(chi, cfg, WeylAction(chi)), WEYL_SPACE, WEYL_VACUUM, WeylVec.basis
+    for v in (vec(vac), SparseVec.zero()):
+        assert cyclic_probe(v, set(), ops, cfg, space) is False
+        assert cyclic_probe(v, (), ops, cfg, space) is False
+
+
+def _one_step_applications(chi, cfg, monkeypatch):
+    """(v, proved states, labels applied) for each probe of the boson battery.
+
+    Each op is wrapped, and counts the calls its one-step proof makes; the
+    calls inside a closure are not counted.
+    """
+    close, probe = SPAN.closure, SPAN.cyclic_probe
+    in_closure = [False]
+    probes = []
+
+    def closing(*args):
+        in_closure[0] = True
+        try:
+            return close(*args)
+        finally:
+            in_closure[0] = False
+
+    def counted(label, op, applied):
+        def apply(v):
+            if not in_closure[0]:
+                applied.append(label)
+            return op(v)
+
+        return apply
+
+    def recording(v, cyclic, ops, cfg, space):
+        applied = []
+        probes.append((v, frozenset(cyclic), applied))
+        return probe(v, cyclic, [(label, counted(label, op, applied)) for label, op in ops], cfg, space)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(SPAN, "closure", closing)
+        mp.setattr(importlib.import_module("wakimoto.weyl"), "cyclic_probe", recording)
+        wakimoto_probe(chi, cfg)
+    return probes
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_one_step_applies_no_op_past_the_reach(case, monkeypatch):
+    """No one-step proof of a seeded battery applies an op whose image must
+    be heavier than every proved state, while the window alone lets some
+    such creators through."""
+    cfg = CROSSCHECK_CFG
+    lo, hi = cfg.charge_window
+    bound = WEYL_SPACE.int_bound(cfg.bound)
+    chi = seeded_twist(case, random.Random(f"reach:{case}"))
+    labels = [label for label, _ in wakimoto_ops(chi, cfg, WeylAction(chi))]
+    probes = _one_step_applications(chi, cfg, monkeypatch)
+    applications = skipped = 0
+    for v, cyclic, applied in probes:
+        (st,) = v.terms
+        top = WEYL_SPACE.int_weight_of(st)
+        reach = min(bound, max(map(WEYL_SPACE.int_weight_of, cyclic)))
+        for label in applied:
+            # the image holds a state of int weight >= top + creates
+            assert label.creates <= max(0, reach - top), (chi, str(st), label)
+        applications += len(applied)
+        # creators that fit the window, passed over before the last op tried
+        last = labels.index(applied[-1]) if applied else 0
+        skipped += sum(
+            label.creates > max(0, reach - top)
+            and label.creates <= bound - top
+            and lo <= charge(st) + label.charge_shift <= hi
+            for label in labels[:last]
+        )
+    assert len(probes) > 1 and applications and skipped

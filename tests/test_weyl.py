@@ -24,6 +24,7 @@ from oracles import (
     wide_probe_annihilators,
 )
 from wakimoto import (
+    DEFAULT_PROBE_CFG,
     VACUUM,
     WEYL_SPACE,
     WEYL_VACUUM,
@@ -223,6 +224,14 @@ def _bracket_size():
     return sum(len(table) for table in weyl._BRACKETS.values())
 
 
+def _stored_entries():
+    """What the bound counts: each monomial of both tables and each stored pair."""
+    cores = sum(1 + len(items) for table in weyl._CORES.values() for items in table.values())
+    return cores + sum(
+        1 + len(flat) // 2 for table in weyl._BRACKETS.values() for flat in table.values()
+    )
+
+
 def _recording(monkeypatch, name, calls):
     """Record the arguments of each call of ``weyl.<name>`` but the table."""
     fn = getattr(weyl, name)
@@ -302,7 +311,7 @@ def test_core_table_stays_within_its_bound(empty_cores, monkeypatch):
                 v = WeylVec.basis(st)
                 before = _table_size()
                 assert action.apply(kind, n, v) == wick_apply(kind, n, v, chi), (kind, n, str(st))
-                assert _table_size() <= 50
+                assert _stored_entries() == weyl._core_entries <= 50
                 cleared |= _table_size() < before
     assert cleared
 
@@ -413,13 +422,51 @@ def test_both_tables_stay_within_one_bound(empty_cores, monkeypatch):
         chi = seeded_twist(case, rng)
         for got, want in _both_relation_checks(chi, _mixed_vectors(rng, 1)):
             assert got == want
-            before, entries = entries, _table_size() + _bracket_size()
+            before, entries = entries, _stored_entries()
             # the count covers both tables, and a clear empties both and the
             # intern dict: nothing survives it uncounted
             assert entries == weyl._core_entries <= 200
             assert set(weyl._STATES) <= _held_states()
             cleared |= entries < before
     assert cleared and weyl._BRACKETS
+
+
+def test_bound_counts_stored_terms(empty_cores, monkeypatch):
+    """The bound counts every stored (state, int) pair, not only the
+    monomials: on weight-6 monomials an image holds up to about 20 terms.
+    Under a tiny bound the tables clear, never hold more than it, and give
+    the images and verdicts that tables that never clear give."""
+    chi = ChiSeries({0: 2, **{-j: Fraction(1, j) for j in range(1, 7)}})
+    vectors = [WeylVec.basis(st) for st in enumerate_weyl_basis(6, (-1, 1))[-10:]]
+
+    def results(after_each):
+        action = WeylAction(chi)
+        out = []
+        for v in vectors:
+            for kind in "ehf":
+                for n in range(-3, 4):
+                    out.append(action.apply(kind, n, v))
+                    after_each()
+            out.append(affine_relation_check(1, -2, v, chi, action))
+            after_each()
+        return out
+
+    want = results(lambda: None)
+    held = _stored_entries()
+    assert held == weyl._core_entries and held > 1.5 * (_table_size() + _bracket_size())
+    for table in (weyl._CORES, weyl._BRACKETS, weyl._STATES):
+        table.clear()
+    monkeypatch.setattr(weyl, "_core_entries", 0)
+    monkeypatch.setattr(weyl, "MAX_CORE_ENTRIES", 100)
+    counts = []
+
+    def within_bound():
+        counts.append(_stored_entries())
+        assert counts[-1] == weyl._core_entries <= 100
+        assert set(weyl._STATES) <= _held_states()
+
+    assert results(within_bound) == want
+    assert any(b < a for a, b in zip(counts, counts[1:]))
 
 
 def test_perturbed_core_fails_after_warm_brackets():
@@ -648,14 +695,25 @@ PROBE_TWISTS = [
 PROBE_CFG = ClosureConfig(weight_cutoff=Fraction(2), charge_window=(-2, 2), excursion=Fraction(1))
 
 
-def _wide_kernels(chi, cfg):
-    """(weight, charge, kernel) of every piece but the vacuum line, under the wide family."""
-    ann = wide_probe_annihilators(chi, cfg, WeylAction(chi))
+def _pieces(cfg):
+    """(weight, charge, states) of every graded piece of the window but the vacuum line."""
     pieces = {}
     for st in enumerate_weyl_basis(cfg.weight_cutoff, cfg.charge_window):
         pieces.setdefault((WEYL_SPACE.int_weight_of(st), WEYL_SPACE.charge_of(st)), []).append(st)
-    return [(w, c, joint_kernel(ann, piece, WEYL_SPACE))
-            for (w, c), piece in sorted(pieces.items()) if (w, c) != (0, 0)]
+    return [(w, c, piece) for (w, c), piece in sorted(pieces.items()) if (w, c) != (0, 0)]
+
+
+def _wide_kernels(chi, cfg):
+    """(weight, charge, kernel) of every piece but the vacuum line, under the wide family."""
+    ann = wide_probe_annihilators(chi, cfg, WeylAction(chi))
+    return [(w, c, joint_kernel(ann, piece, WEYL_SPACE)) for w, c, piece in _pieces(cfg)]
+
+
+def _wide_candidates(chi, cfg):
+    """The probe's candidates, as the wide family's kernels give them."""
+    return [{"weight": w, "charge": c, "dimension": k.dimension(),
+             "vectors": [row.to_json_obj() for row in k.rows()]}
+            for w, c, k in _wide_kernels(chi, cfg) if k.dimension()]
 
 
 # at cutoff 1, f(1) alone keeps a(-1)|0> out of the kernels unless chi_0 = 2
@@ -663,12 +721,56 @@ def _wide_kernels(chi, cfg):
                          ids=["cutoff2", "cutoff1"])
 @pytest.mark.parametrize("coeffs", [c for c in PROBE_TWISTS if not pole_order(ChiSeries(c))])
 def test_probe_kernels_match_wide_family(coeffs, cfg):
-    # the raising slice of the closure family gives the wide family's kernels
+    # e(0) and f(1) give the wide family's kernels
     chi = ChiSeries(coeffs)
-    wide = [{"weight": w, "charge": c, "dimension": k.dimension(),
-             "vectors": [row.to_json_obj() for row in k.rows()]}
-            for w, c, k in _wide_kernels(chi, cfg) if k.dimension()]
-    assert list(wakimoto_probe(chi, cfg).candidates) == wide
+    assert list(wakimoto_probe(chi, cfg).candidates) == _wide_candidates(chi, cfg)
+
+
+# two seeded twists of each pole-free case
+KERNEL_TWISTS = [
+    seeded_twist(case, random.Random(f"kernel:{case}:{k}"))
+    for case in ("ii", "iii", "schur_zero", "neg_ell")
+    for k in range(2)
+]
+KERNEL_CFGS = {
+    "cutoff1": DEFAULT_PROBE_CFG._replace(weight_cutoff=Fraction(1)),
+    "cutoff2": DEFAULT_PROBE_CFG._replace(weight_cutoff=Fraction(2)),
+    "probe_default": DEFAULT_PROBE_CFG,
+}
+
+
+@pytest.mark.parametrize("window", list(KERNEL_CFGS))
+def test_two_generator_kernels_match_wide_family(window, monkeypatch):
+    """The kernels of e(0) and f(1) are those of e(0) and e/h/f(n) for
+    n = 1..2 floor(cutoff) + 1, on seeded twists of every pole-free case."""
+    cfg = KERNEL_CFGS[window]
+    # the kernels alone: every probed state answers cyclic at once
+    monkeypatch.setattr(weyl, "cyclic_probe", lambda *args: True)
+    found = 0
+    for chi in KERNEL_TWISTS:
+        candidates = list(wakimoto_probe(chi, cfg).candidates)
+        assert candidates == _wide_candidates(chi, cfg), chi
+        found += bool(candidates)
+    # at cutoff 1 only chi_0 = 2 leaves a candidate, a(-1)|0>, and none of
+    # these twists has chi_0 = 2
+    assert found or window == "cutoff1"
+
+
+def test_each_generator_alone_has_a_larger_kernel():
+    """Neither e(0) nor f(1) alone gives the kernels: on some piece of some
+    twist each one kills more than the two together."""
+    cfg = DEFAULT_PROBE_CFG
+    larger = set()
+    for chi in KERNEL_TWISTS:
+        ops = dict(wakimoto_ops(chi, cfg, WeylAction(chi)))
+        pair = [(label, ops[label]) for label in ("e(0)", "f(1)")]
+        for _, _, piece in _pieces(cfg):
+            both = joint_kernel(pair, piece, WEYL_SPACE).dimension()
+            larger.update(
+                label for label, op in pair
+                if joint_kernel([(label, op)], piece, WEYL_SPACE).dimension() > both
+            )
+    assert larger == {"e(0)", "f(1)"}
 
 
 def test_some_pole_free_probe_twist_has_candidates():
