@@ -28,6 +28,17 @@ Scalar operators (e.g. central or diagonal mode actions) map a vector to a
 multiple of itself and can never enlarge a span, so operator families only
 need the genuinely shifting modes.
 
+A battery of probes also reuses the closures that failed (``failed``).
+On a reducible module the monomials that are not cyclic reach no stop
+state, so each of their closures runs to its end.  Once such a closure is
+settled, a later monomial that its span S holds as a pure row answers
+False with no closure, provided S holds no state proved cyclic since and
+S is closed: every op image of a vector of S that fits the window lies in
+S.  S then holds every state the later closure could reach.  The closure
+inserts images of its rows only, so S is checked once, lazily, on the
+combinations of its rows that only the creators' weight rule kept it
+from expanding.
+
 An op may declare how it moves the grading, through a :class:`GradedLabel`
 in place of its plain label: its charge shift, and either the int weight
 it is sure to add to a vector's top weight (the boson family) or the
@@ -90,6 +101,7 @@ __all__ = [
     "ClosureConfig",
     "GradedLabel",
     "Monomial",
+    "Proved",
     "Space",
     "SparseVec",
     "SpanBasis",
@@ -391,6 +403,8 @@ class SpanBasis:
         self.space = space
         self.cfg = cfg
         self._rows: dict[object, object] = {}  # pivot key -> vector
+        self.dropped = False  # set by ``closure``: an op image it applied left the window
+        self._closed = None  # ``cyclic_probe``'s closedness check, once it has run
 
     # -- construction -------------------------------------------------
 
@@ -496,7 +510,10 @@ class SpanBasis:
         """
         if self.cfg is None:
             return self.rows()
-        w = self.space.int_bound(self.cfg.weight_cutoff)
+        return self._rows_within(self.space.int_bound(self.cfg.weight_cutoff))
+
+    def _rows_within(self, w: int) -> list:
+        """``restricted_rows`` for the int weight bound w."""
         weight_of, key = self.space.int_weight_of, self.space.sort_key
         heavy_first = SpanBasis(self.space._replace(sort_key=lambda s: (weight_of(s) <= w, key(s))))
         for r in self._rows.values():
@@ -522,6 +539,25 @@ class SpanBasis:
                 for (w, c), d in sorted(graded.items())
             ],
         }
+
+
+class Proved(set):
+    """A battery's states proved cyclic, with ``heaviest``, their largest int weight.
+
+    ``add``, the only way a battery grows the set, keeps ``heaviest`` up to
+    date, so ``cyclic_probe`` reads its reach with no pass over the states.
+    An empty set has ``heaviest`` 0, as the pass gives.
+    """
+
+    def __init__(self, states: Iterable = ()):
+        super().__init__()
+        self.heaviest = 0
+        for st in states:
+            self.add(st)
+
+    def add(self, st) -> None:
+        super().add(st)
+        self.heaviest = max(self.heaviest, int_weight(st))
 
 
 def _admissible(v, cfg: ClosureConfig, bound: int) -> bool:
@@ -640,7 +676,8 @@ def closure(
     generators are inserted and after every insert that grows the span.
     By the pure-row lemma (``SpanBasis.holds_any``) each test is a row
     lookup, not a reduction.  The partial basis already proves that the
-    generators reach that state.
+    generators reach that state.  The basis records in ``dropped`` whether
+    an image the closure applied held a state outside the window.
     """
     stop = frozenset(stop_at) if stop_at else None
     bound = space.int_bound(cfg.bound)
@@ -662,7 +699,10 @@ def closure(
             expanded[pivot] = row
             for op in _live(row, ops, cfg, bound):
                 w = op(row)
-                if w.is_zero() or not _admissible(w, cfg, bound):
+                if w.is_zero():
+                    continue
+                if not _admissible(w, cfg, bound):
+                    basis.dropped = True
                     continue
                 if basis.insert(w):
                     changed = True
@@ -671,7 +711,8 @@ def closure(
     return basis
 
 
-def cyclic_probe(v, cyclic: Collection, ops: OpFamily, cfg: ClosureConfig, space: Space) -> bool:
+def cyclic_probe(v, cyclic: Collection, ops: OpFamily, cfg: ClosureConfig, space: Space,
+                 failed: list | None = None) -> bool:
     """Does the truncated closure of ``[v]`` reach a state of ``cyclic``?
 
     ``cyclic`` holds basis states known to generate the vacuum, the vacuum
@@ -698,19 +739,91 @@ def cyclic_probe(v, cyclic: Collection, ops: OpFamily, cfg: ClosureConfig, space
     creator.  An op that may lower the weight is still tried when v is
     heavier than every state of ``cyclic`` (``_live`` keeps its room at
     least 0), and an empty ``cyclic`` settles nothing and raises nothing.
-    The closure keeps the full bound B, so every answer, and every closure
-    run, is the one the window alone gives.  Each label is read only when
-    the proof reaches it, so a proof that ends at the first ops reads no
-    more of the family.
+    A :class:`Proved` set carries its heaviest weight; for any other
+    collection it takes one pass.  The closure keeps the full bound B, so
+    every answer, and every closure run, is the one the window alone
+    gives.  Each label is read only when the proof reaches it, so a proof
+    that ends at the first ops reads no more of the family.
+
+    ``failed``, a list that one battery passes to every probe, with one op
+    family, window and space, keeps the closures that answered False and
+    are *settled*: the closure ran to its end (it stops early only at a
+    state of ``cyclic``), dropped no image it applied (``dropped``), and no
+    label declares exterior ``modes``, whose skip rules drop images
+    unseen.  A later monomial v answers False with no closure of its own
+    when a kept basis S holds v as a pure row, holds no state of the
+    current ``cyclic``, and is *closed*: for every w in S and every op,
+    op(w) lies in S whenever it fits the window.  Then S holds K(v), the
+    least subspace that holds v and every image that fits the window of
+    each of its vectors, and the closure of v inserts only such images, so
+    its span lies in K(v) ⊆ S and reaches no state of ``cyclic``.
+
+    Closedness is checked once per S, the first time a reuse needs it
+    (``_closed``).  The closure of S expanded every row it ended with, and
+    applied every op it did not skip; since it dropped nothing, each
+    applied image lies in S.  An op skipped by the charge rule sends a row
+    wholly outside the charge window, where no other image can cancel it,
+    so it adds nothing to an image that fits.  Only the weight rule for
+    ``creates`` = c > 0 is left.  With k = B - c, a w of S whose image
+    fits has top weight at most k, so w lies in S≤k, the part of S inside
+    int weight k, and each image of a basis of S≤k must be zero, lie
+    outside the charge window by the charge rule, or fit and lie in S.
+    That basis comes from a heavy-first elimination of S's rows, as in
+    ``restricted_rows``.  The rows of S whose top weight is at most k lie
+    in S≤k, and the closure applied the ops to them; when they number as
+    many as that basis, they span S≤k and nothing is applied.
     """
     bound = space.int_bound(cfg.bound)
     if not v.is_zero() and _admissible(v, cfg, bound):
-        reach = min(bound, max(map(int_weight, cyclic), default=0))
+        heaviest = cyclic.heaviest if isinstance(cyclic, Proved) else max(map(int_weight, cyclic), default=0)
+        reach = min(bound, heaviest)
         for w in chain([v], (op(v) for op in _live(v, ops, cfg, reach))):
             if len(w.terms) == 1 and next(iter(w.terms)) in cyclic and _admissible(w, cfg, bound):
                 return True
+        if failed and len(v.terms) == 1 and any(
+            basis.holds_any(v.terms) and not basis.holds_any(cyclic) and _closed(basis, ops, cfg, space)
+            for basis in failed
+        ):
+            return False
     # positional, so a wrapper of ``closure`` with its own keyword names works
-    return closure([v], ops, cfg, space, cyclic).holds_any(cyclic)
+    basis = closure([v], ops, cfg, space, cyclic)
+    if basis.holds_any(cyclic):
+        return True
+    if failed is not None and not basis.dropped and not any(getattr(label, "modes", ()) for label, _ in ops):
+        failed.append(basis)
+    return False
+
+
+def _closed(basis: SpanBasis, ops: OpFamily, cfg: ClosureConfig, space: Space) -> bool:
+    """Does every op image of a vector of a settled closure's span that fits
+    the window lie in the span?  Computed once per basis (``cyclic_probe``
+    has the argument)."""
+    if basis._closed is None:
+        basis._closed = _light_images_stay(basis, ops, cfg, space)
+    return basis._closed
+
+
+def _light_images_stay(basis: SpanBasis, ops: OpFamily, cfg: ClosureConfig, space: Space) -> bool:
+    bound = space.int_bound(cfg.bound)
+    creators: dict[int, list] = {}
+    for label, op in ops:
+        c = getattr(label, "creates", 0)
+        if 0 < c <= bound:
+            creators.setdefault(c, []).append((label, op))
+    weight_of = space.int_weight_of
+    tops = [max(map(weight_of, row.terms)) for row in basis._rows.values()]
+    for c, family in sorted(creators.items()):
+        k = bound - c
+        light = basis._rows_within(k)
+        if len(light) == sum(top <= k for top in tops):
+            continue
+        for row in light:
+            # a row of top weight <= k keeps room >= c: only the charge rule skips
+            for op in _live(row, family, cfg, bound):
+                w = op(row)
+                if not w.is_zero() and not (_admissible(w, cfg, bound) and basis.contains(w)):
+                    return False
+    return True
 
 
 def joint_kernel(ann_ops: OpFamily, piece: Sequence, space: Space) -> SpanBasis:

@@ -59,10 +59,13 @@ Most probes need no closure: one mode maps the monomial onto a multiple of
 a lighter one already proved cyclic, as e(n) = a(n) does when it removes a
 factor a*(-n) from a product of a* alone, and that one step is the proof.
 On a reducible twist a monomial that is not cyclic reaches no stop state,
-so its closure runs to the end.  Each op of the family declares its charge
-shift and the weight it creates (``wakimoto_ops``), so those closures skip
-every op image that must leave the window, and the one step skips every op
-image that must be heavier than every monomial proved so far.
+so its closure runs to the end.  The battery keeps those closures, and a
+later monomial held by one that is proved closed under every op image
+that fits the window answers False with no closure of its own.  Each op
+of the family declares its charge shift and the weight it creates
+(``wakimoto_ops``), so the closures skip every op image that must leave
+the window, and the one step skips every op image that must be heavier
+than every monomial proved so far.
 """
 
 from __future__ import annotations
@@ -81,6 +84,7 @@ from .span import (
     ClosureConfig,
     GradedLabel,
     Monomial,
+    Proved,
     Space,
     SparseVec,
     cyclic_probe,
@@ -757,14 +761,28 @@ def wakimoto_probe(chi: ChiSeries, cfg: ClosureConfig = DEFAULT_PROBE_CFG) -> Ev
     part of f(p)v is -chi_p a*(0)v, nonzero for v != 0 since a*(0) maps
     distinct monomials to distinct monomials, so ker(n+) is 0 on every
     piece and there is no candidate.
+
+    The cyclicity battery probes the monomials lighter first and passes
+    every probe the same two pieces of state: ``known``, a ``span.Proved``
+    set of the monomials proved cyclic, which carries their heaviest
+    weight for the one-step proof's reach, and ``failed``, the settled
+    closures that answered False.  A later monomial that a kept closure
+    holds as a pure row answers False with no closure when no proved state
+    lies in that closure's span and the span is proved closed: every op
+    image of its vectors that fits the window lies in it, so it holds every
+    state the monomial's own closure could reach (``span.cyclic_probe`` has
+    the argument).  The ops are declared, and none with exterior modes, so
+    every closure that answers False and drops no image is kept.  Each
+    answer is the one the closure alone gives.
     """
     action = WeylAction(chi)
     ops = wakimoto_ops(chi, cfg, action)
     states = enumerate_weyl_basis(cfg.weight_cutoff, cfg.charge_window)
-    known = {WEYL_VACUUM}
+    known = Proved([WEYL_VACUUM])
+    failed: list = []
     non_cyclic = []
     for st in states:
-        if cyclic_probe(WeylVec.basis(st), known, ops, cfg, WEYL_SPACE):
+        if cyclic_probe(WeylVec.basis(st), known, ops, cfg, WEYL_SPACE, failed=failed):
             known.add(st)
         else:
             non_cyclic.append(str(st))

@@ -21,7 +21,9 @@ hit first, one hit per step) and full-sweep closure (every operator on
 every row until a sweep adds nothing), kept as references for the one-pass
 ``SpanBasis.reduce`` and the closure that skips unchanged rows;
 ``closure_probe`` is the cyclicity probe that runs its closure every time,
-the reference for ``cyclic_probe``'s one-step proof, ``leaves_window``
+the reference for ``cyclic_probe``'s one-step proof and its reuse of
+failed closures, ``images_stay_in_span`` the reference for the closedness
+that reuse checks, ``leaves_window``
 the exact window test for the op images both of them skip, and
 ``fermion_battery`` the fermion-side battery of probes.
 ``psi_minus_series`` solves each Psi- mode as a finite series of G- modes
@@ -704,6 +706,32 @@ def solved_restricted_rows(basis):
     return out.rows()
 
 
+def images_stay_in_span(basis, ops, cfg, space):
+    """Does op(w) lie in the span for every op and every w of the span
+    whose image lies in the window?
+
+    For each op, the combinations of the rows whose image holds no state
+    outside the window are the kernel of one constraint row per such
+    state, and the image of each kernel vector must lie in the span.  No
+    label is read: the reference for the closedness check of
+    ``cyclic_probe``'s reuse of failed closures.
+    """
+    rows = basis.rows()
+    lo, hi = cfg.charge_window
+    for _, op in ops:
+        images = [op(r) for r in rows]
+        constraints = {}
+        for j, w in enumerate(images):
+            for s, c in w.sorted_items():
+                if space.weight_of(s) > cfg.bound or not lo <= space.charge_of(s) <= hi:
+                    constraints.setdefault(s, {})[j] = c
+        ordered = [constraints[s] for s in sorted(constraints, key=space.sort_key)]
+        for combo in solve_kernel(ordered, len(rows)):
+            if not basis.contains(sum((q * images[j] for j, q in combo.items()), SparseVec())):
+                return False
+    return True
+
+
 def solved_joint_kernel(ann_ops, piece, space):
     """``joint_kernel`` by one constraint row per (operator, output key)."""
     cols = sorted(piece, key=space.sort_key)
@@ -851,11 +879,12 @@ def leaves_window(w, cfg, space):
     )
 
 
-def closure_probe(v, cyclic, ops, cfg, space):
-    """``cyclic_probe`` without its one-step proof: the closure alone.
+def closure_probe(v, cyclic, ops, cfg, space, failed=None):
+    """``cyclic_probe`` without its one-step proof or its reuse of failed
+    closures: the closure alone.
 
     It runs the truncated closure of ``[v]`` on every call and answers
-    whether it reached a state of ``cyclic``.
+    whether it reached a state of ``cyclic``; it ignores ``failed``.
     """
     return closure([v], ops, cfg, space, cyclic).holds_any(cyclic)
 

@@ -17,6 +17,7 @@ from oracles import (
     dict_scale,
     fermion_battery,
     hull_wakimoto_ops,
+    images_stay_in_span,
     leaves_window,
     ordered_reduce,
     seeded_twist,
@@ -54,6 +55,7 @@ from wakimoto import (
     wakimoto_probe,
     weyl_vacuum_vec,
 )
+from wakimoto.span import GradedLabel, Monomial
 from test_classify import FAR_TAILS
 
 
@@ -698,9 +700,9 @@ def _battery(side, chi, monkeypatch):
     def counting(generators, ops, cfg, space, stop_at=None):
         return close(generators, [(name, counted(op)) for name, op in ops], cfg, space, stop_at)
 
-    def recording(v, cyclic, ops, cfg, space):
+    def recording(v, cyclic, ops, cfg, space, **kw):
         (st,) = v.terms
-        answers[st] = probe(v, cyclic, ops, cfg, space)
+        answers[st] = probe(v, cyclic, ops, cfg, space, **kw)
         return answers[st]
 
     with monkeypatch.context() as mp:
@@ -766,8 +768,8 @@ def _probe_calls(side, chi, cfg, monkeypatch, probe=cyclic_probe):
     calls = []
     closures = [0]
 
-    def recording(v, cyclic, ops, cfg, space):
-        answer = probe(v, cyclic, ops, cfg, space)
+    def recording(v, cyclic, ops, cfg, space, **kw):
+        answer = probe(v, cyclic, ops, cfg, space, **kw)
         calls.append((v, frozenset(cyclic), ops, answer))
         return answer
 
@@ -1128,10 +1130,11 @@ def _one_step_applications(chi, cfg, monkeypatch):
 
         return apply
 
-    def recording(v, cyclic, ops, cfg, space):
+    def recording(v, cyclic, ops, cfg, space, **kw):
         applied = []
         probes.append((v, frozenset(cyclic), applied))
-        return probe(v, cyclic, [(label, counted(label, op, applied)) for label, op in ops], cfg, space)
+        wrapped = [(label, counted(label, op, applied)) for label, op in ops]
+        return probe(v, cyclic, wrapped, cfg, space, **kw)
 
     with monkeypatch.context() as mp:
         mp.setattr(SPAN, "closure", closing)
@@ -1169,3 +1172,242 @@ def test_one_step_applies_no_op_past_the_reach(case, monkeypatch):
             for label in labels[:last]
         )
     assert len(probes) > 1 and applications and skipped
+
+
+# -- a battery reuses the failed closures it proved closed ---------------------
+
+
+def _l1_tail():
+    """A seeded twist of crosscheck's schur_zero_l1_tail shape: chi_0 = 2,
+    chi_-1 = 0 (so S_1(-chi) = 0), and free chi_-2, chi_-3."""
+    rng = random.Random("reuse:l1_tail")
+    draw = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 5)) for _ in range(2)]
+    return ChiSeries({0: 2, -2: draw[0], -3: draw[1]})
+
+
+# Schur-zero twists (l = 1 and 2, without and with tails) and neg_ell twists
+REUSE_TWISTS = {
+    "schur_zero_l1": ChiSeries({0: 2}),
+    "schur_zero_l1_tail": _l1_tail(),
+    "schur_zero_l2": ChiSeries({0: 3}),
+    "schur_zero_l2_tail": seeded_twist("schur_zero", random.Random("reuse:l2")),
+    "neg_ell": seeded_twist("neg_ell", random.Random("reuse:neg_ell")),
+    "neg_ell_l4": ChiSeries({0: -3, -1: Fraction(3, 4)}),
+}
+REUSE_WINDOWS = {
+    "crosscheck": CROSSCHECK_CFG,
+    "probe_default": DEFAULT_PROBE_CFG,
+    "cutoff4": DEFAULT_PROBE_CFG._replace(weight_cutoff=Fraction(4)),
+}
+
+
+def _alone(v, cyclic, ops, cfg, space, **kw):
+    """``cyclic_probe`` called without the battery's failed closures."""
+    return cyclic_probe(v, cyclic, ops, cfg, space)
+
+
+def _kept_bases(chi, cfg, monkeypatch):
+    """The battery's failed list, as ``wakimoto_probe`` leaves it."""
+    kept = []
+
+    def recording(v, cyclic, ops, cfg, space, failed=None):
+        if failed is not None and not kept:
+            kept.append(failed)
+        return cyclic_probe(v, cyclic, ops, cfg, space, failed=failed)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(importlib.import_module("wakimoto.weyl"), "cyclic_probe", recording)
+        wakimoto_probe(chi, cfg)
+    return kept[0]
+
+
+@pytest.mark.parametrize("window", list(REUSE_WINDOWS))
+@pytest.mark.parametrize("twist", list(REUSE_TWISTS))
+def test_reuse_matches_closure_probe(twist, window, monkeypatch):
+    """The battery finds the monomials that are not cyclic that the closure
+    alone finds, probing state by state."""
+    chi, cfg = REUSE_TWISTS[twist], REUSE_WINDOWS[window]
+    calls, _ = _probe_calls("weyl", chi, cfg, monkeypatch, closure_probe)
+    expected = tuple(str(next(iter(v.terms))) for v, _, _, answer in calls if not answer)
+    assert wakimoto_probe(chi, cfg).non_cyclic == expected
+    assert expected or twist.startswith("neg_ell")
+
+
+@pytest.mark.parametrize(
+    "twist, window", [("schur_zero_l1", "cutoff4"), ("schur_zero_l1_tail", "probe_default")]
+)
+def test_battery_reuses_failed_closures(twist, window, monkeypatch):
+    """On {0: 2} and on a twist of schur_zero_l1_tail's shape the battery
+    runs fewer closures than its probes would alone, with the same answers."""
+    chi, cfg = REUSE_TWISTS[twist], REUSE_WINDOWS[window]
+    calls, closures = _probe_calls("weyl", chi, cfg, monkeypatch)
+    alone, alone_closures = _probe_calls("weyl", chi, cfg, monkeypatch, _alone)
+    assert [answer for *_, answer in calls] == [answer for *_, answer in alone]
+    assert sum(not answer for *_, answer in calls) > 1
+    assert closures < alone_closures
+
+
+@pytest.mark.parametrize("twist", ["schur_zero_l1", "schur_zero_l1_tail"])
+def test_kept_bases_found_closed_are_closed(twist, monkeypatch):
+    """Every kept basis whose closedness was checked is found closed as the
+    exact kernel solve finds it.  On the tail the light rows do not span
+    the part of the basis inside k = B - creates, so images of the
+    heavy-first rows are applied: ``SpanBasis.contains`` runs only there."""
+    chi, cfg = REUSE_TWISTS[twist], REUSE_WINDOWS["probe_default"]
+    contains = [0]
+    inner = SpanBasis.contains
+
+    def counting(self, v):
+        contains[0] += 1
+        return inner(self, v)
+
+    monkeypatch.setattr(SpanBasis, "contains", counting)
+    kept = _kept_bases(chi, cfg, monkeypatch)
+    assert bool(contains[0]) == (twist != "schur_zero_l1")
+    checked = [basis for basis in kept if basis._closed is not None]
+    assert checked
+    ops = wakimoto_ops(chi, cfg, WeylAction(chi))
+    for basis in checked:
+        assert basis._closed == images_stay_in_span(basis, ops, cfg, WEYL_SPACE)
+
+
+# A toy family on charge-0 monomials of WEYL_SPACE, at int bound B = 2: A
+# adds weight 1 to every monomial, one to one, so it declares creates 1.
+TOY_CFG = ClosureConfig(Fraction(2), (-1, 1), Fraction(0))
+
+
+def _toy(weight, i):
+    """A charge-0 monomial of int weight ``weight``, told apart by i."""
+    return Monomial((7, (weight - i,), (i,)))
+
+
+def _toy_op(table):
+    """The linear op that sends each monomial to its entry of ``table``, a
+    list of (monomial, coefficient), or to 0."""
+
+    def op(v):
+        acc = {}
+        for st, n in v.terms.items():
+            for out, c in table.get(st, ()):
+                acc[out] = acc.get(out, 0) + Fraction(c * n, v.den)
+        return SparseVec(acc)
+
+    return op
+
+
+def _toy_family(raise_label):
+    """The toy ops, the first of them A under ``raise_label``.
+
+    u = _toy(0, 0) reaches p1 + h and p2 + h, whose difference is light,
+    and u2 = _toy(0, 1), which E sends onto p1 - p2; F sends q1 = A(p1)
+    onto z = _toy(0, 9).  The closure of u holds p1 - p2 but never expands
+    it, so it never meets q1 - q2 = A(p1 - p2), which fits the window, nor
+    z; the closure of u2 expands p1 - p2 as a row and reaches z.
+    """
+    u, u2, z = _toy(0, 0), _toy(0, 1), _toy(0, 9)
+    p1, p2, h = _toy(1, 5), _toy(1, 6), _toy(2, 7)
+
+    def lift(v):
+        return SparseVec({_toy(sum(st[1]) + st[2][0] + 1, st[2][0]): v.coeff(st) for st in v.terms})
+
+    ops = [
+        (raise_label, lift),
+        (GradedLabel("B1", 0), _toy_op({u: [(p1, 1), (h, 1)]})),
+        (GradedLabel("B2", 0), _toy_op({u: [(p2, 1), (h, 1)]})),
+        (GradedLabel("D", 0), _toy_op({u: [(u2, 1)]})),
+        (GradedLabel("E", 0), _toy_op({u2: [(p1, 1), (p2, -1)]})),
+        (GradedLabel("F", 0), _toy_op({_toy(2, 5): [(z, 1)]})),
+    ]
+    return ops, u, u2, z
+
+
+def test_light_combination_whose_image_escapes_is_not_reused():
+    """The closure of u is settled and kept, but A sends its light
+    combination p1 - p2 out of it inside the window: the basis is not
+    closed, and u2, which it holds, is probed by its own closure."""
+    ops, u, u2, z = _toy_family(GradedLabel("A", 0, 1))
+    failed = []
+    assert not cyclic_probe(SparseVec.basis(u), {z}, ops, TOY_CFG, WEYL_SPACE, failed=failed)
+    (kept,) = failed
+    assert kept.holds_any([u2]) and not kept.dropped
+    assert not images_stay_in_span(kept, ops, TOY_CFG, WEYL_SPACE)
+    assert closure_probe(SparseVec.basis(u2), {z}, ops, TOY_CFG, WEYL_SPACE)
+    assert cyclic_probe(SparseVec.basis(u2), {z}, ops, TOY_CFG, WEYL_SPACE, failed=failed)
+    assert kept._closed is False
+
+
+def test_closure_that_dropped_an_image_is_not_kept():
+    """With the plain-labelled G in place of A, every op is applied to every
+    row, and G sends p1 + h past the window: the closure of u dropped an
+    image, so it is not kept, and u2 is still proved cyclic."""
+    ops, u, u2, z = _toy_family("G")
+    failed = []
+    assert not cyclic_probe(SparseVec.basis(u), {z}, ops, TOY_CFG, WEYL_SPACE, failed=failed)
+    assert failed == []
+    assert closure([SparseVec.basis(u)], ops, TOY_CFG, WEYL_SPACE).dropped
+    assert cyclic_probe(SparseVec.basis(u2), {z}, ops, TOY_CFG, WEYL_SPACE, failed=failed)
+
+
+def test_pole_twist_closure_that_dropped_an_image_is_not_kept():
+    """On a twist with a pole, f's twist term sends rows past the window, so
+    a closure that reaches no stop state is not kept."""
+    chi = seeded_twist("i", random.Random("reuse:pole"))
+    cfg = CROSSCHECK_CFG
+    ops = wakimoto_ops(chi, cfg, WeylAction(chi))
+    v = WeylVec.basis(WeylState((1,), ()))
+    failed = []
+    assert not cyclic_probe(v, set(), ops, cfg, WEYL_SPACE, failed=failed)
+    assert failed == []
+    assert closure([v], ops, cfg, WEYL_SPACE).dropped
+
+
+def test_basis_holding_a_state_proved_since_is_not_reused(monkeypatch):
+    """A kept basis is closed and holds u2, but also x, which has been
+    proved cyclic since it was kept: the closure of u2 reaches x, so u2 is
+    cyclic, and the kept basis must not answer for it."""
+    u, u2, y, x, z = (_toy(0, i) for i in (0, 1, 2, 3, 9))
+    ops = [(GradedLabel("P", 0), _toy_op({u: [(u2, 1)], u2: [(y, 1)], y: [(x, 1)]}))]
+    failed = []
+    assert not cyclic_probe(SparseVec.basis(u), {z}, ops, TOY_CFG, WEYL_SPACE, failed=failed)
+    (kept,) = failed
+    assert kept.holds_any([u2]) and kept.holds_any([x])
+    assert images_stay_in_span(kept, ops, TOY_CFG, WEYL_SPACE)
+    assert cyclic_probe(SparseVec.basis(u2), {z, x}, ops, TOY_CFG, WEYL_SPACE, failed=failed)
+    # with x not proved, the kept basis answers, with no closure
+    closures = _closures_run(monkeypatch)
+    assert not cyclic_probe(SparseVec.basis(u2), {z}, ops, TOY_CFG, WEYL_SPACE, failed=failed)
+    assert closures[0] == 0 and kept._closed is True
+
+
+def test_early_stop_is_not_kept():
+    """A closure that stops at a state of ``cyclic`` answers True and is
+    not kept, although the one-step proof did not settle it."""
+    u, u2, y = (_toy(0, i) for i in (0, 1, 2))
+    ops = [(GradedLabel("P", 0), _toy_op({u: [(u2, 1)], u2: [(y, 1)]}))]
+    failed = []
+    assert cyclic_probe(SparseVec.basis(u), {y}, ops, TOY_CFG, WEYL_SPACE, failed=failed)
+    assert failed == []
+
+
+def test_family_with_exterior_modes_keeps_nothing():
+    """The fermion family declares exterior modes, whose skip rules drop
+    images unseen: on {0: 2} the closure of Omega_1, which excludes the
+    vacuum, is not kept."""
+    chi = ChiSeries({0: 2})
+    ops = a_module_ops(chi, DEFAULT_CFG)
+    failed = []
+    assert not cyclic_probe(omega_vec(1), {VACUUM}, ops, DEFAULT_CFG, FOCK_SPACE, failed=failed)
+    assert failed == []
+    # the closure ran to its end and dropped nothing: only the modes refuse it
+    assert not closure([omega_vec(1)], ops, DEFAULT_CFG, FOCK_SPACE).dropped
+
+
+def test_proved_set_carries_its_heaviest_weight():
+    """A battery's proved states give ``cyclic_probe`` the reach the pass
+    over them gives."""
+    states = enumerate_weyl_basis(Fraction(3), (-2, 2))
+    proved = SPAN.Proved([WEYL_VACUUM])
+    assert proved.heaviest == 0 == SPAN.Proved().heaviest
+    for st in random.Random("proved").sample(states, 12):
+        proved.add(st)
+        assert proved.heaviest == max(map(WEYL_SPACE.int_weight_of, proved))

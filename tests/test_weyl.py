@@ -745,7 +745,7 @@ def test_two_generator_kernels_match_wide_family(window, monkeypatch):
     n = 1..2 floor(cutoff) + 1, on seeded twists of every pole-free case."""
     cfg = KERNEL_CFGS[window]
     # the kernels alone: every probed state answers cyclic at once
-    monkeypatch.setattr(weyl, "cyclic_probe", lambda *args: True)
+    monkeypatch.setattr(weyl, "cyclic_probe", lambda *args, **kw: True)
     found = 0
     for chi in KERNEL_TWISTS:
         candidates = list(wakimoto_probe(chi, cfg).candidates)
