@@ -28,16 +28,20 @@ Scalar operators (e.g. central or diagonal mode actions) map a vector to a
 multiple of itself and can never enlarge a span, so operator families only
 need the genuinely shifting modes.
 
+A truncated closure means K(v): the least subspace that holds the
+generators and every op image, of each of its vectors, that fits the
+window.  A closure inserts only such images, so its span lies in K(v),
+and one that drops no image and declares no exterior modes is K(v)
+itself: it also applies the creators to the combinations of its rows that
+the weight rule kept it from expanding (``closure`` has the argument).  A
+negative answer is then a fact about K(v) in the window.
+
 A battery of probes also reuses the closures that failed (``failed``).
 On a reducible module the monomials that are not cyclic reach no stop
 state, so each of their closures runs to its end.  Once such a closure is
-settled, a later monomial that its span S holds as a pure row answers
-False with no closure, provided S holds no state proved cyclic since and
-S is closed: every op image of a vector of S that fits the window lies in
-S.  S then holds every state the later closure could reach.  The closure
-inserts images of its rows only, so S is checked once, lazily, on the
-combinations of its rows that only the creators' weight rule kept it
-from expanding.
+settled, its span S is K of its generator, and a later monomial v that S
+holds as a pure row answers False with no closure, provided S holds no
+state proved cyclic since: K is monotone, so K(v) lies in S.
 
 An op may declare how it moves the grading, through a :class:`GradedLabel`
 in place of its plain label: its charge shift, and either the int weight
@@ -404,7 +408,6 @@ class SpanBasis:
         self.cfg = cfg
         self._rows: dict[object, object] = {}  # pivot key -> vector
         self.dropped = False  # set by ``closure``: an op image it applied left the window
-        self._closed = None  # ``cyclic_probe``'s closedness check, once it has run
 
     # -- construction -------------------------------------------------
 
@@ -510,15 +513,8 @@ class SpanBasis:
         """
         if self.cfg is None:
             return self.rows()
-        return self._rows_within(self.space.int_bound(self.cfg.weight_cutoff))
-
-    def _rows_within(self, w: int) -> list:
-        """``restricted_rows`` for the int weight bound w."""
-        weight_of, key = self.space.int_weight_of, self.space.sort_key
-        heavy_first = SpanBasis(self.space._replace(sort_key=lambda s: (weight_of(s) <= w, key(s))))
-        for r in self._rows.values():
-            heavy_first.insert(r)
-        return [heavy_first._rows[p] for p in heavy_first.pivots() if weight_of(p) <= w]
+        cutoff = self.space.int_bound(self.cfg.weight_cutoff)
+        return _rows_within(self._rows.values(), cutoff, self.space)
 
     def graded_dimension(self) -> dict[tuple, int]:
         """Pivot counts per (weight, charge), restricted to the cutoff."""
@@ -635,8 +631,9 @@ def closure(
     a row by a new object whenever it rewrites it, and a row that is the
     same object as when it was last expanded is skipped.  Its images were
     inserted then, or left the window, and the span only grows, so they
-    would reduce to zero now and change nothing.  The inserts that grow
-    the span, and the resulting basis, are those of the full sweep.
+    would reduce to zero now and change nothing.  Until a sweep adds
+    nothing, the inserts that grow the span are those of the full sweep;
+    then the closedness pass below may grow it further.
 
     An op whose label is a :class:`GradedLabel` is not applied to a row r
     whose image must be zero or dropped (``_live``).  Let B be the int
@@ -664,12 +661,41 @@ def closure(
       a creator (d0 < 0) can meet t - d0 > B, and a creator is killed on
       exactly the states that already hold its factor.
 
-    The other ops are applied in the family's order, so the inserts, and
-    the basis, are those the closure makes without the skip.  An op with
-    a plain label is always applied.  For both families C is one charge
-    when each generator has one: an op image of such a row has one charge,
-    ``reduce`` subtracts only rows whose pivots lie in the vector's
-    support, and ``insert`` rewrites only rows that hold the new pivot.
+    The other ops are applied in the family's order, so the sweeps'
+    inserts are those the closure makes without the skip.  An op with a
+    plain label is always applied, and an image the rules would skip is
+    dropped, so a family that declares nothing gets no closedness pass.
+    For both families C is one charge when each generator has one: an op
+    image of such a row has one charge, ``reduce`` subtracts only rows
+    whose pivots lie in the vector's support, and ``insert`` rewrites only
+    rows that hold the new pivot.
+
+    A closure that runs to its end is K(v), the least subspace that holds
+    the generators and every op image, of each of its vectors, that fits
+    the window, whenever it drops no image and no label declares exterior
+    ``modes``, whose skip rules drop images unseen.  Every row is such an
+    image or a combination of them, so the span lies in K(v); it is K(v)
+    once it is *closed*: each op image of each of its vectors that fits the
+    window lies in it.  Once a sweep adds nothing, every row has been
+    expanded with every op it did not skip, and since none was dropped
+    each applied image lies in the span.  An op skipped by the charge rule
+    sends a vector wholly outside the charge window, where no other image
+    can cancel it, so it adds nothing to an image that fits.  Only the
+    weight rule for ``creates`` = c > 0 is left, and a vector's top weight
+    may lie below its rows': the span's rows have their lightest state as
+    pivot, so the heavy tails of two rows can cancel.  With k = B - c, a
+    vector whose image fits has top weight at most k.  It is a combination
+    of the rows of top weight at most k, which were expanded with the
+    creator since their room is at least c, and of a combination of the
+    other rows whose part above k cancels.  Those combinations are the rows,
+    inside k, of a heavy-first elimination of the other rows, as in
+    ``restricted_rows``.  The closure applies the creators to them and
+    inserts the images, sweeping again when one grows the span; when one
+    leaves the window it marks the basis ``dropped`` and applies no more.
+    When the heaviest states, in basis order, of the other rows' parts
+    above k are distinct, no combination of them cancels that part, and no
+    elimination is made.  A negative answer of a closure that is K(v) is a
+    fact about K(v) in the window.
 
     ``stop_at`` is a collection of basis states.  When it is given, the
     closure returns as soon as one of them lies in the span: after the
@@ -687,6 +713,7 @@ def closure(
             basis.insert(g)
     if stop and basis.holds_any(stop):
         return basis
+    exterior = any(getattr(label, "modes", ()) for label, _ in ops)
     expanded: dict[object, object] = {}  # pivot -> the row object last expanded
     changed = True
     while changed:
@@ -708,6 +735,16 @@ def closure(
                     changed = True
                     if stop and basis.holds_any(stop):
                         return basis
+        if changed or exterior or basis.dropped:
+            continue
+        for w in _light_images(basis, ops, cfg, space):
+            if not _admissible(w, cfg, bound):
+                basis.dropped = True
+                break
+            if basis.insert(w):
+                changed = True
+                if stop and basis.holds_any(stop):
+                    return basis
     return basis
 
 
@@ -718,7 +755,11 @@ def cyclic_probe(v, cyclic: Collection, ops: OpFamily, cfg: ClosureConfig, space
     ``cyclic`` holds basis states known to generate the vacuum, the vacuum
     among them.  The closure stops at the first of them it reaches.  Every
     row is an exact element of ⟨v⟩, so reaching u with |0⟩ ∈ ⟨u⟩ proves
-    |0⟩ ∈ ⟨v⟩; a negative answer is scoped to the window.
+    |0⟩ ∈ ⟨v⟩; a negative answer is scoped to the window.  It is a fact
+    about K(v) in the window, K(v) holding no state of ``cyclic``, when the
+    closure drops no image and no label declares exterior modes
+    (``closure``); otherwise it is a fact about the closure's span, which
+    lies in K(v).
     A battery probes its states lighter first and adds each one it proves
     cyclic, so a later probe stops at the first proved state it reaches.
 
@@ -749,29 +790,12 @@ def cyclic_probe(v, cyclic: Collection, ops: OpFamily, cfg: ClosureConfig, space
     family, window and space, keeps the closures that answered False and
     are *settled*: the closure ran to its end (it stops early only at a
     state of ``cyclic``), dropped no image it applied (``dropped``), and no
-    label declares exterior ``modes``, whose skip rules drop images
-    unseen.  A later monomial v answers False with no closure of its own
-    when a kept basis S holds v as a pure row, holds no state of the
-    current ``cyclic``, and is *closed*: for every w in S and every op,
-    op(w) lies in S whenever it fits the window.  Then S holds K(v), the
-    least subspace that holds v and every image that fits the window of
-    each of its vectors, and the closure of v inserts only such images, so
-    its span lies in K(v) ⊆ S and reaches no state of ``cyclic``.
-
-    Closedness is checked once per S, the first time a reuse needs it
-    (``_closed``).  The closure of S expanded every row it ended with, and
-    applied every op it did not skip; since it dropped nothing, each
-    applied image lies in S.  An op skipped by the charge rule sends a row
-    wholly outside the charge window, where no other image can cancel it,
-    so it adds nothing to an image that fits.  Only the weight rule for
-    ``creates`` = c > 0 is left.  With k = B - c, a w of S whose image
-    fits has top weight at most k, so w lies in S≤k, the part of S inside
-    int weight k, and each image of a basis of S≤k must be zero, lie
-    outside the charge window by the charge rule, or fit and lie in S.
-    That basis comes from a heavy-first elimination of S's rows, as in
-    ``restricted_rows``.  The rows of S whose top weight is at most k lie
-    in S≤k, and the closure applied the ops to them; when they number as
-    many as that basis, they span S≤k and nothing is applied.
+    label declares exterior ``modes``.  A settled closure of a generator g
+    is K(g) (``closure``).  A later monomial v answers False with no
+    closure of its own when a kept basis S holds v as a pure row and holds
+    no state of the current ``cyclic``.  K is monotone: S is closed and
+    holds v, so it holds K(v), which therefore reaches no state of
+    ``cyclic``, and neither does the closure of v, which lies in K(v).
     """
     bound = space.int_bound(cfg.bound)
     if not v.is_zero() and _admissible(v, cfg, bound):
@@ -781,8 +805,7 @@ def cyclic_probe(v, cyclic: Collection, ops: OpFamily, cfg: ClosureConfig, space
             if len(w.terms) == 1 and next(iter(w.terms)) in cyclic and _admissible(w, cfg, bound):
                 return True
         if failed and len(v.terms) == 1 and any(
-            basis.holds_any(v.terms) and not basis.holds_any(cyclic) and _closed(basis, ops, cfg, space)
-            for basis in failed
+            basis.holds_any(v.terms) and not basis.holds_any(cyclic) for basis in failed
         ):
             return False
     # positional, so a wrapper of ``closure`` with its own keyword names works
@@ -794,36 +817,41 @@ def cyclic_probe(v, cyclic: Collection, ops: OpFamily, cfg: ClosureConfig, space
     return False
 
 
-def _closed(basis: SpanBasis, ops: OpFamily, cfg: ClosureConfig, space: Space) -> bool:
-    """Does every op image of a vector of a settled closure's span that fits
-    the window lie in the span?  Computed once per basis (``cyclic_probe``
-    has the argument)."""
-    if basis._closed is None:
-        basis._closed = _light_images_stay(basis, ops, cfg, space)
-    return basis._closed
+def _rows_within(rows: Iterable, w: int, space: Space) -> list:
+    """The reduced echelon basis, in ``space``'s order, of the vectors of
+    the span of ``rows`` inside int weight w (``restricted_rows``)."""
+    weight_of, key = space.int_weight_of, space.sort_key
+    heavy_first = SpanBasis(space._replace(sort_key=lambda s: (weight_of(s) <= w, key(s))))
+    for r in rows:
+        heavy_first.insert(r)
+    return [heavy_first._rows[p] for p in heavy_first.pivots() if weight_of(p) <= w]
 
 
-def _light_images_stay(basis: SpanBasis, ops: OpFamily, cfg: ClosureConfig, space: Space) -> bool:
+def _light_images(basis: SpanBasis, ops: OpFamily, cfg: ClosureConfig, space: Space) -> Iterator:
+    """The nonzero images under each creator, of ``creates`` c, of the
+    combinations of the rows of top weight above k = B - c that lie inside
+    k, one per row of their reduced echelon basis (``closure`` has the
+    argument)."""
     bound = space.int_bound(cfg.bound)
     creators: dict[int, list] = {}
     for label, op in ops:
         c = getattr(label, "creates", 0)
         if 0 < c <= bound:
             creators.setdefault(c, []).append((label, op))
-    weight_of = space.int_weight_of
-    tops = [max(map(weight_of, row.terms)) for row in basis._rows.values()]
+    weight_of, key = space.int_weight_of, space.sort_key
+    rows = list(basis._rows.values())
     for c, family in sorted(creators.items()):
         k = bound - c
-        light = basis._rows_within(k)
-        if len(light) == sum(top <= k for top in tops):
+        heavy = [row for row in rows if max(map(weight_of, row.terms)) > k]
+        heads = {max((s for s in row.terms if weight_of(s) > k), key=key) for row in heavy}
+        if len(heads) == len(heavy):
             continue
-        for row in light:
-            # a row of top weight <= k keeps room >= c: only the charge rule skips
+        for row in _rows_within(heavy, k, space):
+            # a vector of top weight <= k keeps room >= c: only the charge rule skips
             for op in _live(row, family, cfg, bound):
                 w = op(row)
-                if not w.is_zero() and not (_admissible(w, cfg, bound) and basis.contains(w)):
-                    return False
-    return True
+                if not w.is_zero():
+                    yield w
 
 
 def joint_kernel(ann_ops: OpFamily, piece: Sequence, space: Space) -> SpanBasis:

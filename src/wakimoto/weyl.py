@@ -49,9 +49,13 @@ vanish.  The relations hold with central scalar -2:
 
 ``wakimoto_probe`` gathers reducibility evidence on this side: cyclicity of
 every small basis vector, and joint kernels in each graded piece of the
-raising modes.  e(0) and f(1) generate them all, so the kernels take those
-two, picked by label from the closure family.  On a twist with a pole every
-such kernel is 0, since f(p) acts injectively there, so none is taken.
+raising modes.  e(0) and f(1) generate them all.  And e(n) = a(n), n >= 0,
+acts as the derivative in a*(-n), so it kills exactly the span of the
+monomials that hold no a*(-n), and the raising modes kill only vectors in
+the a*-free subring, the polynomials in the a(-n) alone.  So each kernel is
+that of f(1), picked by label from the closure family, on the piece's
+a*-free monomials.  On a twist with a pole every such kernel is 0, since
+f(p) acts injectively there, so none is taken.
 ``evidence_agrees`` compares it with the classifier verdict.
 The cyclicity battery probes the monomials lighter first, and each probe
 stops at the first monomial already proved cyclic (``span.cyclic_probe``).
@@ -59,13 +63,14 @@ Most probes need no closure: one mode maps the monomial onto a multiple of
 a lighter one already proved cyclic, as e(n) = a(n) does when it removes a
 factor a*(-n) from a product of a* alone, and that one step is the proof.
 On a reducible twist a monomial that is not cyclic reaches no stop state,
-so its closure runs to the end.  The battery keeps those closures, and a
-later monomial held by one that is proved closed under every op image
-that fits the window answers False with no closure of its own.  Each op
-of the family declares its charge shift and the weight it creates
-(``wakimoto_ops``), so the closures skip every op image that must leave
-the window, and the one step skips every op image that must be heavier
-than every monomial proved so far.
+so its closure runs to the end.  A closure that drops no image is K(v),
+the least subspace that holds v and every op image of its vectors that
+fits the window, so a negative answer is a fact about K(v).  The battery
+keeps those closures, and a later monomial that one holds answers False
+with no closure of its own.  Each op of the family declares its charge
+shift and the weight it creates (``wakimoto_ops``), so the closures skip
+every op image that must leave the window, and the one step skips every
+op image that must be heavier than every monomial proved so far.
 """
 
 from __future__ import annotations
@@ -743,20 +748,28 @@ def wakimoto_probe(chi: ChiSeries, cfg: ClosureConfig = DEFAULT_PROBE_CFG) -> Ev
 
     The joint kernels are those of the raising modes n+: e(n) for n >= 0,
     h(n) and f(n) for n >= 1.  Two of them give every kernel, e(0) and
-    f(1), picked by label from the closure family (``wakimoto_ops``).  A
-    vector killed by two modes is killed by their bracket, and for modes
-    summing to at least 1 the relations have no central term:
+    f(1).  A vector killed by two modes is killed by their bracket, and for
+    modes summing to at least 1 the relations have no central term:
 
         [e(0), f(n)] = h(n),  [h(1), e(n)] = 2 e(n+1),  [h(1), f(n)] = -2 f(n+1).
 
     So a vector that e(0) and f(1) kill is killed by h(1), then by every
     e(n) and f(n), by induction on n, and by every h(n).  The relations
     hold on the Fock space for every twist (``affine_relation_check``
-    tests them), so ker{e(0), f(1)} = ker(n+) on every piece.  The family holds f(1) once
+    tests them), so ker{e(0), f(1)} = ker(n+) on every piece.
+
+    Each kernel takes f(1) alone, on the piece's a*-free monomials
+    a(-n_1) ... a(-n_r)|0>.  For n >= 0, e(n) = a(n) sends a monomial that
+    holds a*(-n)^k, k >= 1, to k times the monomial with one factor a*(-n)
+    removed, distinct monomials to distinct monomials, and every other
+    monomial to 0.  So ker e(n) on a piece is the span of its monomials
+    that hold no a*(-n), and ker(n+), inside every ker e(n), lies in the
+    span of the a*-free ones, which e(0) kills.  Hence
+    ker(n+) = ker f(1) on that span: the same subspace, over the same keys
+    in the same order, so the same reduced echelon basis.  f(1) is picked by
+    label from the closure family (``wakimoto_ops``), which holds it once
     its bound floor(cfg.bound) is at least 1.  Below that every piece has
-    weight 0, and f(1) acts on it by zero: its chi-free part would lower
-    the weight below zero, and on a pole-free twist its twist terms
-    -chi_j a*(1 - j), j <= 0, contract a-modes the piece does not hold.
+    weight 0, and its only a*-free monomial is the vacuum, which is skipped.
     A twist with pole order p >= 1 takes no kernel: the weight-preserving
     part of f(p)v is -chi_p a*(0)v, nonzero for v != 0 since a*(0) maps
     distinct monomials to distinct monomials, so ker(n+) is 0 on every
@@ -766,14 +779,14 @@ def wakimoto_probe(chi: ChiSeries, cfg: ClosureConfig = DEFAULT_PROBE_CFG) -> Ev
     every probe the same two pieces of state: ``known``, a ``span.Proved``
     set of the monomials proved cyclic, which carries their heaviest
     weight for the one-step proof's reach, and ``failed``, the settled
-    closures that answered False.  A later monomial that a kept closure
-    holds as a pure row answers False with no closure when no proved state
-    lies in that closure's span and the span is proved closed: every op
-    image of its vectors that fits the window lies in it, so it holds every
-    state the monomial's own closure could reach (``span.cyclic_probe`` has
-    the argument).  The ops are declared, and none with exterior modes, so
-    every closure that answers False and drops no image is kept.  Each
-    answer is the one the closure alone gives.
+    closures that answered False.  Such a closure is K of its monomial,
+    closed under every op image of its vectors that fits the window.  A
+    later monomial that a kept closure holds as a pure row answers False
+    with no closure when no proved state lies in that closure's span, which
+    then holds every state the monomial's own closure could reach
+    (``span.cyclic_probe`` has the argument).  The ops are declared, and
+    none with exterior modes, so every closure that answers False and drops
+    no image is kept.  Each answer is the one the closure alone gives.
     """
     action = WeylAction(chi)
     ops = wakimoto_ops(chi, cfg, action)
@@ -786,10 +799,10 @@ def wakimoto_probe(chi: ChiSeries, cfg: ClosureConfig = DEFAULT_PROBE_CFG) -> Ev
             known.add(st)
         else:
             non_cyclic.append(str(st))
-    ann = [(label, op) for label, op in ops if label in ("e(0)", "f(1)")]
+    ann = [(label, op) for label, op in ops if label == "f(1)"]
     pieces: dict[tuple[int, int], list[WeylState]] = {}
-    # on a twist with a pole every kernel is 0
-    for st in () if pole_order(chi) else states:
+    # on a twist with a pole every kernel is 0; ker(n+) is a*-free
+    for st in () if pole_order(chi) else (st for st in states if not st.astar_modes):
         # the weight scale is 1, so a piece's JSON weight is an int
         pieces.setdefault((WEYL_SPACE.int_weight_of(st), WEYL_SPACE.charge_of(st)), []).append(st)
     candidates = []

@@ -12,8 +12,10 @@ and ``hull_wakimoto_ops`` span the whole hull of the twist-shifted mode
 ranges with its G modes and currents, ``interval_a_module_ops`` is the odd
 family before it dropped the G- modes and components that cannot act in
 the window, ``split_a_module_ops`` the family built by one rule for G+ and
-another for G-, and ``wide_probe_annihilators`` is
-the probe's earlier, wider family of raising modes.  The exact kernel solve
+another for G-, ``wide_probe_annihilators`` is
+the probe's earlier, wider family of raising modes, and
+``two_generator_annihilators`` the pair that it was cut to, whose joint
+kernels on whole pieces the probe now takes on a*-free monomials alone.  The exact kernel solve
 over column indices at the end is the reference for the span engine's
 restricted rows and joint kernels.  ``ordered_reduce`` and
 ``sweep_closure`` are the span engine's earlier elimination (smallest pivot
@@ -613,6 +615,16 @@ def wide_probe_annihilators(chi, cfg, action):
         for n in range(1, nmax + 1)
         for kind in "ehf"
     ]
+
+
+def two_generator_annihilators(chi, cfg, action):
+    """e(0) and f(1), which generate the raising modes.
+
+    The probe took its joint kernels with these two on every monomial of a
+    piece, before it took f(1) alone on the a*-free monomials.  ``chi`` and
+    ``cfg`` are unused; the signature is ``wide_probe_annihilators``'s.
+    """
+    return [("e(0)", partial(action.apply, "e", 0)), ("f(1)", partial(action.apply, "f", 1))]
 
 
 def hull_wakimoto_ops(chi, cfg, action):

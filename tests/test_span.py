@@ -564,7 +564,9 @@ def _generators(case, chi, space, rng):
 
 
 def _recorded(run, generators, ops, cfg, space, stop, monkeypatch):
-    """A closure run with its growing inserts and its op applications."""
+    """A closure run with the growing inserts into its basis, and its op
+    applications.  An elimination into another basis, as the light-image
+    pass makes, is not one of them."""
     grown = []
     applied = [0]
     insert = SpanBasis.insert
@@ -572,7 +574,7 @@ def _recorded(run, generators, ops, cfg, space, stop, monkeypatch):
     def recording(self, v):
         grew = insert(self, v)
         if grew:
-            grown.append(v)
+            grown.append((self, v))
         return grew
 
     def counted(op):
@@ -585,7 +587,7 @@ def _recorded(run, generators, ops, cfg, space, stop, monkeypatch):
     with monkeypatch.context() as mp:
         mp.setattr(SpanBasis, "insert", recording)
         basis = run(generators, [(name, counted(op)) for name, op in ops], cfg, space, stop)
-    return basis, grown, applied[0]
+    return basis, [v for owner, v in grown if owner is basis], applied[0]
 
 
 @pytest.mark.parametrize("space", [FOCK_SPACE, WEYL_SPACE], ids=["fock", "weyl"])
@@ -1248,27 +1250,66 @@ def test_battery_reuses_failed_closures(twist, window, monkeypatch):
 
 
 @pytest.mark.parametrize("twist", ["schur_zero_l1", "schur_zero_l1_tail"])
-def test_kept_bases_found_closed_are_closed(twist, monkeypatch):
-    """Every kept basis whose closedness was checked is found closed as the
-    exact kernel solve finds it.  On the tail the light rows do not span
-    the part of the basis inside k = B - creates, so images of the
-    heavy-first rows are applied: ``SpanBasis.contains`` runs only there."""
+def test_kept_bases_are_closed(twist, monkeypatch):
+    """Every basis the battery keeps is closed as the exact kernel solve
+    finds it.  On the tail the rows of top weight at most k = B - creates do
+    not span the part of the basis inside k, so the closures apply the
+    creators to a heavy-first basis of that part: only there."""
     chi, cfg = REUSE_TWISTS[twist], REUSE_WINDOWS["probe_default"]
-    contains = [0]
-    inner = SpanBasis.contains
+    span_mod = importlib.import_module("wakimoto.span")
+    inner = span_mod._light_images
+    applied = [0]
 
-    def counting(self, v):
-        contains[0] += 1
-        return inner(self, v)
+    def counting(*args):
+        for w in inner(*args):
+            applied[0] += 1
+            yield w
 
-    monkeypatch.setattr(SpanBasis, "contains", counting)
+    monkeypatch.setattr(span_mod, "_light_images", counting)
     kept = _kept_bases(chi, cfg, monkeypatch)
-    assert bool(contains[0]) == (twist != "schur_zero_l1")
-    checked = [basis for basis in kept if basis._closed is not None]
-    assert checked
+    assert bool(applied[0]) == (twist != "schur_zero_l1")
+    assert kept
     ops = wakimoto_ops(chi, cfg, WeylAction(chi))
-    for basis in checked:
-        assert basis._closed == images_stay_in_span(basis, ops, cfg, WEYL_SPACE)
+    for basis in kept:
+        assert images_stay_in_span(basis, ops, cfg, WEYL_SPACE)
+
+
+@pytest.mark.parametrize("window", ["crosscheck", "probe_default"])
+def test_battery_closures_are_k_of_v(window, monkeypatch):
+    """Every closure the boson battery runs, on two seeded twists of each
+    case, is K(v), the least subspace that holds v and every image of its
+    vectors that fits the window.  One that runs to its end is closed as the
+    exact kernel solve finds it, and gives the same rows with the ops in
+    reversed order.  One that stops at a state proved cyclic stops with the
+    ops reversed too.  Most probes need no closure, and the irreducible
+    twists' closures all stop; the Schur-zero twists' run to their end, and
+    at the default window the weight rule keeps their rows from expanding a
+    light combination, whose images the closure inserts."""
+    cfg = REUSE_WINDOWS[window]
+    span_mod = importlib.import_module("wakimoto.span")
+    inner = span_mod.closure
+    runs = []
+
+    def recording(generators, ops, cfg, space, stop_at=None):
+        basis = inner(generators, ops, cfg, space, stop_at)
+        # the battery grows its proved set after the call
+        runs.append((case, generators, ops, space, frozenset(stop_at), basis))
+        return basis
+
+    monkeypatch.setattr(span_mod, "closure", recording)
+    for case in CASES:
+        for k in range(2):
+            wakimoto_probe(seeded_twist(case, random.Random(f"k-of-v:{case}:{k}")), cfg)
+    ended = set()
+    for case, generators, ops, space, stop_at, basis in runs:
+        reversed_basis = inner(generators, ops[::-1], cfg, space, stop_at)
+        if basis.holds_any(stop_at):
+            assert reversed_basis.holds_any(stop_at)
+            continue
+        ended.add(case)
+        assert reversed_basis.rows() == basis.rows()
+        assert images_stay_in_span(basis, ops, cfg, space)
+    assert ended == {"schur_zero"} and len(runs) > 2
 
 
 # A toy family on charge-0 monomials of WEYL_SPACE, at int bound B = 2: A
@@ -1300,9 +1341,10 @@ def _toy_family(raise_label):
 
     u = _toy(0, 0) reaches p1 + h and p2 + h, whose difference is light,
     and u2 = _toy(0, 1), which E sends onto p1 - p2; F sends q1 = A(p1)
-    onto z = _toy(0, 9).  The closure of u holds p1 - p2 but never expands
-    it, so it never meets q1 - q2 = A(p1 - p2), which fits the window, nor
-    z; the closure of u2 expands p1 - p2 as a row and reaches z.
+    onto z = _toy(0, 9).  The span of u holds p1 - p2 only as a
+    combination of rows, which a sweep of every op over every row never
+    expands, so the sweep never meets q1 - q2 = A(p1 - p2), which fits the
+    window, nor z; the closure of u2 expands p1 - p2 as a row and reaches z.
     """
     u, u2, z = _toy(0, 0), _toy(0, 1), _toy(0, 9)
     p1, p2, h = _toy(1, 5), _toy(1, 6), _toy(2, 7)
@@ -1321,19 +1363,22 @@ def _toy_family(raise_label):
     return ops, u, u2, z
 
 
-def test_light_combination_whose_image_escapes_is_not_reused():
-    """The closure of u is settled and kept, but A sends its light
-    combination p1 - p2 out of it inside the window: the basis is not
-    closed, and u2, which it holds, is probed by its own closure."""
+def test_light_combination_whose_image_escapes_is_inserted():
+    """The closure of u holds p1 - p2 only as a combination of two rows of
+    top weight 2, on which the weight rule skips A.  A sends it to q1 - q2,
+    which fits the window, and F sends that to z.  Every operator on every
+    row reaches no z, but the closure inserts the light image, so it is
+    K(u): it reaches z, and u is cyclic, as u2 is."""
     ops, u, u2, z = _toy_family(GradedLabel("A", 0, 1))
+    v = SparseVec.basis(u)
+    assert not sweep_closure([v], ops, TOY_CFG, WEYL_SPACE).holds_any([z])
+    basis = closure([v], ops, TOY_CFG, WEYL_SPACE)
+    assert basis.holds_any([u2, z]) and not basis.dropped
+    assert images_stay_in_span(basis, ops, TOY_CFG, WEYL_SPACE)
     failed = []
-    assert not cyclic_probe(SparseVec.basis(u), {z}, ops, TOY_CFG, WEYL_SPACE, failed=failed)
-    (kept,) = failed
-    assert kept.holds_any([u2]) and not kept.dropped
-    assert not images_stay_in_span(kept, ops, TOY_CFG, WEYL_SPACE)
+    assert cyclic_probe(v, {z}, ops, TOY_CFG, WEYL_SPACE, failed=failed)
+    assert failed == []
     assert closure_probe(SparseVec.basis(u2), {z}, ops, TOY_CFG, WEYL_SPACE)
-    assert cyclic_probe(SparseVec.basis(u2), {z}, ops, TOY_CFG, WEYL_SPACE, failed=failed)
-    assert kept._closed is False
 
 
 def test_closure_that_dropped_an_image_is_not_kept():
@@ -1376,7 +1421,7 @@ def test_basis_holding_a_state_proved_since_is_not_reused(monkeypatch):
     # with x not proved, the kept basis answers, with no closure
     closures = _closures_run(monkeypatch)
     assert not cyclic_probe(SparseVec.basis(u2), {z}, ops, TOY_CFG, WEYL_SPACE, failed=failed)
-    assert closures[0] == 0 and kept._closed is True
+    assert closures[0] == 0
 
 
 def test_early_stop_is_not_kept():

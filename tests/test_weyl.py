@@ -20,6 +20,7 @@ from oracles import (
     oracle_h,
     ordered_f_core,
     seeded_twist,
+    two_generator_annihilators,
     wick_apply,
     wide_probe_annihilators,
 )
@@ -31,6 +32,7 @@ from wakimoto import (
     ChiSeries,
     ClosureConfig,
     FermionState,
+    SpanBasis,
     WeylAction,
     WeylState,
     WeylVec,
@@ -695,25 +697,28 @@ PROBE_TWISTS = [
 PROBE_CFG = ClosureConfig(weight_cutoff=Fraction(2), charge_window=(-2, 2), excursion=Fraction(1))
 
 
-def _pieces(cfg):
-    """(weight, charge, states) of every graded piece of the window but the vacuum line."""
+def _pieces(cfg, vacuum=False):
+    """(weight, charge, states) of every graded piece of the window, the
+    vacuum line only when ``vacuum``."""
     pieces = {}
     for st in enumerate_weyl_basis(cfg.weight_cutoff, cfg.charge_window):
         pieces.setdefault((WEYL_SPACE.int_weight_of(st), WEYL_SPACE.charge_of(st)), []).append(st)
-    return [(w, c, piece) for (w, c), piece in sorted(pieces.items()) if (w, c) != (0, 0)]
+    return [(w, c, piece) for (w, c), piece in sorted(pieces.items()) if vacuum or (w, c) != (0, 0)]
 
 
-def _wide_kernels(chi, cfg):
-    """(weight, charge, kernel) of every piece but the vacuum line, under the wide family."""
-    ann = wide_probe_annihilators(chi, cfg, WeylAction(chi))
+def _wide_kernels(chi, cfg, family=wide_probe_annihilators):
+    """(weight, charge, kernel) of every whole piece but the vacuum line,
+    under the wide family or another oracle ``family``."""
+    ann = family(chi, cfg, WeylAction(chi))
     return [(w, c, joint_kernel(ann, piece, WEYL_SPACE)) for w, c, piece in _pieces(cfg)]
 
 
-def _wide_candidates(chi, cfg):
-    """The probe's candidates, as the wide family's kernels give them."""
+def _wide_candidates(chi, cfg, family=wide_probe_annihilators):
+    """The probe's candidates, as the wide family's kernels, or those of
+    ``family``, give them."""
     return [{"weight": w, "charge": c, "dimension": k.dimension(),
              "vectors": [row.to_json_obj() for row in k.rows()]}
-            for w, c, k in _wide_kernels(chi, cfg) if k.dimension()]
+            for w, c, k in _wide_kernels(chi, cfg, family) if k.dimension()]
 
 
 # at cutoff 1, f(1) alone keeps a(-1)|0> out of the kernels unless chi_0 = 2
@@ -771,6 +776,43 @@ def test_each_generator_alone_has_a_larger_kernel():
                 if joint_kernel([(label, op)], piece, WEYL_SPACE).dimension() > both
             )
     assert larger == {"e(0)", "f(1)"}
+
+
+def test_raising_e_kills_exactly_the_monomials_without_its_astar():
+    """For n = 0..B, ker e(n) on every piece that the default window
+    reaches is the span of the piece's monomials that hold no a*(-n):
+    e(n) = a(n) takes one factor a*(-n) away, times its multiplicity."""
+    cfg = DEFAULT_PROBE_CFG
+    bound = WEYL_SPACE.int_bound(cfg.bound)
+    apply = WeylAction(ChiSeries()).apply
+    smaller = 0
+    for n in range(bound + 1):
+        e_n = [(f"e({n})", partial(apply, "e", n))]
+        for _, _, piece in _pieces(cfg._replace(weight_cutoff=cfg.bound), vacuum=True):
+            free = SpanBasis(WEYL_SPACE)
+            for st in piece:
+                if n not in st.astar_modes:
+                    free.insert(WeylVec.basis(st))
+            assert joint_kernel(e_n, piece, WEYL_SPACE).rows() == free.rows(), (n, piece)
+            smaller += free.dimension() < len(piece)
+    assert smaller
+
+
+@pytest.mark.parametrize("cutoff", range(1, 6))
+def test_probe_kernels_are_two_generator_kernels_of_whole_pieces(cutoff, monkeypatch):
+    """f(1) on the a*-free monomials gives the kernels of e(0) and f(1) on
+    every monomial of each piece, on seeded twists of every pole-free case,
+    and at cutoff 1 on chi_0 = 2, whose a(-1)|0> is a candidate there."""
+    cfg = DEFAULT_PROBE_CFG._replace(weight_cutoff=Fraction(cutoff))
+    # the kernels alone: every probed state answers cyclic at once
+    monkeypatch.setattr(weyl, "cyclic_probe", lambda *args, **kw: True)
+    twists = KERNEL_TWISTS + ([ChiSeries({0: 2})] if cutoff == 1 else [])
+    found = 0
+    for chi in twists:
+        candidates = list(wakimoto_probe(chi, cfg).candidates)
+        assert candidates == _wide_candidates(chi, cfg, two_generator_annihilators), chi
+        found += bool(candidates)
+    assert found
 
 
 def test_some_pole_free_probe_twist_has_candidates():
