@@ -32,9 +32,11 @@ A truncated closure means K(v): the least subspace that holds the
 generators and every op image, of each of its vectors, that fits the
 window.  A closure inserts only such images, so its span lies in K(v),
 and one that drops no image and declares no exterior modes is K(v)
-itself: it also applies the creators to the combinations of its rows that
-the weight rule kept it from expanding (``closure`` has the argument).  A
-negative answer is then a fact about K(v) in the window.
+itself.  A family that declares the weight its ops create has its rows
+eliminated with the heaviest state as pivot, so no combination of rows is
+lighter than its rows, and the weight rule keeps no op from a vector
+whose image fits (``closure`` has the argument).  A negative answer is
+then a fact about K(v) in the window.
 
 A battery of probes also reuses the closures that failed (``failed``).
 On a reducible module the monomials that are not cyclic reach no stop
@@ -76,7 +78,8 @@ once per closure.  Fractions appear only where a coefficient is read out.
 :class:`SpanBasis` is the only Gaussian elimination here.  Its rows are
 the unique fully reduced echelon basis for a total order on keys, and the
 other exact questions are answered by eliminating under a derived order:
-the subspace inside the weight cutoff (``restricted_rows``) by ordering the
+a boson closure's span by ordering the heaviest states first, the
+subspace inside the weight cutoff (``restricted_rows``) by ordering the
 states above the cutoff first, and the joint kernel of a family of maps
 (``joint_kernel``) by ordering tagged images before the source keys.
 
@@ -514,7 +517,11 @@ class SpanBasis:
         if self.cfg is None:
             return self.rows()
         cutoff = self.space.int_bound(self.cfg.weight_cutoff)
-        return _rows_within(self._rows.values(), cutoff, self.space)
+        weight_of, key = self.space.int_weight_of, self.space.sort_key
+        outside_first = SpanBasis(self.space._replace(sort_key=lambda s: (weight_of(s) <= cutoff, key(s))))
+        for r in self._rows.values():
+            outside_first.insert(r)
+        return [outside_first._rows[p] for p in outside_first.pivots() if weight_of(p) <= cutoff]
 
     def graded_dimension(self) -> dict[tuple, int]:
         """Pivot counts per (weight, charge), restricted to the cutoff."""
@@ -626,14 +633,14 @@ def closure(
 ) -> SpanBasis:
     """Least fixpoint of the operator family inside the truncation window.
 
-    Sweeps over the pivots apply every operator to each row until a sweep
-    adds nothing.  A row is expanded once per version: ``insert`` replaces
-    a row by a new object whenever it rewrites it, and a row that is the
-    same object as when it was last expanded is skipped.  Its images were
-    inserted then, or left the window, and the span only grows, so they
-    would reduce to zero now and change nothing.  Until a sweep adds
-    nothing, the inserts that grow the span are those of the full sweep;
-    then the closedness pass below may grow it further.
+    Sweeps over the pivots, lightest first in the space's order, apply
+    every operator to each row until a sweep adds nothing.  A row is
+    expanded once per version: ``insert`` replaces a row by a new object
+    whenever it rewrites it, and a row that is the same object as when it
+    was last expanded is skipped.  Its images were inserted then, or left
+    the window, and the span only grows, so they would reduce to zero now
+    and change nothing.  So the inserts that grow the span are those of
+    the full sweep.
 
     An op whose label is a :class:`GradedLabel` is not applied to a row r
     whose image must be zero or dropped (``_live``).  Let B be the int
@@ -664,62 +671,69 @@ def closure(
     The other ops are applied in the family's order, so the sweeps'
     inserts are those the closure makes without the skip.  An op with a
     plain label is always applied, and an image the rules would skip is
-    dropped, so a family that declares nothing gets no closedness pass.
-    For both families C is one charge when each generator has one: an op
-    image of such a row has one charge, ``reduce`` subtracts only rows
-    whose pivots lie in the vector's support, and ``insert`` rewrites only
-    rows that hold the new pivot.
+    dropped.  For both families C is one charge when each generator has
+    one: an op image of such a row has one charge, ``reduce`` subtracts
+    only rows whose pivots lie in the vector's support, and ``insert``
+    rewrites only rows that hold the new pivot.
 
-    A closure that runs to its end is K(v), the least subspace that holds
-    the generators and every op image, of each of its vectors, that fits
-    the window, whenever it drops no image and no label declares exterior
-    ``modes``, whose skip rules drop images unseen.  Every row is such an
-    image or a combination of them, so the span lies in K(v); it is K(v)
-    once it is *closed*: each op image of each of its vectors that fits the
-    window lies in it.  Once a sweep adds nothing, every row has been
-    expanded with every op it did not skip, and since none was dropped
-    each applied image lies in the span.  An op skipped by the charge rule
-    sends a vector wholly outside the charge window, where no other image
-    can cancel it, so it adds nothing to an image that fits.  Only the
-    weight rule for ``creates`` = c > 0 is left, and a vector's top weight
-    may lie below its rows': the span's rows have their lightest state as
-    pivot, so the heavy tails of two rows can cancel.  With k = B - c, a
-    vector whose image fits has top weight at most k.  It is a combination
-    of the rows of top weight at most k, which were expanded with the
-    creator since their room is at least c, and of a combination of the
-    other rows whose part above k cancels.  Those combinations are the rows,
-    inside k, of a heavy-first elimination of the other rows, as in
-    ``restricted_rows``.  The closure applies the creators to them and
-    inserts the images, sweeping again when one grows the span; when one
-    leaves the window it marks the basis ``dropped`` and applies no more.
-    When the heaviest states, in basis order, of the other rows' parts
-    above k are distinct, no combination of them cancels that part, and no
-    elimination is made.  A negative answer of a closure that is K(v) is a
+    When a label declares ``creates``, the rows are eliminated with the
+    *heaviest* state as pivot: the basis orders the states by int weight,
+    heaviest first, then in the space's order.  Then a closure that runs
+    to its end is K(v), the least subspace that holds the generators and
+    every op image, of each of its vectors, that fits the window, whenever
+    it drops no image and no label declares exterior ``modes``, whose skip
+    rules drop images unseen.  Every row is such an image or a combination
+    of them, so the span lies in K(v); it is K(v) since it is *closed*:
+    each op image of each of its vectors that fits the window lies in it.
+    Once a sweep adds nothing, every row has been expanded with every op
+    it did not skip, and since none was dropped each applied image lies in
+    the span.  An op skipped by the charge rule sends a vector wholly
+    outside the charge window, where no other image can cancel it, so it
+    adds nothing to an image that fits.  Only the weight rule for
+    ``creates`` = c > 0 is left.  With k = B - c, a vector x whose image
+    fits has top weight at most k.  Write x = sum a_i r_i over rows r_i,
+    a_i != 0.  The first of their pivots in the basis order, p, is the
+    heaviest, and lies in its own row r_j alone, so x holds it with
+    coefficient a_j; every other state of x lies in some r_i, none heavier
+    than p.  So x's top weight is that of p, the largest top weight of its
+    rows, and every r_i has top weight at most k.  The weight rule skipped
+    the creator on none of them, so each image lies in the span, and so
+    does x's, their combination.  In the space's order, with the lightest
+    state as pivot, the heavy tails of two rows may cancel and leave a
+    combination lighter than both, whose image no expansion of a row
+    gives.  The other families keep the space's order.  Those with
+    exterior modes are not K(v) in any case, their spans depend on the
+    order, and certificates record them; those that declare nothing skip
+    no op by weight.  A negative answer of a closure that is K(v) is a
     fact about K(v) in the window.
 
     ``stop_at`` is a collection of basis states.  When it is given, the
     closure returns as soon as one of them lies in the span: after the
     generators are inserted and after every insert that grows the span.
     By the pure-row lemma (``SpanBasis.holds_any``) each test is a row
-    lookup, not a reduction.  The partial basis already proves that the
-    generators reach that state.  The basis records in ``dropped`` whether
-    an image the closure applied held a state outside the window.
+    lookup, not a reduction, in any elimination order.  The partial basis
+    already proves that the generators reach that state.  The basis
+    records in ``dropped`` whether an image the closure applied held a
+    state outside the window.
     """
     stop = frozenset(stop_at) if stop_at else None
     bound = space.int_bound(cfg.bound)
-    basis = SpanBasis(space, cfg)
+    order = space
+    if any(getattr(label, "creates", 0) > 0 for label, _ in ops):
+        weight_of, key = space.int_weight_of, space.sort_key
+        order = space._replace(sort_key=lambda s: (-weight_of(s), key(s)))
+    basis = SpanBasis(order, cfg)
     for g in generators:
         if not g.is_zero() and _admissible(g, cfg, bound):
             basis.insert(g)
     if stop and basis.holds_any(stop):
         return basis
-    exterior = any(getattr(label, "modes", ()) for label, _ in ops)
     expanded: dict[object, object] = {}  # pivot -> the row object last expanded
     changed = True
     while changed:
         changed = False
-        for pivot in basis.pivots():
-            # pivots are never removed, only their rows rewritten
+        # pivots are never removed, only their rows rewritten
+        for pivot in sorted(basis._rows, key=space.sort_key):
             row = basis._rows[pivot]
             if expanded.get(pivot) is row:
                 continue
@@ -735,16 +749,6 @@ def closure(
                     changed = True
                     if stop and basis.holds_any(stop):
                         return basis
-        if changed or exterior or basis.dropped:
-            continue
-        for w in _light_images(basis, ops, cfg, space):
-            if not _admissible(w, cfg, bound):
-                basis.dropped = True
-                break
-            if basis.insert(w):
-                changed = True
-                if stop and basis.holds_any(stop):
-                    return basis
     return basis
 
 
@@ -757,9 +761,11 @@ def cyclic_probe(v, cyclic: Collection, ops: OpFamily, cfg: ClosureConfig, space
     row is an exact element of ⟨v⟩, so reaching u with |0⟩ ∈ ⟨u⟩ proves
     |0⟩ ∈ ⟨v⟩; a negative answer is scoped to the window.  It is a fact
     about K(v) in the window, K(v) holding no state of ``cyclic``, when the
-    closure drops no image and no label declares exterior modes
-    (``closure``); otherwise it is a fact about the closure's span, which
-    lies in K(v).
+    closure drops no image and no label declares exterior modes: the
+    closure of a family that declares ``creates`` eliminates heaviest
+    state first, so the weight rule keeps no op from a vector whose image
+    fits (``closure``).  Otherwise it is a fact about the closure's span,
+    which lies in K(v).
     A battery probes its states lighter first and adds each one it proves
     cyclic, so a later probe stops at the first proved state it reaches.
 
@@ -815,43 +821,6 @@ def cyclic_probe(v, cyclic: Collection, ops: OpFamily, cfg: ClosureConfig, space
     if failed is not None and not basis.dropped and not any(getattr(label, "modes", ()) for label, _ in ops):
         failed.append(basis)
     return False
-
-
-def _rows_within(rows: Iterable, w: int, space: Space) -> list:
-    """The reduced echelon basis, in ``space``'s order, of the vectors of
-    the span of ``rows`` inside int weight w (``restricted_rows``)."""
-    weight_of, key = space.int_weight_of, space.sort_key
-    heavy_first = SpanBasis(space._replace(sort_key=lambda s: (weight_of(s) <= w, key(s))))
-    for r in rows:
-        heavy_first.insert(r)
-    return [heavy_first._rows[p] for p in heavy_first.pivots() if weight_of(p) <= w]
-
-
-def _light_images(basis: SpanBasis, ops: OpFamily, cfg: ClosureConfig, space: Space) -> Iterator:
-    """The nonzero images under each creator, of ``creates`` c, of the
-    combinations of the rows of top weight above k = B - c that lie inside
-    k, one per row of their reduced echelon basis (``closure`` has the
-    argument)."""
-    bound = space.int_bound(cfg.bound)
-    creators: dict[int, list] = {}
-    for label, op in ops:
-        c = getattr(label, "creates", 0)
-        if 0 < c <= bound:
-            creators.setdefault(c, []).append((label, op))
-    weight_of, key = space.int_weight_of, space.sort_key
-    rows = list(basis._rows.values())
-    for c, family in sorted(creators.items()):
-        k = bound - c
-        heavy = [row for row in rows if max(map(weight_of, row.terms)) > k]
-        heads = {max((s for s in row.terms if weight_of(s) > k), key=key) for row in heavy}
-        if len(heads) == len(heavy):
-            continue
-        for row in _rows_within(heavy, k, space):
-            # a vector of top weight <= k keeps room >= c: only the charge rule skips
-            for op in _live(row, family, cfg, bound):
-                w = op(row)
-                if not w.is_zero():
-                    yield w
 
 
 def joint_kernel(ann_ops: OpFamily, piece: Sequence, space: Space) -> SpanBasis:

@@ -65,12 +65,16 @@ factor a*(-n) from a product of a* alone, and that one step is the proof.
 On a reducible twist a monomial that is not cyclic reaches no stop state,
 so its closure runs to the end.  A closure that drops no image is K(v),
 the least subspace that holds v and every op image of its vectors that
-fits the window, so a negative answer is a fact about K(v).  The battery
-keeps those closures, and a later monomial that one holds answers False
-with no closure of its own.  Each op of the family declares its charge
-shift and the weight it creates (``wakimoto_ops``), so the closures skip
-every op image that must leave the window, and the one step skips every
-op image that must be heavier than every monomial proved so far.
+fits the window, so a negative answer is a fact about K(v).  Its rows are
+eliminated with the heaviest monomial as pivot, so a combination of them
+is as heavy as its heaviest row, and the closure, which applies each
+creator to every row light enough for the image to fit, misses no image
+of a combination that fits.  The battery keeps those closures, and a
+later monomial that one holds answers False with no closure of its own.
+Each op of the family declares its charge shift and the weight it creates
+(``wakimoto_ops``), so the closures skip every op image that must leave
+the window, and the one step skips every op image that must be heavier
+than every monomial proved so far.
 """
 
 from __future__ import annotations
@@ -780,7 +784,8 @@ def wakimoto_probe(chi: ChiSeries, cfg: ClosureConfig = DEFAULT_PROBE_CFG) -> Ev
     set of the monomials proved cyclic, which carries their heaviest
     weight for the one-step proof's reach, and ``failed``, the settled
     closures that answered False.  Such a closure is K of its monomial,
-    closed under every op image of its vectors that fits the window.  A
+    closed under every op image of its vectors that fits the window, since
+    it eliminates heaviest monomial first (``span.closure``).  A
     later monomial that a kept closure holds as a pure row answers False
     with no closure when no proved state lies in that closure's span, which
     then holds every state the monomial's own closure could reach

@@ -846,8 +846,11 @@ def ordered_reduce(basis, v):
 def sweep_closure(generators, ops, cfg, space, stop_at=None):
     """``closure`` by full sweeps: every operator on every row, every sweep.
 
-    It stops once a state of ``stop_at`` reduces to zero, so comparing it
-    with ``closure`` also checks the pure-row shortcut of the stop test.
+    It eliminates and sweeps as ``closure`` does: heaviest state first as
+    pivot when a label declares ``creates``, and the pivots lightest first
+    in the space's order.  It stops once a state of ``stop_at`` reduces to
+    zero, so comparing it with ``closure`` also checks the pure-row
+    shortcut of the stop test.
     """
     stop = [SparseVec.basis(u) for u in stop_at or ()]
 
@@ -855,7 +858,10 @@ def sweep_closure(generators, ops, cfg, space, stop_at=None):
         return any(basis.contains(u) for u in stop)
 
     bound = space.int_bound(cfg.bound)
-    basis = SpanBasis(space, cfg)
+    order = space
+    if any(getattr(label, "creates", 0) > 0 for label, _ in ops):
+        order = space._replace(sort_key=lambda s: (-space.int_weight_of(s), space.sort_key(s)))
+    basis = SpanBasis(order, cfg)
     for g in generators:
         if not g.is_zero() and _admissible(g, cfg, bound):
             basis.insert(g)
@@ -864,7 +870,7 @@ def sweep_closure(generators, ops, cfg, space, stop_at=None):
     changed = True
     while changed:
         changed = False
-        for pivot in basis.pivots():
+        for pivot in sorted(basis._rows, key=space.sort_key):
             # pivots are never removed, only their rows rewritten
             row = basis._rows[pivot]
             for _, op in ops:

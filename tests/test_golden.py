@@ -6,7 +6,10 @@ stdin, so each ``verify`` checks the certificate its ``classify`` recorded.
 The corpus covers ``classify`` -> ``verify`` on every case (far tails and a
 far pole included) at the default window and a small one, ``probe-wakimoto``
 on every case, the three relation suites, the three enumerated spaces and
-``schur``.
+``schur``.  Two more ``probe-wakimoto`` entries run at cutoff 5 on the
+Schur-zero twists {0: 3, -1: 2, -2: 4} and {0: 2, -2: 1}.  There a boson
+closure eliminated heaviest state first has rows furthest from those of
+the space's order, so they pin that the answers do not depend on it.
 
 A change that alters output by design regenerates the file with
 

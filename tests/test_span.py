@@ -565,8 +565,8 @@ def _generators(case, chi, space, rng):
 
 def _recorded(run, generators, ops, cfg, space, stop, monkeypatch):
     """A closure run with the growing inserts into its basis, and its op
-    applications.  An elimination into another basis, as the light-image
-    pass makes, is not one of them."""
+    applications.  An elimination into another basis, as
+    ``restricted_rows`` makes, is not one of them."""
     grown = []
     applied = [0]
     insert = SpanBasis.insert
@@ -954,13 +954,24 @@ def _applications(generators, ops, cfg, space):
     return basis, calls
 
 
+def _in_space_order(basis, space, cfg):
+    """The span of ``basis`` eliminated in ``space``'s own order."""
+    out = SpanBasis(space, cfg)
+    for row in basis.rows():
+        out.insert(row)
+    return out
+
+
 @pytest.mark.parametrize("family", ["fock_plain_labels", "weyl_hull", "weyl_plain_labels"])
 @pytest.mark.parametrize("case", CASES)
 def test_family_that_declares_nothing_applies_every_op(case, family, monkeypatch):
     """A family of plain labels has every op applied to every row the
     closure expands, in the family's order: nothing is skipped.  The
-    declared family gets the same basis and report, and applies fewer ops;
-    with the same ops, it makes the same growing inserts."""
+    declared family gets the same span, whose basis and report in the
+    space's order are the same, and applies fewer ops.  The declared boson
+    family eliminates heaviest state first and the plain one in the space's
+    order, so only the fermion families, both in that order, make the same
+    growing inserts."""
     rng = random.Random(f"declares-nothing:{case}")
     chi = seeded_twist(case, rng)
     space = FOCK_SPACE if family.startswith("fock") else WEYL_SPACE
@@ -978,10 +989,11 @@ def test_family_that_declares_nothing_applies_every_op(case, family, monkeypatch
             assert [i for i, _ in block] == list(range(len(ops)))
             assert all(v is block[0][1] for _, v in block)
         ours, grown, applied = _recorded(closure, [g], declared, cfg, space, None, monkeypatch)
-        assert ours.rows() == basis.rows()
-        assert ours.report() == basis.report()
+        same_order = [_in_space_order(b, space, cfg) for b in (ours, basis)]
+        assert same_order[0].rows() == same_order[1].rows()
+        assert same_order[0].report() == same_order[1].report()
         assert applied < len(calls)
-        if family != "weyl_hull":
+        if family == "fock_plain_labels":
             _, plain_grown, _ = _recorded(closure, [g], ops, cfg, space, None, monkeypatch)
             assert grown == plain_grown
 
@@ -1252,26 +1264,60 @@ def test_battery_reuses_failed_closures(twist, window, monkeypatch):
 @pytest.mark.parametrize("twist", ["schur_zero_l1", "schur_zero_l1_tail"])
 def test_kept_bases_are_closed(twist, monkeypatch):
     """Every basis the battery keeps is closed as the exact kernel solve
-    finds it.  On the tail the rows of top weight at most k = B - creates do
-    not span the part of the basis inside k, so the closures apply the
-    creators to a heavy-first basis of that part: only there."""
+    finds it.  Only on the tail does a kept span, eliminated in the space's
+    order, hold a combination inside k = B - creates of rows whose top
+    weight is above k, on which the weight rule skips the creator.
+    Eliminated heaviest state first, each such combination is a combination
+    of rows inside k, which the sweep expands."""
     chi, cfg = REUSE_TWISTS[twist], REUSE_WINDOWS["probe_default"]
-    span_mod = importlib.import_module("wakimoto.span")
-    inner = span_mod._light_images
-    applied = [0]
-
-    def counting(*args):
-        for w in inner(*args):
-            applied[0] += 1
-            yield w
-
-    monkeypatch.setattr(span_mod, "_light_images", counting)
     kept = _kept_bases(chi, cfg, monkeypatch)
-    assert bool(applied[0]) == (twist != "schur_zero_l1")
     assert kept
     ops = wakimoto_ops(chi, cfg, WeylAction(chi))
+    bound = WEYL_SPACE.int_bound(cfg.bound)
+    weight_of, key = WEYL_SPACE.int_weight_of, WEYL_SPACE.sort_key
+    light = 0
     for basis in kept:
         assert images_stay_in_span(basis, ops, cfg, WEYL_SPACE)
+        rows = _in_space_order(basis, WEYL_SPACE, cfg).rows()
+        for k in {bound - label.creates for label, _ in ops if 0 < label.creates <= bound}:
+            outside_first = SpanBasis(WEYL_SPACE._replace(sort_key=lambda s: (weight_of(s) <= k, key(s))))
+            for r in rows:
+                if max(map(weight_of, r.terms)) > k:
+                    outside_first.insert(r)
+            light += sum(weight_of(p) <= k for p in outside_first.pivots())
+    assert bool(light) == (twist != "schur_zero_l1")
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_boson_combinations_weigh_as_their_heaviest_pivot(case):
+    """A boson closure eliminates heaviest state first, so every row has its
+    heaviest state as pivot, and a combination of rows weighs as much as
+    the heaviest pivot among them: no cancellation leaves a combination
+    lighter than its rows, whose image the weight rule would keep the
+    creators from.  The closures of random monomials stop at the vacuum,
+    each with rows that span several weights."""
+    rng = random.Random(f"heaviest-pivot:{case}")
+    chi = seeded_twist(case, rng)
+    cfg = REUSE_WINDOWS["probe_default"]
+    ops = wakimoto_ops(chi, cfg, WeylAction(chi))
+    weight_of = WEYL_SPACE.int_weight_of
+    states = enumerate_weyl_basis(cfg.weight_cutoff, cfg.charge_window)
+    mixed = 0
+    for st in rng.sample(states, 4):
+        basis = closure([WeylVec.basis(st)], ops, cfg, WEYL_SPACE, {WEYL_VACUUM})
+        pivots = basis.pivots()
+        for p in pivots:
+            assert weight_of(p) == max(map(weight_of, basis._rows[p].terms))
+        # the rows whose tails could cancel
+        spread = [p for p in pivots if len(set(map(weight_of, basis._rows[p].terms))) > 1]
+        for _ in range(20):
+            picked = {*rng.sample(spread, min(len(spread), 3)), *rng.sample(pivots, 2)}
+            x = SparseVec.zero()
+            for p in picked:
+                x = x + rng.choice([-3, -2, -1, 1, 2, 3]) * basis._rows[p]
+            assert max(map(weight_of, x.terms)) == max(map(weight_of, picked))
+            mixed += len(picked.intersection(spread)) > 1
+    assert mixed >= 40
 
 
 @pytest.mark.parametrize("window", ["crosscheck", "probe_default"])
@@ -1341,10 +1387,11 @@ def _toy_family(raise_label):
 
     u = _toy(0, 0) reaches p1 + h and p2 + h, whose difference is light,
     and u2 = _toy(0, 1), which E sends onto p1 - p2; F sends q1 = A(p1)
-    onto z = _toy(0, 9).  The span of u holds p1 - p2 only as a
-    combination of rows, which a sweep of every op over every row never
-    expands, so the sweep never meets q1 - q2 = A(p1 - p2), which fits the
-    window, nor z; the closure of u2 expands p1 - p2 as a row and reaches z.
+    onto z = _toy(0, 9).  Eliminated in the space's order, the span of u
+    holds p1 - p2 only as a combination of two rows of top weight 2, on
+    which the weight rule skips A, so expanding those rows never meets
+    q1 - q2 = A(p1 - p2), which fits the window, nor z; the closure of u2
+    expands p1 - p2 as a row and reaches z.
     """
     u, u2, z = _toy(0, 0), _toy(0, 1), _toy(0, 9)
     p1, p2, h = _toy(1, 5), _toy(1, 6), _toy(2, 7)
@@ -1364,16 +1411,24 @@ def _toy_family(raise_label):
 
 
 def test_light_combination_whose_image_escapes_is_inserted():
-    """The closure of u holds p1 - p2 only as a combination of two rows of
-    top weight 2, on which the weight rule skips A.  A sends it to q1 - q2,
-    which fits the window, and F sends that to z.  Every operator on every
-    row reaches no z, but the closure inserts the light image, so it is
-    K(u): it reaches z, and u is cyclic, as u2 is."""
+    """The closure of u reaches p1 + h and p2 + h, of top weight 2, on
+    which the weight rule skips A.  In the space's order they are two rows
+    of that top weight, and p1 - p2 is only their combination.  Eliminated
+    heaviest state first, p1 - p2 is a row of its own, of top weight 1, so
+    the closure, and the full sweep alike, expands it with A, reaching
+    q1 - q2, which fits the window, and F sends that to z.  So the closure
+    is K(u): it reaches z, and u is cyclic, as u2 is."""
     ops, u, u2, z = _toy_family(GradedLabel("A", 0, 1))
+    p1, p2, h = _toy(1, 5), _toy(1, 6), _toy(2, 7)
+    lightest_first = SpanBasis(WEYL_SPACE)
+    for p in (p1, p2):
+        lightest_first.insert(SparseVec({p: 1, h: 1}))
+    assert all(h in row.terms for row in lightest_first.rows())
     v = SparseVec.basis(u)
-    assert not sweep_closure([v], ops, TOY_CFG, WEYL_SPACE).holds_any([z])
     basis = closure([v], ops, TOY_CFG, WEYL_SPACE)
+    assert any(set(row.terms) == {p1, p2} for row in basis.rows())
     assert basis.holds_any([u2, z]) and not basis.dropped
+    assert sweep_closure([v], ops, TOY_CFG, WEYL_SPACE).holds_any([z])
     assert images_stay_in_span(basis, ops, TOY_CFG, WEYL_SPACE)
     failed = []
     assert cyclic_probe(v, {z}, ops, TOY_CFG, WEYL_SPACE, failed=failed)
