@@ -60,11 +60,13 @@ such factor yet).  The label is where the declaration lives because
 wrappers of an op family, the benchmark's tracer among them, rebuild the
 entries as ``(label, op')``.
 
-Each unit of work is done once.  The closure expands a row again only after
-an insert has rewritten it: the images of an unchanged row already lie in
-the span.  Rows are fully reduced, each holding its own pivot with
-coefficient 1 and no other pivot, so ``reduce`` subtracts each hit row once,
-in a single pass.
+Each unit of work is done once.  The closure reads each op's label once,
+into a table of declarations, and expands a row again only after an insert
+has rewritten it: the images of an unchanged row already lie in the span.
+Rows are fully reduced, each holding its own pivot with coefficient 1 and
+no other pivot, so ``reduce`` subtracts each hit row once, in a single
+pass, and ``insert`` answers a one-term vector that the span holds as a
+pure row with no reduction at all.
 
 Arithmetic is over the integers.  A vector is int numerators over one
 positive int denominator in lowest terms, so the mode actions sum ints and
@@ -73,7 +75,11 @@ scales by the lcm of the hit rows' denominators, ``insert`` divides by the
 pivot numerator and rewrites other rows by cross-multiplying, and every
 result is brought back to lowest terms by one gcd.  The window test
 compares int weights (doubled on the fermion side) against a bound floored
-once per closure.  Fractions appear only where a coefficient is read out.
+once per closure, or per probe, in int arithmetic (``Space.int_reach``).
+When every label declares its charge shift and every generator has one
+charge, every row has one charge and the charge rule applies no op whose
+image leaves the charge window, so the closure admits an image by its
+weights alone.  Fractions appear only where a coefficient is read out.
 
 :class:`SpanBasis` is the only Gaussian elimination here.  Its rows are
 the unique fully reduced echelon basis for a total order on keys, and the
@@ -393,6 +399,15 @@ class Space(namedtuple("Space", "weight_scale sort_key", defaults=(Monomial.sort
         """The largest int weight of a state of weight at most ``weight``."""
         return math.floor(weight * self.weight_scale)
 
+    def int_reach(self, cfg: ClosureConfig) -> int:
+        """The window's int reach, ``int_bound(cfg.bound)``, in int arithmetic.
+
+        A closure and each probe read it, so it builds no Fraction.
+        """
+        c, e = cfg.weight_cutoff, cfg.excursion
+        num = (c.numerator * e.denominator + e.numerator * c.denominator) * self.weight_scale
+        return num // (c.denominator * e.denominator)
+
 
 class SpanBasis:
     """Fully reduced row-echelon basis with pivot coefficient 1.
@@ -415,7 +430,10 @@ class SpanBasis:
     # -- construction -------------------------------------------------
 
     def _pivot(self, v):
-        return min(v.terms, key=self.space.sort_key)
+        terms = v.terms
+        if len(terms) == 1:
+            return next(iter(terms))
+        return min(terms, key=self.space.sort_key)
 
     def reduce(self, v):
         """Remainder of v after eliminating every known pivot component.
@@ -451,7 +469,16 @@ class SpanBasis:
         N / D by its pivot coefficient N[p] / D gives N over N[p]; a row
         R / e holding c = R[p] becomes (R·d − c·N') / (e·d), with N' over d
         the new row.
+
+        A one-term vector c·u whose row of pivot u is u alone lies in the
+        span (the pure-row lemma of ``holds_any``), so it answers False
+        with no reduction.
         """
+        terms = v.terms
+        if len(terms) == 1:
+            row = self._rows.get(next(iter(terms)))
+            if row is not None and len(row.terms) == 1:
+                return False
         v = self.reduce(v)
         terms = v.terms
         if not terms:
@@ -564,9 +591,15 @@ class Proved(set):
 
 
 def _admissible(v, cfg: ClosureConfig, bound: int) -> bool:
-    """Does every state of v lie in the window?  ``bound`` is ``int_bound(cfg.bound)``."""
+    """Does every state of v lie in the window?  ``bound`` is ``int_reach(cfg)``."""
     lo, hi = cfg.charge_window
     return all(int_weight(s) <= bound and lo <= charge(s) <= hi for s in v.terms)
+
+
+def _light(v, bound: int) -> bool:
+    """Does no state of v weigh more than ``bound``?  The window test of an
+    image whose charge is known to fit."""
+    return all(sum(s[1]) + sum(s[2]) <= bound for s in v.terms)
 
 
 def _exterior_facts(v, top: int) -> dict[int, tuple[set, set]]:
@@ -586,19 +619,33 @@ def _exterior_facts(v, top: int) -> dict[int, tuple[set, set]]:
     return {1: (lower, top_upper), -1: (upper, top_lower)}
 
 
-def _live(v, ops: OpFamily, cfg: ClosureConfig, reach: int) -> Iterator:
+def _declarations(ops: OpFamily) -> Iterator[tuple]:
+    """``(op, charge shift, creates, modes)`` per op, in the family's order.
+
+    Lazily: each label is read when its entry is reached.  An op with a
+    plain label declares nothing, and its shift is None.
+    """
+    for label, op in ops:
+        if isinstance(label, GradedLabel):
+            yield op, label.charge_shift, label.creates, label.modes
+        else:
+            yield op, None, 0, ()
+
+
+def _live(v, table: Iterable[tuple], cfg: ClosureConfig, reach: int) -> Iterator:
     """The ops whose image of the nonzero window vector v may matter.
 
-    An image matters only when it lies in the charge window and weighs at
-    most ``reach``, an int weight no more than the window's bound: the
-    bound itself for a closure, less for a one-step proof
-    (``cyclic_probe``).  Lazily, in the family's order: each label is read
-    only when it is reached.  An op is left out when its ``GradedLabel``
-    proves that the image is zero or holds a state that does not matter
-    (``closure`` has the arguments, with ``reach`` for B).  ``room`` is
-    reach minus v's top weight, or 0 when v is heavier than reach: every
-    weight rule proves a state heavier than v, so an op that may lower the
-    weight is still applied.
+    ``table`` holds the family's ``_declarations``: a list that a closure
+    reads once, or the lazy iterator of a one-step proof.  An image matters
+    only when it lies in the charge window and weighs at most ``reach``, an
+    int weight no more than the window's bound: the bound itself for a
+    closure, less for a one-step proof (``cyclic_probe``).  Lazily, in the
+    family's order.  An op is left out when its declaration proves that the
+    image is zero or holds a state that does not matter (``closure`` has
+    the arguments, with ``reach`` for B).  ``room`` is reach minus v's top
+    weight, or 0 when v is heavier than reach: every weight rule proves a
+    state heavier than v, so an op that may lower the weight is still
+    applied.
     """
     lo, hi = cfg.charge_window
     top = max(map(int_weight, v.terms))
@@ -606,12 +653,10 @@ def _live(v, ops: OpFamily, cfg: ClosureConfig, reach: int) -> Iterator:
     charges = set(map(charge, v.terms))
     least, most = min(charges), max(charges)
     facts = None
-    for label, op in ops:
-        if isinstance(label, GradedLabel):
-            shift = label.charge_shift
-            if label.creates > room or most + shift < lo or least + shift > hi:
+    for op, shift, creates, modes in table:
+        if shift is not None:
+            if creates > room or most + shift < lo or least + shift > hi:
                 continue
-            modes = label.modes
             if modes:
                 if facts is None:
                     facts = _exterior_facts(v, top)
@@ -676,6 +721,15 @@ def closure(
     only rows whose pivots lie in the vector's support, and ``insert``
     rewrites only rows that hold the new pivot.
 
+    So when every label declares its shift and every generator has one
+    charge, an image is admitted by its weights alone.  The op is applied
+    to a row of one charge c only when c + shift lies in the charge
+    window, and every state of its image has that charge, so the image
+    fits the window exactly when no state of it is heavier than B.  Any
+    other family, the generators and the one-step proof keep the full
+    window test.  The closure reads each label once, into a table of
+    declarations that ``_live`` reads for every row.
+
     When a label declares ``creates``, the rows are eliminated with the
     *heaviest* state as pivot: the basis orders the states by int weight,
     heaviest first, then in the space's order.  Then a closure that runs
@@ -717,15 +771,18 @@ def closure(
     state outside the window.
     """
     stop = frozenset(stop_at) if stop_at else None
-    bound = space.int_bound(cfg.bound)
+    bound = space.int_reach(cfg)
+    table = list(_declarations(ops))
     order = space
-    if any(getattr(label, "creates", 0) > 0 for label, _ in ops):
+    if any(creates > 0 for _, _, creates, _ in table):
         weight_of, key = space.int_weight_of, space.sort_key
         order = space._replace(sort_key=lambda s: (-weight_of(s), key(s)))
     basis = SpanBasis(order, cfg)
+    by_weight = all(shift is not None for _, shift, _, _ in table)
     for g in generators:
         if not g.is_zero() and _admissible(g, cfg, bound):
             basis.insert(g)
+            by_weight = by_weight and len(set(map(charge, g.terms))) == 1
     if stop and basis.holds_any(stop):
         return basis
     expanded: dict[object, object] = {}  # pivot -> the row object last expanded
@@ -738,11 +795,11 @@ def closure(
             if expanded.get(pivot) is row:
                 continue
             expanded[pivot] = row
-            for op in _live(row, ops, cfg, bound):
+            for op in _live(row, table, cfg, bound):
                 w = op(row)
                 if w.is_zero():
                     continue
-                if not _admissible(w, cfg, bound):
+                if not (_light(w, bound) if by_weight else _admissible(w, cfg, bound)):
                     basis.dropped = True
                     continue
                 if basis.insert(w):
@@ -803,11 +860,11 @@ def cyclic_probe(v, cyclic: Collection, ops: OpFamily, cfg: ClosureConfig, space
     holds v, so it holds K(v), which therefore reaches no state of
     ``cyclic``, and neither does the closure of v, which lies in K(v).
     """
-    bound = space.int_bound(cfg.bound)
+    bound = space.int_reach(cfg)
     if not v.is_zero() and _admissible(v, cfg, bound):
         heaviest = cyclic.heaviest if isinstance(cyclic, Proved) else max(map(int_weight, cyclic), default=0)
         reach = min(bound, heaviest)
-        for w in chain([v], (op(v) for op in _live(v, ops, cfg, reach))):
+        for w in chain([v], (op(v) for op in _live(v, _declarations(ops), cfg, reach))):
             if len(w.terms) == 1 and next(iter(w.terms)) in cyclic and _admissible(w, cfg, bound):
                 return True
         if failed and len(v.terms) == 1 and any(

@@ -850,7 +850,10 @@ def sweep_closure(generators, ops, cfg, space, stop_at=None):
     pivot when a label declares ``creates``, and the pivots lightest first
     in the space's order.  It stops once a state of ``stop_at`` reduces to
     zero, so comparing it with ``closure`` also checks the pure-row
-    shortcut of the stop test.
+    shortcut of the stop test.  Every image passes the full window test,
+    and it inserts only an image that does not reduce to zero, which
+    ``insert`` must then take: neither answer goes through the pure-row
+    shortcut of ``insert`` or the weight-only admission of ``closure``.
     """
     stop = [SparseVec.basis(u) for u in stop_at or ()]
 
@@ -863,8 +866,9 @@ def sweep_closure(generators, ops, cfg, space, stop_at=None):
         order = space._replace(sort_key=lambda s: (-space.int_weight_of(s), space.sort_key(s)))
     basis = SpanBasis(order, cfg)
     for g in generators:
-        if not g.is_zero() and _admissible(g, cfg, bound):
-            basis.insert(g)
+        if not g.is_zero() and _admissible(g, cfg, bound) and not basis.reduce(g).is_zero():
+            if not basis.insert(g):
+                raise AssertionError("insert refused a vector outside the span")
     if reached():
         return basis
     changed = True
@@ -875,12 +879,13 @@ def sweep_closure(generators, ops, cfg, space, stop_at=None):
             row = basis._rows[pivot]
             for _, op in ops:
                 w = op(row)
-                if w.is_zero() or not _admissible(w, cfg, bound):
+                if w.is_zero() or not _admissible(w, cfg, bound) or basis.reduce(w).is_zero():
                     continue
-                if basis.insert(w):
-                    changed = True
-                    if reached():
-                        return basis
+                if not basis.insert(w):
+                    raise AssertionError("insert refused a vector outside the span")
+                changed = True
+                if reached():
+                    return basis
     return basis
 
 
