@@ -217,18 +217,9 @@ Parts = Sequence[tuple[int, int]]
 def _psi_sum(sp: int, parts: Parts, v: SparseVec, den: int = 1) -> SparseVec:
     """``sum (k / den) Psi<sp>(d/2) v`` over the (doubled mode d, int k) parts.
 
-    Summed as ints: v's numerators times the parts' ints, over v's den times
-    ``den``.  One mode on one monomial (G+ on a monomial) is one core call.
+    Summed as ints: v's numerators times the parts' ints, over v's den times ``den``.
     """
     terms = v.terms
-    if len(parts) == 1 and len(terms) == 1:
-        ((d, k),) = parts
-        ((st, n),) = terms.items()
-        hit = _psi_core(sp, d, st)
-        if hit is None:
-            return SparseVec.zero()
-        out, sign = hit
-        return SparseVec._canonical({out: sign * k * n}, v.den * den)
     acc: dict[FermionState, int] = {}
     for d, k in parts:
         for st, n in terms.items():

@@ -75,11 +75,8 @@ scales by the lcm of the hit rows' denominators, ``insert`` divides by the
 pivot numerator and rewrites other rows by cross-multiplying, and every
 result is brought back to lowest terms by one gcd.  The window test
 compares int weights (doubled on the fermion side) against a bound floored
-once per closure, or per probe, in int arithmetic (``Space.int_reach``).
-When every label declares its charge shift and every generator has one
-charge, every row has one charge and the charge rule applies no op whose
-image leaves the charge window, so the closure admits an image by its
-weights alone.  Fractions appear only where a coefficient is read out.
+once per closure, or per probe, in ints (``Space.int_bound``).  Fractions
+appear only where a coefficient is read out.
 
 :class:`SpanBasis` is the only Gaussian elimination here.  Its rows are
 the unique fully reduced echelon basis for a total order on keys, and the
@@ -396,17 +393,11 @@ class Space(namedtuple("Space", "weight_scale sort_key", defaults=(Monomial.sort
         return Fraction(int_weight(st), self.weight_scale)
 
     def int_bound(self, weight) -> int:
-        """The largest int weight of a state of weight at most ``weight``."""
-        return math.floor(weight * self.weight_scale)
+        """The largest int weight of a state of weight at most ``weight``.
 
-    def int_reach(self, cfg: ClosureConfig) -> int:
-        """The window's int reach, ``int_bound(cfg.bound)``, in int arithmetic.
-
-        A closure and each probe read it, so it builds no Fraction.
+        Floored in ints: a closure and each probe read it.
         """
-        c, e = cfg.weight_cutoff, cfg.excursion
-        num = (c.numerator * e.denominator + e.numerator * c.denominator) * self.weight_scale
-        return num // (c.denominator * e.denominator)
+        return weight.numerator * self.weight_scale // weight.denominator
 
 
 class SpanBasis:
@@ -430,10 +421,7 @@ class SpanBasis:
     # -- construction -------------------------------------------------
 
     def _pivot(self, v):
-        terms = v.terms
-        if len(terms) == 1:
-            return next(iter(terms))
-        return min(terms, key=self.space.sort_key)
+        return min(v.terms, key=self.space.sort_key)
 
     def reduce(self, v):
         """Remainder of v after eliminating every known pivot component.
@@ -470,15 +458,11 @@ class SpanBasis:
         R / e holding c = R[p] becomes (R·d − c·N') / (e·d), with N' over d
         the new row.
 
-        A one-term vector c·u whose row of pivot u is u alone lies in the
-        span (the pure-row lemma of ``holds_any``), so it answers False
+        A one-term vector c·u with u in the span (``_holds``) answers False
         with no reduction.
         """
-        terms = v.terms
-        if len(terms) == 1:
-            row = self._rows.get(next(iter(terms)))
-            if row is not None and len(row.terms) == 1:
-                return False
+        if len(v.terms) == 1 and self._holds(next(iter(v.terms))):
+            return False
         v = self.reduce(v)
         terms = v.terms
         if not terms:
@@ -506,17 +490,24 @@ class SpanBasis:
     def contains(self, v) -> bool:
         return self.reduce(v).is_zero()
 
-    def holds_any(self, states: Collection) -> bool:
-        """Does the span contain one of these basis states?
+    def _holds(self, u) -> bool:
+        """Is the basis state u in the span?
 
-        A state u is in the span exactly when its row is u alone: the row of
+        Exactly when its row is u alone (the pure-row lemma): the row of
         pivot u is the only one that u's reduction subtracts, so the
         remainder is zero just when that row is u (pivot coefficient 1).
+        """
+        row = self._rows.get(u)
+        return row is not None and len(row.terms) == 1
+
+    def holds_any(self, states: Collection) -> bool:
+        """Does the span contain one of these basis states (``_holds``)?
+
         The scan runs over the given states or the rows, whichever is fewer.
         """
         rows = self._rows
         if len(states) <= len(rows):
-            return any(len(r.terms) == 1 for r in map(rows.get, states) if r is not None)
+            return any(map(self._holds, states))
         return any(len(r.terms) == 1 and p in states for p, r in rows.items())
 
     def rows(self) -> list:
@@ -591,15 +582,9 @@ class Proved(set):
 
 
 def _admissible(v, cfg: ClosureConfig, bound: int) -> bool:
-    """Does every state of v lie in the window?  ``bound`` is ``int_reach(cfg)``."""
+    """Does every state of v lie in the window?  ``bound`` is ``int_bound(cfg.bound)``."""
     lo, hi = cfg.charge_window
     return all(int_weight(s) <= bound and lo <= charge(s) <= hi for s in v.terms)
-
-
-def _light(v, bound: int) -> bool:
-    """Does no state of v weigh more than ``bound``?  The window test of an
-    image whose charge is known to fit."""
-    return all(sum(s[1]) + sum(s[2]) <= bound for s in v.terms)
 
 
 def _exterior_facts(v, top: int) -> dict[int, tuple[set, set]]:
@@ -721,14 +706,8 @@ def closure(
     only rows whose pivots lie in the vector's support, and ``insert``
     rewrites only rows that hold the new pivot.
 
-    So when every label declares its shift and every generator has one
-    charge, an image is admitted by its weights alone.  The op is applied
-    to a row of one charge c only when c + shift lies in the charge
-    window, and every state of its image has that charge, so the image
-    fits the window exactly when no state of it is heavier than B.  Any
-    other family, the generators and the one-step proof keep the full
-    window test.  The closure reads each label once, into a table of
-    declarations that ``_live`` reads for every row.
+    The closure reads each label once, into a table of declarations that
+    ``_live`` reads for every row.
 
     When a label declares ``creates``, the rows are eliminated with the
     *heaviest* state as pivot: the basis orders the states by int weight,
@@ -771,18 +750,16 @@ def closure(
     state outside the window.
     """
     stop = frozenset(stop_at) if stop_at else None
-    bound = space.int_reach(cfg)
+    bound = space.int_bound(cfg.bound)
     table = list(_declarations(ops))
     order = space
     if any(creates > 0 for _, _, creates, _ in table):
         weight_of, key = space.int_weight_of, space.sort_key
         order = space._replace(sort_key=lambda s: (-weight_of(s), key(s)))
     basis = SpanBasis(order, cfg)
-    by_weight = all(shift is not None for _, shift, _, _ in table)
     for g in generators:
         if not g.is_zero() and _admissible(g, cfg, bound):
             basis.insert(g)
-            by_weight = by_weight and len(set(map(charge, g.terms))) == 1
     if stop and basis.holds_any(stop):
         return basis
     expanded: dict[object, object] = {}  # pivot -> the row object last expanded
@@ -799,7 +776,7 @@ def closure(
                 w = op(row)
                 if w.is_zero():
                     continue
-                if not (_light(w, bound) if by_weight else _admissible(w, cfg, bound)):
+                if not _admissible(w, cfg, bound):
                     basis.dropped = True
                     continue
                 if basis.insert(w):
@@ -860,7 +837,7 @@ def cyclic_probe(v, cyclic: Collection, ops: OpFamily, cfg: ClosureConfig, space
     holds v, so it holds K(v), which therefore reaches no state of
     ``cyclic``, and neither does the closure of v, which lies in K(v).
     """
-    bound = space.int_reach(cfg)
+    bound = space.int_bound(cfg.bound)
     if not v.is_zero() and _admissible(v, cfg, bound):
         heaviest = cyclic.heaviest if isinstance(cyclic, Proved) else max(map(int_weight, cyclic), default=0)
         reach = min(bound, heaviest)

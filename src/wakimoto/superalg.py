@@ -298,7 +298,7 @@ def a_module_ops(chi: ChiSeries, cfg: ClosureConfig) -> list[tuple[str, object]]
     factor, so the image of a vector need not be heavier than the vector.
     """
     # the doubled weight bound: a factor weighs |d|/2 <= B iff |d| <= top
-    top = FOCK_SPACE.int_reach(cfg)
+    top = FOCK_SPACE.int_bound(cfg.bound)
     # the j with |2j - 1| <= top: ceil((1 - top) / 2) <= j <= floor((1 + top) / 2)
     near = range(-((top - 1) // 2), (top + 1) // 2 + 1)
     tried = sorted({m + k for m in {0, *chi.support} for k in near})

@@ -710,7 +710,7 @@ def wakimoto_ops(
     ``span.closure`` skips the op on a row with t - n > B, as it skips one
     whose charge leaves the window.
     """
-    bound = WEYL_SPACE.int_reach(cfg)
+    bound = WEYL_SPACE.int_bound(cfg.bound)
     f_modes = set(range(-bound, bound + 1))
     for j in chi.support:
         if j > 0:

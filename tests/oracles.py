@@ -852,8 +852,8 @@ def sweep_closure(generators, ops, cfg, space, stop_at=None):
     zero, so comparing it with ``closure`` also checks the pure-row
     shortcut of the stop test.  Every image passes the full window test,
     and it inserts only an image that does not reduce to zero, which
-    ``insert`` must then take: neither answer goes through the pure-row
-    shortcut of ``insert`` or the weight-only admission of ``closure``.
+    ``insert`` must then take: no answer goes through the pure-row
+    shortcut of ``insert``.
     """
     stop = [SparseVec.basis(u) for u in stop_at or ()]
 

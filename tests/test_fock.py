@@ -29,7 +29,7 @@ from wakimoto import (
     vec_from_json_obj,
     weight,
 )
-from wakimoto.fock import _psi_core, _psi_sum
+from wakimoto.fock import _psi_core
 
 
 def test_halfodd_helpers():
@@ -202,30 +202,6 @@ def test_psi_core_matches_rewriting_oracle(species, d):
         assert type(sign) is int
         assert FermionState(out.lam, out.mu) == out  # canonical, re-validated
         assert want == {(out.lam, out.mu): sign}, (st, d)
-
-
-def test_one_mode_on_a_monomial_matches_the_loop():
-    """One part on a one-term vector (G+ on a monomial) takes ``_psi_sum``'s
-    single core call.  Split in two parts of the same mode, the same sum
-    goes through the loop; both match the rewriting oracle."""
-    rng = random.Random("psi-sum:one-mode")
-    states = enumerate_basis(Fraction(9, 2), ambient=True)
-    dmodes = [d for k in range(1, 10, 2) for d in (-k, k)]
-    zero = 0
-    for _ in range(400):
-        st = rng.choice(states)
-        species = rng.choice((PLUS, MINUS))
-        sp = +1 if species == PLUS else -1
-        d, k, den = rng.choice(dmodes), rng.choice([-3, -2, -1, 2, 3, 5]), rng.randint(1, 4)
-        c = Fraction(rng.choice([-1, 1]) * rng.randint(1, 5), rng.randint(1, 4))
-        v = SparseVec({st: c})
-        one = _psi_sum(sp, [(d, k)], v, den)
-        assert one == _psi_sum(sp, [(d, k - 1), (d, 1)], v, den), (species, d, st)
-        want = normal_order_fermion([(species, d), *fermion_state_word(st)], c * Fraction(k, den))
-        assert fermion_vec_as_dict(one) == want, (species, d, k, den, st)
-        zero += one.is_zero()
-    # both branches of the core: some images are zero and most are not
-    assert 0 < zero < 300
 
 
 # -- enumeration ------------------------------------------------------------

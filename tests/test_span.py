@@ -94,16 +94,16 @@ class TestClosureConfig:
         }
         assert ClosureConfig.from_json_obj(obj) == cfg
 
-    def test_int_reach_floors_the_bound(self):
-        """The int reach, taken in ints, is the floored bound times the
+    def test_int_bound_floors_in_ints(self):
+        """The int bound, taken in ints, is the floor of the bound times the
         scale, on both spaces and on windows whose bound is not a whole or
         half weight."""
         values = [Fraction(p, q) for q in (1, 2, 3, 4, 6) for p in range(0, 14)]
         for space in (FOCK_SPACE, WEYL_SPACE):
             for cutoff in values:
                 for excursion in values[::5]:
-                    cfg = ClosureConfig(cutoff, (-1, 1), excursion)
-                    assert space.int_reach(cfg) == space.int_bound(cfg.bound), cfg
+                    bound = ClosureConfig(cutoff, (-1, 1), excursion).bound
+                    assert space.int_bound(bound) == math.floor(bound * space.weight_scale), bound
 
 
 def _random_vec(rng, pool, n=3):
@@ -1073,7 +1073,7 @@ def test_top_component_rule_reads_the_kill():
     assert basis.rows() == closure([row], [(str(lbl), o) for lbl, o in ops], cfg, FOCK_SPACE).rows()
 
 
-# -- the fast paths: insert's pure-row answer, admission by weight alone ------
+# -- insert's pure-row answer ---------------------------------------------------
 
 
 def _spied_inserts(monkeypatch):
@@ -1117,88 +1117,6 @@ def test_insert_answers_as_reduce(case, space, monkeypatch):
         for stop in (None, {vac}):
             closure([g], ops, cfg, space, stop)
     assert counts["grew"] and counts["pure"] and counts["other"], counts
-
-
-def _weighed(monkeypatch):
-    """Each image the closures admit or drop by its weights alone, from now
-    on, with the answer: a list of (image, admitted) pairs."""
-    seen = []
-    light = SPAN._light
-
-    def recording(v, bound):
-        admitted = light(v, bound)
-        seen.append((v, admitted))
-        return admitted
-
-    monkeypatch.setattr(SPAN, "_light", recording)
-    return seen
-
-
-WEIGHT_WINDOWS = [
-    ("weyl", "crosscheck"),
-    ("weyl", "probe_default"),
-    ("fock", "certify"),
-    ("fock", "small"),
-]
-
-
-@pytest.mark.parametrize("side, window", WEIGHT_WINDOWS, ids=[f"{s}-{w}" for s, w in WEIGHT_WINDOWS])
-def test_weight_admission_matches_the_window(side, window, monkeypatch):
-    """Every image a closure admits or drops by its weights alone gets the
-    answer of the exact window test, on seeded twists of all five kinds and
-    on twists with poles, from the vacuum and from a state of the window."""
-    if side == "weyl":
-        cfg, twists, space = SKIP_WINDOWS[window], SKIP_TWISTS, WEYL_SPACE
-        states = enumerate_weyl_basis(cfg.weight_cutoff, cfg.charge_window)
-        vacuum, vec = weyl_vacuum_vec(), WeylVec.basis
-    else:
-        cfg, twists, space = FERMION_SKIP_WINDOWS[window], FERMION_SKIP_TWISTS, FOCK_SPACE
-        lo, hi = cfg.charge_window
-        states = [st for st in enumerate_basis(cfg.weight_cutoff) if lo <= charge(st) <= hi]
-        vacuum, vec = vacuum_vec(), SparseVec.basis
-    seen = _weighed(monkeypatch)
-    for k, chi in enumerate(twists):
-        ops = wakimoto_ops(chi, cfg, WeylAction(chi)) if side == "weyl" else a_module_ops(chi, cfg)
-        rng = random.Random(f"weighed:{side}:{window}:{k}")
-        start = len(seen)
-        for g in (vacuum, vec(rng.choice(states))):
-            closure([g], ops, cfg, space)
-        assert len(seen) > start, chi
-        for w, admitted in seen[start:]:
-            assert admitted == (not leaves_window(w, cfg, space)), (chi, w)
-    assert {admitted for _, admitted in seen} == {True, False}
-
-
-@pytest.mark.parametrize("space", [FOCK_SPACE, WEYL_SPACE], ids=["fock", "weyl"])
-@pytest.mark.parametrize("case", CASES)
-def test_weight_admission_needs_declared_ops_and_one_charge(case, space, monkeypatch):
-    """A family of plain labels, and a generator of two charges, keep the
-    full window test; two generators of one charge each, of different
-    charges, admit by weight.  Each closure matches ``sweep_closure``."""
-    rng = random.Random(f"weight-path:{case}:{space is FOCK_SPACE}")
-    chi = seeded_twist(case, rng)
-    cfg, ops, _, (own, _) = _generators(case, chi, space, rng)
-    lo, hi = cfg.charge_window
-    (c,) = {charge(st) for st in own.terms}
-    if space is FOCK_SPACE:
-        pool, vec = enumerate_basis(Fraction(2)), SparseVec.basis
-    else:
-        pool, vec = enumerate_weyl_basis(Fraction(2), cfg.charge_window), WeylVec.basis
-    other = vec(rng.choice([st for st in pool if charge(st) != c and lo <= charge(st) <= hi]))
-    plain = [(str(label), op) for label, op in ops]
-    seen = _weighed(monkeypatch)
-    for generators, family, by_weight in (
-        ([own], plain, False),
-        ([own + other], ops, False),
-        ([own, other], ops, True),
-    ):
-        start = len(seen)
-        new = closure(generators, family, cfg, space)
-        old = sweep_closure(generators, family, cfg, space)
-        assert new.rows() == old.rows()
-        assert new.report() == old.report()
-        assert new.dimension() > len(generators)
-        assert (len(seen) > start) == by_weight
 
 
 # -- the one-step proof applies no op whose image is past every proved state --
